@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 
@@ -161,9 +160,7 @@ def _cmd_sgd(args) -> int:
         sampler=SAMPLER_FLAGS[args.sampler],
         seed=args.seed,
     )
-    summary = average_suboptimality_over_seeds(
-        problem, config, n_seeds=args.seeds, n_jobs=args.threads
-    )
+    summary = average_suboptimality_over_seeds(problem, config, n_seeds=args.seeds)
     se = summary.stderr
     rows = [
         (t + 1, float(summary.mean[t]), None if se is None else float(se[t]))
@@ -173,17 +170,21 @@ def _cmd_sgd(args) -> int:
     return 0
 
 
-def _auto_params(args, problem):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        params = recommended_params(problem, args.eps, args.c)
-    for warning in caught:
-        print(f"warning: {warning.message}")
-    print(
-        f"auto params: eta={params.step_size} T={params.epoch_len} "
-        f"S={params.n_epochs} (single-shuffle rule needs m >= 2*S*T = {params.m_required})"
-    )
-    return params
+def _epoch_params(args, problem):
+    """(eta, T, S) from the flags, or from the parameter rule under
+    --auto-params, written back into args so the config line records them."""
+    if args.auto_params:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            params = recommended_params(problem, args.eps, args.c)
+        for warning in caught:
+            print(f"warning: {warning.message}")
+        print(
+            f"auto params: eta={params.step_size} T={params.epoch_len} "
+            f"S={params.n_epochs} (single-shuffle rule needs m >= 2*S*T = {params.m_required})"
+        )
+        args.eta, args.T, args.S = params.step_size, params.epoch_len, params.n_epochs
+    return args.eta, args.T, args.S
 
 
 def _cmd_svrg(args) -> int:
@@ -191,17 +192,12 @@ def _cmd_svrg(args) -> int:
     if code:
         return code
     problem = _load_problem(args)
-    if args.auto_params:
-        params = _auto_params(args, problem)
-        eta, T, S = params.step_size, params.epoch_len, params.n_epochs
-        args.eta, args.T, args.S = eta, T, S
-    else:
-        eta, T, S = args.eta, args.T, args.S
+    eta, T, S = _epoch_params(args, problem)
     config = SVRGConfig(
         step_size=eta, epoch_len=T, n_epochs=S,
         sampler=SAMPLER_FLAGS[args.sampler], seed=args.seed,
     )
-    traces = run_svrg_over_streams(problem, config, args.seeds, n_jobs=args.threads)
+    traces = run_svrg_over_streams(problem, config, args.seeds)
     sub = np.stack([t.suboptimality for t in traces])
     worst = np.stack([t.max_suboptimality for t in traces])
     mean = sub.mean(axis=0)
@@ -235,12 +231,7 @@ def _cmd_dist(args) -> int:
     if code:
         return code
     problem = _load_problem(args)
-    if args.auto_params:
-        params = _auto_params(args, problem)
-        eta, T, S = params.step_size, params.epoch_len, params.n_epochs
-        args.eta, args.T, args.S = eta, T, S
-    else:
-        eta, T, S = args.eta, args.T, args.S
+    eta, T, S = _epoch_params(args, problem)
     config = SVRGConfig(step_size=eta, epoch_len=T, n_epochs=S, seed=args.seed)
     trace, log = run_distributed_svrg(problem, args.k, config)
     report = comm_cost_report(
@@ -415,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     def shared(p):
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
         p.add_argument("--out", type=str, default=None, help="output file path")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads for multi-seed runs")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")

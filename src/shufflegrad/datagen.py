@@ -62,15 +62,18 @@ class GenSpec:
             raise InvalidParameter("noise and signal_norm must be >= 0")
 
 
-def planted_weights(spec: GenSpec) -> np.ndarray:
-    """The planted weight vector for a spec (same draw order as generate)."""
-    rng = Rng(spec.seed, spec.stream)
+def _draw_planted(spec: GenSpec, rng: Rng) -> np.ndarray:
     direction = rng.normal(spec.d)
     norm = np.linalg.norm(direction)
     if norm == 0.0:
         direction[0] = 1.0
         norm = 1.0
     return spec.signal_norm * direction / norm
+
+
+def planted_weights(spec: GenSpec) -> np.ndarray:
+    """The planted weight vector for a spec (the one generate labels with)."""
+    return _draw_planted(spec, Rng(spec.seed, spec.stream))
 
 
 def generate(spec: GenSpec) -> Dataset:
@@ -82,12 +85,7 @@ def generate(spec: GenSpec) -> Dataset:
     features).
     """
     rng = Rng(spec.seed, spec.stream)
-    direction = rng.normal(spec.d)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        direction[0] = 1.0
-        norm = 1.0
-    w_true = spec.signal_norm * direction / norm
+    w_true = _draw_planted(spec, rng)
 
     Z = rng.normal(spec.m * spec.d).reshape(spec.m, spec.d)
     if spec.spectrum == "geometric":

@@ -12,17 +12,19 @@ id), ``kind`` ("reduce" or "broadcast"), ``payload`` (d 64-bit floats).
 A broadcast round is modeled as one delivery per machine in the cluster,
 so every round moves exactly n_machines * d floats.
 
-Equivalence contract: with one machine the simulation reproduces the
-single-machine driver bit for bit (the reduce of a lone shard is the
-same pairwise mean over ascending indices as the full gradient).  With
-several machines the inner steps are bitwise identical given the same
-snapshot and anchor; only the anchor's reduce tree differs, so per-epoch
-suboptimalities agree to rounding (tested at 1e-12).
+Equivalence contract: the simulation runs the single-machine driver's
+epoch loop (``svrg._drive``) and supplies only the batches, the anchor
+and the broadcast, so the guard, the safety bound, the random-iterate
+pick and the trace are shared.  With one machine it therefore reproduces
+``run_svrg`` on the matched permutation bit for bit, for both epoch
+outputs (the reduce of a lone shard is the same pairwise mean over
+ascending indices as the full gradient).  With several machines only the
+anchor's reduce tree differs, so per-epoch suboptimalities agree to
+rounding (tested at 1e-12).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +33,7 @@ from .errors import BatchesExhausted, InvalidParameter
 from .problem import Dataset, pairwise_sum
 from .rng import Rng
 from .sampling import SINGLE_SHUFFLE, shuffle
-from .svrg import AUX_STREAM_BIT, RANDOM_ITERATE, EpochTrace, SVRGConfig, _run_epoch, log_suboptimality_bound
+from .svrg import AUX_STREAM_BIT, SVRGConfig, _drive
 
 SCHEMA_VERSION = 1
 
@@ -141,23 +143,20 @@ def run_distributed_svrg(
     n_machines: int,
     config: SVRGConfig,
     shards: list[Shard] | None = None,
-    threaded: bool = False,
 ):
     """Simulate the distributed driver; returns (EpochTrace, CommLog).
 
     ``shards`` defaults to a fresh random partition drawn on the config's
-    auxiliary stream lane.  ``threaded=True`` computes machine-local
-    gradient means concurrently; they are still combined in machine-id
-    order, so results are identical to the sequential mode.
+    auxiliary stream lane.  The epochs run in the single-machine driver's
+    loop, fed the batch schedule, an anchor reduced from the machines'
+    local gradient means (combined in machine-id order) and a snapshot
+    broadcast after each epoch.
     """
     if config.sampler != SINGLE_SHUFFLE:
         raise InvalidParameter(
             "the distributed driver realizes single-shuffle sampling; "
             f"got config.sampler={config.sampler!r}"
         )
-    lam = problem.strong_convexity
-    if lam <= 0:
-        raise InvalidParameter("problem must be strongly convex (lambda > 0)")
     if shards is None:
         shards = partition(
             problem.data, n_machines, Rng(config.seed, config.stream ^ AUX_STREAM_BIT)
@@ -165,72 +164,24 @@ def run_distributed_svrg(
     if len(shards) != n_machines:
         raise InvalidParameter(f"expected {n_machines} shards, got {len(shards)}")
 
-    m, d = problem.m, problem.d
-    T, S = config.epoch_len, config.n_epochs
-    schedule = batch_schedule(shards, T, S)
+    m, T = problem.m, config.epoch_len
+    schedule = batch_schedule(shards, T, config.n_epochs)
+    owners = [shard.machine for shard in shards for _ in shard.batches(T)]
     sorted_locals = [np.sort(shard.indices) for shard in shards]
     weights = np.array([len(shard.indices) / m for shard in shards])
-
-    picker = (
-        Rng(config.seed, (config.stream ^ AUX_STREAM_BIT) + 1)
-        if config.epoch_output == RANDOM_ITERATE
-        else None
-    )
-    bound = log_suboptimality_bound(T, S, lam) if lam < 1.0 else None
-    guard = float(np.exp(min(bound, 700.0))) if bound is not None else np.inf
-
     log = CommLog()
-    snapshot = np.zeros(d)
-    subopt = np.empty(S)
-    max_sub = np.empty(S)
-    initial = problem.suboptimality(snapshot)
 
-    def local_mean(j: int) -> np.ndarray:
-        return problem.point_gradient_mean(snapshot, sorted_locals[j])
+    def reduce_anchor(snapshot):
+        means = [problem.point_gradient_mean(snapshot, local) for local in sorted_locals]
+        log._record_round(REDUCE, enumerate(means))
+        return pairwise_sum(np.stack([weights[j] * means[j] for j in range(n_machines)]))
 
-    for s in range(S):
-        if threaded:
-            with ThreadPoolExecutor(max_workers=n_machines) as pool:
-                means = list(pool.map(local_mean, range(n_machines)))
-        else:
-            means = [local_mean(j) for j in range(n_machines)]
-        reduce_rid = log._record_round(REDUCE, [(j, means[j]) for j in range(n_machines)])
-        anchor = pairwise_sum(np.stack([weights[j] * means[j] for j in range(n_machines)]))
+    def broadcast(s, snapshot):
+        rid = log._record_round(BROADCAST, [(owners[s], snapshot)] * n_machines)
+        log.epoch_rounds.append((rid - 1, rid))
 
-        batch = schedule[s]
-        active = _owner_of_batch(shards, T, s)
-        pick = int(picker.below(T)) if picker is not None else None
-        snapshot, worst = _run_epoch(
-            problem, snapshot, anchor, batch, config.step_size,
-            config.epoch_output, pick, guard,
-        )
-        bcast_rid = log._record_round(
-            BROADCAST, [(active, snapshot) for _ in range(n_machines)]
-        )
-        log.epoch_rounds.append((reduce_rid, bcast_rid))
-        subopt[s] = problem.suboptimality(snapshot)
-        max_sub[s] = worst
-
-    trace = EpochTrace(
-        suboptimality=subopt,
-        max_suboptimality=max_sub,
-        stochastic_grad_evals=np.full(S, T),
-        full_grad_point_evals=np.full(S, m),
-        initial_suboptimality=initial,
-        final_snapshot=snapshot,
-    )
+    trace = _drive(problem, config, lambda s: schedule[s], reduce_anchor, broadcast)
     return trace, log
-
-
-def _owner_of_batch(shards: list[Shard], epoch_len: int, epoch: int) -> int:
-    """Machine id whose batch is consumed at the given (0-based) epoch."""
-    remaining = epoch
-    for shard in shards:
-        n_batches = len(shard.indices) // epoch_len
-        if remaining < n_batches:
-            return shard.machine
-        remaining -= n_batches
-    raise BatchesExhausted("epoch index beyond the cluster's batch supply")
 
 
 @dataclass

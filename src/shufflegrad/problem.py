@@ -231,7 +231,6 @@ class RidgeProblem(_LinearPredictionProblem):
         m = data.m
         self.hessian = (X.T @ X) / m + self.alpha * np.eye(data.d)
         self._rhs = (X.T @ y) / m
-        self._offset = float(y @ y) / (2.0 * m)
 
     @cached_property
     def strong_convexity(self) -> float:
@@ -273,12 +272,6 @@ class RidgeProblem(_LinearPredictionProblem):
     def minimizer(self):
         """(w*, F(w*)) from a direct symmetric positive-definite solve."""
         return self._solution
-
-    def quadratic_value(self, w) -> float:
-        """F(w) through the quadratic form (identical to full_objective up
-        to rounding; used where bitwise reproduction is not required)."""
-        w = self._check_w(w)
-        return 0.5 * float(w @ (self.hessian @ w)) - float(self._rhs @ w) + self._offset
 
     def suboptimality(self, w) -> float:
         """F(w) - F(w*) evaluated as the exact curvature form

@@ -96,10 +96,6 @@ class Rng:
     def counter(self) -> int:
         return self._counter
 
-    def spawn(self, stream: int) -> "Rng":
-        """Fresh generator with the same seed and the given stream."""
-        return Rng(self.seed, stream)
-
     def u64(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words as a uint64 array; consumes n counters."""
         if n < 0:

@@ -1,16 +1,15 @@
 """Permutations and the index-sampling disciplines.
 
-Provides Fisher-Yates shuffling driven by the package's counter-based
-generator, three samplers (with replacement, one shuffle for the whole
-run, reshuffle at every epoch boundary), and exhaustive permutation
-enumeration for the exact oracles.  Indices are 0-based everywhere; a
+Provides one lazy Fisher-Yates permutation driven by the package's
+counter-based generator, three samplers (with replacement, one shuffle
+for the whole run, reshuffle at every epoch boundary), and exhaustive
+permutation enumeration for the exact oracles.  Indices are 0-based everywhere; a
 1-based position t in formulas corresponds to ``order[t - 1]``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -26,38 +25,11 @@ SAMPLER_KINDS = (WITH_REPLACEMENT, SINGLE_SHUFFLE, RESHUFFLE_EACH_EPOCH)
 MAX_ENUMERATION = 9
 
 
-def _shuffle_prefix(m: int, k: int, rng: Rng) -> np.ndarray:
-    """First k entries of a Fisher-Yates shuffle of range(m).
-
-    Runs the forward ("swap position t with a uniform position in
-    [t, m-1]") variant and stops after k emissions, touching only the
-    displaced positions.  Consumes exactly min(k, m - 1) bounded draws,
-    so the output is a prefix of what :func:`shuffle` returns for the
-    same generator state.
-    """
-    k = min(k, m)
-    n_draws = min(k, m - 1)
-    if n_draws > 0:
-        offsets = rng.below(np.arange(m, m - n_draws, -1, dtype=np.uint64))
-    else:
-        offsets = np.empty(0, dtype=np.int64)
-    displaced: dict[int, int] = {}
-    out = np.empty(k, dtype=np.int64)
-    for t in range(n_draws):
-        j = t + int(offsets[t])
-        out[t] = displaced.get(j, j)
-        if j != t:
-            displaced[j] = displaced.get(t, t)
-    if k == m and m >= 1:
-        out[m - 1] = displaced.get(m - 1, m - 1)
-    return out
-
-
 def shuffle(m: int, rng: Rng) -> np.ndarray:
     """Uniformly random permutation of range(m) by Fisher-Yates."""
     if m < 1:
         raise InvalidParameter("shuffle needs m >= 1")
-    return _shuffle_prefix(m, m, rng)
+    return SingleShuffleSampler(m, rng).take(m)
 
 
 def is_permutation(order: np.ndarray, m: int) -> bool:
@@ -87,10 +59,6 @@ def enumerate_permutations(m: int):
     return itertools.permutations(range(m))
 
 
-def permutation_count(m: int) -> int:
-    return math.factorial(m)
-
-
 class WithReplacementSampler:
     """Independent uniform draws from {0, ..., m-1}."""
 
@@ -101,22 +69,21 @@ class WithReplacementSampler:
             raise InvalidParameter("sampler needs m >= 1")
         self.m = m
         self.rng = rng
-        self.cursor = 0
 
     def take(self, n: int) -> np.ndarray:
-        self.cursor += n
         return self.rng.below(np.full(n, self.m, dtype=np.uint64))
-
-    def next_index(self) -> int:
-        return int(self.take(1)[0])
 
 
 class SingleShuffleSampler:
     """One permutation drawn up front; at most m draws for the whole run.
 
-    The permutation is generated lazily (a sparse Fisher-Yates), so runs
-    that consume only a short prefix of a large dataset stay cheap; the
-    emitted sequence is identical to shuffling eagerly.
+    This is the package's only Fisher-Yates loop: :func:`shuffle` and
+    :class:`ReshuffleSampler` take their permutations from it.  It runs
+    the forward ("swap position t with a uniform position in [t, m-1]")
+    variant lazily, touching only the displaced positions, so runs that
+    consume a short prefix of a large dataset stay cheap.  Position t
+    consumes one bounded draw for t < m - 1 and none for t = m - 1, so the
+    emitted sequence does not depend on how the takes are split.
     """
 
     kind = SINGLE_SHUFFLE
@@ -130,33 +97,29 @@ class SingleShuffleSampler:
         self._displaced: dict[int, int] = {}
 
     def take(self, n: int) -> np.ndarray:
-        if self.cursor + n > self.m:
+        start, stop = self.cursor, self.cursor + n
+        if stop > self.m:
             raise DataExhausted(
                 f"single-shuffle sampler exhausted: asked for draw "
-                f"{self.cursor + n} of m={self.m} (data is seen at most once; "
+                f"{stop} of m={self.m} (data is seen at most once; "
                 f"the supported regime is T <= m)"
             )
-        start, stop = self.cursor, self.cursor + n
-        n_draws = min(stop, self.m - 1) - min(start, self.m - 1)
-        if n_draws > 0:
-            offsets = self.rng.below(
-                np.arange(self.m - start, self.m - start - n_draws, -1, dtype=np.uint64)
-            )
+        n_draws = max(0, min(stop, self.m - 1) - start)
+        offsets = self.rng.below(
+            np.arange(self.m - start, self.m - start - n_draws, -1, dtype=np.uint64)
+        )
+        targets = (offsets + np.arange(start, start + n_draws)).tolist()
         out = np.empty(n, dtype=np.int64)
         displaced = self._displaced
-        for r, t in enumerate(range(start, stop)):
-            if t == self.m - 1:
-                out[r] = displaced.get(t, t)
-                continue
-            j = t + int(offsets[r])
+        for r, j in enumerate(targets):
+            t = start + r
             out[r] = displaced.get(j, j)
             if j != t:
                 displaced[j] = displaced.get(t, t)
+        if n_draws < n:  # the last position needs no draw
+            out[n - 1] = displaced.get(self.m - 1, self.m - 1)
         self.cursor = stop
         return out
-
-    def next_index(self) -> int:
-        return int(self.take(1)[0])
 
 
 class ReshuffleSampler:
@@ -176,7 +139,6 @@ class ReshuffleSampler:
         self.m = m
         self.rng = rng
         self.epoch_len = epoch_len
-        self.cursor = 0
         self._current = np.empty(0, dtype=np.int64)
         self._used = 0
 
@@ -185,17 +147,13 @@ class ReshuffleSampler:
         filled = 0
         while filled < n:
             if self._used == self._current.size:
-                self._current = _shuffle_prefix(self.m, self.epoch_len, self.rng)
+                self._current = SingleShuffleSampler(self.m, self.rng).take(self.epoch_len)
                 self._used = 0
             grab = min(n - filled, self._current.size - self._used)
             out[filled : filled + grab] = self._current[self._used : self._used + grab]
             self._used += grab
             filled += grab
-        self.cursor += n
         return out
-
-    def next_index(self) -> int:
-        return int(self.take(1)[0])
 
 
 def make_sampler(kind: str, m: int, rng: Rng, epoch_len: int | None = None):

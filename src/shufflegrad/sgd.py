@@ -19,7 +19,6 @@ in expectation over a uniformly random permutation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -235,31 +234,19 @@ class SeedSummary:
     n_seeds: int
 
 
-def average_suboptimality_over_seeds(
-    problem, config: SGDConfig, n_seeds: int, n_jobs: int = 1
-) -> SeedSummary:
+def average_suboptimality_over_seeds(problem, config: SGDConfig, n_seeds: int) -> SeedSummary:
     """Monte-Carlo estimate over permutations: trial k runs on stream k.
 
-    Reduction across trials is in stream order regardless of ``n_jobs``,
-    so the result does not depend on scheduling.
+    Trials are reduced in stream order.
     """
     if n_seeds < 1:
         raise InvalidParameter("n_seeds must be >= 1")
-
-    def one(stream: int) -> np.ndarray:
-        return run_sgd(problem, replace(config, stream=stream)).suboptimality
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            traces = list(pool.map(one, range(n_seeds)))
-    else:
-        traces = [one(k) for k in range(n_seeds)]
-
     mean = np.zeros(config.n_steps)
     m2 = np.zeros(config.n_steps)
-    for k, trace in enumerate(traces, start=1):
+    for k in range(n_seeds):
+        trace = run_sgd(problem, replace(config, stream=k)).suboptimality
         delta = trace - mean
-        mean += delta / k
+        mean += delta / (k + 1)
         m2 += delta * (trace - mean)
     if n_seeds >= 2:
         stderr = np.sqrt(m2 / (n_seeds - 1) / n_seeds)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -33,7 +34,7 @@ def test_sgd_csv_schema(dataset_file, tmp_path, capsys):
     code = run_cli([
         "sgd", "--data", str(dataset_file), "--sampler", "no-replacement",
         "--steps", "strongly-convex", "--T", "40", "--seeds", "5",
-        "--out", str(out), "--threads", "1",
+        "--out", str(out),
     ])
     assert code == 0
     printed = capsys.readouterr().out
@@ -53,7 +54,6 @@ def test_sgd_csv_schema(dataset_file, tmp_path, capsys):
 def test_sgd_rerun_is_byte_identical(dataset_file, tmp_path):
     args = [
         "sgd", "--data", str(dataset_file), "--T", "25", "--seeds", "3",
-        "--threads", "2",
     ]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli(args + ["--out", str(out1)]) == 0
@@ -61,6 +61,17 @@ def test_sgd_rerun_is_byte_identical(dataset_file, tmp_path):
     a = out1.read_text().replace(str(out1), "OUT")
     b = out2.read_text().replace(str(out2), "OUT")
     assert a == b
+
+
+def test_sgd_file_independent_of_core_count(dataset_file, tmp_path, monkeypatch):
+    args = ["sgd", "--data", str(dataset_file), "--T", "25", "--seeds", "3"]
+    texts = []
+    for cores in (1, 64):
+        monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+        out = tmp_path / f"cores{cores}.csv"
+        assert run_cli(args + ["--out", str(out)]) == 0
+        texts.append(out.read_text().replace(str(out), "OUT"))
+    assert texts[0] == texts[1]
 
 
 def test_svrg_auto_params_warns_on_small_m(dataset_file, capsys):

@@ -61,9 +61,11 @@ class TestPartition:
 
 
 class TestEquivalence:
-    def test_single_machine_bitwise(self):
+    @pytest.mark.parametrize("epoch_output", ["average", "random_iterate"])
+    def test_single_machine_bitwise(self, epoch_output):
         p = random_ridge(300, 4, seed=6, alpha=0.2)
-        cfg = SVRGConfig(step_size=0.1, epoch_len=25, n_epochs=4, seed=8)
+        cfg = SVRGConfig(step_size=0.1, epoch_len=25, n_epochs=4, seed=8,
+                         epoch_output=epoch_output)
         shards = partition(p.data, 1, Rng(8, 77))
         dist_trace, _ = run_distributed_svrg(p, 1, cfg, shards=shards)
         sigma = matched_permutation(shards, 25, 4)
@@ -80,15 +82,6 @@ class TestEquivalence:
         sigma = matched_permutation(shards, 30, 5)
         solo_trace = run_svrg(p, cfg, sigma=sigma)
         assert np.abs(dist_trace.suboptimality - solo_trace.suboptimality).max() <= 1e-12
-
-    def test_threaded_reduce_identical(self):
-        p = random_ridge(200, 3, seed=8, alpha=0.2)
-        cfg = SVRGConfig(step_size=0.1, epoch_len=20, n_epochs=3, seed=10)
-        shards = partition(p.data, 3, Rng(10, 5))
-        a, _ = run_distributed_svrg(p, 3, cfg, shards=shards, threaded=False)
-        b, _ = run_distributed_svrg(p, 3, cfg, shards=shards, threaded=True)
-        assert np.array_equal(a.suboptimality, b.suboptimality)
-        assert np.array_equal(a.final_snapshot, b.final_snapshot)
 
 
 class TestCommunication:

@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflegrad import Rng, enumerate_permutations, is_permutation, make_sampler, shuffle
+from shufflegrad import (
+    Dataset,
+    Rng,
+    enumerate_permutations,
+    is_permutation,
+    make_sampler,
+    partition,
+    shuffle,
+)
 from shufflegrad.errors import DataExhausted, InvalidParameter
-from shufflegrad.sampling import SingleShuffleSampler, _shuffle_prefix
+from shufflegrad.sampling import SingleShuffleSampler
 
 
 def test_shuffle_m1():
@@ -47,15 +55,64 @@ def test_position_frequencies():
 def test_prefix_matches_full_shuffle(m, k, seed):
     k = min(k, m)
     full = shuffle(m, Rng(seed, 5))
-    assert np.array_equal(_shuffle_prefix(m, k, Rng(seed, 5)), full[:k])
+    assert np.array_equal(SingleShuffleSampler(m, Rng(seed, 5)).take(k), full[:k])
+
+
+# Pinned integer outputs: a change to the Fisher-Yates code must not
+# reorder any permutation.  Machine-independent, like the generator's
+# test vectors.
+FROZEN_SHUFFLES = {
+    1: [0],
+    2: [0, 1],
+    7: [4, 6, 2, 1, 0, 5, 3],
+    37: [19, 3, 2, 21, 36, 31, 27, 1, 32, 17, 22, 30, 9, 10, 24, 14, 5, 15, 29,
+         23, 16, 26, 20, 6, 34, 4, 35, 13, 8, 0, 28, 33, 7, 18, 12, 25, 11],
+}
+
+
+@pytest.mark.parametrize("m", sorted(FROZEN_SHUFFLES))
+def test_shuffle_frozen_vectors(m):
+    assert shuffle(m, Rng(3, m)).tolist() == FROZEN_SHUFFLES[m]
+
+
+def test_shuffle_frozen_vector_m1000():
+    order = shuffle(1000, Rng(3, 1000)).tolist()
+    assert is_permutation(np.array(order), 1000)
+    assert order[:20] == [228, 202, 700, 640, 317, 567, 676, 164, 93, 539,
+                          442, 908, 570, 895, 216, 253, 635, 938, 135, 30]
+    assert order[-10:] == [605, 879, 648, 53, 943, 148, 255, 662, 89, 919]
+    assert sum(i * v for i, v in enumerate(order)) == 251275654
+
+
+FROZEN_TAKES = {
+    "with_replacement": [[10, 29, 8], [33, 14, 28, 45, 14, 37, 48],
+                         [27, 6, 0, 25, 42, 0, 0, 7, 5, 4, 22], [7, 46, 13, 7]],
+    "single_shuffle": [[10, 14, 34], [29, 12, 43, 25, 30, 47, 28],
+                       [37, 1, 22, 26, 48, 7, 15, 40, 35, 33, 4], [18, 32, 24, 19]],
+    "reshuffle_each_epoch": [[10, 14, 34], [29, 12, 43, 25, 14, 26, 2],
+                             [15, 34, 45, 41, 42, 16, 14, 31, 15, 44, 22],
+                             [7, 11, 45, 27]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN_TAKES))
+def test_sampler_frozen_takes(kind):
+    s = make_sampler(kind, 50, Rng(5, 1), epoch_len=7)
+    assert [s.take(n).tolist() for n in (3, 7, 11, 4)] == FROZEN_TAKES[kind]
+
+
+def test_partition_frozen_vector():
+    data = Dataset(X=np.zeros((10, 1)), y=np.zeros(10))
+    shards = partition(data, 3, Rng(6, 2))
+    assert [s.indices.tolist() for s in shards] == [[2, 3, 4, 1], [5, 8, 9], [0, 7, 6]]
 
 
 def test_single_shuffle_bijection_and_exhaustion():
     s = make_sampler("single_shuffle", 3, Rng(2, 0))
-    draws = [s.next_index() for _ in range(3)]
+    draws = [int(s.take(1)[0]) for _ in range(3)]
     assert sorted(draws) == [0, 1, 2]
     with pytest.raises(DataExhausted):
-        s.next_index()
+        s.take(1)
 
 
 def test_single_shuffle_matches_eager_shuffle():
@@ -66,7 +123,7 @@ def test_single_shuffle_matches_eager_shuffle():
 
 def test_with_replacement_m1_and_frequencies():
     s = make_sampler("with_replacement", 1, Rng(0))
-    assert all(s.next_index() == 0 for _ in range(10))
+    assert all(int(s.take(1)[0]) == 0 for _ in range(10))
     s3 = make_sampler("with_replacement", 3, Rng(6, 0))
     draws = s3.take(30_000)
     freq = np.bincount(draws, minlength=3) / 30_000

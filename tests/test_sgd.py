@@ -136,14 +136,6 @@ class TestSeedAveraging:
         assert summary.stderr is None
         assert summary.n_seeds == 1
 
-    def test_thread_fanout_matches_sequential(self):
-        p = random_ridge(60, 3, seed=8)
-        cfg = config_for(p, 60, sampler="with_replacement")
-        seq = average_suboptimality_over_seeds(p, cfg, n_seeds=6, n_jobs=1)
-        par = average_suboptimality_over_seeds(p, cfg, n_seeds=6, n_jobs=4)
-        assert np.array_equal(seq.mean, par.mean)
-        assert np.array_equal(seq.stderr, par.stderr)
-
     def test_without_replacement_comparable_at_full_pass(self):
         # Within a factor of 3 of the with-replacement mean at T = m.
         p = random_ridge(400, 4, seed=9, alpha=0.25)
