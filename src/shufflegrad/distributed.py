@@ -15,11 +15,14 @@ so every round moves exactly n_machines * d floats.
 Equivalence contract: the simulation runs the single-machine driver's
 epoch loop (``svrg._drive``) and supplies only the batches, the anchor
 and the broadcast, so the guard, the safety bound, the random-iterate
-pick and the trace are shared.  With one machine it therefore reproduces
-``run_svrg`` on the matched permutation bit for bit, for both epoch
-outputs (the reduce of a lone shard is the same pairwise mean over
-ascending indices as the full gradient).  With several machines only the
-anchor's reduce tree differs, so per-epoch suboptimalities agree to
+pick and the trace are shared.  Each machine's share of the anchor is
+its local mean gradient in Gram form, ``H_j w - b_j`` (see
+:func:`local_operator`), built once per run.  A lone shard covers every
+point and reuses the problem's own Hessian and right-hand side, so its
+anchor is the same ``hessian @ w - b`` as ``RidgeProblem.full_gradient``
+and one machine reproduces ``run_svrg`` on the matched permutation bit
+for bit, for both epoch outputs.  With several machines the anchor is a
+weighted sum of local Gram forms, so per-epoch suboptimalities agree to
 rounding (tested at 1e-12).
 """
 
@@ -138,6 +141,22 @@ def matched_permutation(shards: list[Shard], epoch_len: int, n_epochs: int) -> n
     return np.concatenate([consumed, np.flatnonzero(rest_mask)])
 
 
+def local_operator(problem, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H_j, b_j) such that H_j @ w - b_j is the mean ridge gradient over
+    the sorted, duplicate-free ``indices``:
+    H_j = X_j^T X_j / m_j + alpha*I and b_j = X_j^T y_j / m_j.
+
+    Indices equal to range(m) return the problem's own ``hessian`` and
+    right-hand side, the arrays ``RidgeProblem.full_gradient`` reads.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size == problem.m and np.array_equal(idx, np.arange(problem.m)):
+        return problem.hessian, problem._rhs
+    X, y = problem._rows(idx)
+    n = idx.size
+    return (X.T @ X) / n + problem.alpha * np.eye(problem.d), (X.T @ y) / n
+
+
 def run_distributed_svrg(
     problem,
     n_machines: int,
@@ -149,8 +168,8 @@ def run_distributed_svrg(
     ``shards`` defaults to a fresh random partition drawn on the config's
     auxiliary stream lane.  The epochs run in the single-machine driver's
     loop, fed the batch schedule, an anchor reduced from the machines'
-    local gradient means (combined in machine-id order) and a snapshot
-    broadcast after each epoch.
+    local mean gradients (each from its :func:`local_operator`, combined
+    in machine-id order) and a snapshot broadcast after each epoch.
     """
     if config.sampler != SINGLE_SHUFFLE:
         raise InvalidParameter(
@@ -167,12 +186,12 @@ def run_distributed_svrg(
     m, T = problem.m, config.epoch_len
     schedule = batch_schedule(shards, T, config.n_epochs)
     owners = [shard.machine for shard in shards for _ in shard.batches(T)]
-    sorted_locals = [np.sort(shard.indices) for shard in shards]
+    operators = [local_operator(problem, np.sort(shard.indices)) for shard in shards]
     weights = np.array([len(shard.indices) / m for shard in shards])
     log = CommLog()
 
     def reduce_anchor(snapshot):
-        means = [problem.point_gradient_mean(snapshot, local) for local in sorted_locals]
+        means = [H @ snapshot - b for H, b in operators]
         log._record_round(REDUCE, enumerate(means))
         return pairwise_sum(np.stack([weights[j] * means[j] for j in range(n_machines)]))
 

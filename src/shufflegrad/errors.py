@@ -30,7 +30,21 @@ class BatchesExhausted(ShufflegradError, RuntimeError):
 
 
 class DivergenceError(ShufflegradError, RuntimeError):
-    """An iterate became non-finite or exceeded the runtime safety bound."""
+    """An iterate became non-finite or exceeded the runtime safety bound.
+
+    Attributes locate and size the failure; each is None where the raise
+    site does not know it.  ``epoch`` is the 1-based epoch, ``step`` the
+    1-based position of the offending iterate (an SVRG epoch's post-step
+    iterate is step epoch_len + 1), ``value`` the offending suboptimality
+    and ``bound`` the cap it crossed.
+    """
+
+    def __init__(self, message, *, epoch=None, step=None, value=None, bound=None):
+        super().__init__(message)
+        self.epoch = epoch
+        self.step = step
+        self.value = value
+        self.bound = bound
 
 
 class DataFormatError(ShufflegradError, ValueError):

@@ -12,12 +12,15 @@ per-point losses.  Two concrete problem types are provided:
 
 Mean reduction order
 --------------------
-``full_objective`` and ``full_gradient`` reduce per-point terms with an
-index-ascending balanced pairwise tree (:func:`pairwise_sum`): level 0
-pairs elements (0,1), (2,3), ...; an odd trailing element passes to the
-next level unchanged; levels repeat until one value remains.  The order
-is part of the contract because the distributed simulation reproduces
-the same reduction and is tested for bitwise equality against it.
+``full_objective``, and ``full_gradient`` of the Lipschitz losses,
+reduce per-point terms with an index-ascending balanced pairwise tree
+(:func:`pairwise_sum`): level 0 pairs elements (0,1), (2,3), ...; an odd
+trailing element passes to the next level unchanged; levels repeat until
+one value remains.  The ridge gradient needs no reduction over points:
+it is exactly ``hessian @ w - b`` with the cached Hessian and right-hand
+side b = (1/m) X^T y, an O(d^2) evaluation.  The distributed simulation
+builds the same Gram form per machine and, with one machine, reuses
+these very arrays, so it reproduces the single-machine anchor bit for bit.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ def _scalar_slope(kind: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _LinearPredictionProblem:
-    """Shared machinery: per-point losses/gradients and pairwise means."""
+    """Shared machinery: per-point losses/gradients and the pairwise objective."""
 
     data: Dataset
     alpha: float
@@ -187,20 +190,6 @@ class _LinearPredictionProblem:
     def full_objective(self, w) -> float:
         """F(w): pairwise mean of the point losses, ascending index order."""
         return float(pairwise_mean(self.point_losses(w)))
-
-    def full_gradient(self, w) -> np.ndarray:
-        """Gradient of F: pairwise mean of point gradients, ascending order."""
-        return self.point_gradient_mean(w, None)
-
-    def point_gradient_mean(self, w, indices) -> np.ndarray:
-        """Pairwise mean of point gradients over ``indices`` (must be sorted
-        ascending; None means all points).  Shared by the full gradient and
-        the distributed reduce so that both produce identical floats."""
-        if indices is not None:
-            idx = np.asarray(indices, dtype=np.int64)
-            if idx.size == self.data.m and np.array_equal(idx, np.arange(self.data.m)):
-                indices = None
-        return pairwise_mean(self.point_gradient_rows(w, indices))
 
     def suboptimality(self, w) -> float:
         """F(w) - F(w*), never meaningfully below zero."""
@@ -272,6 +261,11 @@ class RidgeProblem(_LinearPredictionProblem):
     def minimizer(self):
         """(w*, F(w*)) from a direct symmetric positive-definite solve."""
         return self._solution
+
+    def full_gradient(self, w) -> np.ndarray:
+        """Gradient of F in Gram form, hessian @ w - (1/m) X^T y: O(d^2)."""
+        w = self._check_w(w)
+        return self.hessian @ w - self._rhs
 
     def suboptimality(self, w) -> float:
         """F(w) - F(w*) evaluated as the exact curvature form
@@ -358,6 +352,10 @@ class LipschitzLinearProblem(_LinearPredictionProblem):
     @property
     def fstar(self) -> float:
         return self._reference[1]
+
+    def full_gradient(self, w) -> np.ndarray:
+        """A subgradient of F: pairwise mean of point gradients, ascending order."""
+        return pairwise_mean(self.point_gradient_rows(w))
 
 
 def reference_minimizer(

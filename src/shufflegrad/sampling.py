@@ -109,17 +109,18 @@ class SingleShuffleSampler:
             np.arange(self.m - start, self.m - start - n_draws, -1, dtype=np.uint64)
         )
         targets = (offsets + np.arange(start, start + n_draws)).tolist()
-        out = np.empty(n, dtype=np.int64)
         displaced = self._displaced
-        for r, j in enumerate(targets):
-            t = start + r
-            out[r] = displaced.get(j, j)
+        get = displaced.get
+        out = []
+        emit = out.append
+        for t, j in enumerate(targets, start):
+            emit(get(j, j))
             if j != t:
-                displaced[j] = displaced.get(t, t)
+                displaced[j] = get(t, t)
         if n_draws < n:  # the last position needs no draw
-            out[n - 1] = displaced.get(self.m - 1, self.m - 1)
+            emit(get(self.m - 1, self.m - 1))
         self.cursor = stop
-        return out
+        return np.array(out, dtype=np.int64)
 
 
 class ReshuffleSampler:

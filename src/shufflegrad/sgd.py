@@ -212,7 +212,7 @@ def run_sgd(
         w = w - rule.rate(t) * g
         norm = math.sqrt(w @ w)
         if not math.isfinite(norm):
-            raise DivergenceError(f"iterate became non-finite at step {t}")
+            raise DivergenceError(f"iterate became non-finite at step {t}", step=t)
         if norm > radius:
             w *= radius / norm
 

@@ -137,7 +137,8 @@ def _drive(problem, config: SVRGConfig, batch, anchor, after_epoch=None) -> Epoc
             if not math.isfinite(sub) or sub > guard:
                 raise DivergenceError(
                     f"suboptimality {sub:.3g} crossed the safety bound at inner step "
-                    f"{j + 1}; try a smaller step size"
+                    f"{j + 1} of epoch {s + 1}; try a smaller step size",
+                    epoch=s + 1, step=j + 1, value=sub, bound=guard,
                 )
             if sub > worst:
                 worst = sub
@@ -156,16 +157,14 @@ def _drive(problem, config: SVRGConfig, batch, anchor, after_epoch=None) -> Epoc
         sub = problem.suboptimality(w)
         if not math.isfinite(sub) or sub > guard:
             raise DivergenceError(
-                "suboptimality crossed the safety bound at the epoch boundary; "
-                "try a smaller step size"
+                f"suboptimality {sub:.3g} crossed the safety bound at the boundary "
+                f"of epoch {s + 1}; try a smaller step size",
+                epoch=s + 1, step=T + 1, value=sub, bound=guard,
             )
         if sub > worst:
             worst = sub
 
         snapshot = accum / T if picker is None else chosen
-        # Free the m-vector before the next anchor allocates its m x d rows;
-        # held across it, peak memory grew by ~5 MiB at m=1e5, d=20.
-        del snapshot_pred
         if after_epoch is not None:
             after_epoch(s, snapshot)
         subopt[s] = problem.suboptimality(snapshot)
@@ -185,9 +184,10 @@ def run_svrg(problem, config: SVRGConfig, sigma=None) -> EpochTrace:
     """Run ``n_epochs`` epochs on a ridge problem.
 
     ``sigma`` optionally fixes the inner-step index sequence (length at
-    least epoch_len * n_epochs), bypassing the sampler.  The anchor
-    gradient uses the package's fixed pairwise reduction so distributed
-    runs can reproduce it bit for bit.
+    least epoch_len * n_epochs), bypassing the sampler.  The anchor is
+    ``problem.full_gradient``, the Gram form ``hessian @ w - b``, which a
+    one-machine distributed run evaluates on the same arrays and so
+    reproduces bit for bit.
     """
     T, S = config.epoch_len, config.n_epochs
     m = problem.m

@@ -12,7 +12,8 @@ from shufflegrad import (
     run_distributed_svrg,
     run_svrg,
 )
-from shufflegrad.distributed import BROADCAST, REDUCE, Message
+from shufflegrad.distributed import BROADCAST, REDUCE, Message, local_operator
+from shufflegrad.problem import pairwise_mean, pairwise_sum
 from shufflegrad.errors import BatchesExhausted, InvalidParameter
 from conftest import random_dataset, random_ridge
 
@@ -82,6 +83,45 @@ class TestEquivalence:
         sigma = matched_permutation(shards, 30, 5)
         solo_trace = run_svrg(p, cfg, sigma=sigma)
         assert np.abs(dist_trace.suboptimality - solo_trace.suboptimality).max() <= 1e-12
+
+
+class TestLocalOperators:
+    """Each machine's Gram-form operator H_j w - b_j against the pairwise
+    mean of its local gradient rows, and their weighted combine against
+    the full gradient, to rounding."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_local_matches_pairwise_row_mean(self, k):
+        rng = Rng(21, k)
+        for trial in range(8):
+            p = random_ridge(97 + 41 * trial, 2 + trial % 5, seed=30 + trial, alpha=0.15)
+            for shard in partition(p.data, k, Rng(trial, k)):
+                local = np.sort(shard.indices)
+                H, b = local_operator(p, local)
+                w = (1.0 + trial) * rng.normal(p.d)
+                rows = pairwise_mean(p.point_gradient_rows(w, local))
+                tol = 1e-14 * (1.0 + np.linalg.norm(w))
+                assert np.abs((H @ w - b) - rows).max() <= tol
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_weighted_combine_matches_full_gradient(self, k):
+        rng = Rng(22, k)
+        for trial in range(8):
+            p = random_ridge(101 + 43 * trial, 2 + trial % 5, seed=40 + trial, alpha=0.2)
+            shards = partition(p.data, k, Rng(trial, 100 + k))
+            w = (1.0 + trial) * rng.normal(p.d)
+            parts = []
+            for shard in shards:
+                H, b = local_operator(p, np.sort(shard.indices))
+                parts.append(len(shard.indices) / p.m * (H @ w - b))
+            combined = pairwise_sum(np.stack(parts))
+            tol = 1e-14 * (1.0 + np.linalg.norm(w))
+            assert np.abs(combined - p.full_gradient(w)).max() <= tol
+
+    def test_full_shard_reuses_problem_arrays(self):
+        p = random_ridge(50, 3, seed=50)
+        H, b = local_operator(p, np.arange(p.m))
+        assert H is p.hessian and b is p._rhs
 
 
 class TestCommunication:

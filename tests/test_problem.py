@@ -165,6 +165,27 @@ class TestGradientOracle:
         assert np.allclose(absolute.point_gradient(0, [1.0, 0.0]), [0.0, 0.0])
 
 
+class TestGramGradient:
+    """The ridge gradient H w - b agrees with the pairwise mean of the
+    per-point gradient rows to rounding."""
+
+    def test_matches_pairwise_row_mean(self):
+        rng = Rng(79, 0)
+        for trial in range(30):
+            m, d = 20 + 37 * trial, 1 + trial % 9
+            p = random_ridge(m, d, seed=100 + trial, alpha=0.05 + 0.1 * (trial % 4))
+            w = (1.0 + trial) * rng.normal(d)
+            rows = pairwise_mean(p.point_gradient_rows(w))
+            gram = p.full_gradient(w)
+            tol = 1e-14 * (1.0 + np.linalg.norm(w))
+            assert np.abs(gram - rows).max() <= tol
+
+    def test_vanishes_at_minimizer(self):
+        for trial in range(10):
+            p = random_ridge(50 + 31 * trial, 2 + trial % 6, seed=200 + trial, alpha=0.1)
+            assert np.linalg.norm(p.full_gradient(p.wstar)) <= 1e-12
+
+
 class TestQuadraticStructure:
     def test_quadratic_identity(self):
         # F(w) - F(w*) equals the curvature form to 1e-10 relative.

@@ -13,7 +13,7 @@ from shufflegrad import (
     run_sgd,
     suboptimality_decomposition_check,
 )
-from shufflegrad.errors import InvalidParameter
+from shufflegrad.errors import DivergenceError, InvalidParameter
 from conftest import random_dataset, random_ridge
 
 
@@ -76,6 +76,14 @@ class TestSingleRun:
         p = random_ridge(10, 2, seed=4)
         with pytest.raises(InvalidParameter):
             run_sgd(p, config_for(p, 11))
+
+    def test_non_finite_iterate_reports_its_step(self):
+        p = random_ridge(30, 3, seed=4)
+        cfg = config_for(p, 10, rule=FixedStep(float("inf")))
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+            run_sgd(p, cfg)
+        assert info.value.step == 1
+        assert info.value.epoch is None and info.value.bound is None
 
     def test_average_iterate_jensen(self):
         # F(average of iterates) <= average of F(iterates) + 1e-10.

@@ -233,6 +233,19 @@ class TestSafetyBound:
         with pytest.raises(DivergenceError):
             run_svrg(p, cfg)
 
+    def test_divergence_error_carries_its_data(self):
+        p = random_ridge(400, 3, seed=10, alpha=0.05)
+        cfg = SVRGConfig(step_size=250.0, epoch_len=80, n_epochs=5, seed=5)
+        with pytest.raises(DivergenceError) as info:
+            run_svrg(p, cfg)
+        err = info.value
+        guard = math.exp(min(log_suboptimality_bound(80, 5, p.strong_convexity), 700.0))
+        assert 1 <= err.epoch <= 5
+        assert 1 <= err.step <= 80 + 1
+        assert err.bound == guard
+        assert not math.isfinite(err.value) or err.value > err.bound
+        assert f"epoch {err.epoch}" in str(err)
+
 
 class TestEpochRatios:
     def test_needs_two_epochs(self):
