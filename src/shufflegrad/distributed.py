@@ -185,7 +185,7 @@ def run_distributed_svrg(
 
     m, T = problem.m, config.epoch_len
     schedule = batch_schedule(shards, T, config.n_epochs)
-    owners = [shard.machine for shard in shards for _ in shard.batches(T)]
+    owners = [shard.machine for shard in shards for _ in range(len(shard.indices) // T)]
     operators = [local_operator(problem, np.sort(shard.indices)) for shard in shards]
     weights = np.array([len(shard.indices) / m for shard in shards])
     log = CommLog()

@@ -59,21 +59,36 @@ GOLDEN = 0x9E3779B97F4A7C15
 _U64_IN_FLOAT = 2.0 ** -53
 _TWO_PI = 2.0 * np.pi
 
+# Arithmetic on uint64 *arrays* wraps modulo 2**64 without a warning
+# (only numpy scalar arithmetic warns), so no errstate guard is needed.
+_SHIFT_11 = np.uint64(11)
+_SHIFT_27 = np.uint64(27)
+_SHIFT_30 = np.uint64(30)
+_SHIFT_31 = np.uint64(31)
+_MUL_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL_2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN_U64 = np.uint64(GOLDEN)
+_ZERO_U64 = np.uint64(0)
+
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on a uint64 array (in place on a copy)."""
-    z = z.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
+    """SplitMix64 finalizer, in place on a uint64 array; returns it."""
+    z ^= z >> _SHIFT_30
+    z *= _MUL_1
+    z ^= z >> _SHIFT_27
+    z *= _MUL_2
+    z ^= z >> _SHIFT_31
     return z
 
 
 def _mix_scalar(z: int) -> int:
-    return int(_mix(np.array([z & MASK64], dtype=np.uint64))[0])
+    """SplitMix64 finalizer on one word, in Python ints masked to 64 bits."""
+    z &= MASK64
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
 
 
 class Rng:
@@ -103,13 +118,13 @@ class Rng:
         start = self._counter
         self._counter += n
         idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            state = np.uint64(self._key) + np.uint64(GOLDEN) * idx
-        return _mix(state)
+        idx *= _GOLDEN_U64
+        idx += np.uint64(self._key)
+        return _mix(idx)
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1); consumes n counters."""
-        return (self.u64(n) >> np.uint64(11)).astype(np.float64) * _U64_IN_FLOAT
+        return (self.u64(n) >> _SHIFT_11).astype(np.float64) * _U64_IN_FLOAT
 
     def normal(self, n: int) -> np.ndarray:
         """n standard normal deviates via Box-Muller; consumes 2*ceil(n/2)."""
@@ -131,19 +146,21 @@ class Rng:
         result matches its shape.  Draws whose word falls above the
         largest multiple of the bound are rejected and redrawn.
         """
-        b = np.atleast_1d(np.asarray(bounds, dtype=np.uint64))
+        b = np.asarray(bounds, dtype=np.uint64)
+        shape = b.shape
+        b = b.reshape(-1)
         if b.size == 0:
             return np.empty(0, dtype=np.int64)
-        if np.any(b == 0):
+        if not b.all():
             raise ValueError("bounds must be positive")
         words = self.u64(b.size)
-        with np.errstate(over="ignore"):
-            # 2**64 mod b, computed as (2**64 - b) mod b in uint64 arithmetic
-            reject_below = (np.uint64(0) - b) % b
-        ok = words >= reject_below
-        if ok.all():
-            out = (words % b).astype(np.int64)
+        # A word is rejected when it is below 2**64 mod b, which is below b.
+        if (words >= b).all():
+            words %= b
+            out = words.view(np.int64)
         else:
+            # 2**64 mod b, computed as (2**64 - b) mod b in uint64 arithmetic
+            reject_below = (_ZERO_U64 - b) % b
             out = np.empty(b.size, dtype=np.int64)
             pending = np.arange(b.size)
             while pending.size:
@@ -155,6 +172,6 @@ class Rng:
                     words = self.u64(pending.size)
                 else:
                     break
-        if np.isscalar(bounds) or np.asarray(bounds).ndim == 0:
+        if not shape:
             return out[0]
-        return out.reshape(np.shape(bounds))
+        return out.reshape(shape)

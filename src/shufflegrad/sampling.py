@@ -1,9 +1,14 @@
 """Permutations and the index-sampling disciplines.
 
-Provides one lazy Fisher-Yates permutation driven by the package's
+Provides one Fisher-Yates permutation driven by the package's
 counter-based generator, three samplers (with replacement, one shuffle
 for the whole run, reshuffle at every epoch boundary), and exhaustive
-permutation enumeration for the exact oracles.  Indices are 0-based everywhere; a
+permutation enumeration for the exact oracles.  The permutation is drawn
+in takes: each take draws the swap targets of its steps in one call and
+resolves the swaps with array operations (one argsort and a few
+pointer-jumping passes, O(n log n) for a take of n), keeping one int64
+position-to-value vector per sampler until its last value is emitted.
+Sizes are limited to m < 2**31.  Indices are 0-based everywhere; a
 1-based position t in formulas corresponds to ``order[t - 1]``.
 """
 
@@ -23,6 +28,7 @@ RESHUFFLE_EACH_EPOCH = "reshuffle_each_epoch"
 SAMPLER_KINDS = (WITH_REPLACEMENT, SINGLE_SHUFFLE, RESHUFFLE_EACH_EPOCH)
 
 MAX_ENUMERATION = 9
+MAX_SHUFFLE = 2**31
 
 
 def shuffle(m: int, rng: Rng) -> np.ndarray:
@@ -77,13 +83,29 @@ class WithReplacementSampler:
 class SingleShuffleSampler:
     """One permutation drawn up front; at most m draws for the whole run.
 
-    This is the package's only Fisher-Yates loop: :func:`shuffle` and
-    :class:`ReshuffleSampler` take their permutations from it.  It runs
-    the forward ("swap position t with a uniform position in [t, m-1]")
-    variant lazily, touching only the displaced positions, so runs that
-    consume a short prefix of a large dataset stay cheap.  Position t
-    consumes one bounded draw for t < m - 1 and none for t = m - 1, so the
-    emitted sequence does not depend on how the takes are split.
+    This is the package's only Fisher-Yates shuffle: :func:`shuffle`,
+    :class:`ReshuffleSampler` and the distributed partition take their
+    permutations from it.  It is the forward variant: step t swaps
+    position t with a uniform position j_t in [t, m-1] and emits the value
+    that lands at t.  Step t consumes one bounded draw for t < m - 1 and
+    none for t = m - 1, and each take makes one ``below`` call for all of
+    its steps, so the emitted sequence does not depend on how the takes
+    are split.
+
+    A take evaluates its k steps with array operations instead of one
+    swap at a time.  The value a step reads from a position is the value
+    the latest earlier step targeting that position wrote there, or the
+    position's value at the start of the take when none did.  One argsort
+    of the keys (j_t, t) groups the steps by target, which gives for each
+    step the previous step with the same target (its output) and the
+    last step whose target is its own position (its outgoing value);
+    pointer jumping resolves the chains of the latter in about
+    log2(longest chain) passes.  A take costs O(k log k).
+
+    The sampler holds one int64 position-to-value vector (8·m bytes),
+    filled in O(m) by the first take and freed once all m values are
+    emitted, so :func:`shuffle` keeps nothing.  Sort keys must fit in int64, so m is
+    limited to m < 2**31.
     """
 
     kind = SINGLE_SHUFFLE
@@ -91,36 +113,73 @@ class SingleShuffleSampler:
     def __init__(self, m: int, rng: Rng):
         if m < 1:
             raise InvalidParameter("sampler needs m >= 1")
+        if m >= MAX_SHUFFLE:
+            raise InvalidParameter(
+                f"sampler needs m < 2**31 so its int64 sort keys cannot overflow (got m={m})"
+            )
         self.m = m
         self.rng = rng
         self.cursor = 0
-        self._displaced: dict[int, int] = {}
+        self._state: np.ndarray | None = None
 
     def take(self, n: int) -> np.ndarray:
-        start, stop = self.cursor, self.cursor + n
-        if stop > self.m:
+        m, start, stop = self.m, self.cursor, self.cursor + n
+        if stop > m:
             raise DataExhausted(
                 f"single-shuffle sampler exhausted: asked for draw "
-                f"{stop} of m={self.m} (data is seen at most once; "
+                f"{stop} of m={m} (data is seen at most once; "
                 f"the supported regime is T <= m)"
             )
-        n_draws = max(0, min(stop, self.m - 1) - start)
-        offsets = self.rng.below(
-            np.arange(self.m - start, self.m - start - n_draws, -1, dtype=np.uint64)
-        )
-        targets = (offsets + np.arange(start, start + n_draws)).tolist()
-        displaced = self._displaced
-        get = displaced.get
-        out = []
-        emit = out.append
-        for t, j in enumerate(targets, start):
-            emit(get(j, j))
-            if j != t:
-                displaced[j] = get(t, t)
-        if n_draws < n:  # the last position needs no draw
-            emit(get(self.m - 1, self.m - 1))
+        if self._state is None:
+            self._state = np.arange(m, dtype=np.int64)
+        state = self._state[start:]  # indexed by position - start
+        k = max(0, min(stop, m - 1) - start)
+        # Step t of the take swaps positions t and target[t] >= t.
+        steps = np.arange(k)
+        target = self.rng.below(np.arange(m - start, m - start - k, -1, dtype=np.uint64))
+        target += steps
+        order = (target * k + steps).argsort()  # by target, then by step
+        grouped = target[order]
+        # Runs of one target in sorted order: order[starts[g]] is the first
+        # step aiming at position aim[g], order[ends[g]] the last.
+        edge = np.empty(k + 1, dtype=bool)
+        edge[0] = edge[k] = True
+        np.not_equal(grouped[1:], grouped[:-1], out=edge[1:k])
+        bounds = edge.nonzero()[0]
+        starts, ends = bounds[:-1], bounds[1:] - 1
+        heads, tails, aim = order[starts], order[ends], grouped[starts]
+        # prev[t]: the latest earlier step with t's target, or t itself if none.
+        prev = np.empty(k, dtype=np.intp)
+        prev[order[1:]] = order[:-1]
+        prev[heads] = heads
+        # ptr[t]: the latest earlier step whose target is position t, or t
+        # itself if none.  aim is ascending, so the positions of this take's
+        # steps come first.
+        ptr = np.arange(k)
+        inside = aim.searchsorted(k)
+        ptr[aim[:inside]] = tails[:inside]
+        # A step aiming at its own position is the last to aim there; the
+        # value it finds was left by the step before it at that target.
+        selfs = target == steps
+        ptr[selfs] = prev[selfs]
+        while True:  # pointer jumping: ptr[t] becomes the first step of t's chain
+            up = ptr[ptr]
+            if (up == ptr).all():
+                break
+            ptr = up
+        moved = state[ptr]  # moved[t]: the value at position t just before step t
+        out = np.empty(n, dtype=np.int64)
+        out[:k] = moved[prev]
+        out[heads] = state[aim]  # a first step reads the value the take started with
+        # Each targeted position keeps what its last swap left there (the
+        # positions of this take's steps are never read again).
+        state[aim] = moved[tails]
+        if k < n:  # the last position needs no draw
+            out[k] = state[-1]
         self.cursor = stop
-        return np.array(out, dtype=np.int64)
+        if stop == m:
+            self._state = None
+        return out
 
 
 class ReshuffleSampler:

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shufflegrad import Rng
+from shufflegrad.rng import MASK64, _mix, _mix_scalar
 
 # Frozen vectors for the documented algorithm; a change here is a break
 # of the cross-platform reproducibility contract.
@@ -95,3 +98,42 @@ def test_below_scalar_and_errors():
 def test_below_always_in_range(seed, stream, bound):
     v = int(Rng(seed, stream).below(bound))
     assert 0 <= v < bound
+
+
+def test_no_warnings_at_the_wrapping_extremes():
+    # uint64 arithmetic must wrap silently for every seed, stream and counter.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = Rng(2**64 - 1, 2**64 - 1)
+        r.u64(5)
+        r.uniform(5)
+        r.normal(5)
+        r.below(np.array([1, 3, 2**63, 2**64 - 1], dtype=np.uint64))
+        r.below(7)
+
+
+def test_scalar_mix_matches_array_mix():
+    words = [0, MASK64] + [int(w) for w in Rng(17, 3).u64(500)]
+    mixed = _mix(np.array(words, dtype=np.uint64))
+    assert [_mix_scalar(w) for w in words] == [int(v) for v in mixed]
+
+
+def test_below_redraws_follow_the_documented_rule():
+    # Bounds just above 2**63 reject about half of all words, so several
+    # redraw rounds run; each round draws one word per pending value.
+    bounds = [2**63 + 1, 3, 2**63 + 12345, 2**64 - 1, 2**63 + 7, 1]
+    r = Rng(21, 4)
+    got = r.below(np.array(bounds, dtype=np.uint64)).tolist()
+    ref = Rng(21, 4)
+    expect, pending = [None] * len(bounds), list(range(len(bounds)))
+    while pending:
+        words = [int(w) for w in ref.u64(len(pending))]
+        rejected = []
+        for i, w in zip(pending, words):
+            if w < (1 << 64) % bounds[i]:
+                rejected.append(i)
+            else:
+                expect[i] = w % bounds[i]
+        pending = rejected
+    assert r.counter == ref.counter > len(bounds)
+    assert [v & MASK64 for v in got] == expect

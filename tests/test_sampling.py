@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,3 +166,86 @@ def test_enumeration_complete_no_duplicates():
 def test_enumeration_guard():
     with pytest.raises(InvalidParameter):
         enumerate_permutations(10)
+
+
+# The oracle for SingleShuffleSampler.take: the forward Fisher-Yates loop
+# one swap at a time, with the displaced positions in a dict.  It draws
+# its targets with the same single `below` call per take.
+def reference_take(m, rng, start, n, displaced):
+    """Steps start, ..., start+n-1 of the permutation of range(m)."""
+    n_draws = max(0, min(start + n, m - 1) - start)
+    offsets = rng.below(np.arange(m - start, m - start - n_draws, -1, dtype=np.uint64))
+    out = []
+    for i in range(n_draws):
+        t = start + i
+        j = t + int(offsets[i])
+        out.append(displaced.get(j, j))
+        if j != t:
+            displaced[j] = displaced.get(t, t)
+    if n_draws < n:  # the last position needs no draw
+        out.append(displaced.get(m - 1, m - 1))
+    return np.array(out, dtype=np.int64)
+
+
+def assert_takes_match_reference(m, sizes, seed, stream=0):
+    sampler, rng = SingleShuffleSampler(m, Rng(seed, stream)), Rng(seed, stream)
+    start, displaced = 0, {}
+    for n in sizes:
+        got = sampler.take(n)
+        expect = reference_take(m, rng, start, n, displaced)
+        assert got.dtype == expect.dtype == np.int64
+        assert np.array_equal(got, expect)
+        assert sampler.rng.counter == rng.counter
+        start += n
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 400), seed=st.integers(0, 2**32), data=st.data())
+def test_take_matches_reference_on_random_splits(m, seed, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=12)))
+    sizes = np.diff([0, *cuts, m]).tolist()
+    assert_takes_match_reference(m, sizes, seed)
+
+
+def test_take_matches_reference_at_1e5():
+    m = 100_000
+    assert_takes_match_reference(m, [m], seed=41, stream=3)
+    assert_takes_match_reference(m, [1800] * 13, seed=42, stream=3)
+
+
+def test_reshuffle_matches_reference_over_epochs():
+    m, epoch_len = 500, 180
+    sampler = make_sampler("reshuffle_each_epoch", m, Rng(13, 4), epoch_len=epoch_len)
+    got = np.concatenate([sampler.take(n) for n in (100, 250, 7, 363)])
+    rng = Rng(13, 4)
+    epochs = [reference_take(m, rng, 0, epoch_len, {}) for _ in range(4)]
+    assert np.array_equal(got, np.concatenate(epochs))
+    assert sampler.rng.counter == rng.counter
+
+
+def test_exhausted_sampler_keeps_no_state():
+    rng = Rng(0, 1)
+    tracemalloc.start()
+    try:
+        sampler = SingleShuffleSampler(100_000, rng)
+        out = sampler.take(100_000)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live - out.nbytes < 64 * 1024
+
+
+def test_huge_m_rejected_before_allocating():
+    rng = Rng(0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameter):
+            SingleShuffleSampler(2**31, rng)
+        with pytest.raises(InvalidParameter):
+            shuffle(2**31 + 1, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rng.counter == 0
+    SingleShuffleSampler(2**31 - 1, rng)  # the largest m is accepted
