@@ -21,6 +21,24 @@ it is exactly ``hessian @ w - b`` with the cached Hessian and right-hand
 side b = (1/m) X^T y, an O(d^2) evaluation.  The distributed simulation
 builds the same Gram form per machine and, with one machine, reuses
 these very arrays, so it reproduces the single-machine anchor bit for bit.
+
+Blocks of points
+----------------
+``full_objective`` and ``suboptimality`` take one point w of shape (d,)
+and return a float, or a block W of shape (n, d) and return n values;
+the single point is evaluated as a block of one row.  Each row of a
+block gets the bits the same formula gives that row on its own, because
+every product is a *stacked* matmul: ``H @ D[:, :, None]`` and
+``X @ W[:, :, None]`` run one matrix-vector product per row and
+``D[:, None, :] @ Q`` one dot product per row, the same BLAS routines
+the one-point expressions ``H @ dw``, ``X @ w`` and ``dw @ q`` call.  A
+plain matrix product such as ``D @ H`` would let BLAS block the rows
+together and change the last bits.  The equality rests on how numpy
+dispatches stacked products, not on IEEE arithmetic, so the tests check
+it row by row against the one-point formulas.  The point losses of a block are
+evaluated in chunks of rows holding at most ``LOSS_CHUNK`` losses, so
+memory does not grow with n·m, and each row's losses pass through the
+same pairwise tree as a single point's.
 """
 
 from __future__ import annotations
@@ -41,6 +59,7 @@ from .errors import (
 NORM_SLACK = 1e-12
 SINGULAR_CUTOFF = 1e-12
 DENSE_EIG_LIMIT = 512
+LOSS_CHUNK = 1 << 15  # point losses held at once by a block evaluation
 
 LOSS_KINDS = ("squared", "absolute", "hinge")
 
@@ -135,6 +154,15 @@ class _LinearPredictionProblem:
             )
         return w
 
+    def _check_block(self, w) -> tuple[np.ndarray, bool]:
+        """A (d,) point or an (n, d) block as (n, d) rows, and whether it was a point."""
+        w = np.asarray(w, dtype=np.float64)
+        if w.ndim not in (1, 2) or w.shape[-1] != self.data.d:
+            raise DimensionMismatch(
+                f"w must have shape ({self.data.d},) or (n, {self.data.d}), got {w.shape}"
+            )
+        return w.reshape(-1, self.data.d), w.ndim == 1
+
     def _check_i(self, i: int) -> int:
         i = int(i)
         if not 0 <= i < self.data.m:
@@ -187,12 +215,24 @@ class _LinearPredictionProblem:
             raise IndexOutOfRange("index list outside dataset range")
         return self.data.X[idx], self.data.y[idx]
 
-    def full_objective(self, w) -> float:
-        """F(w): pairwise mean of the point losses, ascending index order."""
-        return float(pairwise_mean(self.point_losses(w)))
+    def full_objective(self, w):
+        """F(w): pairwise mean of the point losses, ascending index order.
 
-    def suboptimality(self, w) -> float:
-        """F(w) - F(w*), never meaningfully below zero."""
+        A block of rows gives one value per row (see "Blocks of points").
+        """
+        W, single = self._check_block(w)
+        X, y = self.data.X, self.data.y
+        out = np.empty(W.shape[0])
+        rows = max(1, LOSS_CHUNK // self.data.m)
+        for lo in range(0, W.shape[0], rows):
+            A = W[lo : lo + rows]
+            z = (X @ A[:, :, None])[:, :, 0]
+            reg = 0.5 * self.alpha * (A[:, None, :] @ A[:, :, None])[:, 0]
+            out[lo : lo + rows] = pairwise_mean((_scalar_loss(self.kind, z, y) + reg).T)
+        return float(out[0]) if single else out
+
+    def suboptimality(self, w):
+        """F(w) - F(w*), never meaningfully below zero; per row for a block."""
         return self.full_objective(w) - self.fstar
 
 
@@ -267,12 +307,14 @@ class RidgeProblem(_LinearPredictionProblem):
         w = self._check_w(w)
         return self.hessian @ w - self._rhs
 
-    def suboptimality(self, w) -> float:
+    def suboptimality(self, w):
         """F(w) - F(w*) evaluated as the exact curvature form
-        (1/2)(w - w*)^T H (w - w*), which is nonnegative by construction."""
-        w = self._check_w(w)
-        dw = w - self.wstar
-        return 0.5 * float(dw @ (self.hessian @ dw))
+        (1/2)(w - w*)^T H (w - w*), which is nonnegative by construction;
+        per row for a block (see "Blocks of points")."""
+        W, single = self._check_block(w)
+        D = W - self.wstar
+        vals = 0.5 * (D[:, None, :] @ (self.hessian @ D[:, :, None]))[:, 0, 0]
+        return float(vals[0]) if single else vals
 
 
 def _smallest_eigenvalue(H: np.ndarray) -> float:

@@ -6,8 +6,10 @@ for the whole run, reshuffle at every epoch boundary), and exhaustive
 permutation enumeration for the exact oracles.  The permutation is drawn
 in takes: each take draws the swap targets of its steps in one call and
 resolves the swaps with array operations (one argsort and a few
-pointer-jumping passes, O(n log n) for a take of n), keeping one int64
-position-to-value vector per sampler until its last value is emitted.
+pointer-jumping passes, O(n log n) for a take of n).  A sampler's first
+take reads the identity arrangement without building it; a second take
+builds one int64 position-to-value vector, kept until the last value is
+emitted.
 Sizes are limited to m < 2**31.  Indices are 0-based everywhere; a
 1-based position t in formulas corresponds to ``order[t - 1]``.
 """
@@ -102,10 +104,12 @@ class SingleShuffleSampler:
     pointer jumping resolves the chains of the latter in about
     log2(longest chain) passes.  A take costs O(k log k).
 
-    The sampler holds one int64 position-to-value vector (8·m bytes),
-    filled in O(m) by the first take and freed once all m values are
-    emitted, so :func:`shuffle` keeps nothing.  Sort keys must fit in int64, so m is
-    limited to m < 2**31.
+    The first take reads the identity arrangement without building it
+    and keeps only the positions it changed, so a sampler used for one
+    take (a reshuffle epoch, or :func:`shuffle`) costs O(k).  A second
+    take builds one int64 position-to-value vector (8·m bytes) from those
+    changes; it is freed once all m values are emitted.  Sort keys must
+    fit in int64, so m is limited to m < 2**31.
     """
 
     kind = SINGLE_SHUFFLE
@@ -121,6 +125,7 @@ class SingleShuffleSampler:
         self.rng = rng
         self.cursor = 0
         self._state: np.ndarray | None = None
+        self._first: tuple[np.ndarray, np.ndarray] | None = None
 
     def take(self, n: int) -> np.ndarray:
         m, start, stop = self.m, self.cursor, self.cursor + n
@@ -130,9 +135,15 @@ class SingleShuffleSampler:
                 f"{stop} of m={m} (data is seen at most once; "
                 f"the supported regime is T <= m)"
             )
-        if self._state is None:
-            self._state = np.arange(m, dtype=np.int64)
-        state = self._state[start:]  # indexed by position - start
+        if start == 0:
+            state = None  # the identity, read without building it
+        else:
+            if self._state is None:
+                self._state = np.arange(m, dtype=np.int64)
+                if self._first is not None:
+                    self._state[self._first[0]] = self._first[1]
+                    self._first = None
+            state = self._state[start:]  # indexed by position - start
         k = max(0, min(stop, m - 1) - start)
         # Step t of the take swaps positions t and target[t] >= t.
         steps = np.arange(k)
@@ -167,15 +178,23 @@ class SingleShuffleSampler:
             if (up == ptr).all():
                 break
             ptr = up
-        moved = state[ptr]  # moved[t]: the value at position t just before step t
+        # moved[t]: the value at position t just before step t
+        moved = ptr if state is None else state[ptr]
         out = np.empty(n, dtype=np.int64)
         out[:k] = moved[prev]
-        out[heads] = state[aim]  # a first step reads the value the take started with
+        # A first step reads the value the take started with.
+        out[heads] = aim if state is None else state[aim]
         # Each targeted position keeps what its last swap left there (the
         # positions of this take's steps are never read again).
-        state[aim] = moved[tails]
-        if k < n:  # the last position needs no draw
-            out[k] = state[-1]
+        left = moved[tails]
+        if state is not None:
+            state[aim] = left
+            if k < n:  # the last position needs no draw
+                out[k] = state[k]
+        elif k < n:
+            out[k] = left[-1] if k and aim[-1] == k else k
+        elif k:  # the vector is built from these if another take comes
+            self._first = (aim, left)
         self.cursor = stop
         if stop == m:
             self._state = None

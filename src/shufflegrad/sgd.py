@@ -8,7 +8,10 @@ update is
 with projection onto the Euclidean ball of the configured radius,
 w -> w * min(1, radius / ||w||).  Traces record the suboptimality of the
 running average iterate mean(w_1..w_t), the measured regret against the
-problem's minimizer, and the gradient count.
+problem's minimizer, and the gradient count.  The running average is
+updated every step; its suboptimality is evaluated ``EVAL_BLOCK`` steps
+at a time on the stored averages, which gives each step the same bits as
+evaluating it on its own (see ``problem``, "Blocks of points").
 
 ``suboptimality_decomposition_check`` reruns the algorithm under every
 permutation of a small dataset and averages three exact quantities whose
@@ -71,6 +74,8 @@ class InverseSqrtStep:
 
 ALL_ITERATES = "all"
 SUFFIX_HALF = "suffix_half"
+
+EVAL_BLOCK = 256  # running averages evaluated per suboptimality call
 
 
 @dataclass(frozen=True)
@@ -165,12 +170,15 @@ def run_sgd(
     else:
         ref_value = float(pairwise_mean(star_losses))
 
-        def subopt_of(w):
-            return problem.full_objective(w) - ref_value
+        def subopt_of(W):
+            return problem.full_objective(W) - ref_value
 
     w = np.zeros(d)
     avg = np.zeros(d)
     subopt = np.empty(T)
+    # Averages wait here and are evaluated a block at a time: row
+    # (t - 1) % EVAL_BLOCK holds the average of w_1..w_t.
+    pending = np.empty((min(T, EVAL_BLOCK), d))
     regret = 0.0
     kept = np.empty((T, d)) if collect_iterates else None
     suffix_mode = config.averaging == SUFFIX_HALF
@@ -183,7 +191,10 @@ def run_sgd(
             avg = (csum[t] - csum[t - window]) / window
         else:
             avg += (w - avg) / t
-        subopt[t - 1] = subopt_of(avg)
+        row = (t - 1) % EVAL_BLOCK
+        pending[row] = avg
+        if row == EVAL_BLOCK - 1 or t == T:
+            subopt[t - 1 - row : t] = subopt_of(pending[: row + 1])
         if kept is not None:
             kept[t - 1] = w
 

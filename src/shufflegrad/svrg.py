@@ -17,7 +17,13 @@ fresh data point, never revisiting one.
 
 A runtime safety bound guards against divergence: with probability one
 over the shuffle, the log suboptimality of any iterate stays below
-``log_suboptimality_bound``; a run aborts if an iterate crosses it.
+``log_suboptimality_bound``; a run aborts if an iterate crosses it.  The
+guard sees every iterate, w_1..w_{T+1} of each epoch, but evaluates them
+once per epoch as one block (``problem.suboptimality`` of the stored
+iterates, bitwise the per-iterate values); the ``DivergenceError``
+reports the first crossing, its epoch, step, value and bound, exactly as
+a check after every step would.  A diverging epoch therefore finishes its
+inner steps before it raises, with floating-point overflow silenced.
 
 Auxiliary draws of a run with stream s live on the high-bit lane
 ``s ^ AUX_STREAM_BIT``, which the distributed driver's default partition
@@ -122,53 +128,50 @@ def _drive(problem, config: SVRGConfig, batch, anchor, after_epoch=None) -> Epoc
     subopt = np.empty(S)
     max_sub = np.empty(S)
     initial = problem.suboptimality(snapshot)
+    # Row j holds the epoch's iterate w_{j+1}; row T the post-step iterate.
+    W = np.empty((T + 1, problem.d))
     for s in range(S):
         anchor_grad = anchor(snapshot)
         indices = batch(s)
         pick = int(picker.below(T)) if picker is not None else None
-        snapshot_pred = X @ snapshot
+        y_batch = y[indices]
+        rows, labels = list(X[indices]), y_batch.tolist()
+        ref_resid = ((X @ snapshot)[indices] - y_batch).tolist()
+        ref_reg = alpha * snapshot
 
-        w = snapshot.copy()
-        accum = np.zeros_like(w)
-        chosen = None
-        worst = 0.0
-        for j in range(T):
-            sub = problem.suboptimality(w)
-            if not math.isfinite(sub) or sub > guard:
-                raise DivergenceError(
-                    f"suboptimality {sub:.3g} crossed the safety bound at inner step "
-                    f"{j + 1} of epoch {s + 1}; try a smaller step size",
-                    epoch=s + 1, step=j + 1, value=sub, bound=guard,
-                )
-            if sub > worst:
-                worst = sub
-            accum += w
-            if pick is not None and j == pick:
-                chosen = w.copy()
+        # A diverging epoch runs to its end before the guard below sees it,
+        # so overflow on the way is expected, not an error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            W[0] = snapshot
+            for j in range(T):
+                w, xi = W[j], rows[j]
+                grad_now = (xi @ w - labels[j]) * xi + alpha * w
+                grad_ref = ref_resid[j] * xi + ref_reg
+                np.subtract(w, eta * (grad_now - grad_ref + anchor_grad), out=W[j + 1])
+            subs = problem.suboptimality(W)
 
-            i = indices[j]
-            xi = X[i]
-            grad_now = (xi @ w - y[i]) * xi + alpha * w
-            grad_ref = (snapshot_pred[i] - y[i]) * xi + alpha * snapshot
-            w = w - eta * (grad_now - grad_ref + anchor_grad)
-
-        # The post-step iterate is produced and immediately replaced by the
-        # next snapshot; it still counts toward the in-epoch maximum.
-        sub = problem.suboptimality(w)
-        if not math.isfinite(sub) or sub > guard:
-            raise DivergenceError(
-                f"suboptimality {sub:.3g} crossed the safety bound at the boundary "
-                f"of epoch {s + 1}; try a smaller step size",
-                epoch=s + 1, step=T + 1, value=sub, bound=guard,
+        crossed = ~np.isfinite(subs) | (subs > guard)
+        if crossed.any():
+            k = int(crossed.argmax())
+            sub = float(subs[k])
+            where = (
+                f"the boundary of epoch {s + 1}" if k == T
+                else f"inner step {k + 1} of epoch {s + 1}"
             )
-        if sub > worst:
-            worst = sub
+            raise DivergenceError(
+                f"suboptimality {sub:.3g} crossed the safety bound at {where}; "
+                f"try a smaller step size",
+                epoch=s + 1, step=k + 1, value=sub, bound=guard,
+            )
 
-        snapshot = accum / T if picker is None else chosen
+        # The post-step iterate (row T) counts toward the in-epoch maximum
+        # but not toward the next snapshot.  cumsum adds the rows in order,
+        # as a running accumulator would; a column sum (d = 1) would pair them.
+        snapshot = np.cumsum(W[:T], axis=0)[-1] / T if picker is None else W[pick].copy()
         if after_epoch is not None:
             after_epoch(s, snapshot)
         subopt[s] = problem.suboptimality(snapshot)
-        max_sub[s] = worst
+        max_sub[s] = max(0.0, float(subs.max()))
 
     return EpochTrace(
         suboptimality=subopt,

@@ -1,8 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shufflegrad import (
@@ -20,7 +21,8 @@ from shufflegrad.errors import (
     InvalidParameter,
     SingularCurvature,
 )
-from conftest import random_dataset, random_ridge
+from shufflegrad.problem import LOSS_CHUNK
+from conftest import random_dataset, random_ridge, straight_objective, straight_suboptimality
 
 
 class TestHandValues:
@@ -309,3 +311,48 @@ class TestLipschitzProblem:
         rng = Rng(14, 0)
         for _ in range(20):
             assert p.suboptimality(rng.normal(3)) >= -1e-12
+
+
+BLOCK_M = 400  # LOSS_CHUNK // BLOCK_M rows per chunk, so a block of 300 spans chunks
+
+
+@functools.lru_cache(maxsize=None)
+def block_problem(kind, d):
+    data = random_dataset(BLOCK_M, d, seed=d)
+    if kind == "ridge":
+        return RidgeProblem(data, alpha=0.1)
+    return LipschitzLinearProblem(data, kind, radius=10.0, alpha=0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["ridge", "squared", "absolute", "hinge"]),
+    d=st.sampled_from([1, 3, 9, 20]),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32),
+)
+@example(kind="absolute", d=3, n=2 * (LOSS_CHUNK // BLOCK_M) + 1, seed=0)
+def test_block_rows_match_one_point_formulas(kind, d, n, seed):
+    """Each row of a block evaluation has the bits of the one-point formula."""
+    p = block_problem(kind, d)
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 4, size=(n, 1))
+    W[0] = p.wstar
+    objective, subopt = p.full_objective(W), p.suboptimality(W)
+    assert objective.shape == subopt.shape == (n,)
+    for k in range(n):
+        assert objective[k] == straight_objective(p, W[k])
+        assert subopt[k] == straight_suboptimality(p, W[k])
+    assert p.full_objective(W[-1]) == objective[-1]
+    assert p.suboptimality(W[-1]) == subopt[-1]
+    assert type(p.suboptimality(W[-1])) is float
+
+
+def test_block_shape_errors(unit_axes_problem):
+    p = unit_axes_problem
+    assert p.suboptimality(np.zeros((0, 2))).shape == (0,)
+    for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2)), 1.0):
+        with pytest.raises(DimensionMismatch):
+            p.suboptimality(bad)
+        with pytest.raises(DimensionMismatch):
+            p.full_objective(bad)

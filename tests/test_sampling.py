@@ -249,3 +249,17 @@ def test_huge_m_rejected_before_allocating():
     assert peak < 1 << 20
     assert rng.counter == 0
     SingleShuffleSampler(2**31 - 1, rng)  # the largest m is accepted
+
+
+def test_reshuffle_epoch_cost_does_not_grow_with_m():
+    # Each epoch's first take reads the identity arrangement in place of an
+    # 8·m-byte vector, so short epochs over a large dataset stay small.
+    sampler = make_sampler("reshuffle_each_epoch", 10**6, Rng(3, 3), epoch_len=10)
+    tracemalloc.start()
+    try:
+        for _ in range(100):
+            sampler.take(10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,14 @@ from shufflegrad import (
     suboptimality_decomposition_check,
 )
 from shufflegrad.errors import DivergenceError, InvalidParameter
-from conftest import random_dataset, random_ridge
+from shufflegrad.rng import Rng
+from shufflegrad.sgd import EVAL_BLOCK
+from conftest import (
+    random_dataset,
+    random_ridge,
+    straight_objective,
+    straight_suboptimality,
+)
 
 
 def config_for(problem, T, sampler="single_shuffle", seed=0, radius=None, rule=None):
@@ -25,6 +34,72 @@ def config_for(problem, T, sampler="single_shuffle", seed=0, radius=None, rule=N
         sampler=sampler,
         seed=seed,
     )
+
+
+def reference_sgd(problem, config, indices, reference=None):
+    """Straight-line SGD (test oracle): the running average of every step
+    is evaluated on its own, right after it is formed."""
+    X, y, a = problem.data.X, problem.data.y, problem.alpha
+    comparator = problem.wstar if reference is None else reference
+    star = problem.point_losses(comparator)
+    T, d = config.n_steps, problem.d
+    w, avg = np.zeros(d), np.zeros(d)
+    csum = [np.zeros(d)]
+    subopt, regret = [], 0.0
+    for t in range(1, T + 1):
+        if config.averaging == "suffix_half":
+            csum.append(csum[-1] + w)
+            window = (t + 1) // 2
+            avg = (csum[t] - csum[t - window]) / window
+        else:
+            avg += (w - avg) / t
+        if reference is None:
+            subopt.append(straight_suboptimality(problem, avg))
+        else:
+            subopt.append(straight_objective(problem, avg) - straight_objective(problem, reference))
+        i = indices[t - 1]
+        z = X[i] @ w
+        if problem.kind == "squared":
+            slope = z - y[i]
+            loss = 0.5 * slope * slope
+        elif problem.kind == "absolute":
+            slope = np.sign(z - y[i])
+            loss = abs(z - y[i])
+        else:
+            margin = 1.0 - y[i] * z
+            slope = -y[i] if margin > 0.0 else 0.0
+            loss = max(0.0, margin)
+        if a:
+            loss += 0.5 * a * (w @ w)
+        regret += loss - star[i]
+        g = slope * X[i]
+        if a:
+            g = g + a * w
+        w = w - config.step_rule.rate(t) * g
+        norm = math.sqrt(w @ w)
+        if norm > config.radius:
+            w *= config.radius / norm
+    return np.array(subopt), avg, float(regret)
+
+
+@pytest.mark.parametrize("T", [1, 37, EVAL_BLOCK, 2 * EVAL_BLOCK + 37])
+@pytest.mark.parametrize("averaging", ["all", "suffix_half"])
+@pytest.mark.parametrize("kind", ["ridge", "absolute"])
+def test_run_matches_per_step_oracle(T, averaging, kind):
+    data = random_dataset(120, 3, seed=T)
+    if kind == "ridge":
+        problem, reference = RidgeProblem(data, alpha=0.1), None
+        rule = StronglyConvexStep(0.1)
+    else:  # the comparator is given: no reference solve for the kinked loss
+        problem = LipschitzLinearProblem(data, "absolute", radius=2.0, alpha=0.05)
+        reference, rule = np.full(3, 0.1), InverseSqrtStep(0.5)
+    cfg = SGDConfig(n_steps=T, step_rule=rule, radius=2.0, averaging=averaging)
+    sigma = Rng(T, 1).below(np.full(T, problem.m, dtype=np.uint64))
+    trace = run_sgd(problem, cfg, sigma=sigma, reference=reference)
+    subopt, avg, regret = reference_sgd(problem, cfg, sigma, reference)
+    assert np.array_equal(trace.suboptimality, subopt)
+    assert np.array_equal(trace.average_iterate, avg)
+    assert trace.regret == regret
 
 
 class TestSingleRun:

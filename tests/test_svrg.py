@@ -50,6 +50,30 @@ def reference_svrg(problem, eta, epoch_len, n_epochs, indices):
     return snapshots, maxima
 
 
+class Crossed(Exception):
+    """Raised by :class:`Guarded` at the first iterate over the guard."""
+
+
+class Guarded:
+    """A problem whose suboptimality applies the safety guard, for running
+    :func:`reference_svrg` as the guard's oracle.  The oracle evaluates
+    epoch_len + 1 iterates per epoch in order, so the call count locates
+    the crossing."""
+
+    def __init__(self, problem, guard):
+        self._problem, self._guard, self._calls = problem, guard, 0
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)
+
+    def suboptimality(self, w):
+        sub = self._problem.suboptimality(w)
+        if not math.isfinite(sub) or sub > self._guard:
+            raise Crossed(self._calls, sub)
+        self._calls += 1
+        return sub
+
+
 class TestUpdateStructure:
     def test_first_step_from_snapshot_is_full_gradient_step(self):
         # At w = snapshot the stochastic terms cancel, leaving the anchor:
@@ -245,6 +269,60 @@ class TestSafetyBound:
         assert err.bound == guard
         assert not math.isfinite(err.value) or err.value > err.bound
         assert f"epoch {err.epoch}" in str(err)
+
+    @pytest.mark.parametrize(
+        "eta, epoch_len, n_epochs",
+        [
+            (250.0, 80, 5),  # inside the first epoch
+            (20.0, 80, 5),  # inside a later epoch
+            (1e4, 3, 5),  # at an epoch boundary (step epoch_len + 1)
+            (1e7, 1, 3),  # at the boundary of one-step epochs
+            (1e200, 80, 5),  # the suboptimality overflows to inf
+        ],
+    )
+    def test_divergence_reports_the_first_crossing(self, eta, epoch_len, n_epochs):
+        p = random_ridge(400, 3, seed=10, alpha=0.05)
+        cfg = SVRGConfig(step_size=eta, epoch_len=epoch_len, n_epochs=n_epochs, seed=5)
+        guard = math.exp(
+            min(log_suboptimality_bound(epoch_len, n_epochs, p.strong_convexity), 700.0)
+        )
+        from shufflegrad.rng import Rng
+        from shufflegrad.sampling import make_sampler
+
+        indices = make_sampler("single_shuffle", p.m, Rng(5, 0)).take(epoch_len * n_epochs)
+        with np.errstate(all="ignore"), pytest.raises(Crossed) as crossed:
+            reference_svrg(Guarded(p, guard), eta, epoch_len, n_epochs, indices)
+        calls, value = crossed.value.args
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                run_svrg(p, cfg)
+        err = info.value
+        assert err.epoch == calls // (epoch_len + 1) + 1
+        assert err.step == calls % (epoch_len + 1) + 1
+        assert np.float64(err.value).tobytes() == np.float64(value).tobytes()
+        assert err.bound == guard
+
+
+@pytest.mark.parametrize(
+    "d, eta, epoch_len",
+    [
+        (1, 0.3, 37),  # one feature: the snapshot adds a single column in step order
+        (3, 12.0, 1),  # overshooting one-step epochs: the post-step iterate is the maximum
+    ],
+)
+def test_snapshots_and_maxima_match_reference(d, eta, epoch_len):
+    p = random_ridge(200, d, seed=14, alpha=0.2)
+    cfg = SVRGConfig(step_size=eta, epoch_len=epoch_len, n_epochs=4, seed=8)
+    trace = run_svrg(p, cfg)
+    from shufflegrad.rng import Rng
+    from shufflegrad.sampling import make_sampler
+
+    indices = make_sampler("single_shuffle", p.m, Rng(8, 0)).take(epoch_len * 4)
+    snaps, maxima = reference_svrg(p, eta, epoch_len, 4, indices)
+    assert np.array_equal(trace.final_snapshot, snaps[-1])
+    assert np.array_equal(trace.max_suboptimality, np.array(maxima))
+    assert np.array_equal(trace.suboptimality, [p.suboptimality(s) for s in snaps])
 
 
 class TestEpochRatios:
