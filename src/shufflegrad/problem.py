@@ -118,13 +118,16 @@ class Dataset:
         return self.X.shape[1]
 
 
-def _scalar_loss(kind: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _scalar_loss(kind: str, z: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """loss(z; y) elementwise; written into ``out`` when given (it may be z)."""
     if kind == "squared":
-        return 0.5 * (z - y) ** 2
+        r = np.subtract(z, y, out=out)
+        return np.multiply(0.5, np.square(r, out=out), out=out)
     if kind == "absolute":
-        return np.abs(z - y)
+        return np.abs(np.subtract(z, y, out=out), out=out)
     if kind == "hinge":
-        return np.maximum(0.0, 1.0 - y * z)
+        r = np.subtract(1.0, np.multiply(y, z, out=out), out=out)
+        return np.maximum(0.0, r, out=out)
     raise InvalidParameter(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
 
 
@@ -228,7 +231,9 @@ class _LinearPredictionProblem:
             A = W[lo : lo + rows]
             z = (X @ A[:, :, None])[:, :, 0]
             reg = 0.5 * self.alpha * (A[:, None, :] @ A[:, :, None])[:, 0]
-            out[lo : lo + rows] = pairwise_mean((_scalar_loss(self.kind, z, y) + reg).T)
+            losses = _scalar_loss(self.kind, z, y, out=z)
+            losses += reg
+            out[lo : lo + rows] = pairwise_mean(losses.T)
         return float(out[0]) if single else out
 
     def suboptimality(self, w):

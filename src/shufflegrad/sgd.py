@@ -8,10 +8,36 @@ update is
 with projection onto the Euclidean ball of the configured radius,
 w -> w * min(1, radius / ||w||).  Traces record the suboptimality of the
 running average iterate mean(w_1..w_t), the measured regret against the
-problem's minimizer, and the gradient count.  The running average is
-updated every step; its suboptimality is evaluated ``EVAL_BLOCK`` steps
-at a time on the stored averages, which gives each step the same bits as
-evaluating it on its own (see ``problem``, "Blocks of points").
+problem's minimizer, and the gradient count.
+
+One engine runs B independent streams
+-------------------------------------
+Monte-Carlo streams share nothing but the data, so one private engine
+runs B of them as the rows of a (B, d) iterate matrix, each with its own
+index row (its sampler's single ``take(T)``, or an explicit sequence).
+``run_sgd`` is its B = 1 call; ``average_suboptimality_over_seeds`` and
+``suboptimality_decomposition_check`` run their streams through it in
+consecutive chunks, each chunk sized to one fixed working-memory budget
+(``STREAM_CHUNK_BYTES``), and reduce the rows in stream order.
+
+Every row keeps the bits of its one-stream run.  The products are
+*stacked* dot products, ``(B, 1, d) @ (B, d, 1)`` for x_i . w and for
+||w||^2, which numpy runs as one dot per row, the routine the 1-D
+``x_i @ w`` calls; the elementwise updates perform the scalar loop's
+operations in its order (g = slope x_i, then g + alpha w, then eta_t g,
+then w - that); projection scales only the rows whose norm exceeds the
+radius.  The running averages are stored one row per step and their
+suboptimality is evaluated ``EVAL_BLOCK`` steps at a time (see
+``problem``, "Blocks of points").  The block's losses and the regret
+are computed after the block from the stored predictions and pre-step
+squared norms; the regret is a cumulative sum along the step axis, which
+adds in step order like the scalar ``regret += ...``.
+
+A stream whose iterate norm becomes non-finite keeps running as NaNs
+until its chunk ends.  Then the lowest such stream's first non-finite
+step is raised as ``DivergenceError``: the error a sequential loop over
+the streams would raise first, even when a higher stream diverged at an
+earlier step.
 
 ``suboptimality_decomposition_check`` reruns the algorithm under every
 permutation of a small dataset and averages three exact quantities whose
@@ -22,6 +48,7 @@ in expectation over a uniformly random permutation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,6 +103,7 @@ ALL_ITERATES = "all"
 SUFFIX_HALF = "suffix_half"
 
 EVAL_BLOCK = 256  # running averages evaluated per suboptimality call
+STREAM_CHUNK_BYTES = 1 << 25  # working memory of one chunk of streams
 
 
 @dataclass(frozen=True)
@@ -133,6 +161,164 @@ def _draw_indices(problem, config: SGDConfig, sigma) -> np.ndarray:
     return sampler.take(T)
 
 
+def _stream_bytes(config: SGDConfig, d: int, collect_iterates: bool) -> int:
+    """Bytes one stream adds to a chunk: its index row (drawn, then
+    stacked), its trace and the previous chunk's, the block buffers with
+    the block evaluation's temporaries, and the O(T d) running sums of
+    ``suffix_half`` and the kept iterates (twice: the previous chunk's
+    are still held while the next one runs)."""
+    T = config.n_steps
+    windows = (config.averaging == SUFFIX_HALF) + 2 * collect_iterates
+    return 8 * (4 * T + min(T, EVAL_BLOCK) * (6 * d + 8) + windows * (T + 1) * d)
+
+
+def _traces(problem, config: SGDConfig, rows, n: int, collect_iterates=False, reference=None):
+    """Yield the Trace of streams 0..n-1 in order; ``rows(k)`` draws stream k's indices.
+
+    The streams run through :func:`_run_batch` in near-equal consecutive
+    chunks, as many per chunk as ``STREAM_CHUNK_BYTES`` allows.
+    """
+    wstar = problem.wstar if reference is None else np.asarray(reference, dtype=np.float64)
+    if np.linalg.norm(wstar) > config.radius + 1e-9:
+        raise InvalidParameter(
+            f"projection radius {config.radius:g} excludes the minimizer "
+            f"(norm {np.linalg.norm(wstar):.6g})"
+        )
+    cap = max(1, STREAM_CHUNK_BYTES // _stream_bytes(config, problem.d, collect_iterates))
+    n_chunks = -(-n // cap)
+    size = -(-n // n_chunks)
+    for lo in range(0, n, size):
+        indices = np.stack([rows(k) for k in range(lo, min(lo + size, n))])
+        subopt, avg, regret, kept = _run_batch(problem, config, indices, wstar,
+                                               reference is not None, collect_iterates)
+        for b in range(indices.shape[0]):
+            yield Trace(
+                suboptimality=subopt[b],
+                average_iterate=avg[b],
+                regret=float(regret[b]),
+                gradient_evals=config.n_steps,
+                iterates=None if kept is None else kept[b],
+            )
+
+
+def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, collect_iterates):
+    """Run the streams whose index rows are ``indices`` (B, T) as one batch.
+
+    Returns the (B, T) suboptimality traces, the (B, d) average
+    iterates, the (B,) regrets and the (B, T, d) iterates (None unless
+    collected).  Raises the lowest diverging row's DivergenceError.
+    """
+    B, T = indices.shape
+    d = problem.d
+    X, y = problem.data.X, problem.data.y
+    alpha = problem.alpha
+    half_alpha = 0.5 * alpha
+    kind = problem.kind
+    radius = config.radius
+    limit = min(radius, sys.float_info.max)  # a non-finite norm exceeds it even at radius inf
+    rates = [config.step_rule.rate(t) for t in range(1, T + 1)]
+    suffix_mode = config.averaging == SUFFIX_HALF
+    star_losses = problem.point_losses(wstar)
+    if given_reference:
+        ref_value = float(pairwise_mean(star_losses))
+
+        def subopt_of(W):
+            return problem.full_objective(W) - ref_value
+    else:
+        subopt_of = problem.suboptimality
+
+    K = min(T, EVAL_BLOCK)
+    w = np.zeros((B, d))
+    w_row, w_col = w[:, None, :], w[:, :, None]
+    sq = np.zeros(B)  # ||w||^2 of the current iterates
+    sq_out = sq.reshape(B, 1, 1)
+    G = np.empty((B, d))
+    tmp = np.empty((B, d))
+    slope = np.empty(B)
+    slope_col = slope[:, None]
+    # Step-major block buffers: entry c of a block belongs to step lo + c + 1.
+    avgs = np.empty((K, B, d))  # running averages
+    zs = np.empty((K, B, 1, 1))  # predictions x_i . w_t
+    sqs = np.empty((K, B))  # ||w_t||^2 before each step
+    prev = np.zeros((B, d))  # the previous step's average
+    csum = np.zeros((T + 1, B, d)) if suffix_mode else None
+    kept = np.empty((B, T, d)) if collect_iterates else None
+    subopt = np.empty((B, T))
+    regret = np.zeros(B)
+    first_bad = np.zeros(B, dtype=np.int64)  # first non-finite step per row, 0: none
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, T, K):
+            n = min(K, T - lo)
+            block = indices[:, lo : lo + n].T
+            Xb = X[block]  # (n, B, d)
+            Xb_rows = Xb[:, :, None, :]
+            yb = y[block]
+            for c in range(n):
+                t = lo + c + 1
+                avg = avgs[c]
+                if suffix_mode:
+                    np.add(csum[t - 1], w, out=csum[t])
+                    window = (t + 1) // 2
+                    np.subtract(csum[t], csum[t - window], out=avg)
+                    np.divide(avg, window, out=avg)
+                else:
+                    np.subtract(w, prev, out=tmp)
+                    np.divide(tmp, t, out=tmp)
+                    np.add(prev, tmp, out=avg)
+                prev = avg
+                if kept is not None:
+                    kept[:, t - 1] = w
+                sqs[c] = sq
+
+                np.matmul(Xb_rows[c], w_col, out=zs[c])
+                z = zs[c, :, 0, 0]
+                if kind == "squared":
+                    np.subtract(z, yb[c], out=slope)
+                elif kind == "absolute":
+                    np.subtract(z, yb[c], out=slope)
+                    np.sign(slope, out=slope)
+                else:  # hinge
+                    yc = yb[c]
+                    slope[:] = np.where(1.0 - yc * z > 0.0, -yc, 0.0)
+                np.multiply(Xb[c], slope_col, out=G)
+                if alpha:
+                    np.multiply(w, alpha, out=tmp)
+                    np.add(G, tmp, out=G)
+                np.multiply(G, rates[t - 1], out=G)
+                np.subtract(w, G, out=w)
+                np.matmul(w_row, w_col, out=sq_out)
+                # sqrt is monotone and max propagates NaN: one test finds
+                # every row to project and every non-finite row.
+                if not math.sqrt(sq.max()) <= limit:
+                    norm = np.sqrt(sq)
+                    first_bad[(first_bad == 0) & ~np.isfinite(norm)] = t
+                    over = norm > radius
+                    w[over] *= (radius / norm[over])[:, None]
+                    projected = w[over]
+                    sq[over] = (projected[:, None, :] @ projected[:, :, None])[:, 0, 0]
+
+            zb = zs[:n, :, 0, 0]
+            if kind == "squared":
+                diff = zb - yb
+                loss = 0.5 * diff * diff
+            elif kind == "absolute":
+                loss = np.abs(zb - yb)
+            else:
+                loss = np.maximum(0.0, 1.0 - yb * zb)
+            if alpha:
+                loss += half_alpha * sqs[:n]
+            loss -= star_losses[block]
+            regret = np.cumsum(np.concatenate([regret[None], loss]), axis=0)[-1]
+            subopt[:, lo : lo + n] = subopt_of(avgs[:n].reshape(n * B, d)).reshape(n, B).T
+
+    bad = np.flatnonzero(first_bad)
+    if bad.size:
+        step = int(first_bad[bad[0]])
+        raise DivergenceError(f"iterate became non-finite at step {step}", step=step)
+    return subopt, prev.copy(), regret, kept
+
+
 def run_sgd(
     problem,
     config: SGDConfig,
@@ -149,91 +335,9 @@ def run_sgd(
     for problems without a well-defined minimizer).  The comparator must
     lie inside the projection ball, otherwise projection excludes it.
     """
-    wstar = problem.wstar if reference is None else np.asarray(reference, dtype=np.float64)
-    if np.linalg.norm(wstar) > config.radius + 1e-9:
-        raise InvalidParameter(
-            f"projection radius {config.radius:g} excludes the minimizer "
-            f"(norm {np.linalg.norm(wstar):.6g})"
-        )
-    indices = _draw_indices(problem, config, sigma)
-    T = config.n_steps
-    d = problem.d
-
-    X, y = problem.data.X, problem.data.y
-    alpha = problem.alpha
-    kind = problem.kind
-    rule = config.step_rule
-    radius = config.radius
-    star_losses = problem.point_losses(wstar)
-    if reference is None:
-        subopt_of = problem.suboptimality
-    else:
-        ref_value = float(pairwise_mean(star_losses))
-
-        def subopt_of(W):
-            return problem.full_objective(W) - ref_value
-
-    w = np.zeros(d)
-    avg = np.zeros(d)
-    subopt = np.empty(T)
-    # Averages wait here and are evaluated a block at a time: row
-    # (t - 1) % EVAL_BLOCK holds the average of w_1..w_t.
-    pending = np.empty((min(T, EVAL_BLOCK), d))
-    regret = 0.0
-    kept = np.empty((T, d)) if collect_iterates else None
-    suffix_mode = config.averaging == SUFFIX_HALF
-    csum = np.zeros((T + 1, d)) if suffix_mode else None
-
-    for t in range(1, T + 1):
-        if suffix_mode:
-            csum[t] = csum[t - 1] + w
-            window = (t + 1) // 2
-            avg = (csum[t] - csum[t - window]) / window
-        else:
-            avg += (w - avg) / t
-        row = (t - 1) % EVAL_BLOCK
-        pending[row] = avg
-        if row == EVAL_BLOCK - 1 or t == T:
-            subopt[t - 1 - row : t] = subopt_of(pending[: row + 1])
-        if kept is not None:
-            kept[t - 1] = w
-
-        i = indices[t - 1]
-        xi = X[i]
-        z = xi @ w
-        yi = y[i]
-        if kind == "squared":
-            slope = z - yi
-            loss = 0.5 * slope * slope
-        elif kind == "absolute":
-            diff = z - yi
-            slope = np.sign(diff)
-            loss = abs(diff)
-        else:  # hinge
-            margin = 1.0 - yi * z
-            slope = -yi if margin > 0.0 else 0.0
-            loss = max(0.0, margin)
-        if alpha:
-            loss += 0.5 * alpha * (w @ w)
-        regret += loss - star_losses[i]
-
-        g = slope * xi
-        if alpha:
-            g = g + alpha * w
-        w = w - rule.rate(t) * g
-        norm = math.sqrt(w @ w)
-        if not math.isfinite(norm):
-            raise DivergenceError(f"iterate became non-finite at step {t}", step=t)
-        if norm > radius:
-            w *= radius / norm
-
-    return Trace(
-        suboptimality=subopt,
-        average_iterate=avg,
-        regret=float(regret),
-        gradient_evals=T,
-        iterates=kept,
-    )
+    rows = _traces(problem, config, lambda k: _draw_indices(problem, config, sigma), 1,
+                   collect_iterates, reference)
+    return next(rows)
 
 
 @dataclass
@@ -248,17 +352,21 @@ class SeedSummary:
 def average_suboptimality_over_seeds(problem, config: SGDConfig, n_seeds: int) -> SeedSummary:
     """Monte-Carlo estimate over permutations: trial k runs on stream k.
 
-    Trials are reduced in stream order.
+    The streams run as batches of the one SGD engine; trials are reduced
+    in stream order, so the result equals a loop of ``run_sgd`` calls.
     """
     if n_seeds < 1:
         raise InvalidParameter("n_seeds must be >= 1")
     mean = np.zeros(config.n_steps)
     m2 = np.zeros(config.n_steps)
-    for k in range(n_seeds):
-        trace = run_sgd(problem, replace(config, stream=k)).suboptimality
-        delta = trace - mean
+
+    def rows(k):
+        return _draw_indices(problem, replace(config, stream=k), None)
+
+    for k, trace in enumerate(_traces(problem, config, rows, n_seeds)):
+        delta = trace.suboptimality - mean
         mean += delta / (k + 1)
-        m2 += delta * (trace - mean)
+        m2 += delta * (trace.suboptimality - mean)
     if n_seeds >= 2:
         stderr = np.sqrt(m2 / (n_seeds - 1) / n_seeds)
     else:
@@ -290,7 +398,8 @@ def suboptimality_decomposition_check(
 
     with the empty-prefix convention that the t=1 contribution is zero.
     The identity lhs = regret_term + prefix_suffix_term is exact; any
-    fixed reference point may stand in for w* (pass ``wstar``).
+    fixed reference point may stand in for w* (pass ``wstar``).  All m!
+    runs go through the SGD engine as one batch of explicit index rows.
     """
     m = problem.m
     if m > MAX_DECOMPOSITION_M:
@@ -304,14 +413,14 @@ def suboptimality_decomposition_check(
     ref_losses = problem.point_losses(ref)
     fref = float(pairwise_mean(ref_losses))
 
+    sigmas = list(enumerate_permutations(m))
+    runs = _traces(problem, config, lambda k: _draw_indices(problem, config, sigmas[k]),
+                   len(sigmas), collect_iterates=True, reference=wstar)
     lhs_total = 0.0
     regret_total = 0.0
     ps_total = 0.0
     count = 0
-    for sigma in enumerate_permutations(m):
-        trace = run_sgd(
-            problem, config, sigma=sigma, collect_iterates=True, reference=wstar
-        )
+    for sigma, trace in zip(sigmas, runs):
         ws = trace.iterates
         losses_at = [problem.point_losses(ws[t]) for t in range(T)]
         lhs_total += sum(float(pairwise_mean(lv)) - fref for lv in losses_at) / T

@@ -1,7 +1,14 @@
+import functools
 import math
+import tracemalloc
+import warnings
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shufflegrad import (
     Dataset,
@@ -17,6 +24,7 @@ from shufflegrad import (
 )
 from shufflegrad.errors import DivergenceError, InvalidParameter
 from shufflegrad.rng import Rng
+from shufflegrad import sgd as sgd_module
 from shufflegrad.sgd import EVAL_BLOCK
 from conftest import (
     random_dataset,
@@ -298,3 +306,171 @@ class TestDecomposition:
         assert res.lhs == pytest.approx(
             res.regret_term + res.prefix_suffix_term, abs=1e-10
         )
+
+
+# --- the seed-batched engine ---------------------------------------------
+
+
+def tiny_budget(config, d, collect_iterates, streams):
+    """A chunk budget that holds exactly ``streams`` streams of this shape."""
+    return streams * sgd_module._stream_bytes(config, d, collect_iterates)
+
+
+@functools.lru_cache(maxsize=None)
+def engine_problem(kind, d):
+    data = random_dataset(300, d, seed=40 + d, label_scale=0.8)
+    if kind == "ridge":
+        return RidgeProblem(data, alpha=0.1)
+    return LipschitzLinearProblem(data, kind, radius=1.0, alpha=0.05)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["ridge", "squared", "absolute", "hinge"]),
+    sampler=st.sampled_from(["single_shuffle", "with_replacement", "reshuffle_each_epoch"]),
+    averaging=st.sampled_from(["all", "suffix_half"]),
+    d=st.integers(1, 5),
+    T=st.integers(1, 2 * EVAL_BLOCK + 7),
+    B=st.integers(1, 7),
+    cap=st.integers(1, 3),
+    collect=st.booleans(),
+    given_reference=st.booleans(),
+    eta=st.floats(0.05, 4.0),
+    seed=st.integers(0, 2**32),
+)
+@example(kind="hinge", sampler="single_shuffle", averaging="suffix_half", d=3,
+         T=EVAL_BLOCK + 1, B=7, cap=2, collect=True, given_reference=True, eta=2.0, seed=1)
+def test_batch_rows_match_one_stream_runs(kind, sampler, averaging, d, T, B, cap, collect,
+                                          given_reference, eta, seed):
+    """Row b of a batch has the bits of run_sgd on stream b, also across chunks."""
+    p = engine_problem(kind, d)
+    if sampler == "single_shuffle":
+        T = min(T, p.m)
+    # the kinked losses always get a comparator, which skips their ADMM reference solve
+    reference = np.full(d, 0.02) if given_reference or kind in ("absolute", "hinge") else None
+    radius = 0.3 if reference is not None else 1.05 * float(np.linalg.norm(p.wstar)) + 1e-3
+    rule = FixedStep(eta) if seed % 2 else InverseSqrtStep(eta)
+    cfg = SGDConfig(n_steps=T, step_rule=rule, radius=radius, sampler=sampler,
+                    averaging=averaging, seed=seed)
+
+    def rows(k):
+        return sgd_module._draw_indices(p, replace(cfg, stream=k), None)
+
+    budget = tiny_budget(cfg, d, collect, cap)
+    with mock.patch.object(sgd_module, "STREAM_CHUNK_BYTES", budget):
+        batch = list(sgd_module._traces(p, cfg, rows, B, collect, reference))
+    assert len(batch) == B
+    for k, got in enumerate(batch):
+        solo = run_sgd(p, replace(cfg, stream=k), collect_iterates=collect, reference=reference)
+        assert np.array_equal(got.suboptimality, solo.suboptimality)
+        assert np.array_equal(got.average_iterate, solo.average_iterate)
+        assert got.regret == solo.regret
+        assert got.gradient_evals == solo.gradient_evals == T
+        if collect:
+            assert np.array_equal(got.iterates, solo.iterates)
+        else:
+            assert got.iterates is None and solo.iterates is None
+
+
+def test_projection_fires_in_engine_runs():
+    """At the radius the batch test gives a comparator (0.3), most steps project."""
+    p = engine_problem("absolute", 3)
+    cfg = SGDConfig(n_steps=300, step_rule=FixedStep(2.0), radius=0.3)
+    trace = run_sgd(p, cfg, collect_iterates=True, reference=np.full(3, 0.02))
+    on_sphere = np.isclose(np.linalg.norm(trace.iterates[1:], axis=1), 0.3, rtol=1e-12)
+    assert on_sphere.mean() > 0.5
+
+
+def blow_up_problem():
+    """Point 0 never moves the iterate; point 1 multiplies it by ~1e20."""
+    data = Dataset(X=np.array([[0.0, 0.0], [1.0, 0.0]]), y=np.array([0.0, 1.0]))
+    cfg = SGDConfig(n_steps=60, step_rule=FixedStep(1e20), radius=math.inf)
+    return RidgeProblem(data, alpha=0.0), cfg, np.zeros(2)
+
+
+def first_sequential_error(problem, cfg, sigmas, reference):
+    """The DivergenceError a loop of one-stream runs raises first."""
+    for sigma in sigmas:
+        try:
+            with np.errstate(all="ignore"):
+                run_sgd(problem, cfg, sigma=sigma, reference=reference)
+        except DivergenceError as err:
+            return err
+    return None
+
+
+def batch_error(problem, cfg, rows, n, reference):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as info:
+            list(sgd_module._traces(problem, cfg, rows, n, reference=reference))
+    return info.value
+
+
+@pytest.mark.parametrize("cap", [1, 2, 4])
+def test_batch_raises_lowest_diverging_stream(cap):
+    p, cfg, ref = blow_up_problem()
+    quiet = np.zeros(60, dtype=np.int64)
+    late = quiet.copy()
+    late[30:] = 1  # diverges around step 38
+    early = quiet.copy()
+    early[2:] = 1  # diverges around step 10
+    sigmas = [quiet, late, early, quiet]
+    expected = first_sequential_error(p, cfg, sigmas, ref)
+    assert expected is not None and expected.step > 30
+    assert first_sequential_error(p, cfg, [early], ref).step < expected.step
+    with mock.patch.object(sgd_module, "STREAM_CHUNK_BYTES", tiny_budget(cfg, 2, False, cap)):
+        got = batch_error(p, cfg, lambda k: sigmas[k], len(sigmas), ref)
+    assert str(got) == str(expected)
+    assert got.step == expected.step
+    assert (got.epoch, got.value, got.bound) == (None, None, None)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seed_average_raises_the_sequential_error(seed):
+    # One loud point among 40 multiplies the iterate by ~1e12 and a stream
+    # diverges once it has drawn it about 13 times; the quiet points
+    # contract the second coordinate and keep the Hessian nonsingular.
+    X = np.zeros((40, 2))
+    X[:, 1] = 1.2e-6
+    X[7] = [1.0, 0.0]
+    y = np.zeros(40)
+    y[7] = 1.0
+    p = RidgeProblem(Dataset(X=X, y=y), alpha=0.0)
+    cfg = SGDConfig(n_steps=450, step_rule=FixedStep(1e12), radius=math.inf,
+                    sampler="with_replacement", seed=seed)
+    n = 12
+    sigmas = [sgd_module._draw_indices(p, replace(cfg, stream=k), None) for k in range(n)]
+    expected = first_sequential_error(p, cfg, sigmas, None)
+    # The surviving streams' iterates reach ~1e150, so the across-seed
+    # variance overflows whatever runs the streams; only the error is compared.
+    with np.errstate(over="ignore"), mock.patch.object(
+        sgd_module, "STREAM_CHUNK_BYTES", tiny_budget(cfg, 2, False, 5)
+    ):
+        if expected is None:
+            average_suboptimality_over_seeds(p, cfg, n)
+            return
+        with pytest.raises(DivergenceError) as info:
+            average_suboptimality_over_seeds(p, cfg, n)
+    assert str(info.value) == str(expected)
+    assert info.value.step == expected.step
+
+
+def test_suffix_batch_memory_stays_within_budget():
+    """Streams above the chunk cap run in chunks: the peak stays under the
+    fixed budget, far below what one batch of every stream would take."""
+    p = random_ridge(100, 200, seed=41)
+    cfg = SGDConfig(n_steps=1000, step_rule=StronglyConvexStep(p.strong_convexity),
+                    radius=2.0, sampler="with_replacement", averaging="suffix_half")
+    n_seeds = 48
+    per_stream = sgd_module._stream_bytes(cfg, p.d, False)
+    assert n_seeds * (cfg.n_steps + 1) * p.d * 8 > 2 * sgd_module.STREAM_CHUNK_BYTES
+    assert sgd_module.STREAM_CHUNK_BYTES // per_stream < n_seeds
+    p.wstar  # the reference solve is not part of the run
+    tracemalloc.start()
+    try:
+        average_suboptimality_over_seeds(p, cfg, n_seeds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= sgd_module.STREAM_CHUNK_BYTES
