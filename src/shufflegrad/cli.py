@@ -199,11 +199,11 @@ def _cmd_svrg(args) -> int:
     )
     traces = run_svrg_over_streams(problem, config, args.seeds)
     sub = np.stack([t.suboptimality for t in traces])
-    worst = np.stack([t.max_suboptimality for t in traces])
+    worst = np.stack([t.max_suboptimality for t in traces]).mean(axis=0)
     mean = sub.mean(axis=0)
     se = sub.std(axis=0, ddof=1) / np.sqrt(args.seeds) if args.seeds > 1 else None
     rows = [
-        (s + 1, float(mean[s]), None if se is None else float(se[s]), float(worst.mean(axis=0)[s]))
+        (s + 1, float(mean[s]), None if se is None else float(se[s]), float(worst[s]))
         for s in range(S)
     ]
     extra = {}

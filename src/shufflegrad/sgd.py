@@ -252,11 +252,12 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
             n = min(K, T - lo)
             block = indices[:, lo : lo + n].T
             Xb = X[block]  # (n, B, d)
-            Xb_rows = Xb[:, :, None, :]
             yb = y[block]
-            for c in range(n):
+            # The step's rows come from iterating the buffers, not from a
+            # subscript per row and step; no view outlives its step.
+            steps = zip(avgs, zs, zs[:, :, 0, 0], Xb[:, :, None, :], Xb, yb)
+            for c, (avg, z_out, z, x_row, x_mat, yc) in enumerate(steps):
                 t = lo + c + 1
-                avg = avgs[c]
                 if suffix_mode:
                     np.add(csum[t - 1], w, out=csum[t])
                     window = (t + 1) // 2
@@ -271,17 +272,15 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
                     kept[:, t - 1] = w
                 sqs[c] = sq
 
-                np.matmul(Xb_rows[c], w_col, out=zs[c])
-                z = zs[c, :, 0, 0]
+                np.matmul(x_row, w_col, out=z_out)
                 if kind == "squared":
-                    np.subtract(z, yb[c], out=slope)
+                    np.subtract(z, yc, out=slope)
                 elif kind == "absolute":
-                    np.subtract(z, yb[c], out=slope)
+                    np.subtract(z, yc, out=slope)
                     np.sign(slope, out=slope)
                 else:  # hinge
-                    yc = yb[c]
                     slope[:] = np.where(1.0 - yc * z > 0.0, -yc, 0.0)
-                np.multiply(Xb[c], slope_col, out=G)
+                np.multiply(x_mat, slope_col, out=G)
                 if alpha:
                     np.multiply(w, alpha, out=tmp)
                     np.add(G, tmp, out=G)
@@ -289,8 +288,9 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
                 np.subtract(w, G, out=w)
                 np.matmul(w_row, w_col, out=sq_out)
                 # sqrt is monotone and max propagates NaN: one test finds
-                # every row to project and every non-finite row.
-                if not math.sqrt(sq.max()) <= limit:
+                # every row to project and every non-finite row.  The ufunc
+                # reduce is what sq.max() runs, without its Python wrapper.
+                if not math.sqrt(np.maximum.reduce(sq)) <= limit:
                     norm = np.sqrt(sq)
                     first_bad[(first_bad == 0) & ~np.isfinite(norm)] = t
                     over = norm > radius

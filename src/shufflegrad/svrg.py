@@ -25,6 +25,22 @@ reports the first crossing, its epoch, step, value and bound, exactly as
 a check after every step would.  A diverging epoch therefore finishes its
 inner steps before it raises, with floating-point overflow silenced.
 
+The inner step.  Each epoch gathers its T data rows once and forms the
+anchor-side gradients grad f_i(ws) of all T steps as one (T, d) block:
+the residuals (X @ ws)[i] - y_i, read from one full-matrix product (a
+gathered X[idx] @ ws rounds some rows differently), times the gathered
+rows, plus alpha * ws.  Each step then makes one dot product and seven
+elementwise calls into two preallocated d-vectors and the next iterate's
+row, in the rounding order of the update above:
+
+    g = x_i * (x_i . w - y_i);  t = alpha * w;  g += t;  g -= G_i;
+    g += n;  g *= eta;  w_next = w - g
+
+Every call is one IEEE operation per element, in the same order and on
+the same operands as the textbook expression evaluated one step at a
+time, so the iterates keep their bits; in particular (g - G_i) + n and
+alpha * w stay separate roundings.
+
 Auxiliary draws of a run with stream s live on the high-bit lane
 ``s ^ AUX_STREAM_BIT``, which the distributed driver's default partition
 uses, and on the next lane ``(s ^ AUX_STREAM_BIT) + 1``, which draws the
@@ -130,24 +146,39 @@ def _drive(problem, config: SVRGConfig, batch, anchor, after_epoch=None) -> Epoc
     initial = problem.suboptimality(snapshot)
     # Row j holds the epoch's iterate w_{j+1}; row T the post-step iterate.
     W = np.empty((T + 1, problem.d))
+    w_rows = list(W)
+    g, t = np.empty(problem.d), np.empty(problem.d)
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    # 0-d operands: the same float64 products, without a scalar conversion
+    # in every call.  ``resid`` holds the step's x_i . w - y_i.
+    alpha_0d, eta_0d = np.array(alpha, dtype=np.float64), np.array(eta, dtype=np.float64)
+    resid = np.empty(())
     for s in range(S):
         anchor_grad = anchor(snapshot)
         indices = batch(s)
         pick = int(picker.below(T)) if picker is not None else None
         y_batch = y[indices]
-        rows, labels = list(X[indices]), y_batch.tolist()
-        ref_resid = ((X @ snapshot)[indices] - y_batch).tolist()
-        ref_reg = alpha * snapshot
+        Xb = X[indices]
+        # Row j is grad f_i(snapshot) of step j: the residual times the row,
+        # plus alpha * snapshot, the same roundings as one row at a time.
+        G = ((X @ snapshot)[indices] - y_batch)[:, None] * Xb
+        G += alpha * snapshot
 
         # A diverging epoch runs to its end before the guard below sees it,
         # so overflow on the way is expected, not an error.
         with np.errstate(over="ignore", invalid="ignore"):
             W[0] = snapshot
-            for j in range(T):
-                w, xi = W[j], rows[j]
-                grad_now = (xi @ w - labels[j]) * xi + alpha * w
-                grad_ref = ref_resid[j] * xi + ref_reg
-                np.subtract(w, eta * (grad_now - grad_ref + anchor_grad), out=W[j + 1])
+            for w, xi, label, g_ref, w_next in zip(
+                w_rows, list(Xb), y_batch.tolist(), list(G), w_rows[1:]
+            ):
+                resid[()] = xi.dot(w) - label
+                multiply(xi, resid, g)
+                multiply(w, alpha_0d, t)
+                add(g, t, g)
+                subtract(g, g_ref, g)
+                add(g, anchor_grad, g)
+                multiply(g, eta_0d, g)
+                subtract(w, g, w_next)
             subs = problem.suboptimality(W)
 
         crossed = ~np.isfinite(subs) | (subs > guard)

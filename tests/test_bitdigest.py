@@ -1,0 +1,29 @@
+"""tools/bitdigest.py runs on this tree and prints one SHA-256 per driver."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DRIVERS = ["run_svrg", "run_distributed_svrg", "run_sgd", "SeedSummary", "suboptimality",
+           "DivergenceError"]
+
+
+def test_prints_one_digest_per_driver(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bitdigest.py"), str(ROOT / "src")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [name for name, _ in lines] == DRIVERS
+    assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for _, digest in lines)
+
+
+def test_usage_error_without_a_source_dir():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bitdigest.py")], capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "bitdigest.py SRC_DIR" in proc.stderr

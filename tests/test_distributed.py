@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shufflegrad import (
     CommLog,
@@ -74,6 +76,29 @@ class TestEquivalence:
         assert np.array_equal(dist_trace.suboptimality, solo_trace.suboptimality)
         assert np.array_equal(dist_trace.max_suboptimality, solo_trace.max_suboptimality)
         assert np.array_equal(dist_trace.final_snapshot, solo_trace.final_snapshot)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        epoch_output=st.sampled_from(["average", "random_iterate"]),
+        d=st.integers(1, 6),
+        T=st.integers(1, 60),
+        S=st.integers(1, 5),
+        eta=st.floats(0.01, 0.6),
+        alpha=st.floats(0.01, 1.5),
+        spare=st.integers(0, 40),
+        seed=st.integers(0, 2**32),
+    )
+    def test_single_machine_bitwise_on_random_runs(self, epoch_output, d, T, S, eta, alpha,
+                                                   spare, seed):
+        p = random_ridge(T * S + spare, d, seed=seed % 997, alpha=alpha)
+        cfg = SVRGConfig(step_size=eta, epoch_len=T, n_epochs=S, seed=seed,
+                         epoch_output=epoch_output)
+        shards = partition(p.data, 1, Rng(seed, 77))
+        dist_trace, _ = run_distributed_svrg(p, 1, cfg, shards=shards)
+        solo_trace = run_svrg(p, cfg, sigma=matched_permutation(shards, T, S))
+        for field in ("suboptimality", "max_suboptimality", "final_snapshot"):
+            assert getattr(dist_trace, field).tobytes() == getattr(solo_trace, field).tobytes()
+        assert dist_trace.initial_suboptimality == solo_trace.initial_suboptimality
 
     def test_four_machines_match_to_rounding(self):
         p = random_ridge(600, 5, seed=7, alpha=0.15)

@@ -1,0 +1,222 @@
+"""Bitwise digests of shufflegrad's drivers over a fixed grid of runs.
+
+    python tools/bitdigest.py SRC_DIR
+
+imports ``shufflegrad`` from ``SRC_DIR`` (a checkout's ``src``) and
+prints one line ``<driver> <sha256>`` per driver.  Each digest covers
+the raw bytes of every float the driver returns on the grid, its counts,
+and the type, message and fields of every error it raises, so two trees
+print the same lines exactly when their outputs agree bit for bit:
+
+    python tools/bitdigest.py /path/to/parent/src > before.txt
+    python tools/bitdigest.py src > after.txt && diff before.txt after.txt
+
+The grid is small (a few seconds on one core) and fixed; extending it
+changes every later digest, so compare two trees with the same tool.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import warnings
+from dataclasses import replace
+
+# One BLAS thread: a threaded gemv may split rows differently per run.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+
+class Digest:
+    def __init__(self):
+        self._h = hashlib.sha256()
+
+    def add(self, *items):
+        for item in items:
+            if isinstance(item, np.ndarray):
+                arr = np.ascontiguousarray(item)
+                self._h.update(f"{arr.dtype.str}{arr.shape}".encode())
+                self._h.update(arr.tobytes())
+            elif isinstance(item, float):
+                self._h.update(np.float64(item).tobytes())
+            else:
+                self._h.update(repr(item).encode())
+            self._h.update(b"|")
+
+    def error(self, err):
+        self.add(type(err).__name__, str(err))
+        for field in ("epoch", "step", "value", "bound"):
+            self.add(getattr(err, field, None))
+
+    def hexdigest(self):
+        return self._h.hexdigest()
+
+
+def _svrg_trace(dig, trace):
+    dig.add(trace.suboptimality, trace.max_suboptimality, trace.stochastic_grad_evals,
+            trace.full_grad_point_evals, trace.initial_suboptimality, trace.final_snapshot)
+
+
+def _ridge(sg, m, d, seed, alpha, spectrum="uniform"):
+    data = sg.generate(sg.GenSpec(m=m, d=d, spectrum=spectrum, decay=0.6,
+                                  noise=0.3, seed=seed))
+    return sg.RidgeProblem(data, alpha=alpha)
+
+
+def svrg_digest(sg):
+    dig = Digest()
+    samplers = (sg.SINGLE_SHUFFLE, sg.RESHUFFLE_EACH_EPOCH, sg.WITH_REPLACEMENT)
+    # m and T off multiples of 4 with d >= 8: there a gathered X[idx] @ w
+    # rounds some rows differently from the full product (OpenBLAS gemv).
+    for d, m, T, S in ((1, 300, 37, 5), (3, 400, 1, 9), (7, 500, 60, 6), (9, 803, 41, 7),
+                       (20, 1999, 99, 8)):
+        p = _ridge(sg, m, d, seed=10 + d, alpha=0.1, spectrum="geometric")
+        for sampler in samplers:
+            for output in ("average", "random_iterate"):
+                for eta in (0.05, 0.4):
+                    cfg = sg.SVRGConfig(step_size=eta, epoch_len=T, n_epochs=S,
+                                        epoch_output=output, sampler=sampler, seed=d)
+                    _svrg_trace(dig, sg.run_svrg(p, cfg))
+        sigma = sg.shuffle(m, sg.Rng(99, d))[::-1]
+        cfg = sg.SVRGConfig(step_size=0.2, epoch_len=T, n_epochs=S, seed=3)
+        _svrg_trace(dig, sg.run_svrg(p, cfg, sigma=sigma))
+        for tr in sg.run_svrg_over_streams(p, cfg, 3):
+            _svrg_trace(dig, tr)
+    return dig.hexdigest()
+
+
+def distributed_digest(sg):
+    dig = Digest()
+    for d, m, k, T, S in ((1, 300, 1, 30, 4), (3, 600, 3, 25, 5),
+                          (5, 1200, 4, 100, 8), (20, 2003, 4, 41, 6)):
+        p = _ridge(sg, m, d, seed=20 + d, alpha=0.05)
+        for output in ("average", "random_iterate"):
+            cfg = sg.SVRGConfig(step_size=0.1, epoch_len=T, n_epochs=S,
+                                epoch_output=output, seed=k)
+            trace, log = sg.run_distributed_svrg(p, k, cfg)
+            _svrg_trace(dig, trace)
+            dig.add(log.rounds, log.epoch_rounds, log.schema_version, log.payload_floats)
+            for msg in log.messages:
+                dig.add(msg.round_id, msg.sender, msg.kind, msg.payload)
+            report = sg.comm_cost_report(log, d, suboptimality=trace.suboptimality)
+            dig.add(report.rounds, report.floats_moved, report.rounds_per_decade)
+    return dig.hexdigest()
+
+
+def _sgd_problems(sg):
+    ridge = _ridge(sg, 400, 5, seed=31, alpha=0.1)
+    data = sg.generate(sg.GenSpec(m=60, d=3, noise=0.5, seed=32))
+    yield ridge, 3.0
+    for kind in ("absolute", "hinge"):
+        yield sg.LipschitzLinearProblem(data, kind=kind, radius=4.0, alpha=0.05), 4.0
+
+
+def _sgd_configs(sg, p, radius):
+    lam = getattr(p, "strong_convexity", None) or p.alpha
+    rules = (sg.StronglyConvexStep(lam), sg.InverseSqrtStep(0.5), sg.FixedStep(0.05))
+    for sampler in (sg.SINGLE_SHUFFLE, sg.RESHUFFLE_EACH_EPOCH, sg.WITH_REPLACEMENT):
+        for rad in (radius, 0.2 + float(np.linalg.norm(p.wstar))):
+            for averaging in (sg.ALL_ITERATES, sg.SUFFIX_HALF):
+                for rule in rules:
+                    T = p.m if sampler == sg.SINGLE_SHUFFLE else p.m + 7
+                    yield sg.SGDConfig(n_steps=T, step_rule=rule, radius=rad,
+                                       sampler=sampler, averaging=averaging, seed=5)
+
+
+def sgd_digest(sg):
+    dig = Digest()
+    for p, radius in _sgd_problems(sg):
+        for cfg in _sgd_configs(sg, p, radius):
+            tr = sg.run_sgd(p, cfg, collect_iterates=cfg.averaging == sg.ALL_ITERATES)
+            dig.add(tr.suboptimality, tr.average_iterate, tr.regret, tr.gradient_evals,
+                    tr.iterates)
+        sigma = sg.shuffle(p.m, sg.Rng(7, 1))
+        cfg = replace(cfg, n_steps=p.m)
+        tr = sg.run_sgd(p, cfg, sigma=sigma, reference=np.zeros(p.d))
+        dig.add(tr.suboptimality, tr.average_iterate, tr.regret)
+    return dig.hexdigest()
+
+
+def seed_summary_digest(sg):
+    dig = Digest()
+    for p, radius in _sgd_problems(sg):
+        for cfg in _sgd_configs(sg, p, radius):
+            if cfg.averaging != sg.ALL_ITERATES:
+                continue
+            summary = sg.average_suboptimality_over_seeds(p, cfg, 4)
+            dig.add(summary.mean, summary.stderr, summary.n_seeds)
+    return dig.hexdigest()
+
+
+def suboptimality_digest(sg):
+    dig = Digest()
+    rng = sg.Rng(41, 0)
+    problems = [_ridge(sg, 500, d, seed=40 + d, alpha=0.1) for d in (1, 4, 20)]
+    problems += [p for p, _ in _sgd_problems(sg)][1:]
+    for p in problems:
+        for n in (1, 2, 37, 300):
+            W = 0.3 * rng.normal(n * p.d).reshape(n, p.d)
+            dig.add(p.suboptimality(W), p.suboptimality(W[0]), p.full_objective(W))
+    return dig.hexdigest()
+
+
+def divergence_digest(sg):
+    dig = Digest()
+    p = _ridge(sg, 1000, 3, seed=50, alpha=0.05)
+    for eta, T, S in ((250.0, 80, 5), (20.0, 80, 5), (1e4, 3, 5), (1e7, 1, 3),
+                      (1e200, 80, 5), (0.1, 80, 5)):
+        cfg = sg.SVRGConfig(step_size=eta, epoch_len=T, n_epochs=S, seed=5)
+        for run in (lambda: sg.run_svrg(p, cfg), lambda: sg.run_distributed_svrg(p, 2, cfg)):
+            try:
+                out = run()
+            except sg.ShufflegradError as err:
+                dig.error(err)
+            else:
+                dig.add("ok", (out[0] if isinstance(out, tuple) else out).suboptimality)
+    for eta in (10.0, 1e150, 1e300, np.inf):
+        for radius in (1.0, 1e300, np.inf):
+            cfg = sg.SGDConfig(n_steps=300, step_rule=sg.FixedStep(eta), radius=radius,
+                               sampler=sg.WITH_REPLACEMENT, seed=6)
+            try:
+                out = sg.run_sgd(p, cfg)
+            except sg.ShufflegradError as err:
+                dig.error(err)
+            else:
+                dig.add("ok", out.suboptimality)
+    return dig.hexdigest()
+
+
+DRIVERS = {
+    "run_svrg": svrg_digest,
+    "run_distributed_svrg": distributed_digest,
+    "run_sgd": sgd_digest,
+    "SeedSummary": seed_summary_digest,
+    "suboptimality": suboptimality_digest,
+    "DivergenceError": divergence_digest,
+}
+
+
+def main(argv):
+    if len(argv) != 2:
+        print("usage: python tools/bitdigest.py SRC_DIR", file=sys.stderr)
+        return 2
+    src = os.path.abspath(argv[1])
+    sys.path.insert(0, src)
+    import shufflegrad as sg
+
+    if os.path.dirname(os.path.dirname(os.path.abspath(sg.__file__))) != src:
+        print(f"shufflegrad imported from {sg.__file__}, not from {src}", file=sys.stderr)
+        return 1
+
+    warnings.simplefilter("ignore")
+    with np.errstate(all="ignore"):
+        for name, digest in DRIVERS.items():
+            print(name, digest(sg))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
