@@ -63,6 +63,12 @@ LOSS_CHUNK = 1 << 15  # point losses held at once by a block evaluation
 
 LOSS_KINDS = ("squared", "absolute", "hinge")
 
+REFERENCE_TOL = 1e-13  # duality gap, relative to max(1, |F|)
+REFERENCE_MAX_ITER = 200_000
+ADMM_CHECK_EVERY = 10  # iterations between gap and residual checks
+ADMM_BALANCE = 10.0  # residual ratio that rescales rho (Boyd et al. 2011, §3.4.1)
+ADMM_RHO_FREEZE = 2_000  # iterations after which rho stays fixed
+
 
 def pairwise_sum(values: np.ndarray) -> np.ndarray:
     """Sum along axis 0 with the documented index-ascending pairwise tree."""
@@ -387,18 +393,23 @@ class LipschitzLinearProblem(_LinearPredictionProblem):
 
     @cached_property
     def _reference(self):
-        w = reference_minimizer(self)
-        return w, self.full_objective(w)
+        return _certified_minimizer(self, REFERENCE_TOL, REFERENCE_MAX_ITER)
 
     @property
     def wstar(self) -> np.ndarray:
-        """Reference minimizer (exact for squared; ADMM to tight residuals
-        for the kinked losses, see :func:`reference_minimizer`)."""
+        """Reference minimizer (exact for squared; certified ADMM for the
+        kinked losses, see :func:`reference_minimizer`)."""
         return self._reference[0]
 
     @property
     def fstar(self) -> float:
         return self._reference[1]
+
+    @property
+    def reference_gap(self) -> float:
+        """Duality gap F(wstar) - D(a), a proven bound on F(wstar) - F*
+        over the ball; at most 1e-13 max(1, |fstar|) for the kinked kinds."""
+        return self._reference[2]
 
     def full_gradient(self, w) -> np.ndarray:
         """A subgradient of F: pairwise mean of point gradients, ascending order."""
@@ -407,61 +418,150 @@ class LipschitzLinearProblem(_LinearPredictionProblem):
 
 def reference_minimizer(
     problem: LipschitzLinearProblem,
-    tol: float = 1e-12,
-    max_iter: int = 200_000,
+    tol: float = REFERENCE_TOL,
+    max_iter: int = REFERENCE_MAX_ITER,
 ) -> np.ndarray:
-    """High-accuracy minimizer of a Lipschitz linear-loss objective.
+    """Minimizer of a Lipschitz linear-loss objective with a duality-gap certificate.
 
     The squared kind is solved exactly through :class:`RidgeProblem`.
-    The kinked kinds run ADMM on the split  minimize (1/m) sum loss(z_i)
-    + (alpha/2)||w||^2  subject to  Xw = z, whose z-update is a
-    closed-form proximal step.  Iterations stop once both residual norms
-    drop below ``tol``.  The result must lie inside the problem's ball;
-    otherwise the constrained optimum is not characterized here and an
-    error is raised.
+    The kinked kinds run scaled ADMM (Boyd et al. 2011, *Distributed
+    Optimization and Statistical Learning via the Alternating Direction
+    Method of Multipliers*, §3.1) on the split  minimize (1/m) sum
+    loss(z_i) + (alpha/2)||w||^2  subject to  Xw = z, whose z-update is a
+    closed-form proximal step and whose w-update reuses one Cholesky
+    factor of (alpha/rho) I + X^T X.
+
+    Penalty schedule.  rho starts at the scale-aware 1/m, where the
+    z-step's proximal weight 1/(m rho) is one.  Every ``ADMM_CHECK_EVERY``
+    iterations, residual balancing (Boyd et al. 2011, §3.4.1) doubles rho
+    when the primal residual ||Xw - z|| exceeds ``ADMM_BALANCE`` times the
+    dual residual rho ||X^T (z - z_prev)||, halves it in the mirror case,
+    rescales the scaled multiplier u by the inverse factor so that rho u
+    is unchanged, and refactors.  After ``ADMM_RHO_FREEZE`` iterations rho
+    stays fixed, as convergence needs (§3.4.1); adapting for ever makes
+    the hinge loss at alpha = 0 oscillate.
+
+    Stopping rule.  On the same check iterations the loop evaluates the
+    Fenchel duality gap F(w) - D(a) and stops once it is at most
+    ``tol * max(1, |F(w)|)``.  The dual is that of
+    F(w) = (1/m) sum phi_i(<x_i, w>) + g(w), with g the regularizer plus
+    the indicator of the ball ||w|| <= R (the SDCA dual of Shalev-Shwartz
+    & Zhang 2013, *Stochastic Dual Coordinate Ascent Methods for
+    Regularized Loss Minimization*, with the ball added):
+
+        D(a) = (1/m) sum -phi_i*(-a_i) - g*((1/m) X^T a),
+        g*(v) = ||v||^2 / (2 alpha)         if ||v|| <= alpha R,
+                R ||v|| - alpha R^2 / 2      otherwise,
+
+    which covers alpha = 0 with the same formula.  The dual point is
+    ADMM's own multiplier a = -m rho u projected onto the conjugate's
+    domain (a in [-1, 1] for the absolute loss, a = b y with b in [0, 1]
+    for the hinge; see :func:`_dual_objective`).  Weak duality makes the
+    gap a proven bound on F(w) - F*, which the problem exposes as
+    ``reference_gap``.  A solve that does not certify within ``max_iter``
+    iterations raises :class:`InvalidParameter`.
+
+    The result must lie inside the problem's ball; otherwise the
+    constrained optimum is not characterized here and an error is raised.
+    ADMM itself ignores the ball, so an iterate outside it is never
+    returned; if its F lies below D(a), it beats every point of the ball,
+    which proves the minimizer outside, and the solve raises at once.
     """
+    return _certified_minimizer(problem, tol, max_iter)[0]
+
+
+def _certified_minimizer(problem, tol, max_iter):
+    """(w, F(w), gap) with the gap F(w) - D(a) >= F(w) - F*."""
+    if problem.kind != "squared":
+        return _admm(problem, tol, max_iter)
+    w = RidgeProblem(problem.data, problem.alpha).wstar
+    _require_interior(w, problem.radius)
+    fw = problem.full_objective(w)
+    # minus the loss slope at the exact solution: the dual optimum
+    return w, fw, fw - _dual_objective(problem, problem.data.y - problem.data.X @ w)
+
+
+def _admm(problem, tol, max_iter):
+    """The ADMM loop of :func:`reference_minimizer`; returns (w, F(w), gap)."""
     X, y = problem.data.X, problem.data.y
     m, d = problem.data.m, problem.data.d
     alpha = problem.alpha
 
-    if problem.kind == "squared":
-        w = RidgeProblem(problem.data, alpha).wstar
-        _require_interior(w, problem.radius)
-        return w
-
     gram = X.T @ X
-    rho = 1.0
-    system = alpha * np.eye(d) + rho * gram
-    if np.linalg.eigvalsh(system)[0] < SINGULAR_CUTOFF:
+    if np.linalg.eigvalsh(alpha * np.eye(d) + gram)[0] < SINGULAR_CUTOFF:
         raise SingularCurvature(
             "reference solve needs alpha > 0 or full-rank features"
         )
-    chol = scipy.linalg.cho_factor(system, lower=True)
-    step = 1.0 / (m * rho)
+    rho = 1.0 / m
+    chol = scipy.linalg.cho_factor(gram + (alpha / rho) * np.eye(d), lower=True)
 
     z = np.zeros(m)
     u = np.zeros(m)
-    w = np.zeros(d)
-    for _ in range(max_iter):
-        w = scipy.linalg.cho_solve(chol, rho * (X.T @ (z - u)))
+    gap = np.inf
+    for it in range(1, max_iter + 1):
+        w = scipy.linalg.cho_solve(chol, X.T @ (z - u), check_finite=False)
         xw = X @ w
         z_old = z
-        z = _prox(problem.kind, xw + u, y, step)
-        u = u + xw - z
+        z = _prox(problem.kind, xw + u, y, 1.0 / (m * rho))
+        u += xw - z
+        if it % ADMM_CHECK_EVERY:
+            continue
+        fw = problem.full_objective(w)
+        gap = fw - _dual_objective(problem, -m * rho * u)
+        bound = tol * max(1.0, abs(fw))
+        if _in_ball(w, problem.radius):
+            if gap <= bound:
+                return w, fw, gap
+        elif gap < -bound:  # F(w) < D(a) <= F over the ball
+            raise InvalidParameter(
+                f"the minimizer lies outside the ball of radius {problem.radius:g}: a point "
+                f"of norm {np.linalg.norm(w):.4g} beats every point in it; enlarge the radius"
+            )
+        if it >= ADMM_RHO_FREEZE:
+            continue
         primal = np.linalg.norm(xw - z)
         dual = rho * np.linalg.norm(X.T @ (z - z_old))
-        if primal < tol and dual < tol:
-            break
+        if primal > ADMM_BALANCE * dual:
+            rho, u = 2.0 * rho, 0.5 * u
+        elif dual > ADMM_BALANCE * primal:
+            rho, u = 0.5 * rho, 2.0 * u
+        else:
+            continue
+        chol = scipy.linalg.cho_factor(gram + (alpha / rho) * np.eye(d), lower=True)
+    raise InvalidParameter(
+        f"reference solve did not reach tol={tol:g} in {max_iter} iterations "
+        f"(duality gap {gap:.3g})"
+    )
+
+
+def _dual_objective(problem, a) -> float:
+    """D(a) of :func:`reference_minimizer`, after projecting a onto the
+    conjugate's domain, so any a gives a lower bound on F* over the ball."""
+    X, y = problem.data.X, problem.data.y
+    if problem.kind == "absolute":
+        # phi*(s) = s y on |s| <= 1
+        a = np.clip(a, -1.0, 1.0)
+        conj = a * y
+    elif problem.kind == "hinge":
+        # phi*(-b y) = -b on b in [0, 1]; a zero label has phi = 1, phi*(0) = -1
+        b = np.clip(np.divide(a, y, out=np.ones_like(a), where=y != 0.0), 0.0, 1.0)
+        a = b * y
+        conj = b
     else:
-        raise InvalidParameter(
-            f"reference solve did not reach tol={tol:g} in {max_iter} iterations"
-        )
-    _require_interior(w, problem.radius)
-    return w
+        # phi*(s) = s^2/2 + s y
+        conj = a * y - 0.5 * a * a
+    v = np.linalg.norm(X.T @ a) / problem.data.m
+    R, alpha = problem.radius, problem.alpha
+    ball = v * v / (2.0 * alpha) if v < alpha * R else R * v - 0.5 * alpha * R * R
+    return float(np.mean(conj) - ball)
+
+
+def _in_ball(w: np.ndarray, radius: float) -> bool:
+    return np.linalg.norm(w) <= radius * (1.0 + 1e-9)
 
 
 def _require_interior(w: np.ndarray, radius: float):
-    if np.linalg.norm(w) > radius * (1.0 + 1e-9):
+    if not _in_ball(w, radius):
         raise InvalidParameter(
             f"unconstrained minimizer (norm {np.linalg.norm(w):.4g}) lies outside "
             f"the ball of radius {radius:g}; enlarge the radius"
@@ -469,7 +569,7 @@ def _require_interior(w: np.ndarray, radius: float):
 
 
 def _prox(kind: str, v: np.ndarray, y: np.ndarray, step: float) -> np.ndarray:
-    """prox_{step * loss(. ; y)}(v) for the kinked scalar losses."""
+    """prox_{step * loss(. ; y)}(v)."""
     if kind == "absolute":
         shifted = v - y
         return y + np.sign(shifted) * np.maximum(np.abs(shifted) - step, 0.0)
@@ -481,4 +581,6 @@ def _prox(kind: str, v: np.ndarray, y: np.ndarray, step: float) -> np.ndarray:
         middle = (~active) & (yv < 1.0) & (y != 0.0)
         out[middle] = 1.0 / y[middle]
         return out
+    if kind == "squared":
+        return (v + step * y) / (1.0 + step)
     raise InvalidParameter(f"no proximal step for kind {kind!r}")

@@ -21,7 +21,7 @@ from shufflegrad.errors import (
     InvalidParameter,
     SingularCurvature,
 )
-from shufflegrad.problem import LOSS_CHUNK
+from shufflegrad.problem import LOSS_CHUNK, _admm, _certified_minimizer, _dual_objective
 from conftest import random_dataset, random_ridge, straight_objective, straight_suboptimality
 
 
@@ -311,6 +311,103 @@ class TestLipschitzProblem:
         rng = Rng(14, 0)
         for _ in range(20):
             assert p.suboptimality(rng.normal(3)) >= -1e-12
+
+
+ROUNDING = 1e-15  # rounding of F(w) - D(a): two O(1) sums of m terms
+
+
+def certified(p):
+    """The certificate's own promise: gap <= 1e-13 max(1, |F|)."""
+    return p.reference_gap <= 1e-13 * max(1.0, abs(p.fstar))
+
+
+def ball_points(rng, n, d, radius):
+    W = rng.standard_normal((n, d))
+    W *= radius * rng.uniform(size=(n, 1)) ** (1.0 / d) / np.linalg.norm(W, axis=1, keepdims=True)
+    return W
+
+
+class TestCertifiedReference:
+    def test_median_oracle_within_gap(self):
+        y = np.array([-0.8, -0.2, 0.1, 0.3, 0.9])
+        p = LipschitzLinearProblem(Dataset(X=np.ones((5, 1)), y=y), "absolute", radius=5.0)
+        assert p.full_objective(p.wstar) - p.full_objective([0.1]) <= p.reference_gap
+        assert certified(p)
+
+    def test_hinge_without_regularization_certifies(self):
+        # Adapting rho for ever makes this solve oscillate; the freeze certifies it.
+        p = LipschitzLinearProblem(random_dataset(40, 3, seed=3, label_scale=0.9), "hinge",
+                                   radius=8.0)
+        assert certified(p)
+
+    def test_admm_core_on_squared_loss_matches_ridge(self):
+        # The squared loss has an exact path and an exact suboptimality (the
+        # curvature form): the certificate must bound it, which pins w to
+        # sqrt(2 gap / lambda) of the direct solve.  A gap of 1e-13 cannot
+        # pin w to 1e-10: F is flat to second order at its minimizer.
+        data = random_dataset(80, 4, seed=21)
+        ridge = RidgeProblem(data, alpha=0.1)
+        p = LipschitzLinearProblem(data, "squared", radius=10.0, alpha=0.1)
+        w, fw, gap = _admm(p, 1e-13, 200_000)
+        assert fw == p.full_objective(w) and gap <= 1e-13
+        bound = gap + ROUNDING
+        assert ridge.suboptimality(w) <= bound
+        assert np.linalg.norm(w - ridge.wstar) <= math.sqrt(2.0 * bound / ridge.strong_convexity)
+        assert -ROUNDING <= p.reference_gap <= 1e-13  # the direct path's certificate
+
+    @pytest.mark.parametrize("kind, m, seed", [("absolute", 30, 12), ("hinge", 60, 32)])
+    def test_certifies_within_budget(self, kind, m, seed):
+        # 430 and 200 iterations.  Balancing keeps ADMM's multiplier rho*u;
+        # rescaling rho alone restarts the dual, and these solves then need
+        # over 2,000 iterations.
+        data = random_dataset(m, 3, seed=seed, label_scale=0.9)
+        p = LipschitzLinearProblem(data, kind, radius=8.0, alpha=0.05)
+        _, fw, gap = _certified_minimizer(p, 1e-13, 1_000)
+        assert gap <= 1e-13 * max(1.0, abs(fw))
+
+    def test_uncertified_solve_raises(self):
+        p = LipschitzLinearProblem(random_dataset(30, 3, seed=12, label_scale=0.9), "absolute",
+                                   radius=8.0, alpha=0.05)
+        with pytest.raises(InvalidParameter, match="did not reach"):
+            reference_minimizer(p, max_iter=20)
+
+
+CERTIFY_BUDGET = 50_000  # iterations; alpha >= 0.01 draws took at most ~15k
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["absolute", "hinge"]),
+    alpha=st.sampled_from([0.0, 0.01, 0.05]),
+    d=st.integers(1, 5),
+    m=st.integers(5, 300),
+    seed=st.integers(0, 10**6),
+)
+def test_certificate_bounds_the_objective_on_the_ball(kind, alpha, d, m, seed):
+    """The gap meets its tolerance, and every dual value it rests on lies
+    below F on the ball: the solver's own and any multiplier's."""
+    radius = 15.0  # holds every minimizer when alpha >= 0.01 (F(0) <= 1)
+    data = random_dataset(m, d, seed, label_scale=0.9)
+    p = LipschitzLinearProblem(data, kind, radius=radius, alpha=alpha)
+    rng = np.random.default_rng(seed)
+    W = ball_points(rng, 40, d, radius)
+    F = p.full_objective(W)
+    try:
+        _, fw, gap = _certified_minimizer(p, 1e-13, CERTIFY_BUDGET)
+    except InvalidParameter as err:
+        # At alpha = 0 the problem is a linear program: its minimizer may
+        # leave the ball, and ADMM's tail leaves some draws uncertified
+        # after tens of thousands of iterations; it must then say so.
+        assert alpha == 0.0, err
+    else:
+        assert gap <= 1e-13 * max(1.0, abs(fw))
+        lower = fw - gap  # D(a) at ADMM's projected multiplier
+        assert np.all(lower <= F)
+    # Multipliers far outside the conjugate's domain along the null space of
+    # X^T: unprojected, one sign makes D grow without bound.
+    null = data.y - data.X @ np.linalg.lstsq(data.X, data.y, rcond=None)[0]
+    for a in (10.0 * m * null, -10.0 * m * null, 3.0 * rng.standard_normal(m)):
+        assert np.all(_dual_objective(p, a) <= F)
 
 
 BLOCK_M = 400  # LOSS_CHUNK // BLOCK_M rows per chunk, so a block of 300 spans chunks

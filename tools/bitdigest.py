@@ -163,6 +163,21 @@ def suboptimality_digest(sg):
     return dig.hexdigest()
 
 
+def reference_digest(sg):
+    """The kinked-loss references: wstar, fstar and the duality-gap certificate."""
+    dig = Digest()
+    for m, d, seed in ((60, 3, 32), (150, 4, 33)):
+        data = sg.generate(sg.GenSpec(m=m, d=d, noise=0.5, seed=seed))
+        for kind in ("absolute", "hinge"):
+            for alpha in (0.0, 0.01, 0.05):
+                p = sg.LipschitzLinearProblem(data, kind=kind, radius=6.0, alpha=alpha)
+                try:
+                    dig.add(p.wstar, p.fstar, getattr(p, "reference_gap", None))
+                except sg.ShufflegradError as err:
+                    dig.error(err)
+    return dig.hexdigest()
+
+
 def divergence_digest(sg):
     dig = Digest()
     p = _ridge(sg, 1000, 3, seed=50, alpha=0.05)
@@ -195,6 +210,7 @@ DRIVERS = {
     "run_sgd": sgd_digest,
     "SeedSummary": seed_summary_digest,
     "suboptimality": suboptimality_digest,
+    "reference": reference_digest,
     "DivergenceError": divergence_digest,
 }
 
