@@ -16,11 +16,19 @@ Floats are rendered with ``repr``, which is shortest-round-trip for
 Python doubles, so save followed by load reproduces every stored value
 exactly.  Coordinates equal to zero are not stored (a stored -0.0 would
 reload as such, but generated zeros are unsigned).
+
+Both directions stream in bounded chunks: save formats and writes
+``WRITE_ROWS`` lines at a time, load reads and parses about
+``READ_HINT`` characters of whole lines at a time, checking each chunk
+with whole-chunk operations.  Neither holds the whole text in memory,
+and the bytes written and the arrays read do not depend on the chunking.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -29,6 +37,8 @@ from .problem import Dataset
 from .rng import Rng
 
 SPECTRA = ("uniform", "geometric")
+WRITE_ROWS = 2048  # lines save formats and writes at once
+READ_HINT = 1 << 18  # characters of whole lines load parses at once
 
 
 @dataclass(frozen=True)
@@ -101,77 +111,59 @@ def generate(spec: GenSpec) -> Dataset:
 
 
 def save(dataset: Dataset, path) -> None:
-    """Write the dataset in the sparse text format described above."""
-    lines = [f"#dim {dataset.d}\n"]
-    for i in range(dataset.m):
-        parts = [repr(float(dataset.y[i]))]
-        row = dataset.X[i]
-        for j in np.flatnonzero(row != 0.0):
-            parts.append(f"{j + 1}:{repr(float(row[j]))}")
-        lines.append(" ".join(parts) + "\n")
+    """Write the dataset in the sparse text format described above.
+
+    Lines are formatted and written ``WRITE_ROWS`` at a time.  A row with
+    no zero goes through one ``%r`` template of all its coordinates; any
+    other row is written token by token without its zeros (of either sign).
+    """
+    X, y = dataset.X, dataset.y
+    template = "%r" + "".join(f" {j}:%r" for j in range(1, dataset.d + 1)) + "\n"
     with open(path, "w") as fh:
-        fh.writelines(lines)
+        fh.write(f"#dim {dataset.d}\n")
+        for lo in range(0, dataset.m, WRITE_ROWS):
+            block = X[lo : lo + WRITE_ROWS]
+            rows = zip(y[lo : lo + WRITE_ROWS].tolist(), block.tolist(),
+                       (block != 0.0).all(axis=1).tolist())
+            fh.write("".join([template % (label, *row) if dense else _sparse_line(label, row)
+                              for label, row, dense in rows]))
+
+
+def _sparse_line(label: float, row: list) -> str:
+    coords = [f"{j}:{v!r}" for j, v in enumerate(row, start=1) if v != 0.0]
+    return " ".join([repr(label), *coords]) + "\n"
 
 
 def load(path, normalize: bool = False) -> Dataset:
     """Parse a dataset file; malformed lines report their line number.
 
+    Lines are read and parsed in chunks of about ``READ_HINT`` characters.
+    A label or coordinate value that is NaN or infinite is malformed.
     Invariant violations (feature norm > 1 or |label| > 1) are rejected
     unless ``normalize=True``, which rescales all features by the largest
     norm and all labels by the largest magnitude.
     """
+    labels: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     with open(path) as fh:
-        raw = fh.readlines()
-    if not raw or not raw[0].startswith("#dim"):
-        raise DataFormatError(f"{path}: line 1: expected header '#dim <d>'")
-    try:
-        d = int(raw[0].split()[1])
-    except (IndexError, ValueError):
-        raise DataFormatError(f"{path}: line 1: malformed header {raw[0]!r}") from None
-    if d < 1:
-        raise DataFormatError(f"{path}: line 1: dimension must be >= 1")
-
-    ys: list[float] = []
-    rows: list[np.ndarray] = []
-    for lineno, line in enumerate(raw[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+        header = fh.readline()
+        if not header.startswith("#dim"):
+            raise DataFormatError(f"{path}: line 1: expected header '#dim <d>'")
         try:
-            label = float(parts[0])
-        except ValueError:
-            raise DataFormatError(
-                f"{path}: line {lineno}: bad label {parts[0]!r}"
-            ) from None
-        row = np.zeros(d)
-        seen = set()
-        for token in parts[1:]:
-            try:
-                idx_text, val_text = token.split(":", 1)
-                idx = int(idx_text)
-                val = float(val_text)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: bad coordinate {token!r}"
-                ) from None
-            if not 1 <= idx <= d:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: index {idx} outside [1, {d}]"
-                )
-            if idx in seen:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: duplicate index {idx}"
-                )
-            seen.add(idx)
-            row[idx - 1] = val
-        ys.append(label)
-        rows.append(row)
-    if not rows:
+            d = int(header.split()[1])
+        except (IndexError, ValueError):
+            raise DataFormatError(f"{path}: line 1: malformed header {header!r}") from None
+        if d < 1:
+            raise DataFormatError(f"{path}: line 1: dimension must be >= 1")
+        lineno = 2
+        while lines := fh.readlines(READ_HINT):
+            y_chunk, X_chunk = _parse_chunk(lines, d, path, lineno)
+            labels.append(y_chunk)
+            blocks.append(X_chunk)
+            lineno += len(lines)
+    if not sum(map(len, labels)):
         raise DataFormatError(f"{path}: no data lines")
-
-    X = np.array(rows)
-    y = np.array(ys)
+    X, y = np.concatenate(blocks), np.concatenate(labels)
     if normalize:
         nmax = np.linalg.norm(X, axis=1).max()
         if nmax > 1.0:
@@ -191,3 +183,68 @@ def load(path, normalize: bool = False) -> Dataset:
                 f"rerun with normalize"
             )
     return Dataset(X=X, y=y)
+
+
+def _parse_chunk(lines: list[str], d: int, path, lineno: int):
+    """Labels and (rows, d) features of the data lines among ``lines``.
+
+    The checks run over the whole chunk: every coordinate token holds
+    exactly one colon, every label, index and value parses, every label
+    and value is finite, and every index is in [1, d] and new on its
+    line.  If any fails, the first offending line (``lineno`` is the
+    number of ``lines[0]``) raises the error :func:`_line_problem` words.
+    """
+    rows = [p for p in map(str.split, lines) if p and not p[0].startswith("#")]
+    tokens = list(chain.from_iterable([p[1:] for p in rows]))
+    # With exactly one colon per token the joined fields alternate index, value.
+    if set(map(str.count, tokens, repeat(":"))) <= {1}:
+        fields = ":".join(tokens).split(":") if tokens else []
+        try:
+            y = np.fromiter(map(float, [p[0] for p in rows]), np.float64, len(rows))
+            idx = np.fromiter(map(int, fields[0::2]), np.intp, len(tokens))
+            vals = np.fromiter(map(float, fields[1::2]), np.float64, len(tokens))
+        except (ValueError, OverflowError):
+            pass
+        else:
+            pos = np.repeat(np.arange(len(rows)) * d, [len(p) - 1 for p in rows]) + (idx - 1)
+            valid = np.isfinite(y).all() and np.isfinite(vals).all()
+            if tokens:
+                valid = valid and 1 <= idx.min() and idx.max() <= d
+                valid = valid and np.bincount(pos).max() == 1
+            if valid:
+                X = np.zeros((len(rows), d))
+                X.ravel()[pos] = vals
+                return y, X
+    for n, line in enumerate(lines, start=lineno):
+        if problem := _line_problem(line, d):
+            raise DataFormatError(f"{path}: line {n}: {problem}")
+    raise AssertionError(f"{path}: lines {lineno}+ failed a chunk check but no line check")
+
+
+def _line_problem(line: str, d: int) -> str | None:
+    """The first problem of one line, as its error message words it, or None."""
+    parts = line.split()
+    if not parts or parts[0].startswith("#"):
+        return None
+    try:
+        label = float(parts[0])
+    except ValueError:
+        return f"bad label {parts[0]!r}"
+    if not math.isfinite(label):
+        return f"non-finite label {parts[0]!r}"
+    seen = set()
+    for token in parts[1:]:
+        try:
+            idx_text, val_text = token.split(":", 1)
+            idx = int(idx_text)
+            val = float(val_text)
+        except ValueError:
+            return f"bad coordinate {token!r}"
+        if not math.isfinite(val):
+            return f"non-finite coordinate {token!r}"
+        if not 1 <= idx <= d:
+            return f"index {idx} outside [1, {d}]"
+        if idx in seen:
+            return f"duplicate index {idx}"
+        seen.add(idx)
+    return None

@@ -91,7 +91,7 @@ def pairwise_mean(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """m feature vectors (rows of X, Euclidean norm <= 1) with labels in [-1, 1]."""
+    """m finite feature vectors (rows of X, Euclidean norm <= 1) with labels in [-1, 1]."""
 
     X: np.ndarray
     y: np.ndarray
@@ -105,6 +105,8 @@ class Dataset:
             raise DimensionMismatch(f"y must have shape ({X.shape[0]},), got {y.shape}")
         if X.shape[0] < 1 or X.shape[1] < 1:
             raise InvalidParameter("dataset needs m >= 1 and d >= 1")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise InvalidParameter("features and labels must be finite")
         norms = np.linalg.norm(X, axis=1)
         if norms.max() > 1.0 + NORM_SLACK:
             raise InvalidParameter(

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from shufflegrad import Dataset, RidgeProblem, Rng, pairwise_mean
+from shufflegrad.errors import DataFormatError
 
 
 def random_dataset(m, d, seed, label_scale=0.5, stream=0):
@@ -45,3 +48,64 @@ def straight_suboptimality(problem, w):
         dw = w - problem.wstar
         return 0.5 * float(dw @ (problem.hessian @ dw))
     return straight_objective(problem, w) - problem.fstar
+
+
+# Straight-line dataset text I/O, one coordinate at a time: the oracles
+# for the chunked datagen.save and datagen.load.
+def straight_save(dataset, path):
+    lines = [f"#dim {dataset.d}\n"]
+    for i in range(dataset.m):
+        parts = [repr(float(dataset.y[i]))]
+        row = dataset.X[i]
+        for j in np.flatnonzero(row != 0.0):
+            parts.append(f"{j + 1}:{repr(float(row[j]))}")
+        lines.append(" ".join(parts) + "\n")
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
+def straight_load(path):
+    """(X, y) of a dataset file, or raise DataFormatError as datagen.load does.
+
+    Covers the parse only: no normalization and no norm or label bounds.
+    """
+    with open(path) as fh:
+        raw = fh.readlines()
+    if not raw or not raw[0].startswith("#dim"):
+        raise DataFormatError(f"{path}: line 1: expected header '#dim <d>'")
+    d = int(raw[0].split()[1])
+    ys, rows = [], []
+    for lineno, line in enumerate(raw[1:], start=2):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path}: line {lineno}:"
+        parts = line.split()
+        try:
+            label = float(parts[0])
+        except ValueError:
+            raise DataFormatError(f"{where} bad label {parts[0]!r}") from None
+        if not math.isfinite(label):
+            raise DataFormatError(f"{where} non-finite label {parts[0]!r}")
+        row = np.zeros(d)
+        seen = set()
+        for token in parts[1:]:
+            try:
+                idx_text, val_text = token.split(":", 1)
+                idx = int(idx_text)
+                val = float(val_text)
+            except ValueError:
+                raise DataFormatError(f"{where} bad coordinate {token!r}") from None
+            if not math.isfinite(val):
+                raise DataFormatError(f"{where} non-finite coordinate {token!r}")
+            if not 1 <= idx <= d:
+                raise DataFormatError(f"{where} index {idx} outside [1, {d}]")
+            if idx in seen:
+                raise DataFormatError(f"{where} duplicate index {idx}")
+            seen.add(idx)
+            row[idx - 1] = val
+        ys.append(label)
+        rows.append(row)
+    if not rows:
+        raise DataFormatError(f"{path}: no data lines")
+    return np.array(rows), np.array(ys)

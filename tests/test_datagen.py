@@ -1,8 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shufflegrad import Dataset, GenSpec, RidgeProblem, generate, load, planted_weights, save
-from shufflegrad.errors import DataFormatError, InvalidParameter
+from shufflegrad import Dataset, GenSpec, RidgeProblem, datagen, generate, load, planted_weights, save
+from shufflegrad.errors import DataFormatError, InvalidParameter, ShufflegradError
+
+from conftest import straight_load, straight_save
 
 
 def test_postconditions():
@@ -95,6 +101,14 @@ def test_load_rejects_invariant_violations(tmp_path):
         ("#dim 2\n0.5 1:zzz\n", "line 2"),
         ("#dim 2\n0.5 1:0.1 1:0.2\n", "duplicate"),
         ("#dim 2\n", "no data"),
+        ("#dim 4\n0.5 3\n", "line 2: bad coordinate '3'"),
+        ("#dim 4\n0.5 1:2:3\n", "line 2: bad coordinate '1:2:3'"),
+        ("#dim 4\n0.5 1:\n", "line 2: bad coordinate '1:'"),
+        ("#dim 4\n0.5 :0.5\n", "line 2: bad coordinate ':0.5'"),
+        ("#dim 4\n0.5 1.0:0.5\n", "line 2: bad coordinate '1.0:0.5'"),
+        # A colon-free token beside a two-colon one keeps the colon total.
+        ("#dim 4\n0.5 1:0.5:2 0.25\n", "line 2: bad coordinate '1:0.5:2'"),
+        ("#dim 4\n0.5 1:0.5\n\n# note\n0.5 2:0.1 2:0.2\n", "line 5: duplicate index 2"),
     ],
 )
 def test_malformed_files_report_location(tmp_path, content, fragment):
@@ -113,3 +127,97 @@ def test_save_skips_zeros(tmp_path):
     assert "2:" not in text.splitlines()[1]
     back = load(path)
     assert np.array_equal(back.X, ds.X)
+
+
+def test_bad_line_after_the_first_read_chunk(tmp_path):
+    good = "0.5 1:0.25 2:-0.5\n"
+    n_good = datagen.READ_HINT // len(good) + 10
+    path = tmp_path / "late.txt"
+    path.write_text("#dim 2\n" + good * n_good + "0.5 3:0.1\n" + good)
+    with pytest.raises(DataFormatError) as err:
+        load(path)
+    assert f"line {n_good + 2}: index 3 outside [1, 2]" in str(err.value)
+
+
+@pytest.mark.parametrize("line", ["nan 1:0.5", "0.5 1:nan", "0.5 2:inf", "-inf 1:0.5"])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_load_rejects_non_finite(tmp_path, line, normalize):
+    path = tmp_path / "nonfinite.txt"
+    path.write_text(f"#dim 2\n0.5 1:0.5\n{line}\n")
+    with pytest.raises(ShufflegradError) as err:
+        load(path, normalize=normalize)
+    assert "line 3: non-finite" in str(err.value)
+
+
+SIGNS = st.sampled_from([1.0, -1.0])
+MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, 1.0, 1e-4, 9.999e-5, 1e-300]),
+    st.floats(min_value=1e-300, max_value=1.0),
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),  # subnormal
+)
+VALUES = st.builds(lambda s, v: s * v, SIGNS, MAGNITUDES)
+
+
+@st.composite
+def datasets(draw):
+    m = draw(st.integers(1, 12))
+    d = draw(st.sampled_from([1, 2, 3, 9, 10, 13]))
+    zero_row = st.just([0.0] * d)
+    rows = draw(st.lists(st.one_of(zero_row, st.lists(VALUES, min_size=d, max_size=d)),
+                         min_size=m, max_size=m))
+    X = np.array(rows)
+    X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1.0)
+    y = np.array(draw(st.lists(st.one_of(SIGNS, VALUES), min_size=m, max_size=m)))
+    return Dataset(X=X, y=y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=datasets(), write_rows=st.integers(1, 4), read_hint=st.integers(1, 300))
+def test_save_writes_straight_bytes_and_load_inverts_it(tmp_path_factory, data, write_rows,
+                                                        read_hint):
+    tmp = tmp_path_factory.mktemp("io")
+    with mock.patch.object(datagen, "WRITE_ROWS", write_rows), \
+            mock.patch.object(datagen, "READ_HINT", read_hint):
+        save(data, tmp / "a.txt")
+        straight_save(data, tmp / "b.txt")
+        text = (tmp / "a.txt").read_bytes()
+        assert text == (tmp / "b.txt").read_bytes()
+        back = load(tmp / "a.txt")
+        save(back, tmp / "c.txt")
+    assert (tmp / "c.txt").read_bytes() == text
+    X, y = straight_load(tmp / "a.txt")
+    assert back.X.tobytes() == X.tobytes() == (data.X + 0.0).tobytes()  # -0.0 is not stored
+    assert back.y.tobytes() == y.tobytes() == data.y.tobytes()
+
+
+GOOD_TOKENS = ["1:0.5", "2:-0.25", "3:1e-300", "4:-0.0", "+2:0.1", "1_0:0.1", "02:5e-324"]
+BAD_TOKENS = ["0.5", "1:2:3", "1:", ":0.5", "1.0:0.5", "0:0.1", "11:0.1", "2:nan", "3:-inf",
+              "99999999999999999999999:1", "x:1", "1:x", ":"]
+LINES = st.one_of(
+    st.sampled_from(["", "   ", "# comment", "#"]),
+    st.builds(lambda sep, label, toks: sep.join([label, *toks]),
+              st.sampled_from([" ", "  ", "\t"]),
+              st.sampled_from(["0.5", "-1", "1e-5", "-0.0", "foo", "nan", "inf"]),
+              st.lists(st.sampled_from(GOOD_TOKENS + BAD_TOKENS), max_size=5)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(LINES, max_size=12), read_hint=st.integers(1, 60))
+def test_load_parses_and_rejects_as_the_straight_loader(tmp_path_factory, lines, read_hint):
+    path = tmp_path_factory.mktemp("fuzz") / "f.txt"
+    path.write_text("#dim 10\n" + "".join(line + "\n" for line in lines))
+    try:
+        expected = straight_load(path)
+    except DataFormatError as err:
+        expected = str(err)
+    with mock.patch.object(datagen, "READ_HINT", read_hint):
+        try:
+            got = load(path)
+        except DataFormatError as err:
+            got = str(err)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        X, y = expected
+        assert got.X.tobytes() == X.tobytes() and got.y.tobytes() == y.tobytes()

@@ -83,6 +83,15 @@ class TestValidation:
         with pytest.raises(DimensionMismatch):
             Dataset(X=np.array([[1.0, 0.0]]), y=np.array([0.0, 0.0]))
 
+    @pytest.mark.parametrize("X,y", [
+        ([[0.5, 0.0], [0.5, 0.5]], [0.1, np.nan]),
+        ([[np.nan, 0.0], [0.5, 0.5]], [0.1, 0.2]),
+        ([[0.5, 0.0], [0.5, np.inf]], [0.1, 0.2]),
+    ])
+    def test_dataset_rejects_non_finite(self, X, y):
+        with pytest.raises(InvalidParameter, match="finite"):
+            Dataset(X=np.array(X), y=np.array(y))
+
     def test_singular_cutoff(self):
         # All points on one line, no regularization: rank-deficient.
         X = np.tile(np.array([[0.6, 0.8]]), (4, 1))

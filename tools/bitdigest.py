@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 
@@ -204,6 +205,32 @@ def divergence_digest(sg):
     return dig.hexdigest()
 
 
+def datagen_digest(sg):
+    """The bytes save writes and the arrays load reads back, over dense and sparse rows."""
+    dig = Digest()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.txt")
+        # m = 2500 spans more than one write and one read chunk.
+        for m, d, seed in ((1, 1, 60), (40, 3, 61), (300, 12, 62), (2500, 20, 63)):
+            data = sg.generate(sg.GenSpec(m=m, d=d, spectrum="geometric", decay=0.7,
+                                          noise=0.2, seed=seed))
+            X = data.X.copy()
+            X[::3, ::2] = 0.0
+            X[1::4, 1::2] = -0.0
+            X[::7] = 0.0
+            for ds in (data, sg.Dataset(X=X, y=data.y)):
+                sg.save(ds, path)
+                with open(path, "rb") as fh:
+                    dig.add(np.frombuffer(fh.read(), np.uint8))
+                back = sg.load(path)
+                dig.add(back.X, back.y)
+        with open(path, "w") as fh:
+            fh.write("#dim 3\n2.0 1:3.0 3:-4.0\n\n# comment\n-0.5 2:1e-310\n0.25\n")
+        back = sg.load(path, normalize=True)
+        dig.add(back.X, back.y)
+    return dig.hexdigest()
+
+
 DRIVERS = {
     "run_svrg": svrg_digest,
     "run_distributed_svrg": distributed_digest,
@@ -212,6 +239,7 @@ DRIVERS = {
     "suboptimality": suboptimality_digest,
     "reference": reference_digest,
     "DivergenceError": divergence_digest,
+    "datagen": datagen_digest,
 }
 
 
