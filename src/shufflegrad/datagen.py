@@ -3,7 +3,11 @@
 Generation plants a weight vector, draws features with a chosen
 second-moment spectrum, rescales so the largest feature norm is exactly
 1, and labels points with the (optionally noisy) planted prediction
-clipped to [-1, 1].
+clipped to [-1, 1].  The features are drawn straight into the final
+array (Box-Muller in counter-addressed blocks, see :mod:`.rng`), scaled
+in place and scanned for their largest norm ``problem.CHECK_ROWS`` rows
+at a time, so generation holds about the dataset's own bytes; every bit
+is that of the whole-array formulas.
 
 The on-disk format is one point per line with 1-based sparse
 coordinates, preceded by a dimension header::
@@ -33,7 +37,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import DataFormatError, InvalidParameter
-from .problem import Dataset
+from .problem import Dataset, max_row_norm
 from .rng import Rng
 
 SPECTRA = ("uniform", "geometric")
@@ -97,15 +101,16 @@ def generate(spec: GenSpec) -> Dataset:
     rng = Rng(spec.seed, spec.stream)
     w_true = _draw_planted(spec, rng)
 
-    Z = rng.normal(spec.m * spec.d).reshape(spec.m, spec.d)
+    X = np.empty((spec.m, spec.d))
+    rng._normal_into(X.reshape(-1))
     if spec.spectrum == "geometric":
-        Z = Z * np.sqrt(spec.decay ** np.arange(spec.d))
+        X *= np.sqrt(spec.decay ** np.arange(spec.d))
     label_noise = rng.normal(spec.m)
 
-    scale = np.linalg.norm(Z, axis=1).max()
+    scale = max_row_norm(X)
     if scale == 0.0:
         scale = 1.0
-    X = Z / scale
+    X /= scale
     y = np.clip(X @ w_true + spec.noise * label_noise, -1.0, 1.0)
     return Dataset(X=X, y=y)
 
@@ -164,15 +169,14 @@ def load(path, normalize: bool = False) -> Dataset:
     if not sum(map(len, labels)):
         raise DataFormatError(f"{path}: no data lines")
     X, y = np.concatenate(blocks), np.concatenate(labels)
+    nmax = max_row_norm(X)
     if normalize:
-        nmax = np.linalg.norm(X, axis=1).max()
         if nmax > 1.0:
             X = X / nmax
         ymax = np.abs(y).max()
         if ymax > 1.0:
             y = y / ymax
     else:
-        nmax = np.linalg.norm(X, axis=1).max()
         if nmax > 1.0 + 1e-12:
             raise DataFormatError(
                 f"{path}: feature norm {nmax:.6g} exceeds 1; rerun with normalize"
@@ -199,14 +203,22 @@ def _parse_chunk(lines: list[str], d: int, path, lineno: int):
     # With exactly one colon per token the joined fields alternate index, value.
     if set(map(str.count, tokens, repeat(":"))) <= {1}:
         fields = ":".join(tokens).split(":") if tokens else []
+        counts = [len(p) - 1 for p in rows]
+        # Rows written without zeros carry the indices "1".."d" in order;
+        # a chunk of only such rows needs no int() per index.
+        dense = (counts.count(d) == len(rows)
+                 and fields[0::2] == [str(j) for j in range(1, d + 1)] * len(rows))
         try:
             y = np.fromiter(map(float, [p[0] for p in rows]), np.float64, len(rows))
-            idx = np.fromiter(map(int, fields[0::2]), np.intp, len(tokens))
+            if dense:
+                idx = np.tile(np.arange(1, d + 1), len(rows))
+            else:
+                idx = np.fromiter(map(int, fields[0::2]), np.intp, len(tokens))
             vals = np.fromiter(map(float, fields[1::2]), np.float64, len(tokens))
         except (ValueError, OverflowError):
             pass
         else:
-            pos = np.repeat(np.arange(len(rows)) * d, [len(p) - 1 for p in rows]) + (idx - 1)
+            pos = np.repeat(np.arange(len(rows)) * d, counts) + (idx - 1)
             valid = np.isfinite(y).all() and np.isfinite(vals).all()
             if tokens:
                 valid = valid and 1 <= idx.min() and idx.max() <= d

@@ -58,8 +58,8 @@ from .errors import (
 
 NORM_SLACK = 1e-12
 SINGULAR_CUTOFF = 1e-12
-DENSE_EIG_LIMIT = 512
 LOSS_CHUNK = 1 << 15  # point losses held at once by a block evaluation
+CHECK_ROWS = 2048  # rows of X a feature check or norm scan holds at once
 
 LOSS_KINDS = ("squared", "absolute", "hinge")
 
@@ -68,6 +68,17 @@ REFERENCE_MAX_ITER = 200_000
 ADMM_CHECK_EVERY = 10  # iterations between gap and residual checks
 ADMM_BALANCE = 10.0  # residual ratio that rescales rho (Boyd et al. 2011, §3.4.1)
 ADMM_RHO_FREEZE = 2_000  # iterations after which rho stays fixed
+
+
+def max_row_norm(X: np.ndarray) -> np.float64:
+    """The largest Euclidean row norm of a nonempty (m, d) array.
+
+    Scans ``CHECK_ROWS`` rows at a time; each row's norm has the bits
+    ``np.linalg.norm(X, axis=1)`` gives it, so the maximum is that of the
+    whole-array expression.
+    """
+    return max(np.linalg.norm(X[lo : lo + CHECK_ROWS], axis=1).max()
+               for lo in range(0, X.shape[0], CHECK_ROWS))
 
 
 def pairwise_sum(values: np.ndarray) -> np.ndarray:
@@ -105,13 +116,13 @@ class Dataset:
             raise DimensionMismatch(f"y must have shape ({X.shape[0]},), got {y.shape}")
         if X.shape[0] < 1 or X.shape[1] < 1:
             raise InvalidParameter("dataset needs m >= 1 and d >= 1")
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        finite = all(np.isfinite(X[lo : lo + CHECK_ROWS]).all()
+                     for lo in range(0, X.shape[0], CHECK_ROWS))
+        if not (finite and np.isfinite(y).all()):
             raise InvalidParameter("features and labels must be finite")
-        norms = np.linalg.norm(X, axis=1)
-        if norms.max() > 1.0 + NORM_SLACK:
-            raise InvalidParameter(
-                f"feature norms must be <= 1 (max is {norms.max():.6g})"
-            )
+        nmax = max_row_norm(X)
+        if nmax > 1.0 + NORM_SLACK:
+            raise InvalidParameter(f"feature norms must be <= 1 (max is {nmax:.6g})")
         if np.abs(y).max() > 1.0 + NORM_SLACK:
             raise InvalidParameter(f"labels must lie in [-1, 1] (max |y| is {np.abs(y).max():.6g})")
         object.__setattr__(self, "X", X)
@@ -277,7 +288,7 @@ class RidgeProblem(_LinearPredictionProblem):
     @cached_property
     def strong_convexity(self) -> float:
         """Smallest eigenvalue of the Hessian, clamped below at alpha."""
-        lam = _smallest_eigenvalue(self.hessian)
+        lam = float(np.linalg.eigvalsh(self.hessian)[0])
         return max(lam, self.alpha)
 
     @property
@@ -328,19 +339,6 @@ class RidgeProblem(_LinearPredictionProblem):
         D = W - self.wstar
         vals = 0.5 * (D[:, None, :] @ (self.hessian @ D[:, :, None]))[:, 0, 0]
         return float(vals[0]) if single else vals
-
-
-def _smallest_eigenvalue(H: np.ndarray) -> float:
-    d = H.shape[0]
-    if d <= DENSE_EIG_LIMIT:
-        return float(np.linalg.eigvalsh(H)[0])
-    import scipy.sparse.linalg
-
-    # Shift-inverted iteration for large d; tolerance matches the dense path.
-    val = scipy.sparse.linalg.eigsh(
-        H, k=1, sigma=0.0, which="LM", tol=1e-8, return_eigenvectors=False
-    )
-    return float(val[0])
 
 
 class LipschitzLinearProblem(_LinearPredictionProblem):

@@ -26,7 +26,13 @@ which is exactly the SplitMix64 sequence started from state ``key``.
 Floats in [0, 1) take the top 53 bits: ``(word >> 11) * 2.0**-53``.
 Bounded integers use rejection below the largest multiple of the bound,
 so they are exactly uniform.  Normal deviates use the Box-Muller
-transform on consecutive word pairs.
+transform: for ``normal(n)`` starting at counter ``base``, with
+``pairs = ceil(n / 2)``, pair i takes u1 from word ``base + i`` and u2
+from word ``base + pairs + i`` and gives deviates 2i (cosine) and 2i+1
+(sine).  Since every word is addressed by its counter, the pairs are
+evaluated ``NORMAL_PAIRS`` at a time, reading each block's words straight
+from their counters, so memory stays bounded for any n; the blocking
+changes neither a bit of the output nor the counters consumed.
 
 Test vectors (seed=0, stream=0)::
 
@@ -58,6 +64,7 @@ GOLDEN = 0x9E3779B97F4A7C15
 
 _U64_IN_FLOAT = 2.0 ** -53
 _TWO_PI = 2.0 * np.pi
+NORMAL_PAIRS = 1 << 13  # Box-Muller pairs evaluated at once
 
 # Arithmetic on uint64 *arrays* wraps modulo 2**64 without a warning
 # (only numpy scalar arithmetic warns), so no errstate guard is needed.
@@ -79,6 +86,11 @@ def _mix(z: np.ndarray) -> np.ndarray:
     z *= _MUL_2
     z ^= z >> _SHIFT_31
     return z
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from the top 53 bits of each word."""
+    return (words >> _SHIFT_11).astype(np.float64) * _U64_IN_FLOAT
 
 
 def _mix_scalar(z: int) -> int:
@@ -111,33 +123,51 @@ class Rng:
     def counter(self) -> int:
         return self._counter
 
+    def _words(self, start: int, n: int) -> np.ndarray:
+        """Words at counters start .. start+n-1; the counter does not move."""
+        idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+        idx *= _GOLDEN_U64
+        idx += np.uint64(self._key)
+        return _mix(idx)
+
     def u64(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words as a uint64 array; consumes n counters."""
         if n < 0:
             raise ValueError("n must be non-negative")
         start = self._counter
         self._counter += n
-        idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-        idx *= _GOLDEN_U64
-        idx += np.uint64(self._key)
-        return _mix(idx)
+        return self._words(start, n)
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1); consumes n counters."""
-        return (self.u64(n) >> _SHIFT_11).astype(np.float64) * _U64_IN_FLOAT
+        return _unit(self.u64(n))
 
     def normal(self, n: int) -> np.ndarray:
         """n standard normal deviates via Box-Muller; consumes 2*ceil(n/2)."""
+        out = np.empty(n)
+        self._normal_into(out)
+        return out
+
+    def _normal_into(self, out: np.ndarray) -> None:
+        """Fill the flat float64 array ``out`` as ``normal(out.size)`` would.
+
+        Works through ``NORMAL_PAIRS`` pairs at a time, each in contiguous
+        temporaries, with the same per-element operations as one
+        whole-array pass.
+        """
+        n = out.size
         pairs = (n + 1) // 2
-        u = self.uniform(2 * pairs)
-        u1, u2 = u[:pairs], u[pairs:]
-        # 1 - u1 lies in (0, 1], keeping the log argument positive.
-        radius = np.sqrt(-2.0 * np.log1p(-u1))
-        angle = _TWO_PI * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
-        return out[:n]
+        base = self._counter
+        self._counter += 2 * pairs
+        for lo in range(0, pairs, NORMAL_PAIRS):
+            hi = min(lo + NORMAL_PAIRS, pairs)
+            u1 = _unit(self._words(base + lo, hi - lo))
+            # 1 - u1 lies in (0, 1], keeping the log argument positive.
+            radius = np.sqrt(-2.0 * np.log1p(-u1))
+            angle = _TWO_PI * _unit(self._words(base + pairs + lo, hi - lo))
+            np.multiply(radius, np.cos(angle), out=out[2 * lo : 2 * hi : 2])
+            odd = out[2 * lo + 1 : 2 * hi : 2]  # one short when n is odd
+            np.multiply(radius[: odd.size], np.sin(angle[: odd.size]), out=odd)
 
     def below(self, bounds) -> np.ndarray:
         """Uniform integers 0 <= v < bounds[i], exactly unbiased.

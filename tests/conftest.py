@@ -109,3 +109,39 @@ def straight_load(path):
     if not rows:
         raise DataFormatError(f"{path}: no data lines")
     return np.array(rows), np.array(ys)
+
+
+# Straight-line whole-array set-up: the oracles for the block-wise
+# Rng.normal and datagen.generate.
+def straight_normal(rng, n):
+    """n Box-Muller deviates from one whole-array pass over 2*ceil(n/2) words."""
+    pairs = (n + 1) // 2
+    u = rng.uniform(2 * pairs)
+    u1, u2 = u[:pairs], u[pairs:]
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = 2.0 * np.pi * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:n]
+
+
+def straight_generate(spec):
+    """(X, y, final counter) of generate(spec) with whole-array temporaries."""
+    rng = Rng(spec.seed, spec.stream)
+    direction = straight_normal(rng, spec.d)
+    norm = np.linalg.norm(direction)
+    if norm == 0.0:
+        direction[0] = 1.0
+        norm = 1.0
+    w_true = spec.signal_norm * direction / norm
+    Z = straight_normal(rng, spec.m * spec.d).reshape(spec.m, spec.d)
+    if spec.spectrum == "geometric":
+        Z = Z * np.sqrt(spec.decay ** np.arange(spec.d))
+    label_noise = straight_normal(rng, spec.m)
+    scale = np.linalg.norm(Z, axis=1).max()
+    if scale == 0.0:
+        scale = 1.0
+    X = Z / scale
+    y = np.clip(X @ w_true + spec.noise * label_noise, -1.0, 1.0)
+    return X, y, rng.counter

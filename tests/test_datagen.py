@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflegrad import Dataset, GenSpec, RidgeProblem, datagen, generate, load, planted_weights, save
+from shufflegrad import (Dataset, GenSpec, RidgeProblem, Rng, datagen, generate, load,
+                         planted_weights, save)
+from shufflegrad import problem as problem_module
+from shufflegrad import rng as rng_module
 from shufflegrad.errors import DataFormatError, InvalidParameter, ShufflegradError
 
-from conftest import straight_load, straight_save
+from conftest import straight_generate, straight_load, straight_save
 
 
 def test_postconditions():
@@ -207,6 +211,80 @@ LINES = st.one_of(
 def test_load_parses_and_rejects_as_the_straight_loader(tmp_path_factory, lines, read_hint):
     path = tmp_path_factory.mktemp("fuzz") / "f.txt"
     path.write_text("#dim 10\n" + "".join(line + "\n" for line in lines))
+    try:
+        expected = straight_load(path)
+    except DataFormatError as err:
+        expected = str(err)
+    with mock.patch.object(datagen, "READ_HINT", read_hint):
+        try:
+            got = load(path)
+        except DataFormatError as err:
+            got = str(err)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        X, y = expected
+        assert got.X.tobytes() == X.tobytes() and got.y.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("spec", [
+    GenSpec(m=1, d=1),
+    GenSpec(m=10, d=7, spectrum="geometric", decay=0.6, seed=3),
+    GenSpec(m=23, d=5, noise=0.4, seed=4, stream=2),
+    GenSpec(m=8, d=3, spectrum="geometric", decay=0.5, noise=0.2, seed=6),
+    GenSpec(m=15, d=2, seed=7),
+])
+def test_blocked_generate_matches_the_whole_array_oracle(monkeypatch, block, spec):
+    # Odd d makes Box-Muller pairs straddle rows; m is no multiple of the block.
+    monkeypatch.setattr(rng_module, "NORMAL_PAIRS", block)
+    monkeypatch.setattr(problem_module, "CHECK_ROWS", block)
+    made = []
+
+    def recording_rng(*key):
+        made.append(Rng(*key))
+        return made[-1]
+
+    monkeypatch.setattr(datagen, "Rng", recording_rng)
+    data = generate(spec)
+    X, y, counter = straight_generate(spec)
+    assert data.X.tobytes() == X.tobytes()
+    assert data.y.tobytes() == y.tobytes()
+    assert made[0].counter == counter
+
+
+def test_generate_peak_memory_stays_near_the_dataset():
+    tracemalloc.start()
+    try:
+        data = generate(GenSpec(m=50_000, d=20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (data.X.nbytes + data.y.nbytes)
+
+
+# Lines of dimension 3 that are either the dense "1:.. 2:.. 3:.." pattern or
+# one token off it, so whole chunks take the dense index path and its
+# near misses still parse and fail as the straight loader says.
+DENSE_COLUMNS = [["1:0.5", "01:0.5", "+1:0.5", "2:0.5", "1:nan", "1:x", "1:"],
+                 ["2:-0.25", "02:-0.25", "1:-0.25", "2:inf", "3:0.1", "2:1:2"],
+                 ["3:0.125", "3:-0.0", "4:0.1", "3:5e-324", "0:0.1"]]
+NEAR_DENSE_LINES = st.one_of(
+    st.builds(lambda label: f"{label} 1:0.5 2:-0.25 3:0.125", st.sampled_from(["0.5", "-1"])),
+    st.builds(lambda label, toks: " ".join([label, *toks]),
+              st.sampled_from(["0.5", "-1", "nan", "foo"]),
+              st.tuples(*map(st.sampled_from, DENSE_COLUMNS)).map(list)
+              | st.lists(st.sampled_from(DENSE_COLUMNS[0] + DENSE_COLUMNS[2]), max_size=4)),
+    st.sampled_from(["", "# comment"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(NEAR_DENSE_LINES, max_size=8), read_hint=st.integers(1, 80))
+def test_dense_index_path_parses_and_rejects_as_the_straight_loader(tmp_path_factory, lines,
+                                                                   read_hint):
+    path = tmp_path_factory.mktemp("dense") / "f.txt"
+    path.write_text("#dim 3\n" + "".join(line + "\n" for line in lines))
     try:
         expected = straight_load(path)
     except DataFormatError as err:

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from shufflegrad.errors import (
     InvalidParameter,
     SingularCurvature,
 )
+from shufflegrad import problem as problem_module
 from shufflegrad.problem import LOSS_CHUNK, _admm, _certified_minimizer, _dual_objective
 from conftest import random_dataset, random_ridge, straight_objective, straight_suboptimality
 
@@ -115,6 +117,34 @@ class TestValidation:
         p = RidgeProblem(Dataset(X=X, y=np.zeros(40)), alpha=0.2)
         dense = float(np.linalg.eigvalsh(p.hessian)[0])
         assert p.strong_convexity == pytest.approx(dense, rel=1e-7)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_dataset_checks_row_blocks_as_one_array(monkeypatch, block):
+    monkeypatch.setattr(problem_module, "CHECK_ROWS", block)
+    X = Rng(2, 1).normal(10 * 3).reshape(10, 3)
+    X /= 0.9 * np.linalg.norm(X, axis=1).max()
+    whole = np.linalg.norm(X, axis=1).max()
+    assert problem_module.max_row_norm(X) == whole
+    with pytest.raises(InvalidParameter) as err:
+        Dataset(X=X, y=np.zeros(10))
+    assert str(err.value) == f"feature norms must be <= 1 (max is {whole:.6g})"
+    X[8, 1] = np.nan  # past the first block at every block size
+    with pytest.raises(InvalidParameter, match="features and labels must be finite"):
+        Dataset(X=X, y=np.zeros(10))
+
+
+def test_dataset_checks_hold_no_full_size_temporary():
+    X = Rng(4, 0).normal(50_000 * 20).reshape(50_000, 20)
+    X /= np.linalg.norm(X, axis=1).max()
+    y = np.zeros(50_000)
+    tracemalloc.start()
+    try:
+        Dataset(X=X, y=y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * X.nbytes
 
 
 def test_regularization_dominance_shrinks_minimizer():

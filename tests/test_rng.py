@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflegrad import Rng
+from shufflegrad import Rng, rng as rng_module
 from shufflegrad.rng import MASK64, _mix, _mix_scalar
+
+from conftest import straight_normal
 
 # Frozen vectors for the documented algorithm; a change here is a break
 # of the cross-platform reproducibility contract.
@@ -70,6 +72,26 @@ def test_normal_moments_and_consumption():
     assert abs(z.mean()) < 0.02
     assert abs(z.std() - 1.0) < 0.02
     assert abs((z**3).mean()) < 0.05
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_blocked_normal_matches_the_whole_array_pass(monkeypatch, block):
+    monkeypatch.setattr(rng_module, "NORMAL_PAIRS", block)
+    sizes = [0, 1, 2, 9, 2 * block - 1, 2 * block, 2 * block + 1, 6 * block + 1]
+    got, want = Rng(8, 5), Rng(8, 5)
+    got.u64(3), want.u64(3)  # start off counter 0
+    for n in sizes:
+        assert got.normal(n).tobytes() == straight_normal(want, n).tobytes()
+        assert got.counter == want.counter
+    assert got.u64(2).tolist() == want.u64(2).tolist()
+
+
+def test_normal_at_the_default_block_matches_the_whole_array_pass():
+    pairs = rng_module.NORMAL_PAIRS
+    for n in (2 * pairs - 1, 2 * pairs + 1, 5 * pairs):
+        got, want = Rng(1, n), Rng(1, n)
+        assert got.normal(n).tobytes() == straight_normal(want, n).tobytes()
+        assert got.counter == want.counter == 2 * ((n + 1) // 2)
 
 
 def test_below_bounds_and_frequencies():
