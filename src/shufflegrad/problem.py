@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -302,12 +301,12 @@ class RidgeProblem(_LinearPredictionProblem):
                 f"Hessian smallest eigenvalue {self.strong_convexity:.3g} is below "
                 f"{SINGULAR_CUTOFF:g}; no reliable exact minimizer"
             )
-        chol = scipy.linalg.cho_factor(self.hessian, lower=True)
-        w = scipy.linalg.cho_solve(chol, self._rhs)
+        H, b = self.hessian, self._rhs
+        w = np.linalg.solve(H, b)
         # One step of iterative refinement keeps the residual tiny even
         # for poorly conditioned spectra.
-        w = w + scipy.linalg.cho_solve(chol, self._rhs - self.hessian @ w)
-        resid = np.linalg.norm(self.hessian @ w - self._rhs)
+        w = w + np.linalg.solve(H, b - H @ w)
+        resid = np.linalg.norm(H @ w - b)
         if resid > 1e-10 * max(1.0, np.linalg.norm(w)):
             raise SingularCurvature(
                 f"normal-equation residual {resid:.3g} exceeds tolerance"
@@ -323,7 +322,7 @@ class RidgeProblem(_LinearPredictionProblem):
         return self._solution[1]
 
     def minimizer(self):
-        """(w*, F(w*)) from a direct symmetric positive-definite solve."""
+        """(w*, F(w*)) from a direct solve of H w = b with one refinement step."""
         return self._solution
 
     def full_gradient(self, w) -> np.ndarray:
@@ -428,8 +427,8 @@ def reference_minimizer(
     Optimization and Statistical Learning via the Alternating Direction
     Method of Multipliers*, §3.1) on the split  minimize (1/m) sum
     loss(z_i) + (alpha/2)||w||^2  subject to  Xw = z, whose z-update is a
-    closed-form proximal step and whose w-update reuses one Cholesky
-    factor of (alpha/rho) I + X^T X.
+    closed-form proximal step and whose w-update is one product with the
+    inverse of (alpha/rho) I + X^T X, formed once per value of rho.
 
     Penalty schedule.  rho starts at the scale-aware 1/m, where the
     z-step's proximal weight 1/(m rho) is one.  Every ``ADMM_CHECK_EVERY``
@@ -437,9 +436,9 @@ def reference_minimizer(
     when the primal residual ||Xw - z|| exceeds ``ADMM_BALANCE`` times the
     dual residual rho ||X^T (z - z_prev)||, halves it in the mirror case,
     rescales the scaled multiplier u by the inverse factor so that rho u
-    is unchanged, and refactors.  After ``ADMM_RHO_FREEZE`` iterations rho
-    stays fixed, as convergence needs (§3.4.1); adapting for ever makes
-    the hinge loss at alpha = 0 oscillate.
+    is unchanged, and forms the inverse again.  After ``ADMM_RHO_FREEZE``
+    iterations rho stays fixed, as convergence needs (§3.4.1); adapting for
+    ever makes the hinge loss at alpha = 0 oscillate.
 
     Stopping rule.  On the same check iterations the loop evaluates the
     Fenchel duality gap F(w) - D(a) and stops once it is at most
@@ -488,18 +487,21 @@ def _admm(problem, tol, max_iter):
     alpha = problem.alpha
 
     gram = X.T @ X
-    if np.linalg.eigvalsh(alpha * np.eye(d) + gram)[0] < SINGULAR_CUTOFF:
+    eye = np.eye(d)
+    if np.linalg.eigvalsh(alpha * eye + gram)[0] < SINGULAR_CUTOFF:
         raise SingularCurvature(
             "reference solve needs alpha > 0 or full-rank features"
         )
     rho = 1.0 / m
-    chol = scipy.linalg.cho_factor(gram + (alpha / rho) * np.eye(d), lower=True)
+    kinv = None  # inv(X^T X + (alpha/rho) I) for the current rho
 
     z = np.zeros(m)
     u = np.zeros(m)
     gap = np.inf
     for it in range(1, max_iter + 1):
-        w = scipy.linalg.cho_solve(chol, X.T @ (z - u), check_finite=False)
+        if kinv is None:
+            kinv = np.linalg.inv(gram + (alpha / rho) * eye)
+        w = kinv @ (X.T @ (z - u))
         xw = X @ w
         z_old = z
         z = _prox(problem.kind, xw + u, y, 1.0 / (m * rho))
@@ -527,7 +529,7 @@ def _admm(problem, tol, max_iter):
             rho, u = 0.5 * rho, 2.0 * u
         else:
             continue
-        chol = scipy.linalg.cho_factor(gram + (alpha / rho) * np.eye(d), lower=True)
+        kinv = None
     raise InvalidParameter(
         f"reference solve did not reach tol={tol:g} in {max_iter} iterations "
         f"(duality gap {gap:.3g})"

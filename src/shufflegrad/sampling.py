@@ -53,6 +53,17 @@ def is_permutation(order: np.ndarray, m: int) -> bool:
     return bool(seen.all())
 
 
+def explicit_indices(sigma, m: int, need: int) -> np.ndarray:
+    """The first ``need`` indices of an explicit index sequence ``sigma``,
+    as int64.  ``sigma`` must hold at least ``need`` indices, all in [0, m)."""
+    idx = np.asarray(sigma, dtype=np.int64)
+    if idx.size < need:
+        raise InvalidParameter(f"sigma provides {idx.size} indices, need {need}")
+    if idx.size and (idx.min() < 0 or idx.max() >= m):
+        raise InvalidParameter("sigma contains out-of-range indices")
+    return idx[:need]
+
+
 def enumerate_permutations(m: int):
     """All m! permutations of range(m) in lexicographic order.
 

@@ -56,7 +56,13 @@ import numpy as np
 from .errors import DivergenceError, InvalidParameter
 from .problem import pairwise_mean
 from .rng import Rng
-from .sampling import SINGLE_SHUFFLE, SAMPLER_KINDS, enumerate_permutations, make_sampler
+from .sampling import (
+    SINGLE_SHUFFLE,
+    SAMPLER_KINDS,
+    enumerate_permutations,
+    explicit_indices,
+    make_sampler,
+)
 
 
 @dataclass(frozen=True)
@@ -146,12 +152,7 @@ class Trace:
 def _draw_indices(problem, config: SGDConfig, sigma) -> np.ndarray:
     T = config.n_steps
     if sigma is not None:
-        idx = np.asarray(sigma, dtype=np.int64)
-        if idx.size < T:
-            raise InvalidParameter(f"sigma provides {idx.size} indices, need {T}")
-        if idx.size and (idx.min() < 0 or idx.max() >= problem.m):
-            raise InvalidParameter("sigma contains out-of-range indices")
-        return idx[:T]
+        return explicit_indices(sigma, problem.m, T)
     if config.sampler == SINGLE_SHUFFLE and T > problem.m:
         raise InvalidParameter(
             f"single-shuffle SGD needs n_steps <= m ({T} > {problem.m})"

@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidParameter
 from .rng import Rng
-from .sampling import SINGLE_SHUFFLE, SAMPLER_KINDS, make_sampler
+from .sampling import SINGLE_SHUFFLE, SAMPLER_KINDS, explicit_indices, make_sampler
 
 AUX_STREAM_BIT = 1 << 63  # auxiliary draws live on the high-bit stream lane
 RATIO_FLOOR = 1e-14
@@ -226,11 +226,7 @@ def run_svrg(problem, config: SVRGConfig, sigma=None) -> EpochTrace:
     T, S = config.epoch_len, config.n_epochs
     m = problem.m
     if sigma is not None:
-        sigma = np.asarray(sigma, dtype=np.int64)
-        if sigma.size < T * S:
-            raise InvalidParameter(f"sigma provides {sigma.size} indices, need {T * S}")
-        if sigma.size and (sigma.min() < 0 or sigma.max() >= m):
-            raise InvalidParameter("sigma contains out-of-range indices")
+        sigma = explicit_indices(sigma, m, T * S)
 
         def batch(s):
             return sigma[s * T : (s + 1) * T]

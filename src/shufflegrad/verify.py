@@ -31,7 +31,6 @@ from .rng import Rng
 from .sampling import enumerate_permutations, shuffle
 
 MAX_IDENTITY_M = 8
-DENSE_NORM_LIMIT = 64
 EIG_FLOOR = 1e-12
 
 
@@ -358,32 +357,7 @@ def normalized_outer_products(X: np.ndarray, shift: float):
 
 def spectral_norms(mats: np.ndarray) -> np.ndarray:
     """Spectral norms of a stack of symmetric matrices."""
-    d = mats.shape[-1]
-    if d <= DENSE_NORM_LIMIT:
-        return np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
-    return np.array([_power_norm(mat) for mat in mats])
-
-
-def _power_norm(mat: np.ndarray, tol: float = 1e-9, max_iter: int = 1000) -> float:
-    """Spectral norm of a symmetric matrix by power iteration on its square
-    (the square is positive semidefinite, so sign-flipping eigenvalue pairs
-    cannot stall convergence)."""
-    d = mat.shape[0]
-    v = Rng(0x5EC, d).normal(d)
-    v /= np.linalg.norm(v)
-    value = 0.0
-    for _ in range(max_iter):
-        w = mat @ (mat @ v)
-        new_value = float(v @ w)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(new_value - value) <= tol * max(1.0, new_value):
-            value = new_value
-            break
-        value = new_value
-    return math.sqrt(max(value, 0.0))
+    return np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
 
 
 def concentration_thresholds(m: int, gamma: float, alpha: float) -> np.ndarray:

@@ -109,7 +109,8 @@ class TestValidation:
             assert p.strong_convexity <= p.smoothness
 
     def test_large_dimension_eigen_path(self):
-        # d > 512 switches to the shift-inverted iterative solver.
+        # d = 600, far above the lab's sizes, takes the same dense eigvalsh
+        # path as every other dimension.
         d = 600
         rng = Rng(99, 0)
         X = rng.normal(40 * d).reshape(40, d)

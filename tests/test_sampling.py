@@ -8,11 +8,16 @@ from hypothesis import strategies as st
 
 from shufflegrad import (
     Dataset,
+    FixedStep,
     Rng,
+    SGDConfig,
+    SVRGConfig,
     enumerate_permutations,
     is_permutation,
     make_sampler,
     partition,
+    run_sgd,
+    run_svrg,
     shuffle,
 )
 from shufflegrad.errors import DataExhausted, InvalidParameter
@@ -263,3 +268,18 @@ def test_reshuffle_epoch_cost_does_not_grow_with_m():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("sigma, message", [
+    ([0, 1, 0], "sigma provides 3 indices, need 4"),
+    ([0, 1, 2, 0, 1], "sigma contains out-of-range indices"),
+    ([0, 1, 0, 1, -1], "sigma contains out-of-range indices"),
+])
+def test_explicit_sequences_are_checked_alike_by_both_drivers(unit_axes_problem, sigma, message):
+    sgd = SGDConfig(n_steps=4, step_rule=FixedStep(0.1), radius=5.0)
+    svrg = SVRGConfig(step_size=0.1, epoch_len=2, n_epochs=2)
+    for run in (lambda: run_sgd(unit_axes_problem, sgd, sigma=sigma),
+                lambda: run_svrg(unit_axes_problem, svrg, sigma=sigma)):
+        with pytest.raises(InvalidParameter) as err:
+            run()
+        assert str(err.value) == message

@@ -202,12 +202,6 @@ class TestMatrixConcentration:
             peaks[m] = central_band_peak(res.max_deviation_profile)
         assert peaks[400] <= 0.75 * peaks[100]
 
-    def test_spectral_norm_power_iteration_path(self):
-        mats = Rng(30, 0).normal(3 * 80 * 80).reshape(3, 80, 80)
-        mats = (mats + mats.transpose(0, 2, 1)) / 2
-        dense = np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
-        assert np.allclose(spectral_norms(mats), dense, rtol=1e-6)
-
 
 class TestSqrtSumBound:
     def test_worked_small_case(self):
