@@ -27,11 +27,14 @@ inner steps before it raises, with floating-point overflow silenced.
 
 The inner step.  Each epoch gathers its T data rows once and forms the
 anchor-side gradients grad f_i(ws) of all T steps as one (T, d) block:
-the residuals (X @ ws)[i] - y_i, read from one full-matrix product (a
-gathered X[idx] @ ws rounds some rows differently), times the gathered
-rows, plus alpha * ws.  Each step then makes one dot product and seven
-elementwise calls into two preallocated d-vectors and the next iterate's
-row, in the rounding order of the update above:
+the residuals x_i . ws - y_i of the gathered rows, times those rows,
+plus alpha * ws.  No full-matrix product is formed: an epoch costs
+O(T d) besides its O(d^2) anchor.  Gathering is exact because the
+residual dots are ``problem.row_dots``, whose bits for a row depend only
+on that row and ws, not on its position or on the BLAS kernel.  Each
+step then makes one dot product and seven elementwise calls into two
+preallocated d-vectors and the next iterate's row, in the rounding order
+of the update above:
 
     g = x_i * (x_i . w - y_i);  t = alpha * w;  g += t;  g -= G_i;
     g += n;  g *= eta;  w_next = w - g
@@ -55,6 +58,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameter
+from .problem import row_dots
 from .rng import Rng
 from .sampling import SINGLE_SHUFFLE, SAMPLER_KINDS, explicit_indices, make_sampler
 
@@ -138,7 +142,6 @@ def _drive(problem, config: SVRGConfig, batch, anchor, after_epoch=None) -> Epoc
     bound = log_suboptimality_bound(T, S, lam) if lam < 1.0 else None
     guard = math.exp(min(bound, 700.0)) if bound is not None else math.inf
 
-    X, y = problem.data.X, problem.data.y
     alpha = problem.alpha
     snapshot = np.zeros(problem.d)
     subopt = np.empty(S)
@@ -157,11 +160,10 @@ def _drive(problem, config: SVRGConfig, batch, anchor, after_epoch=None) -> Epoc
         anchor_grad = anchor(snapshot)
         indices = batch(s)
         pick = int(picker.below(T)) if picker is not None else None
-        y_batch = y[indices]
-        Xb = X[indices]
+        Xb, y_batch = problem._rows(indices)
         # Row j is grad f_i(snapshot) of step j: the residual times the row,
         # plus alpha * snapshot, the same roundings as one row at a time.
-        G = ((X @ snapshot)[indices] - y_batch)[:, None] * Xb
+        G = (row_dots(Xb, snapshot) - y_batch)[:, None] * Xb
         G += alpha * snapshot
 
         # A diverging epoch runs to its end before the guard below sees it,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from shufflegrad import (
     run_svrg_over_streams,
 )
 from shufflegrad.errors import DivergenceError, InvalidParameter
+from shufflegrad.problem import row_dots
 from shufflegrad.sampling import make_sampler
 from conftest import random_ridge
 
@@ -34,7 +36,7 @@ def reference_svrg(problem, eta, epoch_len, n_epochs, indices):
     pos = 0
     for _ in range(n_epochs):
         anchor = problem.full_gradient(snapshot)
-        zs = X @ snapshot
+        zs = row_dots(X, snapshot)
         w = snapshot.copy()
         acc = np.zeros_like(w)
         worst = 0.0
@@ -342,9 +344,10 @@ def test_snapshots_and_maxima_match_reference(d, eta, epoch_len):
     spare=st.integers(0, 40),
     seed=st.integers(0, 2**32),
 )
-# OpenBLAS rounds a gathered X[idx] @ snapshot differently from the full gemv
-# only on a few rows, from d = 8 up and when m or T is not a multiple of 4.
-# These cases reach such a row inside an epoch, so they pin the full-gemv bits.
+# The driver gathers each epoch's rows before its residual dots; the oracle
+# reads the same dots off all m rows.  In these cases an OpenBLAS gemv rounds
+# some gathered rows differently from the full product (d >= 8, m or T not a
+# multiple of 4), so they check that row_dots does not depend on position.
 @example(sampler="single_shuffle", d=20, T=39, S=5, eta=0.3, alpha=0.05, spare=3, seed=0)
 @example(sampler="single_shuffle", d=20, T=59, S=5, eta=0.3, alpha=0.05, spare=0, seed=1)
 def test_run_matches_reference_bitwise(sampler, d, T, S, eta, alpha, spare, seed):
@@ -363,6 +366,21 @@ def test_run_matches_reference_bitwise(sampler, d, T, S, eta, alpha, spare, seed
     assert trace.final_snapshot.tobytes() == snaps[-1].tobytes()
     assert trace.max_suboptimality.tobytes() == np.array(maxima).tobytes()
     assert trace.suboptimality.tobytes() == np.array([p.suboptimality(w) for w in snaps]).tobytes()
+
+
+def test_epoch_cost_does_not_grow_with_m():
+    # An epoch reads its T gathered rows and the O(d^2) anchor: no (m,) vector.
+    m = 200_000
+    p = random_ridge(m, 4, seed=6, alpha=0.1)
+    p.wstar, p.strong_convexity  # cached set-up, not epoch cost
+    sigma = np.random.default_rng(6).choice(m, 150, replace=False)
+    tracemalloc.start()
+    try:
+        run_svrg(p, SVRGConfig(0.1, 50, 3), sigma=sigma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m
 
 
 class TestEpochRatios:
