@@ -39,10 +39,6 @@ it row by row against the one-point formulas.  The point losses of a block are
 evaluated in chunks of rows holding at most ``LOSS_CHUNK`` losses, so
 memory does not grow with n·m, and each row's losses pass through the
 same pairwise tree as a single point's.
-
-:func:`row_dots` is the one product that calls no BLAS; its rows' bits
-do not depend on their positions or on the BLAS kernel.  The SVRG driver
-reads its anchor residuals through it.
 """
 
 from __future__ import annotations
@@ -82,14 +78,6 @@ def max_row_norm(X: np.ndarray) -> np.float64:
     """
     return max(np.linalg.norm(X[lo : lo + CHECK_ROWS], axis=1).max()
                for lo in range(0, X.shape[0], CHECK_ROWS))
-
-
-def row_dots(A: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row dots A_j . w: an elementwise multiply, then numpy's reduction
-    along each row, in an order set by the row length alone.  A row's bits
-    depend only on that row and w, not on its position or on BLAS, so a
-    gathered ``A[idx]`` (or a 1-D row) gives ``row_dots(A, w)[idx]``."""
-    return np.add.reduce(A * w, axis=-1)
 
 
 def pairwise_sum(values: np.ndarray) -> np.ndarray:

@@ -25,24 +25,25 @@ reports the first crossing, its epoch, step, value and bound, exactly as
 a check after every step would.  A diverging epoch therefore finishes its
 inner steps before it raises, with floating-point overflow silenced.
 
-The inner step.  Each epoch gathers its T data rows once and forms the
-anchor-side gradients grad f_i(ws) of all T steps as one (T, d) block:
-the residuals x_i . ws - y_i of the gathered rows, times those rows,
-plus alpha * ws.  No full-matrix product is formed: an epoch costs
-O(T d) besides its O(d^2) anchor.  Gathering is exact because the
-residual dots are ``problem.row_dots``, whose bits for a row depend only
-on that row and ws, not on its position or on the BLAS kernel.  Each
-step then makes one dot product and seven elementwise calls into two
-preallocated d-vectors and the next iterate's row, in the rounding order
-of the update above:
+The inner step.  For the squared loss the correction
+grad f_i(w) - grad f_i(ws) is exactly x_i x_i^T (w - ws) + alpha (w - ws),
+so an epoch iterates on the offset v = w - ws from v_1 = 0, and the
+labels enter only through the anchor:
 
-    g = x_i * (x_i . w - y_i);  t = alpha * w;  g += t;  g -= G_i;
-    g += n;  g *= eta;  w_next = w - g
+    v <- c v + q - x_i (eta (x_i . v)),   c = 1 - eta alpha,  q = -eta n
 
-Every call is one IEEE operation per element, in the same order and on
-the same operands as the textbook expression evaluated one step at a
-time, so the iterates keep their bits; in particular (g - G_i) + n and
-alpha * w stay separate roundings.
+Each epoch gathers its T feature rows once; an epoch costs O(T d)
+besides its O(d^2) anchor.  Each step makes one dot product and four
+elementwise calls into preallocated buffers, each call one IEEE
+operation per element, in the rounding order
+
+    v' = ((c * v) + q) - (x_i * (eta * (x_i . v)))
+
+The epoch's iterates are then
+w_j = v_j + ws, one block add.  At v = 0 every stochastic term is
+exactly zero, so the first step of every epoch is exactly
+ws - eta * grad F(ws), whichever index was drawn; and no step subtracts
+two nearly equal gradients.
 
 Auxiliary draws of a run with stream s live on the high-bit lane
 ``s ^ AUX_STREAM_BIT``, which the distributed driver's default partition
@@ -58,7 +59,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameter
-from .problem import row_dots
 from .rng import Rng
 from .sampling import SINGLE_SHUFFLE, SAMPLER_KINDS, explicit_indices, make_sampler
 
@@ -142,45 +142,38 @@ def _drive(problem, config: SVRGConfig, batch, anchor, after_epoch=None) -> Epoc
     bound = log_suboptimality_bound(T, S, lam) if lam < 1.0 else None
     guard = math.exp(min(bound, 700.0)) if bound is not None else math.inf
 
-    alpha = problem.alpha
+    X = problem.data.X
     snapshot = np.zeros(problem.d)
     subopt = np.empty(S)
     max_sub = np.empty(S)
     initial = problem.suboptimality(snapshot)
-    # Row j holds the epoch's iterate w_{j+1}; row T the post-step iterate.
+    # Row j holds the offset v_{j+1} during the steps, then the iterate
+    # w_{j+1}; row T the post-step one.
     W = np.empty((T + 1, problem.d))
     w_rows = list(W)
-    g, t = np.empty(problem.d), np.empty(problem.d)
+    g = np.empty(problem.d)
     add, subtract, multiply = np.add, np.subtract, np.multiply
-    # 0-d operands: the same float64 products, without a scalar conversion
-    # in every call.  ``resid`` holds the step's x_i . w - y_i.
-    alpha_0d, eta_0d = np.array(alpha, dtype=np.float64), np.array(eta, dtype=np.float64)
-    resid = np.empty(())
+    # A 0-d operand: the same float64 products, without a scalar conversion
+    # in every call.  ``step`` holds the step's eta * (x_i . v).
+    c = np.array(1.0 - eta * problem.alpha, dtype=np.float64)
+    step = np.empty(())
     for s in range(S):
-        anchor_grad = anchor(snapshot)
+        q = -eta * anchor(snapshot)
         indices = batch(s)
         pick = int(picker.below(T)) if picker is not None else None
-        Xb, y_batch = problem._rows(indices)
-        # Row j is grad f_i(snapshot) of step j: the residual times the row,
-        # plus alpha * snapshot, the same roundings as one row at a time.
-        G = (row_dots(Xb, snapshot) - y_batch)[:, None] * Xb
-        G += alpha * snapshot
+        Xb = np.take(X, indices, axis=0)
 
         # A diverging epoch runs to its end before the guard below sees it,
         # so overflow on the way is expected, not an error.
         with np.errstate(over="ignore", invalid="ignore"):
-            W[0] = snapshot
-            for w, xi, label, g_ref, w_next in zip(
-                w_rows, list(Xb), y_batch.tolist(), list(G), w_rows[1:]
-            ):
-                resid[()] = xi.dot(w) - label
-                multiply(xi, resid, g)
-                multiply(w, alpha_0d, t)
-                add(g, t, g)
-                subtract(g, g_ref, g)
-                add(g, anchor_grad, g)
-                multiply(g, eta_0d, g)
-                subtract(w, g, w_next)
+            W[0] = 0.0
+            for v, xi, v_next in zip(w_rows, list(Xb), w_rows[1:]):
+                step[()] = eta * xi.dot(v)
+                multiply(v, c, v_next)
+                add(v_next, q, v_next)
+                multiply(xi, step, g)
+                subtract(v_next, g, v_next)
+            add(W, snapshot, W)
             subs = problem.suboptimality(W)
 
         crossed = ~np.isfinite(subs) | (subs > guard)

@@ -148,26 +148,6 @@ def test_dataset_checks_hold_no_full_size_temporary():
     assert peak < 0.25 * X.nbytes
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    m=st.integers(1, 300),
-    d=st.integers(1, 300),
-    T=st.integers(1, 300).filter(lambda t: t % 4),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_row_dots_do_not_depend_on_position(m, d, T, seed):
-    # d up to 300 crosses numpy's 8-wide unrolled sum and its 128-element
-    # pairwise block; T off multiples of 4 and 8 leaves ragged row counts.
-    gen = np.random.default_rng(seed)
-    X, w = gen.standard_normal((m, d)), gen.standard_normal(d)
-    idx = gen.integers(0, m, T)
-    idx[-1] = idx[0]  # a repeated row
-    gathered = problem_module.row_dots(X[idx], w)
-    assert gathered.tobytes() == problem_module.row_dots(X, w)[idx].tobytes()
-    one_row = np.array([problem_module.row_dots(X[i], w) for i in idx])
-    assert gathered.tobytes() == one_row.tobytes()
-
-
 def test_regularization_dominance_shrinks_minimizer():
     data = random_dataset(20, 4, seed=1)
     norms = [

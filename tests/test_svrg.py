@@ -19,7 +19,6 @@ from shufflegrad import (
     run_svrg_over_streams,
 )
 from shufflegrad.errors import DivergenceError, InvalidParameter
-from shufflegrad.problem import row_dots
 from shufflegrad.sampling import make_sampler
 from conftest import random_ridge
 
@@ -27,29 +26,27 @@ from conftest import random_ridge
 def reference_svrg(problem, eta, epoch_len, n_epochs, indices):
     """Straight-line reimplementation of the epoch recursion (test oracle).
 
-    Mirrors the documented arithmetic exactly: two gradient evaluations
-    per inner step, running iterate sum for the epoch average.
+    Mirrors the documented arithmetic exactly: the offset v = w - snapshot
+    steps as v <- c v + q - x_i (eta (x_i . v)), the iterate is
+    v + snapshot, and a running iterate sum gives the epoch average.
     """
-    X, y, a = problem.data.X, problem.data.y, problem.alpha
+    X, a = problem.data.X, problem.alpha
     snapshot = np.zeros(problem.d)
     snapshots, maxima = [], []
     pos = 0
     for _ in range(n_epochs):
         anchor = problem.full_gradient(snapshot)
-        zs = row_dots(X, snapshot)
-        w = snapshot.copy()
-        acc = np.zeros_like(w)
+        v = np.zeros(problem.d)
+        acc = np.zeros_like(v)
         worst = 0.0
         for _ in range(epoch_len):
+            w = v + snapshot
             worst = max(worst, problem.suboptimality(w))
             acc += w
-            i = indices[pos]
+            xi = X[indices[pos]]
             pos += 1
-            xi = X[i]
-            g_now = (xi @ w - y[i]) * xi + a * w
-            g_ref = (zs[i] - y[i]) * xi + a * snapshot
-            w = w - eta * (g_now - g_ref + anchor)
-        worst = max(worst, problem.suboptimality(w))
+            v = (1.0 - eta * a) * v + (-eta * anchor) - xi * (eta * (xi @ v))
+        worst = max(worst, problem.suboptimality(v + snapshot))
         snapshot = acc / epoch_len
         snapshots.append(snapshot.copy())
         maxima.append(worst)
@@ -82,17 +79,17 @@ class Guarded:
 
 class TestUpdateStructure:
     def test_first_step_from_snapshot_is_full_gradient_step(self):
-        # At w = snapshot the stochastic terms cancel, leaving the anchor:
-        # the first inner step is an exact full-gradient step whichever
-        # index was drawn.
-        p = random_ridge(20, 3, seed=0, alpha=0.2)
-        anchor = p.full_gradient(np.zeros(3))
-        X, y, a = p.data.X, p.data.y, p.alpha
-        w = np.zeros(3)
-        for i in range(p.m):
-            xi = X[i]
-            step = ((xi @ w - y[i]) * xi + a * w) - ((xi @ w - y[i]) * xi + a * w) + anchor
-            assert np.array_equal(step, anchor)
+        # At w = snapshot the offset is zero and every stochastic term is
+        # exactly zero: the first inner step of an epoch is the full-gradient
+        # step from the snapshot, bit for bit, whichever index was drawn.
+        # This draw breaks when the step's dot and the anchor-side residual
+        # are rounded by different kernels.
+        p = random_ridge(300, 20, seed=15, alpha=0.05)
+        eta, sigma = 0.3, [132, 171, 290, 43]
+        w1 = run_svrg(p, SVRGConfig(eta, 2, 1), sigma=sigma[:2]).final_snapshot
+        trace = run_svrg(p, SVRGConfig(eta, 2, 2), sigma=sigma)
+        expected = np.cumsum([w1, w1 - eta * p.full_gradient(w1)], axis=0)[-1] / 2
+        assert trace.final_snapshot.tobytes() == expected.tobytes()
 
     def test_minimizer_is_fixed_point(self):
         p = random_ridge(30, 3, seed=1, alpha=0.3)
@@ -148,16 +145,15 @@ class TestUpdateStructure:
 
         sampler = make_sampler("single_shuffle", p.m, Rng(9, 0))
         indices = sampler.take(8)
-        X, y, a = p.data.X, p.data.y, p.alpha
-        anchor = p.full_gradient(np.zeros(p.d))
-        w = np.zeros(p.d)
+        X, a = p.data.X, p.alpha
+        snapshot = np.zeros(p.d)
+        anchor = p.full_gradient(snapshot)
+        v = np.zeros(p.d)
         iterates = []
         for i in indices:
-            iterates.append(w.copy())
+            iterates.append(v + snapshot)
             xi = X[i]
-            g_now = (xi @ w - y[i]) * xi + a * w
-            g_ref = (0.0 - y[i]) * xi
-            w = w - 0.1 * (g_now - g_ref + anchor)
+            v = (1.0 - 0.1 * a) * v + (-0.1 * anchor) - xi * (0.1 * (xi @ v))
         assert any(np.array_equal(trace.final_snapshot, it) for it in iterates)
 
 
@@ -344,12 +340,14 @@ def test_snapshots_and_maxima_match_reference(d, eta, epoch_len):
     spare=st.integers(0, 40),
     seed=st.integers(0, 2**32),
 )
-# The driver gathers each epoch's rows before its residual dots; the oracle
-# reads the same dots off all m rows.  In these cases an OpenBLAS gemv rounds
-# some gathered rows differently from the full product (d >= 8, m or T not a
-# multiple of 4), so they check that row_dots does not depend on position.
+# The driver steps on the epoch's gathered rows; the oracle reads its rows
+# off the full array.  The first two cases run at d = 20, the benchmark's
+# width, wider than the drawn d, with T and m not multiples of 4.  The
+# third has alpha = 0, so c = 1 exactly and the offset's scaling is the
+# identity.
 @example(sampler="single_shuffle", d=20, T=39, S=5, eta=0.3, alpha=0.05, spare=3, seed=0)
 @example(sampler="single_shuffle", d=20, T=59, S=5, eta=0.3, alpha=0.05, spare=0, seed=1)
+@example(sampler="single_shuffle", d=6, T=40, S=3, eta=0.3, alpha=0.0, spare=10, seed=3)
 def test_run_matches_reference_bitwise(sampler, d, T, S, eta, alpha, spare, seed):
     """run_svrg has the oracle's bits for each sampler and for an explicit sigma."""
     p = random_ridge(T * S + spare, d, seed=seed % 997, alpha=alpha)
