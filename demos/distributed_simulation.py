@@ -14,7 +14,6 @@ from shufflegrad import (
     RidgeProblem,
     Rng,
     SVRGConfig,
-    comm_cost_report,
     generate,
     matched_permutation,
     partition,
@@ -41,12 +40,10 @@ for s in range(S):
     print(f"{s + 1:>5}   {a:12.4e}    {b:12.4e}    {abs(a - b):.1e}")
 
 traj = np.concatenate([[dist_trace.initial_suboptimality], dist_trace.suboptimality])
-report = comm_cost_report(log, problem.d, suboptimality=traj)
-print(f"\ncommunication rounds: {report.rounds} (2 per epoch)")
-print(f"floats moved: {report.floats_moved} = 2 * k * d * S = {2 * K * problem.d * S}")
-print(f"rounds per decade of accuracy: {report.rounds_per_decade:.2f}")
-print(f"message kinds: {sorted(set(m.kind for m in log.messages))}; "
-      f"every payload has {problem.d} floats")
+print(f"\ncommunication rounds: {log.rounds} (2 per epoch)")
+print(f"floats moved: {log.payload_floats} = 2 * k * d * S = {2 * K * problem.d * S}")
+print(f"rounds per decade of accuracy: {log.rounds_per_decade(traj):.2f}")
+print(f"messages per kind: {log.messages_by_kind} (k * S = {K * S} each)")
 
 # the degenerate one-machine cluster reproduces the solo driver bit for bit
 shard1 = partition(problem.data, 1, Rng(42, 0))

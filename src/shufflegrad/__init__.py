@@ -18,11 +18,8 @@ __version__ = "0.6.0"
 from .datagen import GenSpec, generate, load, planted_weights, save
 from .distributed import (
     CommLog,
-    CommReport,
-    Message,
     Shard,
     batch_schedule,
-    comm_cost_report,
     matched_permutation,
     partition,
     run_distributed_svrg,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .datagen import GenSpec, generate, load, save
-from .distributed import comm_cost_report, run_distributed_svrg
+from .distributed import run_distributed_svrg
 from .errors import ShufflegradError
 from .problem import Dataset, RidgeProblem
 from .rng import Rng
@@ -122,6 +122,9 @@ def _load_problem(args) -> RidgeProblem:
 
 
 def _cmd_gen(args) -> int:
+    if not args.out:
+        print("gen requires --out <path>", file=sys.stderr)
+        return 2
     spec = GenSpec(
         m=args.m,
         d=args.d,
@@ -133,9 +136,6 @@ def _cmd_gen(args) -> int:
     )
     dataset = generate(spec)
     print(f"resolved config: {json.dumps(_config_line(args, 'gen'), sort_keys=True)}")
-    if not args.out:
-        print("gen requires --out <path>", file=sys.stderr)
-        return 1
     save(dataset, args.out)
     print(f"wrote {args.out} ({dataset.m} points, dimension {dataset.d})")
     return 0
@@ -234,18 +234,16 @@ def _cmd_dist(args) -> int:
     eta, T, S = _epoch_params(args, problem)
     config = SVRGConfig(step_size=eta, epoch_len=T, n_epochs=S, seed=args.seed)
     trace, log = run_distributed_svrg(problem, args.k, config)
-    report = comm_cost_report(
-        log, problem.d,
-        suboptimality=np.concatenate([[trace.initial_suboptimality], trace.suboptimality]),
-    )
     rows = [
         (s + 1, float(trace.suboptimality[s]), float(trace.max_suboptimality[s]))
         for s in range(S)
     ]
     extra = {
-        "rounds": report.rounds,
-        "floats_moved": report.floats_moved,
-        "rounds_per_decade": report.rounds_per_decade,
+        "rounds": log.rounds,
+        "floats_moved": log.payload_floats,
+        "rounds_per_decade": log.rounds_per_decade(
+            np.concatenate([[trace.initial_suboptimality], trace.suboptimality])
+        ),
     }
     _emit(args, "dist", ["epoch", "subopt", "max_subopt"], rows, extra)
     return 0
@@ -373,6 +371,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_rademacher(args) -> int:
+    if args.cls == "finite" and not args.vectors:
+        print("--class finite requires --vectors <path>", file=sys.stderr)
+        return 2
     if args.cls == "linear-ball":
         if args.data:
             X = load(args.data, normalize=args.normalize).X

@@ -4,13 +4,11 @@ The cluster is simulated in one process: machines hold disjoint shards of
 a randomly permuted dataset, each epoch one machine advances through its
 current batch of inner steps, and the two per-epoch communication rounds
 (a reduce that assembles the anchor gradient, a broadcast that
-distributes the new snapshot) are recorded as explicit messages.  Only
-d-float vectors ever travel; data points stay put.
-
-Message schema (version 1): ``round_id`` (1-based), ``sender`` (machine
-id), ``kind`` ("reduce" or "broadcast"), ``payload`` (d 64-bit floats).
-A broadcast round is modeled as one delivery per machine in the cluster,
-so every round moves exactly n_machines * d floats.
+distributes the new snapshot) are counted in a :class:`CommLog`: rounds,
+floats moved and messages per kind.  Only d-float vectors ever travel;
+data points stay put.  A broadcast round is modeled as one delivery per
+machine in the cluster, so every round moves exactly n_machines * d
+floats.
 
 Equivalence contract: the simulation runs the single-machine driver's
 epoch loop (``svrg._drive``) and supplies only the batches, the anchor
@@ -35,10 +33,8 @@ import numpy as np
 from .errors import BatchesExhausted, InvalidParameter
 from .problem import Dataset, pairwise_sum
 from .rng import Rng
-from .sampling import SINGLE_SHUFFLE, shuffle
+from .sampling import SINGLE_SHUFFLE, is_permutation, shuffle
 from .svrg import AUX_STREAM_BIT, SVRGConfig, _drive
-
-SCHEMA_VERSION = 1
 
 REDUCE = "reduce"
 BROADCAST = "broadcast"
@@ -64,33 +60,30 @@ class Shard:
         ]
 
 
-@dataclass(frozen=True)
-class Message:
-    round_id: int
-    sender: int
-    kind: str
-    payload: np.ndarray
-
-
 @dataclass
 class CommLog:
+    """Communication counts of one run: rounds, floats moved, and
+    messages per kind ("reduce", "broadcast")."""
+
     rounds: int = 0
-    messages: list[Message] = field(default_factory=list)
-    epoch_rounds: list[tuple[int, int]] = field(default_factory=list)
-    schema_version: int = SCHEMA_VERSION
+    payload_floats: int = 0
+    messages_by_kind: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def payload_floats(self) -> int:
-        return int(sum(msg.payload.size for msg in self.messages))
-
-    def _record_round(self, kind: str, senders_and_payloads) -> int:
+    def _record_round(self, kind: str, payloads) -> None:
         self.rounds += 1
-        rid = self.rounds
-        for sender, payload in senders_and_payloads:
-            self.messages.append(
-                Message(round_id=rid, sender=sender, kind=kind, payload=np.array(payload))
-            )
-        return rid
+        self.messages_by_kind[kind] = self.messages_by_kind.get(kind, 0) + len(payloads)
+        self.payload_floats += sum(p.size for p in payloads)
+
+    def rounds_per_decade(self, suboptimality) -> float | None:
+        """Rounds per decade of accuracy gained along the suboptimality
+        trajectory; None when no decade was gained or the trajectory is
+        too short."""
+        traj = np.asarray(suboptimality, dtype=np.float64)
+        if traj.size >= 2 and traj[0] > 0 and traj[-1] > 0:
+            decades = np.log10(traj[0] / traj[-1])
+            if decades > 0:
+                return float(self.rounds / decades)
+        return None
 
 
 def partition(dataset: Dataset, n_machines: int, rng: Rng) -> list[Shard]:
@@ -166,10 +159,11 @@ def run_distributed_svrg(
     """Simulate the distributed driver; returns (EpochTrace, CommLog).
 
     ``shards`` defaults to a fresh random partition drawn on the config's
-    auxiliary stream lane.  The epochs run in the single-machine driver's
-    loop, fed the batch schedule, an anchor reduced from the machines'
-    local mean gradients (each from its :func:`local_operator`, combined
-    in machine-id order) and a snapshot broadcast after each epoch.
+    auxiliary stream lane; explicit shards must hold each point exactly
+    once.  The epochs run in the single-machine driver's loop, fed the
+    batch schedule, an anchor reduced from the machines' local mean
+    gradients (each from its :func:`local_operator`, combined in
+    machine-id order) and a snapshot broadcast after each epoch.
     """
     if config.sampler != SINGLE_SHUFFLE:
         raise InvalidParameter(
@@ -180,56 +174,27 @@ def run_distributed_svrg(
         shards = partition(
             problem.data, n_machines, Rng(config.seed, config.stream ^ AUX_STREAM_BIT)
         )
+    else:
+        merged = np.concatenate([s.indices for s in shards]) if shards else np.empty(0)
+        if not is_permutation(merged, problem.m):
+            raise InvalidParameter(
+                f"shards must hold each of the {problem.m} points exactly once"
+            )
     if len(shards) != n_machines:
         raise InvalidParameter(f"expected {n_machines} shards, got {len(shards)}")
 
-    m, T = problem.m, config.epoch_len
-    schedule = batch_schedule(shards, T, config.n_epochs)
-    owners = [shard.machine for shard in shards for _ in range(len(shard.indices) // T)]
+    schedule = batch_schedule(shards, config.epoch_len, config.n_epochs)
     operators = [local_operator(problem, np.sort(shard.indices)) for shard in shards]
-    weights = np.array([len(shard.indices) / m for shard in shards])
+    weights = np.array([len(shard.indices) / problem.m for shard in shards])
     log = CommLog()
 
     def reduce_anchor(snapshot):
         means = [H @ snapshot - b for H, b in operators]
-        log._record_round(REDUCE, enumerate(means))
+        log._record_round(REDUCE, means)
         return pairwise_sum(np.stack([weights[j] * means[j] for j in range(n_machines)]))
 
     def broadcast(s, snapshot):
-        rid = log._record_round(BROADCAST, [(owners[s], snapshot)] * n_machines)
-        log.epoch_rounds.append((rid - 1, rid))
+        log._record_round(BROADCAST, [snapshot] * n_machines)
 
     trace = _drive(problem, config, lambda s: schedule[s], reduce_anchor, broadcast)
     return trace, log
-
-
-@dataclass
-class CommReport:
-    rounds: int
-    floats_moved: int
-    rounds_per_decade: float | None
-
-
-def comm_cost_report(comm_log: CommLog, dim: int, suboptimality=None) -> CommReport:
-    """Totals for a finished run.
-
-    Every message must carry exactly ``dim`` floats.  When the per-epoch
-    suboptimality trajectory is supplied, the report includes rounds per
-    decade of accuracy gained (None when no decade was gained or the
-    trajectory is too short).
-    """
-    for msg in comm_log.messages:
-        if msg.payload.size != dim:
-            raise InvalidParameter(
-                f"message in round {msg.round_id} carries {msg.payload.size} floats, "
-                f"expected {dim}"
-            )
-    floats = comm_log.payload_floats
-    rpd = None
-    if suboptimality is not None:
-        traj = np.asarray(suboptimality, dtype=np.float64)
-        if traj.size >= 2 and traj[0] > 0 and traj[-1] > 0:
-            decades = np.log10(traj[0] / traj[-1])
-            if decades > 0:
-                rpd = float(comm_log.rounds / decades)
-    return CommReport(rounds=comm_log.rounds, floats_moved=floats, rounds_per_decade=rpd)

@@ -36,6 +36,7 @@ from shufflegrad import (
     sqrt_sum_bound_scan,
     suboptimality_decomposition_check,
 )
+from shufflegrad.distributed import BROADCAST, REDUCE
 from conftest import random_dataset, random_ridge
 
 
@@ -239,8 +240,8 @@ def test_criterion_07_distributed_equivalence_and_comm():
     gap = float(np.abs(dist_trace.suboptimality - solo_trace.suboptimality).max())
     assert gap <= 1e-12
     assert log.rounds == 2 * config.n_epochs
-    assert log.payload_floats == 2 * 4 * problem.d * config.n_epochs
-    assert all(msg.payload.shape == (problem.d,) for msg in log.messages)
+    assert log.messages_by_kind == {REDUCE: 4 * config.n_epochs, BROADCAST: 4 * config.n_epochs}
+    assert log.payload_floats == problem.d * sum(log.messages_by_kind.values())
     assert elapsed < 60.0
     report(7, f"per-epoch gap {gap:.1e} <= 1e-12; rounds = {log.rounds} = 2S; "
                f"payload = {log.payload_floats} = 2kdS floats ({elapsed:.1f}s)")

@@ -196,6 +196,18 @@ def test_usage_error_exit_code_2():
     assert proc.returncode == 2
 
 
+def test_gen_without_out_is_usage_error(capsys):
+    assert run_cli(["gen", "--m", "5", "--d", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "gen requires --out <path>"
+
+
+def test_rademacher_finite_without_vectors_is_usage_error(capsys):
+    assert run_cli(["rademacher", "--class", "finite"]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "--class finite requires --vectors <path>"
+
+
 def test_runtime_error_exit_code_1(tmp_path):
     missing = tmp_path / "nope.txt"
     assert run_cli(["sgd", "--data", str(missing), "--T", "5"]) == 1

@@ -8,13 +8,12 @@ from shufflegrad import (
     Rng,
     SVRGConfig,
     batch_schedule,
-    comm_cost_report,
     matched_permutation,
     partition,
     run_distributed_svrg,
     run_svrg,
 )
-from shufflegrad.distributed import BROADCAST, REDUCE, Message, local_operator
+from shufflegrad.distributed import BROADCAST, REDUCE, Shard, local_operator
 from shufflegrad.problem import pairwise_mean, pairwise_sum
 from shufflegrad.errors import BatchesExhausted, InvalidParameter
 from conftest import random_dataset, random_ridge
@@ -159,37 +158,19 @@ class TestCommunication:
     def test_round_and_float_counts(self):
         p, (trace, log) = self.run_small(k=4, S=5, T=10, d=4)
         assert log.rounds == 10  # two per epoch
-        assert log.payload_floats == 2 * 4 * 4 * 5
-        kinds = [m.kind for m in log.messages]
-        assert kinds.count(REDUCE) == 4 * 5 and kinds.count(BROADCAST) == 4 * 5
-
-    def test_messages_carry_only_vectors(self):
-        p, (trace, log) = self.run_small(k=3, S=2, T=10, d=4)
-        for msg in log.messages:
-            assert isinstance(msg, Message)
-            assert msg.payload.shape == (4,)
-            assert msg.payload.dtype == np.float64
-
-    def test_epoch_round_structure(self):
-        p, (trace, log) = self.run_small(k=2, S=3, T=10)
-        assert log.epoch_rounds == [(1, 2), (3, 4), (5, 6)]
-        by_round = {}
-        for msg in log.messages:
-            by_round.setdefault(msg.round_id, set()).add(msg.kind)
-        for reduce_rid, bcast_rid in log.epoch_rounds:
-            assert by_round[reduce_rid] == {REDUCE}
-            assert by_round[bcast_rid] == {BROADCAST}
+        assert log.messages_by_kind == {REDUCE: 4 * 5, BROADCAST: 4 * 5}
+        assert log.payload_floats == p.d * sum(log.messages_by_kind.values())
 
     def test_report_worked_example(self):
         p, (trace, log) = self.run_small(k=4, S=5, T=10, d=10)
-        report = comm_cost_report(log, 10)
-        assert report.rounds == 10
-        assert report.floats_moved == 400
+        assert log.rounds == 10
+        assert log.payload_floats == 400
 
     def test_report_empty_log(self):
-        report = comm_cost_report(CommLog(), 7)
-        assert report.rounds == 0 and report.floats_moved == 0
-        assert report.rounds_per_decade is None
+        log = CommLog()
+        assert log.rounds == 0 and log.payload_floats == 0
+        assert log.messages_by_kind == {}
+        assert log.rounds_per_decade([]) is None
 
     def test_doubling_dimension_doubles_floats(self):
         _, (t1, l1) = self.run_small(k=2, S=3, T=10, d=4)
@@ -200,15 +181,38 @@ class TestCommunication:
     def test_rounds_per_decade(self):
         p, (trace, log) = self.run_small(k=2, S=4, T=40, m=400)
         traj = np.concatenate([[trace.initial_suboptimality], trace.suboptimality])
-        report = comm_cost_report(log, 4, suboptimality=traj)
-        assert report.rounds_per_decade is not None
+        rpd = log.rounds_per_decade(traj)
+        assert rpd is not None
         decades = np.log10(traj[0] / traj[-1])
-        assert report.rounds_per_decade == pytest.approx(8 / decades)
+        assert rpd == pytest.approx(8 / decades)
 
-    def test_dimension_mismatch_rejected(self):
-        p, (trace, log) = self.run_small(k=2, S=2, T=10, d=4)
+    @pytest.mark.parametrize("traj", [[1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 1.0], [1.0, 0.0]])
+    def test_rounds_per_decade_none(self, traj):
+        assert CommLog(rounds=6).rounds_per_decade(traj) is None
+
+
+class TestExplicitShards:
+    """Explicit shards must hold each point exactly once."""
+
+    def run(self, shards):
+        p = random_ridge(400, 3, seed=15, alpha=0.2)
+        cfg = SVRGConfig(step_size=0.1, epoch_len=50, n_epochs=2, seed=16)
+        return run_distributed_svrg(p, len(shards), cfg, shards=shards)
+
+    def test_disjoint_cover_runs(self):
+        trace, log = self.run([Shard(0, np.arange(0, 150)), Shard(1, np.arange(150, 400))])
+        assert log.rounds == 4
+
+    @pytest.mark.parametrize("parts", [
+        [np.arange(0, 300), np.arange(100, 400)],  # overlap
+        [np.arange(0, 150), np.arange(200, 400)],  # gap
+        [np.r_[0:199, 200], np.arange(200, 400)],  # point 200 twice, point 199 never
+        [np.arange(0, 200), np.arange(200, 401)],  # index out of range
+        [np.arange(0, 200)],  # one shard short of the data
+    ])
+    def test_invalid_cover_rejected(self, parts):
         with pytest.raises(InvalidParameter):
-            comm_cost_report(log, 5)
+            self.run([Shard(j, idx) for j, idx in enumerate(parts)])
 
 
 class TestScheduling:
