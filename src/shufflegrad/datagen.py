@@ -24,8 +24,10 @@ reload as such, but generated zeros are unsigned).
 Both directions stream in bounded chunks: save formats and writes
 ``WRITE_ROWS`` lines at a time, load reads and parses about
 ``READ_HINT`` characters of whole lines at a time, checking each chunk
-with whole-chunk operations.  Neither holds the whole text in memory,
-and the bytes written and the arrays read do not depend on the chunking.
+with whole-chunk operations, into arrays sized by a first pass that
+counts the lines.  Neither holds the whole text in memory, load holds
+one copy of the arrays, and the bytes written and the arrays read do not
+depend on the chunking.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .rng import Rng
 
 SPECTRA = ("uniform", "geometric")
 WRITE_ROWS = 2048  # lines save formats and writes at once
-READ_HINT = 1 << 18  # characters of whole lines load parses at once
+READ_HINT = 1 << 17  # characters of whole lines load parses at once
 
 
 @dataclass(frozen=True)
@@ -142,14 +144,16 @@ def _sparse_line(label: float, row: list) -> str:
 def load(path, normalize: bool = False) -> Dataset:
     """Parse a dataset file; malformed lines report their line number.
 
-    Lines are read and parsed in chunks of about ``READ_HINT`` characters.
-    A label or coordinate value that is NaN or infinite is malformed.
-    Invariant violations (feature norm > 1 or |label| > 1) are rejected
-    unless ``normalize=True``, which rescales all features by the largest
-    norm and all labels by the largest magnitude.
+    A first pass counts the lines, so the parsed chunks of about
+    ``READ_HINT`` characters fill one preallocated X and y; rows left
+    over by blank and comment lines are trimmed.  A label or coordinate
+    value that is NaN or infinite is malformed.  Invariant violations
+    (feature norm > 1 or |label| > 1) are rejected unless
+    ``normalize=True``, which rescales all features by the largest norm
+    and all labels by the largest magnitude, in place.
     """
-    labels: list[np.ndarray] = []
-    blocks: list[np.ndarray] = []
+    with open(path) as fh:
+        n_lines = sum(1 for _ in fh)
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#dim"):
@@ -160,37 +164,33 @@ def load(path, normalize: bool = False) -> Dataset:
             raise DataFormatError(f"{path}: line 1: malformed header {header!r}") from None
         if d < 1:
             raise DataFormatError(f"{path}: line 1: dimension must be >= 1")
-        lineno = 2
+        X, y = np.zeros((n_lines - 1, d)), np.empty(n_lines - 1)
+        lineno, m = 2, 0
         while lines := fh.readlines(READ_HINT):
-            y_chunk, X_chunk = _parse_chunk(lines, d, path, lineno)
-            labels.append(y_chunk)
-            blocks.append(X_chunk)
+            m += _parse_chunk(lines, d, path, lineno, X[m:], y[m:])
             lineno += len(lines)
-    if not sum(map(len, labels)):
+    if not m:
         raise DataFormatError(f"{path}: no data lines")
-    X, y = np.concatenate(blocks), np.concatenate(labels)
-    nmax = max_row_norm(X)
+    X, y = X[:m], y[:m]
+    nmax, ymax = max_row_norm(X), np.abs(y).max()
     if normalize:
         if nmax > 1.0:
-            X = X / nmax
-        ymax = np.abs(y).max()
+            X /= nmax
         if ymax > 1.0:
-            y = y / ymax
-    else:
-        if nmax > 1.0 + 1e-12:
-            raise DataFormatError(
-                f"{path}: feature norm {nmax:.6g} exceeds 1; rerun with normalize"
-            )
-        if np.abs(y).max() > 1.0 + 1e-12:
-            raise DataFormatError(
-                f"{path}: label magnitude {np.abs(y).max():.6g} exceeds 1; "
-                f"rerun with normalize"
-            )
+            y /= ymax
+    elif nmax > 1.0 + 1e-12:
+        raise DataFormatError(f"{path}: feature norm {nmax:.6g} exceeds 1; rerun with normalize")
+    elif ymax > 1.0 + 1e-12:
+        raise DataFormatError(
+            f"{path}: label magnitude {ymax:.6g} exceeds 1; rerun with normalize"
+        )
     return Dataset(X=X, y=y)
 
 
-def _parse_chunk(lines: list[str], d: int, path, lineno: int):
-    """Labels and (rows, d) features of the data lines among ``lines``.
+def _parse_chunk(lines: list[str], d: int, path, lineno: int, X: np.ndarray,
+                 y: np.ndarray) -> int:
+    """Parse the data lines among ``lines`` into the leading rows of the
+    zeroed X and of y; returns their number.
 
     The checks run over the whole chunk: every coordinate token holds
     exactly one colon, every label, index and value parses, every label
@@ -209,7 +209,7 @@ def _parse_chunk(lines: list[str], d: int, path, lineno: int):
         dense = (counts.count(d) == len(rows)
                  and fields[0::2] == [str(j) for j in range(1, d + 1)] * len(rows))
         try:
-            y = np.fromiter(map(float, [p[0] for p in rows]), np.float64, len(rows))
+            labels = np.fromiter(map(float, [p[0] for p in rows]), np.float64, len(rows))
             if dense:
                 idx = np.tile(np.arange(1, d + 1), len(rows))
             else:
@@ -219,14 +219,14 @@ def _parse_chunk(lines: list[str], d: int, path, lineno: int):
             pass
         else:
             pos = np.repeat(np.arange(len(rows)) * d, counts) + (idx - 1)
-            valid = np.isfinite(y).all() and np.isfinite(vals).all()
+            valid = np.isfinite(labels).all() and np.isfinite(vals).all()
             if tokens:
                 valid = valid and 1 <= idx.min() and idx.max() <= d
                 valid = valid and np.bincount(pos).max() == 1
             if valid:
-                X = np.zeros((len(rows), d))
-                X.ravel()[pos] = vals
-                return y, X
+                y[: len(rows)] = labels
+                X[: len(rows)].ravel()[pos] = vals
+                return len(rows)
     for n, line in enumerate(lines, start=lineno):
         if problem := _line_problem(line, d):
             raise DataFormatError(f"{path}: line {n}: {problem}")

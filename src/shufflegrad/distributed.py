@@ -26,7 +26,9 @@ rounding (tested at 1e-12).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -47,17 +49,16 @@ class Shard:
     machine: int
     indices: np.ndarray
 
-    def batches(self, epoch_len: int) -> list[np.ndarray]:
-        """Consecutive full batches of ``epoch_len`` local indices.
+    def batches(self, epoch_len: int) -> Iterator[np.ndarray]:
+        """Consecutive full batches of ``epoch_len`` local indices, sliced
+        as they are consumed.
 
         A trailing remainder shorter than a batch is never used for
         inner steps (it still contributes to every anchor gradient,
         which ranges over the entire dataset).
         """
         n_full = len(self.indices) // epoch_len
-        return [
-            self.indices[b * epoch_len : (b + 1) * epoch_len] for b in range(n_full)
-        ]
+        return (self.indices[b * epoch_len : (b + 1) * epoch_len] for b in range(n_full))
 
 
 @dataclass
@@ -110,17 +111,17 @@ def partition(dataset: Dataset, n_machines: int, rng: Rng) -> list[Shard]:
 
 def batch_schedule(shards: list[Shard], epoch_len: int, n_epochs: int) -> list[np.ndarray]:
     """The batch consumed at each epoch: machines in id order, each
-    machine's batches in local order.  Raises when the cluster holds too
-    few batches to finish."""
-    per_machine = [shard.batches(epoch_len) for shard in shards]
-    flat = [batch for batches in per_machine for batch in batches]
-    if len(flat) < n_epochs:
+    machine's batches in local order.  Only the consumed batches are
+    sliced.  Raises when the cluster holds too few batches to finish."""
+    total = sum(len(shard.indices) // epoch_len for shard in shards)
+    if total < n_epochs:
         raise BatchesExhausted(
-            f"cluster holds {len(flat)} batches of size {epoch_len} but the run "
+            f"cluster holds {total} batches of size {epoch_len} but the run "
             f"needs {n_epochs}; the total batch count must be at least the "
             f"epoch count"
         )
-    return flat[:n_epochs]
+    batches = chain.from_iterable(shard.batches(epoch_len) for shard in shards)
+    return list(islice(batches, n_epochs))
 
 
 def matched_permutation(shards: list[Shard], epoch_len: int, n_epochs: int) -> np.ndarray:

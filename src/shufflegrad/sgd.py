@@ -20,18 +20,19 @@ index row (its sampler's single ``take(T)``, or an explicit sequence).
 consecutive chunks, each chunk sized to one fixed working-memory budget
 (``STREAM_CHUNK_BYTES``), and reduce the rows in stream order.
 
-Every row keeps the bits of its one-stream run.  The products are
-*stacked* dot products, ``(B, 1, d) @ (B, d, 1)`` for x_i . w and for
-||w||^2, which numpy runs as one dot per row, the routine the 1-D
-``x_i @ w`` calls; the elementwise updates perform the scalar loop's
-operations in its order (g = slope x_i, then g + alpha w, then eta_t g,
-then w - that); projection scales only the rows whose norm exceeds the
-radius.  The running averages are stored one row per step and their
-suboptimality is evaluated ``EVAL_BLOCK`` steps at a time (see
-``problem``, "Blocks of points").  The block's losses and the regret
-are computed after the block from the stored predictions and pre-step
-squared norms; the regret is a cumulative sum along the step axis, which
-adds in step order like the scalar ``regret += ...``.
+Every row keeps the bits of its one-stream run.  The row dots,
+``np.vecdot`` for x_i . w and for ||w||^2, have the bits of the 1-D
+``x_i @ w`` (checked row by row, see ``problem``, "Blocks of points");
+the elementwise updates perform the scalar loop's operations in its
+order (g = slope x_i, then g + alpha w, then eta_t g, then w - that);
+projection scales only the rows whose norm exceeds the radius.  Step t
+reads w_t from a row of one block buffer and writes w_{t+1} into the
+next.  After each ``EVAL_BLOCK`` steps, one ``cumsum`` over the carried
+sum and the block's iterates gives S_t = w_1 + ... + w_t, added in step
+order like a running accumulator; the average iterate is
+(S_t - S_{t-window}) / window, window t (``all``, S_0 = 0) or ceil(t/2)
+(``suffix_half``), and the averages are evaluated as one block, as are
+the losses; the regret is a cumulative sum along the step axis.
 
 A stream whose iterate norm becomes non-finite keeps running as NaNs
 until its chunk ends.  Then the lowest such stream's first non-finite
@@ -54,7 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameter
-from .problem import pairwise_mean
+from .problem import _scalar_loss, pairwise_mean
 from .rng import Rng
 from .sampling import (
     SINGLE_SHUFFLE,
@@ -110,6 +111,7 @@ SUFFIX_HALF = "suffix_half"
 
 EVAL_BLOCK = 256  # running averages evaluated per suboptimality call
 STREAM_CHUNK_BYTES = 1 << 25  # working memory of one chunk of streams
+LIST_TEST_ROWS = 32  # batches up to this size run the projection test on floats
 
 
 @dataclass(frozen=True)
@@ -164,13 +166,14 @@ def _draw_indices(problem, config: SGDConfig, sigma) -> np.ndarray:
 
 def _stream_bytes(config: SGDConfig, d: int, collect_iterates: bool) -> int:
     """Bytes one stream adds to a chunk: its index row (drawn, then
-    stacked), its trace and the previous chunk's, the block buffers with
-    the block evaluation's temporaries, and the O(T d) running sums of
+    stacked), its trace and the previous chunk's, the block buffers (the
+    iterate rows with the carried sum, the gathered points) with the
+    block evaluation's temporaries, and the O(T d) running sums of
     ``suffix_half`` and the kept iterates (twice: the previous chunk's
     are still held while the next one runs)."""
     T = config.n_steps
     windows = (config.averaging == SUFFIX_HALF) + 2 * collect_iterates
-    return 8 * (4 * T + min(T, EVAL_BLOCK) * (6 * d + 8) + windows * (T + 1) * d)
+    return 8 * (4 * T + (min(T, EVAL_BLOCK) + 2) * (6 * d + 8) + windows * (T + 1) * d)
 
 
 def _traces(problem, config: SGDConfig, rows, n: int, collect_iterates=False, reference=None):
@@ -213,7 +216,6 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
     d = problem.d
     X, y = problem.data.X, problem.data.y
     alpha = problem.alpha
-    half_alpha = 0.5 * alpha
     kind = problem.kind
     radius = config.radius
     limit = min(radius, sys.float_info.max)  # a non-finite norm exceeds it even at radius inf
@@ -229,20 +231,18 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
         subopt_of = problem.suboptimality
 
     K = min(T, EVAL_BLOCK)
-    w = np.zeros((B, d))
-    w_row, w_col = w[:, None, :], w[:, :, None]
-    sq = np.zeros(B)  # ||w||^2 of the current iterates
-    sq_out = sq.reshape(B, 1, 1)
+    # In the block of steps lo+1 .. lo+n, row 0 of W carries S_lo, step t reads
+    # w_t from row t - lo, and row t - lo - 1 of sqs and zs holds ||w_t||^2, x_i . w_t.
+    W = np.zeros((K + 2, B, d))
+    sqs = np.zeros((K + 1, B))
+    zs = np.empty((K, B))
     G = np.empty((B, d))
     tmp = np.empty((B, d))
     slope = np.empty(B)
     slope_col = slope[:, None]
-    # Step-major block buffers: entry c of a block belongs to step lo + c + 1.
-    avgs = np.empty((K, B, d))  # running averages
-    zs = np.empty((K, B, 1, 1))  # predictions x_i . w_t
-    sqs = np.empty((K, B))  # ||w_t||^2 before each step
-    prev = np.zeros((B, d))  # the previous step's average
-    csum = np.zeros((T + 1, B, d)) if suffix_mode else None
+    w_rows, sq_rows, z_rows = list(W), list(sqs), list(zs)  # views made once
+    few_rows = B <= LIST_TEST_ROWS
+    csum = np.zeros((T + 1, B, d)) if suffix_mode else None  # S_0 .. S_T
     kept = np.empty((B, T, d)) if collect_iterates else None
     subopt = np.empty((B, T))
     regret = np.zeros(B)
@@ -251,29 +251,16 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, T, K):
             n = min(K, T - lo)
+            if lo:  # every block but the last is full: carry its last iterate
+                W[1] = W[K + 1]
+                sqs[0] = sqs[K]
             block = indices[:, lo : lo + n].T
             Xb = X[block]  # (n, B, d)
             yb = y[block]
-            # The step's rows come from iterating the buffers, not from a
-            # subscript per row and step; no view outlives its step.
-            steps = zip(avgs, zs, zs[:, :, 0, 0], Xb[:, :, None, :], Xb, yb)
-            for c, (avg, z_out, z, x_row, x_mat, yc) in enumerate(steps):
-                t = lo + c + 1
-                if suffix_mode:
-                    np.add(csum[t - 1], w, out=csum[t])
-                    window = (t + 1) // 2
-                    np.subtract(csum[t], csum[t - window], out=avg)
-                    np.divide(avg, window, out=avg)
-                else:
-                    np.subtract(w, prev, out=tmp)
-                    np.divide(tmp, t, out=tmp)
-                    np.add(prev, tmp, out=avg)
-                prev = avg
-                if kept is not None:
-                    kept[:, t - 1] = w
-                sqs[c] = sq
-
-                np.matmul(x_row, w_col, out=z_out)
+            steps = zip(range(lo + 1, lo + n + 1), w_rows[1:], w_rows[2:], sq_rows[1:],
+                        z_rows, Xb, yb)
+            for t, w, w_next, sq, z, x, yc in steps:
+                np.vecdot(x, w, out=z)
                 if kind == "squared":
                     np.subtract(z, yc, out=slope)
                 elif kind == "absolute":
@@ -281,43 +268,54 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
                     np.sign(slope, out=slope)
                 else:  # hinge
                     slope[:] = np.where(1.0 - yc * z > 0.0, -yc, 0.0)
-                np.multiply(x_mat, slope_col, out=G)
+                np.multiply(x, slope_col, out=G)
                 if alpha:
                     np.multiply(w, alpha, out=tmp)
                     np.add(G, tmp, out=G)
                 np.multiply(G, rates[t - 1], out=G)
-                np.subtract(w, G, out=w)
-                np.matmul(w_row, w_col, out=sq_out)
-                # sqrt is monotone and max propagates NaN: one test finds
-                # every row to project and every non-finite row.  The ufunc
-                # reduce is what sq.max() runs, without its Python wrapper.
-                if not math.sqrt(np.maximum.reduce(sq)) <= limit:
+                np.subtract(w, G, out=w_next)
+                np.vecdot(w_next, w_next, out=sq)
+                # sqrt is monotone: a row to project or a non-finite row fails.
+                if few_rows:  # on Python floats; the sum catches a NaN max skips
+                    row_sqs = sq.tolist()
+                    inside = math.sqrt(max(row_sqs)) <= limit and sum(row_sqs) < math.inf
+                else:  # the ufunc reduce propagates NaN
+                    inside = math.sqrt(np.maximum.reduce(sq)) <= limit
+                if not inside:
                     norm = np.sqrt(sq)
                     first_bad[(first_bad == 0) & ~np.isfinite(norm)] = t
                     over = norm > radius
-                    w[over] *= (radius / norm[over])[:, None]
-                    projected = w[over]
-                    sq[over] = (projected[:, None, :] @ projected[:, :, None])[:, 0, 0]
+                    w_next[over] *= (radius / norm[over])[:, None]
+                    projected = w_next[over]
+                    sq[over] = np.vecdot(projected, projected)
 
-            zb = zs[:n, :, 0, 0]
-            if kind == "squared":
-                diff = zb - yb
-                loss = 0.5 * diff * diff
-            elif kind == "absolute":
-                loss = np.abs(zb - yb)
-            else:
-                loss = np.maximum(0.0, 1.0 - yb * zb)
+            iterates = W[1 : n + 1]  # w_{lo+1} .. w_{lo+n}
+            if kept is not None:
+                kept[:, lo : lo + n] = iterates.transpose(1, 0, 2)
+            loss = _scalar_loss(kind, zs[:n], yb)
             if alpha:
-                loss += half_alpha * sqs[:n]
+                loss += 0.5 * alpha * sqs[:n]
             loss -= star_losses[block]
             regret = np.cumsum(np.concatenate([regret[None], loss]), axis=0)[-1]
-            subopt[:, lo : lo + n] = subopt_of(avgs[:n].reshape(n * B, d)).reshape(n, B).T
+
+            # W[j] becomes S_{lo+j}; row 0 carries S_{lo+n} on, rows 1..n become averages.
+            np.cumsum(W[: n + 1], axis=0, out=W[: n + 1])
+            W[0] = W[n]
+            ts = np.arange(lo + 1, lo + n + 1)
+            if suffix_mode:
+                csum[lo + 1 : lo + n + 1] = iterates
+                window = (ts + 1) // 2
+                np.subtract(iterates, csum[ts - window], out=iterates)
+            else:
+                window = ts
+            np.divide(iterates, window[:, None, None], out=iterates)
+            subopt[:, lo : lo + n] = subopt_of(iterates.reshape(n * B, d)).reshape(n, B).T
 
     bad = np.flatnonzero(first_bad)
     if bad.size:
         step = int(first_bad[bad[0]])
         raise DivergenceError(f"iterate became non-finite at step {step}", step=step)
-    return subopt, prev.copy(), regret, kept
+    return subopt, W[n].copy(), regret, kept
 
 
 def run_sgd(

@@ -1,4 +1,4 @@
-"""tools/bitdigest.py runs on this tree and prints one SHA-256 per driver."""
+"""tools/bitdigest.py prints the OpenBLAS core, then one SHA-256 per driver."""
 
 import re
 import subprocess
@@ -16,7 +16,8 @@ def test_prints_one_digest_per_driver(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    lines = [line.split() for line in proc.stdout.splitlines()]
+    (core, *lines) = [line.split() for line in proc.stdout.splitlines()]
+    assert core[0] == "openblas_core" and len(core) == 2
     assert [name for name, _ in lines] == DRIVERS
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for _, digest in lines)
 

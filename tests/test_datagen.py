@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -261,6 +262,23 @@ def test_generate_peak_memory_stays_near_the_dataset():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * (data.X.nbytes + data.y.nbytes)
+
+
+def test_load_peak_memory_stays_near_the_dataset(tmp_path):
+    """load fills one preallocated X and y, and ``normalize`` divides the
+    features (saved at norm 2 here) and the labels in place."""
+    data = generate(GenSpec(m=50_000, d=20, noise=0.5, seed=5))
+    path = tmp_path / "data.txt"
+    save(SimpleNamespace(X=2.0 * data.X, y=2.0 * data.y, d=data.d, m=data.m), path)
+    del data
+    tracemalloc.start()
+    try:
+        back = load(path, normalize=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.m == 50_000
+    assert peak <= 1.3 * (back.X.nbytes + back.y.nbytes)
 
 
 # Lines of dimension 3 that are either the dense "1:.. 2:.. 3:.." pattern or

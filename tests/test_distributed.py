@@ -246,6 +246,29 @@ class TestScheduling:
         trace, _ = run_distributed_svrg(p, 1, cfg, shards=shards)
         assert trace.n_epochs == 2
 
+    @pytest.mark.parametrize("m, k, T", [(103, 4, 10), (100, 3, 7), (60, 2, 10), (37, 5, 3)])
+    def test_schedule_is_the_leading_batches_through_exhaustion(self, m, k, T):
+        """Every shard's full batches in machine order, cut at the epoch
+        count; trailing remainders are never scheduled."""
+        p = random_ridge(m, 2, seed=m, alpha=0.3)
+        shards = partition(p.data, k, Rng(m, 1))
+        every = [batch for shard in shards for batch in shard.batches(T)]
+        for S in range(len(every) + 1):
+            schedule = batch_schedule(shards, T, S)
+            assert len(schedule) == S
+            assert all(np.array_equal(a, b) for a, b in zip(schedule, every))
+            consumed = np.concatenate(every[:S]) if S else np.empty(0, dtype=np.int64)
+            rest = np.setdiff1d(np.arange(m), consumed)
+            assert np.array_equal(matched_permutation(shards, T, S),
+                                  np.concatenate([consumed, rest]))
+        S = len(every) + 1
+        with pytest.raises(BatchesExhausted) as info:
+            batch_schedule(shards, T, S)
+        assert str(info.value) == (
+            f"cluster holds {len(every)} batches of size {T} but the run needs {S}; "
+            f"the total batch count must be at least the epoch count"
+        )
+
     def test_requires_single_shuffle_config(self):
         p = random_ridge(40, 2, seed=13)
         cfg = SVRGConfig(

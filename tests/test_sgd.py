@@ -51,16 +51,16 @@ def reference_sgd(problem, config, indices, reference=None):
     comparator = problem.wstar if reference is None else reference
     star = problem.point_losses(comparator)
     T, d = config.n_steps, problem.d
-    w, avg = np.zeros(d), np.zeros(d)
-    csum = [np.zeros(d)]
+    w = np.zeros(d)
+    csum = [np.zeros(d)]  # running sums S_t = w_1 + ... + w_t
     subopt, regret = [], 0.0
     for t in range(1, T + 1):
+        csum.append(csum[-1] + w)
         if config.averaging == "suffix_half":
-            csum.append(csum[-1] + w)
             window = (t + 1) // 2
             avg = (csum[t] - csum[t - window]) / window
         else:
-            avg += (w - avg) / t
+            avg = csum[t] / t
         if reference is None:
             subopt.append(straight_suboptimality(problem, avg))
         else:
@@ -474,3 +474,69 @@ def test_suffix_batch_memory_stays_within_budget():
     finally:
         tracemalloc.stop()
     assert peak <= sgd_module.STREAM_CHUNK_BYTES
+
+
+# (EVAL_BLOCK, LIST_TEST_ROWS): block sizes, and the projection test on
+# Python floats (3 streams <= 32) or by the ufunc reduce (3 > 0).
+ENGINE_SETTINGS = [(256, 32), (1, 32), (7, 0), (256, 0)]
+
+
+@pytest.mark.parametrize("averaging", ["all", "suffix_half"])
+@pytest.mark.parametrize("kind", ["ridge", "absolute", "hinge"])
+def test_block_size_keeps_every_bit(kind, averaging):
+    """The running sum and the last iterate carried from block to block:
+    blocks of 1, 7 and 256 steps, and either projection test, give the
+    same bits."""
+    p = engine_problem(kind, 3)
+    reference = None if kind == "ridge" else np.full(3, 0.02)
+    radius = 0.3 if reference is not None else 1.05 * float(np.linalg.norm(p.wstar)) + 1e-3
+    cfg = SGDConfig(n_steps=300, step_rule=InverseSqrtStep(1.0), radius=radius,
+                    sampler="with_replacement", averaging=averaging, seed=3)
+
+    def rows(k):
+        return sgd_module._draw_indices(p, replace(cfg, stream=k), None)
+
+    runs = []
+    for block, list_rows in ENGINE_SETTINGS:
+        with mock.patch.multiple(sgd_module, EVAL_BLOCK=block, LIST_TEST_ROWS=list_rows):
+            runs.append(list(sgd_module._traces(p, cfg, rows, 3, True, reference)))
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0], strict=True):
+            assert np.array_equal(got.suboptimality, want.suboptimality)
+            assert np.array_equal(got.average_iterate, want.average_iterate)
+            assert got.regret == want.regret
+            assert np.array_equal(got.iterates, want.iterates)
+
+
+def test_block_size_keeps_the_divergence_step():
+    p, cfg, ref = blow_up_problem()
+    cfg = replace(cfg, n_steps=300)
+    sigma = np.zeros(300, dtype=np.int64)
+    sigma[260:] = 1  # non-finite in the second block of 256 steps
+    errors = set()
+    for block, list_rows in ENGINE_SETTINGS:
+        with mock.patch.multiple(sgd_module, EVAL_BLOCK=block, LIST_TEST_ROWS=list_rows):
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+                run_sgd(p, cfg, sigma=sigma, reference=ref)
+        errors.add((str(info.value), info.value.step))
+    assert len(errors) == 1
+    (_, step), = errors
+    assert 260 < step < 300
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 9, 16, 20, 33, 64])
+def test_vecdot_rows_match_one_dimensional_dots(d):
+    """The engine's row dots have the bytes of the 1-D ``x_i @ w``, also
+    when written into a row or a strided column of a larger buffer."""
+    rng = Rng(60, d)
+    for B in (1, 2, 3, 8, 57, 300):
+        scale = np.exp(20.0 * (rng.uniform(B) - 0.5))[:, None]
+        X = scale * rng.normal(B * d).reshape(B, d)
+        w = rng.normal(B * d).reshape(B, d)
+        dots = np.array([X[b] @ w[b] for b in range(B)])
+        squares = np.array([w[b] @ w[b] for b in range(B)])
+        for out in (np.empty((2, B))[1], np.empty((B, 2))[:, 0]):
+            np.vecdot(X, w, out=out)
+            assert out.tobytes() == dots.tobytes()
+            np.vecdot(w, w, out=out)
+            assert out.tobytes() == squares.tobytes()

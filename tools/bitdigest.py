@@ -3,7 +3,10 @@
     python tools/bitdigest.py SRC_DIR
 
 imports ``shufflegrad`` from ``SRC_DIR`` (a checkout's ``src``) and
-prints one line ``<driver> <sha256>`` per driver.  Each digest covers
+prints a first line ``openblas_core <name>``, the OpenBLAS kernel
+numpy's bundled library runs (``unknown`` where it cannot be asked; the
+kernel decides the last bits of BLAS products), then one line
+``<driver> <sha256>`` per driver.  Each digest covers
 the raw bytes of every float the driver returns on the grid, its counts,
 and the type, message and fields of every error it raises, so two trees
 print the same lines exactly when their outputs agree bit for bit:
@@ -17,6 +20,8 @@ changes every later digest, so compare two trees with the same tool.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
 import os
 import sys
@@ -29,6 +34,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
+
+
+def openblas_core() -> str:
+    """The core name numpy's bundled OpenBLAS reports, or "unknown"."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 class Digest:
@@ -252,6 +270,7 @@ def main(argv):
         return 1
 
     warnings.simplefilter("ignore")
+    print("openblas_core", openblas_core())
     with np.errstate(all="ignore"):
         for name, digest in DRIVERS.items():
             print(name, digest(sg))
