@@ -27,9 +27,9 @@ problem = RidgeProblem(data, alpha=0.1)
 K, T, S = 4, 200, 8
 config = SVRGConfig(step_size=0.1, epoch_len=T, n_epochs=S, seed=41)
 
-shards = partition(problem.data, K, Rng(41, 5))
-print(f"{K} machines, shard sizes: {[len(s.indices) for s in shards]}")
-print(f"batches of {T} per machine: {[len(s.indices) // T for s in shards]}\n")
+shards = partition(problem.data, K, Rng(41, 5))  # machine j holds the indices shards[j]
+print(f"{K} machines, shard sizes: {[len(s) for s in shards]}")
+print(f"batches of {T} per machine: {[len(s) // T for s in shards]}\n")
 
 dist_trace, log = run_distributed_svrg(problem, K, config, shards=shards)
 solo_trace = run_svrg(problem, config, sigma=matched_permutation(shards, T, S))

@@ -13,12 +13,11 @@ The package provides, for mean losses of linear predictions:
 * synthetic data generation and text serialization (:mod:`.datagen`).
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .datagen import GenSpec, generate, load, planted_weights, save
 from .distributed import (
     CommLog,
-    Shard,
     batch_schedule,
     matched_permutation,
     partition,

@@ -71,7 +71,7 @@ def _config_line(args: argparse.Namespace, command: str) -> dict:
 def _emit(args, command: str, columns: list[str], rows, extra: dict | None = None):
     cfg = _config_line(args, command)
     print(f"resolved config: {json.dumps(cfg, sort_keys=True)}")
-    if args.format == "json" or command in ("verify", "rademacher"):
+    if rows is None or args.format == "json":
         doc = {
             "config": cfg,
             "schema": CSV_SCHEMAS.get(command, f"{command}-v1"),
@@ -407,7 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
     def shared(p):
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
         p.add_argument("--out", type=str, default=None, help="output file path")
+
+    def trace_command(p):
+        """The flags of the commands that write a trace of a ridge run."""
+        shared(p)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--data", type=str, required=True)
+        p.add_argument("--normalize", action="store_true")
+        p.add_argument("--reg", type=float, default=0.1, help="ridge weight")
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     shared(p)
@@ -420,10 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("sgd", help="projected SGD suboptimality trace")
-    shared(p)
-    p.add_argument("--data", type=str, required=True)
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--reg", type=float, default=0.1, help="ridge weight")
+    trace_command(p)
     p.add_argument("--sampler", choices=sorted(SAMPLER_FLAGS), default="no-replacement")
     p.add_argument("--steps", choices=["strongly-convex", "fixed", "inverse-sqrt"],
                    default="strongly-convex")
@@ -434,10 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sgd)
 
     p = sub.add_parser("svrg", help="variance-reduced epochs")
-    shared(p)
-    p.add_argument("--data", type=str, required=True)
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--reg", type=float, default=0.1)
+    trace_command(p)
     p.add_argument("--sampler", choices=sorted(SAMPLER_FLAGS), default="no-replacement")
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--T", type=int, default=None, dest="T")
@@ -449,10 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_svrg)
 
     p = sub.add_parser("dist", help="simulated distributed run")
-    shared(p)
-    p.add_argument("--data", type=str, required=True)
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--reg", type=float, default=0.1)
+    trace_command(p)
     p.add_argument("--k", type=int, required=True, help="number of machines")
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--T", type=int, default=None, dest="T")

@@ -19,8 +19,9 @@ trailing element passes to the next level unchanged; levels repeat until
 one value remains.  The ridge gradient needs no reduction over points:
 it is exactly ``hessian @ w - b`` with the cached Hessian and right-hand
 side b = (1/m) X^T y, an O(d^2) evaluation.  The distributed simulation
-builds the same Gram form per machine and, with one machine, reuses
-these very arrays, so it reproduces the single-machine anchor bit for bit.
+builds each machine's Gram form with the same private ``_gram_form`` and,
+with one machine, reuses these very arrays, so it reproduces the
+single-machine anchor bit for bit.
 
 Blocks of points
 ----------------
@@ -149,15 +150,27 @@ def _scalar_loss(kind: str, z: np.ndarray, y: np.ndarray, out=None) -> np.ndarra
     raise InvalidParameter(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
 
 
-def _scalar_slope(kind: str, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A subgradient of the scalar loss in z.  At kinks the value 0 is used."""
+def _scalar_slope(kind: str, z: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """A subgradient of the scalar loss in z, written into ``out`` when
+    given.  At kinks the value 0 is used."""
     if kind == "squared":
-        return z - y
+        return np.subtract(z, y, out=out)
     if kind == "absolute":
-        return np.sign(z - y)
+        return np.sign(np.subtract(z, y, out=out), out=out)
     if kind == "hinge":
-        return np.where(1.0 - y * z > 0.0, -y, 0.0)
+        slope = np.where(1.0 - y * z > 0.0, -y, 0.0)
+        if out is None:
+            return slope
+        out[...] = slope
+        return out
     raise InvalidParameter(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+
+
+def _gram_form(X: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(H, b) with H @ w - b the mean ridge gradient over the rows of X:
+    H = X^T X / n + alpha*I and b = X^T y / n."""
+    n = X.shape[0]
+    return (X.T @ X) / n + alpha * np.eye(X.shape[1]), (X.T @ y) / n
 
 
 class _LinearPredictionProblem:
@@ -279,10 +292,7 @@ class RidgeProblem(_LinearPredictionProblem):
             raise InvalidParameter("alpha must be >= 0")
         self.data = data
         self.alpha = float(alpha)
-        X, y = data.X, data.y
-        m = data.m
-        self.hessian = (X.T @ X) / m + self.alpha * np.eye(data.d)
-        self._rhs = (X.T @ y) / m
+        self.hessian, self._rhs = _gram_form(data.X, data.y, self.alpha)
 
     @cached_property
     def strong_convexity(self) -> float:

@@ -41,9 +41,9 @@ def shuffle(m: int, rng: Rng) -> np.ndarray:
 
 
 def is_permutation(order: np.ndarray, m: int) -> bool:
-    """True when ``order`` is a bijection on {0, ..., m-1}."""
+    """True when ``order`` is an integer array that is a bijection on {0, ..., m-1}."""
     order = np.asarray(order)
-    if order.shape != (m,):
+    if order.shape != (m,) or order.dtype.kind not in "iu":
         return False
     seen = np.zeros(m, dtype=bool)
     valid = (order >= 0) & (order < m)

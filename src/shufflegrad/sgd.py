@@ -55,7 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameter
-from .problem import _scalar_loss, pairwise_mean
+from .problem import _scalar_loss, _scalar_slope, pairwise_mean
 from .rng import Rng
 from .sampling import (
     SINGLE_SHUFFLE,
@@ -64,6 +64,7 @@ from .sampling import (
     explicit_indices,
     make_sampler,
 )
+from .verify import _prefix_suffix_gap
 
 
 @dataclass(frozen=True)
@@ -261,13 +262,7 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
                         z_rows, Xb, yb)
             for t, w, w_next, sq, z, x, yc in steps:
                 np.vecdot(x, w, out=z)
-                if kind == "squared":
-                    np.subtract(z, yc, out=slope)
-                elif kind == "absolute":
-                    np.subtract(z, yc, out=slope)
-                    np.sign(slope, out=slope)
-                else:  # hinge
-                    slope[:] = np.where(1.0 - yc * z > 0.0, -yc, 0.0)
+                _scalar_slope(kind, z, yc, out=slope)
                 np.multiply(x, slope_col, out=G)
                 if alpha:
                     np.multiply(w, alpha, out=tmp)
@@ -427,10 +422,7 @@ def suboptimality_decomposition_check(
             sum(losses_at[t][sigma[t]] - ref_losses[sigma[t]] for t in range(T)) / T
         )
         for t in range(2, T + 1):
-            lv = losses_at[t - 1]
-            prefix = np.fromiter((lv[sigma[i]] for i in range(t - 1)), float)
-            suffix = np.fromiter((lv[sigma[i]] for i in range(t - 1, m)), float)
-            ps_total += (t - 1) * (prefix.mean() - suffix.mean()) / (m * T)
+            ps_total += (t - 1) * _prefix_suffix_gap(losses_at[t - 1], sigma, t) / (m * T)
         count += 1
 
     return DecompositionResult(

@@ -73,11 +73,17 @@ def permutation_identity_check(m: int, t: int, value_rule) -> tuple[float, float
             cache[prefix] = s
         lhs_total += s.mean() - s[sigma[t - 1]]
         if t > 1:
-            pre = np.fromiter((s[i] for i in prefix), float, count=t - 1)
-            suf = np.fromiter((s[i] for i in sigma[t - 1 :]), float, count=m - t + 1)
-            rhs_total += (t - 1) / m * (pre.mean() - suf.mean())
+            rhs_total += (t - 1) / m * _prefix_suffix_gap(s, sigma, t)
         count += 1
     return lhs_total / count, rhs_total / count
+
+
+def _prefix_suffix_gap(values: np.ndarray, sigma, t: int) -> float:
+    """Mean of ``values`` over sigma's first t - 1 positions minus the mean
+    over the rest, for 2 <= t <= len(sigma)."""
+    pre = np.fromiter((values[i] for i in sigma[: t - 1]), float, count=t - 1)
+    suf = np.fromiter((values[i] for i in sigma[t - 1 :]), float, count=len(sigma) - t + 1)
+    return pre.mean() - suf.mean()
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +179,19 @@ class McEstimate:
     n_samples: int
 
 
+def _estimate(scale: float, sups: np.ndarray) -> McEstimate:
+    """Mean and standard error of ``scale * sups`` over its draws."""
+    n = sups.size
+    stderr = scale * sups.std(ddof=1) / math.sqrt(n)
+    return McEstimate(float(scale * sups.mean()), float(stderr), n)
+
+
 def rademacher_estimate(spec: RademacherSpec) -> McEstimate:
     """Monte-Carlo transductive Rademacher complexity of the class."""
     s, u = spec.split
-    scale = 1.0 / s + 1.0 / u
     rng = Rng(spec.seed, spec.stream)
     r = ternary_signs(spec.p, (spec.mc_samples, spec.cls.length), rng)
-    sups = spec.cls.sup_correlation(r)
-    value = scale * sups.mean()
-    stderr = scale * sups.std(ddof=1) / math.sqrt(spec.mc_samples)
-    return McEstimate(value=float(value), stderr=float(stderr), n_samples=spec.mc_samples)
+    return _estimate(1.0 / s + 1.0 / u, spec.cls.sup_correlation(r))
 
 
 def linear_ball_bound(radius: float, split: tuple[int, int]) -> float:
@@ -203,24 +212,10 @@ class PairedComparison:
         return self.gap >= -n_sigma * max(self.gap_stderr, 1e-300)
 
 
-def _paired(scale: float, lhs_sups: np.ndarray, rhs_sups: np.ndarray, n: int) -> PairedComparison:
-    lhs = McEstimate(
-        float(scale * lhs_sups.mean()),
-        float(scale * lhs_sups.std(ddof=1) / math.sqrt(n)),
-        n,
-    )
-    rhs = McEstimate(
-        float(scale * rhs_sups.mean()),
-        float(scale * rhs_sups.std(ddof=1) / math.sqrt(n)),
-        n,
-    )
-    diff = scale * (rhs_sups - lhs_sups)
-    return PairedComparison(
-        lhs=lhs,
-        rhs=rhs,
-        gap=float(diff.mean()),
-        gap_stderr=float(diff.std(ddof=1) / math.sqrt(n)),
-    )
+def _paired(scale: float, lhs_sups: np.ndarray, rhs_sups: np.ndarray) -> PairedComparison:
+    gap = _estimate(1.0, scale * (rhs_sups - lhs_sups))
+    return PairedComparison(_estimate(scale, lhs_sups), _estimate(scale, rhs_sups),
+                            gap.value, gap.stderr)
 
 
 def contraction_check(
@@ -259,7 +254,7 @@ def contraction_check(
     lhs_sups = (r @ W.T).max(axis=1)
     rhs_sups = lipschitz * (r @ V.T).max(axis=1)
     s, u = split
-    return _paired(1.0 / s + 1.0 / u, lhs_sups, rhs_sups, mc_samples)
+    return _paired(1.0 / s + 1.0 / u, lhs_sups, rhs_sups)
 
 
 def product_class_check(
@@ -286,7 +281,7 @@ def product_class_check(
         r @ class_s.vectors.T
     ).max(axis=1)
     s, u = split
-    return _paired(1.0 / s + 1.0 / u, lhs_sups, rhs_sups, mc_samples)
+    return _paired(1.0 / s + 1.0 / u, lhs_sups, rhs_sups)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from shufflegrad import (
     CommLog,
+    Dataset,
+    RidgeProblem,
     Rng,
     SVRGConfig,
     batch_schedule,
@@ -13,7 +15,7 @@ from shufflegrad import (
     run_distributed_svrg,
     run_svrg,
 )
-from shufflegrad.distributed import BROADCAST, REDUCE, Shard, local_operator
+from shufflegrad.distributed import BROADCAST, REDUCE, local_operator
 from shufflegrad.problem import pairwise_mean, pairwise_sum
 from shufflegrad.errors import BatchesExhausted, InvalidParameter
 from conftest import random_dataset, random_ridge
@@ -23,20 +25,20 @@ class TestPartition:
     def test_balanced_disjoint_cover(self):
         data = random_dataset(8, 2, seed=0)
         shards = partition(data, 2, Rng(1, 0))
-        assert [len(s.indices) for s in shards] == [4, 4]
-        merged = np.concatenate([s.indices for s in shards])
+        assert [len(s) for s in shards] == [4, 4]
+        merged = np.concatenate(shards)
         assert sorted(merged.tolist()) == list(range(8))
 
     def test_uneven_sizes_differ_by_at_most_one(self):
         data = random_dataset(10, 2, seed=1)
         shards = partition(data, 3, Rng(2, 0))
-        sizes = [len(s.indices) for s in shards]
+        sizes = [len(s) for s in shards]
         assert sorted(sizes) == [3, 3, 4]
 
     def test_single_machine_gets_everything(self):
         data = random_dataset(6, 2, seed=2)
         (shard,) = partition(data, 1, Rng(3, 0))
-        assert sorted(shard.indices.tolist()) == list(range(6))
+        assert sorted(shard.tolist()) == list(range(6))
 
     def test_assignment_frequencies(self):
         data = random_dataset(4, 2, seed=3)
@@ -45,7 +47,7 @@ class TestPartition:
         n = 10_000
         for _ in range(n):
             shards = partition(data, 2, rng)
-            hits[shards[0].indices] += 1
+            hits[shards[0]] += 1
         assert np.abs(hits / n - 0.5).max() < 0.02
 
     def test_bad_machine_counts(self):
@@ -57,9 +59,10 @@ class TestPartition:
 
     def test_batches_drop_remainder(self):
         data = random_dataset(10, 2, seed=5)
-        (shard,) = partition(data, 1, Rng(5, 0))
-        batches = shard.batches(4)
-        assert [len(b) for b in batches] == [4, 4]
+        shards = partition(data, 1, Rng(5, 0))
+        assert [len(b) for b in batch_schedule(shards, 4, 2)] == [4, 4]
+        with pytest.raises(BatchesExhausted):
+            batch_schedule(shards, 4, 3)
 
 
 class TestEquivalence:
@@ -120,7 +123,7 @@ class TestLocalOperators:
         for trial in range(8):
             p = random_ridge(97 + 41 * trial, 2 + trial % 5, seed=30 + trial, alpha=0.15)
             for shard in partition(p.data, k, Rng(trial, k)):
-                local = np.sort(shard.indices)
+                local = np.sort(shard)
                 H, b = local_operator(p, local)
                 w = (1.0 + trial) * rng.normal(p.d)
                 rows = pairwise_mean(p.point_gradient_rows(w, local))
@@ -136,11 +139,18 @@ class TestLocalOperators:
             w = (1.0 + trial) * rng.normal(p.d)
             parts = []
             for shard in shards:
-                H, b = local_operator(p, np.sort(shard.indices))
-                parts.append(len(shard.indices) / p.m * (H @ w - b))
+                H, b = local_operator(p, np.sort(shard))
+                parts.append(len(shard) / p.m * (H @ w - b))
             combined = pairwise_sum(np.stack(parts))
             tol = 1e-14 * (1.0 + np.linalg.norm(w))
             assert np.abs(combined - p.full_gradient(w)).max() <= tol
+
+    def test_subset_operator_is_the_subset_problems_gram_form(self):
+        p = random_ridge(90, 4, seed=51, alpha=0.3)
+        local = np.sort(partition(p.data, 3, Rng(51, 0))[1])
+        H, b = local_operator(p, local)
+        sub = RidgeProblem(Dataset(X=p.data.X[local], y=p.data.y[local]), alpha=p.alpha)
+        assert H.tobytes() == sub.hessian.tobytes() and b.tobytes() == sub._rhs.tobytes()
 
     def test_full_shard_reuses_problem_arrays(self):
         p = random_ridge(50, 3, seed=50)
@@ -200,7 +210,14 @@ class TestExplicitShards:
         return run_distributed_svrg(p, len(shards), cfg, shards=shards)
 
     def test_disjoint_cover_runs(self):
-        trace, log = self.run([Shard(0, np.arange(0, 150)), Shard(1, np.arange(150, 400))])
+        trace, log = self.run([np.arange(0, 150), np.arange(150, 400)])
+        assert log.rounds == 4
+
+    def test_list_shards_run_like_arrays(self):
+        parts = [np.arange(399, -1, -2), np.arange(398, -1, -2)]
+        trace, log = self.run([part.tolist() for part in parts])
+        expected, _ = self.run(parts)
+        assert trace.suboptimality.tobytes() == expected.suboptimality.tobytes()
         assert log.rounds == 4
 
     @pytest.mark.parametrize("parts", [
@@ -209,10 +226,14 @@ class TestExplicitShards:
         [np.r_[0:199, 200], np.arange(200, 400)],  # point 200 twice, point 199 never
         [np.arange(0, 200), np.arange(200, 401)],  # index out of range
         [np.arange(0, 200)],  # one shard short of the data
+        [np.arange(0, 150.0), np.arange(150, 400)],  # float indices
+        [np.arange(0, 399), np.int64(399)],  # a scalar, not a sequence
+        [np.arange(0, 150).reshape(1, 150), np.arange(150, 400)],  # a 2-D shard
+        [],  # no shards
     ])
     def test_invalid_cover_rejected(self, parts):
         with pytest.raises(InvalidParameter):
-            self.run([Shard(j, idx) for j, idx in enumerate(parts)])
+            self.run(parts)
 
 
 class TestScheduling:
@@ -230,9 +251,9 @@ class TestScheduling:
         schedule = batch_schedule(shards, 10, 6)
         owners = []
         for batch in schedule:
-            for shard in shards:
-                if set(batch.tolist()) <= set(shard.indices.tolist()):
-                    owners.append(shard.machine)
+            for machine, shard in enumerate(shards):
+                if set(batch.tolist()) <= set(shard.tolist()):
+                    owners.append(machine)
                     break
         assert owners == [0, 0, 0, 1, 1, 1]
 
@@ -252,7 +273,7 @@ class TestScheduling:
         count; trailing remainders are never scheduled."""
         p = random_ridge(m, 2, seed=m, alpha=0.3)
         shards = partition(p.data, k, Rng(m, 1))
-        every = [batch for shard in shards for batch in shard.batches(T)]
+        every = [shard[b * T : (b + 1) * T] for shard in shards for b in range(len(shard) // T)]
         for S in range(len(every) + 1):
             schedule = batch_schedule(shards, T, S)
             assert len(schedule) == S

@@ -206,6 +206,16 @@ class TestGradientOracle:
         absolute = LipschitzLinearProblem(data, "absolute", radius=2.0)
         assert np.allclose(absolute.point_gradient(0, [1.0, 0.0]), [0.0, 0.0])
 
+    @pytest.mark.parametrize("kind", ["squared", "absolute", "hinge"])
+    def test_slope_into_out_keeps_the_bits(self, kind):
+        rng = Rng(80, 0)
+        z = np.concatenate([rng.normal(40), [1.0, -1.0, 0.5, 0.0]])
+        y = np.concatenate([np.clip(rng.normal(40), -1, 1), [1.0, -1.0, 0.5, 2.0]])
+        out = np.full_like(z, np.nan)
+        got = problem_module._scalar_slope(kind, z, y, out=out)
+        assert got is out
+        assert out.tobytes() == problem_module._scalar_slope(kind, z, y).tobytes()
+
 
 class TestGramGradient:
     """The ridge gradient H w - b agrees with the pairwise mean of the

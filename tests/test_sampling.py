@@ -90,6 +90,18 @@ def test_shuffle_frozen_vector_m1000():
     assert sum(i * v for i, v in enumerate(order)) == 251275654
 
 
+@pytest.mark.parametrize("order", [np.array([True, True]), np.array([True, False]),
+                                   np.array([0.0, 1.0]), np.array([1.0, 0.0])])
+def test_is_permutation_rejects_non_integer_dtypes(order):
+    assert not is_permutation(order, 2)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16, np.uint64])
+def test_is_permutation_accepts_integer_dtypes(dtype):
+    assert is_permutation(np.array([1, 0, 2], dtype=dtype), 3)
+    assert not is_permutation(np.array([1, 1, 2], dtype=dtype), 3)
+
+
 FROZEN_TAKES = {
     "with_replacement": [[10, 29, 8], [33, 14, 28, 45, 14, 37, 48],
                          [27, 6, 0, 25, 42, 0, 0, 7, 5, 4, 22], [7, 46, 13, 7]],
@@ -110,7 +122,8 @@ def test_sampler_frozen_takes(kind):
 def test_partition_frozen_vector():
     data = Dataset(X=np.zeros((10, 1)), y=np.zeros(10))
     shards = partition(data, 3, Rng(6, 2))
-    assert [s.indices.tolist() for s in shards] == [[2, 3, 4, 1], [5, 8, 9], [0, 7, 6]]
+    assert [s.tolist() for s in shards] == [[2, 3, 4, 1], [5, 8, 9], [0, 7, 6]]
+    assert all(s.dtype == np.int64 for s in shards)
 
 
 def test_single_shuffle_bijection_and_exhaustion():
