@@ -14,28 +14,29 @@ moves exactly n_machines * d floats.
 Equivalence contract: the simulation runs the single-machine driver's
 epoch loop (``svrg._drive``) and supplies only the batches, the anchor
 and the broadcast, so the guard, the safety bound, the random-iterate
-pick and the trace are shared.  Each machine's share of the anchor is
-its local mean gradient in Gram form, ``H_j w - b_j`` (see
-:func:`local_operator`), built once per run.  A lone shard covers every
-point and reuses the problem's own Hessian and right-hand side, so its
-anchor is the same ``hessian @ w - b`` as ``RidgeProblem.full_gradient``
-and one machine reproduces ``run_svrg`` on the matched permutation bit
-for bit, for both epoch outputs.  With several machines the anchor is a
-weighted sum of local Gram forms, so per-epoch suboptimalities agree to
-rounding (tested at 1e-12).
+pick and the trace are shared.  The reduce round's shard-weighted sum of
+the machines' local mean gradients is, by linearity, the full gradient,
+so the anchor is ``RidgeProblem.full_gradient``, the cached Gram form
+``hessian @ w - b``, whatever the partition.  A run on any number of
+machines therefore reproduces ``run_svrg`` on the matched permutation
+bit for bit, for both epoch outputs.
+
+Without explicit shards only the permutation's prefix up to the last
+consumed position is drawn; it equals that prefix of the permutation
+:func:`partition` deals on the same stream lane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
 from .errors import BatchesExhausted, InvalidParameter
-from .problem import Dataset, _gram_form, pairwise_sum
+from .problem import Dataset
 from .rng import Rng
-from .sampling import SINGLE_SHUFFLE, is_permutation, shuffle
+from .sampling import SINGLE_SHUFFLE, SingleShuffleSampler, is_permutation, shuffle
 from .svrg import AUX_STREAM_BIT, SVRGConfig, _drive
 
 REDUCE = "reduce"
@@ -68,6 +69,33 @@ class CommLog:
         return None
 
 
+def _block_sizes(m: int, n_machines: int) -> list[int]:
+    """Sizes of ``n_machines`` balanced blocks of m points, by
+    ``np.array_split``'s rule: the first m mod n_machines are one longer."""
+    if n_machines < 1:
+        raise InvalidParameter("need at least one machine")
+    if n_machines > m:
+        raise InvalidParameter(f"cannot split {m} points across {n_machines} machines")
+    size, longer = divmod(m, n_machines)
+    return [size + 1] * longer + [size] * (n_machines - longer)
+
+
+def _batch_starts(sizes: list[int], epoch_len: int, n_epochs: int) -> list[int]:
+    """Start positions, in the concatenated blocks of these sizes, of the
+    batch consumed at each epoch: blocks in order, each block's full
+    batches of ``epoch_len`` in order; a shorter trailing remainder takes
+    no inner steps (it still counts in every anchor)."""
+    counts = [size // epoch_len for size in sizes]
+    if sum(counts) < n_epochs:
+        raise BatchesExhausted(
+            f"cluster holds {sum(counts)} batches of size {epoch_len} but the run needs "
+            f"{n_epochs}; the total batch count must be at least the epoch count"
+        )
+    starts = (offset + b * epoch_len
+              for offset, n in zip(accumulate(sizes, initial=0), counts) for b in range(n))
+    return list(islice(starts, n_epochs))
+
+
 def partition(dataset: Dataset, n_machines: int, rng: Rng) -> list[np.ndarray]:
     """Randomly split point indices into ``n_machines`` balanced shards.
 
@@ -75,31 +103,17 @@ def partition(dataset: Dataset, n_machines: int, rng: Rng) -> list[np.ndarray]:
     differ by at most one, the longer blocks first; block j, an int64
     view of the permutation, is machine j's shard.
     """
-    m = dataset.m
-    if n_machines < 1:
-        raise InvalidParameter("need at least one machine")
-    if n_machines > m:
-        raise InvalidParameter(f"cannot split {m} points across {n_machines} machines")
-    return np.array_split(shuffle(m, rng), n_machines)
+    sizes = _block_sizes(dataset.m, n_machines)
+    return np.split(shuffle(dataset.m, rng), list(accumulate(sizes[:-1])))
 
 
 def batch_schedule(shards: list[np.ndarray], epoch_len: int, n_epochs: int) -> list[np.ndarray]:
     """The batch consumed at each epoch: machines in order, each
     machine's consecutive full batches of ``epoch_len`` local indices in
-    local order.  Only the consumed batches are sliced.  A trailing
-    remainder shorter than a batch takes no inner steps (it still counts
-    in every anchor).  Raises when the cluster holds too few batches to
-    finish."""
-    counts = [len(shard) // epoch_len for shard in shards]
-    if sum(counts) < n_epochs:
-        raise BatchesExhausted(
-            f"cluster holds {sum(counts)} batches of size {epoch_len} but the run "
-            f"needs {n_epochs}; the total batch count must be at least the "
-            f"epoch count"
-        )
-    batches = (shard[b * epoch_len : (b + 1) * epoch_len]
-               for shard, n in zip(shards, counts) for b in range(n))
-    return list(islice(batches, n_epochs))
+    local order (see :func:`_batch_starts`)."""
+    starts = _batch_starts([len(shard) for shard in shards], epoch_len, n_epochs)
+    order = np.concatenate(shards) if shards else np.empty(0, dtype=np.int64)
+    return [order[i : i + epoch_len] for i in starts]
 
 
 def matched_permutation(shards: list[np.ndarray], epoch_len: int, n_epochs: int) -> np.ndarray:
@@ -112,20 +126,6 @@ def matched_permutation(shards: list[np.ndarray], epoch_len: int, n_epochs: int)
     return np.concatenate([consumed, np.flatnonzero(rest_mask)])
 
 
-def local_operator(problem, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(H_j, b_j) such that H_j @ w - b_j is the mean ridge gradient over
-    the sorted, duplicate-free ``indices``:
-    H_j = X_j^T X_j / m_j + alpha*I and b_j = X_j^T y_j / m_j.
-
-    Indices equal to range(m) return the problem's own ``hessian`` and
-    right-hand side, the arrays ``RidgeProblem.full_gradient`` reads.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == problem.m and np.array_equal(idx, np.arange(problem.m)):
-        return problem.hessian, problem._rhs
-    return _gram_form(*problem._rows(idx), problem.alpha)
-
-
 def run_distributed_svrg(
     problem,
     n_machines: int,
@@ -134,23 +134,25 @@ def run_distributed_svrg(
 ):
     """Simulate the distributed driver; returns (EpochTrace, CommLog).
 
-    ``shards`` defaults to a fresh random partition drawn on the config's
-    auxiliary stream lane; explicit shards are integer index sequences,
-    one per machine, that together hold each point exactly once.  The
-    epochs run in the single-machine driver's loop, fed the batch
-    schedule, an anchor reduced from the machines' local mean gradients
-    (each from its :func:`local_operator`, combined in machine order) and
-    a snapshot broadcast after each epoch.
+    ``shards`` defaults to ``partition(problem.data, n_machines,
+    Rng(config.seed, config.stream ^ AUX_STREAM_BIT))``, of which only
+    the consumed prefix is drawn; explicit shards are integer index
+    sequences, one per machine, that together hold each point exactly
+    once.  The epochs run in the single-machine driver's loop, fed the
+    batch schedule, the reduced anchor (``problem.full_gradient``) and a
+    snapshot broadcast after each epoch.
     """
     if config.sampler != SINGLE_SHUFFLE:
         raise InvalidParameter(
             "the distributed driver realizes single-shuffle sampling; "
             f"got config.sampler={config.sampler!r}"
         )
+    T, S = config.epoch_len, config.n_epochs
     if shards is None:
-        shards = partition(
-            problem.data, n_machines, Rng(config.seed, config.stream ^ AUX_STREAM_BIT)
-        )
+        starts = _batch_starts(_block_sizes(problem.m, n_machines), T, S)
+        rng = Rng(config.seed, config.stream ^ AUX_STREAM_BIT)
+        prefix = SingleShuffleSampler(problem.m, rng).take(starts[-1] + T)
+        schedule = [prefix[i : i + T] for i in starts]
     else:
         shards = [np.asarray(shard) for shard in shards]
         flat = bool(shards) and all(shard.ndim == 1 for shard in shards)
@@ -159,19 +161,15 @@ def run_distributed_svrg(
                 f"shards must be integer index sequences holding each of the "
                 f"{problem.m} points exactly once"
             )
-    if len(shards) != n_machines:
-        raise InvalidParameter(f"expected {n_machines} shards, got {len(shards)}")
-
-    schedule = batch_schedule(shards, config.epoch_len, config.n_epochs)
-    operators = [local_operator(problem, np.sort(shard)) for shard in shards]
-    weights = [len(shard) / problem.m for shard in shards]
+        if len(shards) != n_machines:
+            raise InvalidParameter(f"expected {n_machines} shards, got {len(shards)}")
+        schedule = batch_schedule(shards, T, S)
     floats = n_machines * problem.d
     log = CommLog()
 
     def reduce_anchor(snapshot):
         log._record_round(REDUCE, n_machines, floats)
-        parts = [w * (H @ snapshot - b) for w, (H, b) in zip(weights, operators)]
-        return pairwise_sum(np.stack(parts))
+        return problem.full_gradient(snapshot)
 
     def broadcast(s, snapshot):
         log._record_round(BROADCAST, n_machines, floats)

@@ -18,10 +18,10 @@ reduce per-point terms with an index-ascending balanced pairwise tree
 trailing element passes to the next level unchanged; levels repeat until
 one value remains.  The ridge gradient needs no reduction over points:
 it is exactly ``hessian @ w - b`` with the cached Hessian and right-hand
-side b = (1/m) X^T y, an O(d^2) evaluation.  The distributed simulation
-builds each machine's Gram form with the same private ``_gram_form`` and,
-with one machine, reuses these very arrays, so it reproduces the
-single-machine anchor bit for bit.
+side b = (1/m) X^T y, an O(d^2) evaluation.  The distributed simulation's
+reduced anchor, the shard-weighted sum of local Gram forms, equals it by
+linearity, so the simulation evaluates this very ``full_gradient`` and
+reproduces the single-machine anchor bit for bit on any partition.
 
 Blocks of points
 ----------------

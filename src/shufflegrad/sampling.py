@@ -55,13 +55,15 @@ def is_permutation(order: np.ndarray, m: int) -> bool:
 
 def explicit_indices(sigma, m: int, need: int) -> np.ndarray:
     """The first ``need`` indices of an explicit index sequence ``sigma``,
-    as int64.  ``sigma`` must hold at least ``need`` indices, all in [0, m)."""
-    idx = np.asarray(sigma, dtype=np.int64)
+    as int64.  ``sigma`` must hold at least ``need`` integer indices, all in [0, m)."""
+    idx = np.asarray(sigma)
     if idx.size < need:
         raise InvalidParameter(f"sigma provides {idx.size} indices, need {need}")
+    if idx.dtype.kind not in "iu":
+        raise InvalidParameter(f"sigma must hold integer indices, got dtype {idx.dtype}")
     if idx.size and (idx.min() < 0 or idx.max() >= m):
         raise InvalidParameter("sigma contains out-of-range indices")
-    return idx[:need]
+    return idx[:need].astype(np.int64, copy=False)
 
 
 def enumerate_permutations(m: int):

@@ -215,7 +215,7 @@ def run_svrg(problem, config: SVRGConfig, sigma=None) -> EpochTrace:
     ``sigma`` optionally fixes the inner-step index sequence (length at
     least epoch_len * n_epochs), bypassing the sampler.  The anchor is
     ``problem.full_gradient``, the Gram form ``hessian @ w - b``, which a
-    one-machine distributed run evaluates on the same arrays and so
+    distributed run on any number of machines evaluates too and so
     reproduces bit for bit.
     """
     T, S = config.epoch_len, config.n_epochs

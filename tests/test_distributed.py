@@ -15,9 +15,11 @@ from shufflegrad import (
     run_distributed_svrg,
     run_svrg,
 )
-from shufflegrad.distributed import BROADCAST, REDUCE, local_operator
-from shufflegrad.problem import pairwise_mean, pairwise_sum
+from shufflegrad import distributed
+from shufflegrad.distributed import BROADCAST, REDUCE
+from shufflegrad.problem import _gram_form, pairwise_mean, pairwise_sum
 from shufflegrad.errors import BatchesExhausted, InvalidParameter
+from shufflegrad.svrg import AUX_STREAM_BIT
 from conftest import random_dataset, random_ridge
 
 
@@ -34,6 +36,11 @@ class TestPartition:
         shards = partition(data, 3, Rng(2, 0))
         sizes = [len(s) for s in shards]
         assert sorted(sizes) == [3, 3, 4]
+
+    @pytest.mark.parametrize("m, k", [(10, 3), (103, 4), (7, 7), (9, 1), (40, 6)])
+    def test_sizes_follow_array_split(self, m, k):
+        shards = partition(random_dataset(m, 2, seed=m), k, Rng(m, k))
+        assert [len(s) for s in shards] == [len(a) for a in np.array_split(np.arange(m), k)]
 
     def test_single_machine_gets_everything(self):
         data = random_dataset(6, 2, seed=2)
@@ -102,20 +109,24 @@ class TestEquivalence:
             assert getattr(dist_trace, field).tobytes() == getattr(solo_trace, field).tobytes()
         assert dist_trace.initial_suboptimality == solo_trace.initial_suboptimality
 
-    def test_four_machines_match_to_rounding(self):
+    def test_four_machines_bitwise(self):
         p = random_ridge(600, 5, seed=7, alpha=0.15)
         cfg = SVRGConfig(step_size=0.1, epoch_len=30, n_epochs=5, seed=9)
         shards = partition(p.data, 4, Rng(9, 42))
         dist_trace, _ = run_distributed_svrg(p, 4, cfg, shards=shards)
         sigma = matched_permutation(shards, 30, 5)
         solo_trace = run_svrg(p, cfg, sigma=sigma)
-        assert np.abs(dist_trace.suboptimality - solo_trace.suboptimality).max() <= 1e-12
+        for field in ("suboptimality", "max_suboptimality", "final_snapshot"):
+            assert getattr(dist_trace, field).tobytes() == getattr(solo_trace, field).tobytes()
+        assert (np.float64(dist_trace.initial_suboptimality).tobytes()
+                == np.float64(solo_trace.initial_suboptimality).tobytes())
 
 
 class TestLocalOperators:
-    """Each machine's Gram-form operator H_j w - b_j against the pairwise
-    mean of its local gradient rows, and their weighted combine against
-    the full gradient, to rounding."""
+    """Each machine's local mean gradient in Gram form, H_j w - b_j,
+    against the pairwise mean of its local gradient rows, and their
+    shard-weighted combine against the full gradient, to rounding: the
+    identity by which the reduce round's anchor is ``full_gradient``."""
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_local_matches_pairwise_row_mean(self, k):
@@ -124,7 +135,7 @@ class TestLocalOperators:
             p = random_ridge(97 + 41 * trial, 2 + trial % 5, seed=30 + trial, alpha=0.15)
             for shard in partition(p.data, k, Rng(trial, k)):
                 local = np.sort(shard)
-                H, b = local_operator(p, local)
+                H, b = _gram_form(*p._rows(local), p.alpha)
                 w = (1.0 + trial) * rng.normal(p.d)
                 rows = pairwise_mean(p.point_gradient_rows(w, local))
                 tol = 1e-14 * (1.0 + np.linalg.norm(w))
@@ -139,23 +150,80 @@ class TestLocalOperators:
             w = (1.0 + trial) * rng.normal(p.d)
             parts = []
             for shard in shards:
-                H, b = local_operator(p, np.sort(shard))
+                H, b = _gram_form(*p._rows(np.sort(shard)), p.alpha)
                 parts.append(len(shard) / p.m * (H @ w - b))
             combined = pairwise_sum(np.stack(parts))
             tol = 1e-14 * (1.0 + np.linalg.norm(w))
             assert np.abs(combined - p.full_gradient(w)).max() <= tol
 
-    def test_subset_operator_is_the_subset_problems_gram_form(self):
-        p = random_ridge(90, 4, seed=51, alpha=0.3)
-        local = np.sort(partition(p.data, 3, Rng(51, 0))[1])
-        H, b = local_operator(p, local)
-        sub = RidgeProblem(Dataset(X=p.data.X[local], y=p.data.y[local]), alpha=p.alpha)
-        assert H.tobytes() == sub.hessian.tobytes() and b.tobytes() == sub._rhs.tobytes()
 
-    def test_full_shard_reuses_problem_arrays(self):
-        p = random_ridge(50, 3, seed=50)
-        H, b = local_operator(p, np.arange(p.m))
-        assert H is p.hessian and b is p._rhs
+class TestDefaultPartition:
+    """Without explicit shards only the consumed prefix of the partition's
+    permutation is drawn; the run equals the one on explicit shards from
+    ``partition`` on the auxiliary lane, byte for byte."""
+
+    SHAPES = {  # (m, k, T, S)
+        "inside_machine_0": (400, 4, 10, 5),
+        "spills_across_machines": (400, 4, 10, 25),
+        "uneven_shards_and_remainders": (103, 4, 7, 10),
+        "one_machine": (57, 1, 5, 11),
+        "one_point_per_machine": (40, 40, 1, 30),
+    }
+
+    @pytest.mark.parametrize("epoch_output", ["average", "random_iterate"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_equals_explicit_partition(self, shape, epoch_output):
+        m, k, T, S = self.SHAPES[shape]
+        p = random_ridge(m, 3, seed=m + k, alpha=0.2)
+        for stream in (0, 6):
+            cfg = SVRGConfig(step_size=0.1, epoch_len=T, n_epochs=S, seed=k,
+                             stream=stream, epoch_output=epoch_output)
+            trace, log = run_distributed_svrg(p, k, cfg)
+            shards = partition(p.data, k, Rng(cfg.seed, stream ^ AUX_STREAM_BIT))
+            expected, expected_log = run_distributed_svrg(p, k, cfg, shards=shards)
+            for field in ("suboptimality", "max_suboptimality", "stochastic_grad_evals",
+                          "full_grad_point_evals", "final_snapshot"):
+                assert getattr(trace, field).tobytes() == getattr(expected, field).tobytes()
+            assert (np.float64(trace.initial_suboptimality).tobytes()
+                    == np.float64(expected.initial_suboptimality).tobytes())
+            assert log == expected_log
+
+    def test_draws_only_the_consumed_prefix(self, monkeypatch):
+        drawn = []
+
+        class Recording(distributed.SingleShuffleSampler):
+            def take(self, n):
+                drawn.append(n)
+                return super().take(n)
+
+        monkeypatch.setattr(distributed, "SingleShuffleSampler", Recording)
+        p = random_ridge(400, 3, seed=3, alpha=0.2)
+        # shards of 100: 10 batches of 10 in machine 0, then 2 in machine 1
+        cfg = SVRGConfig(step_size=0.1, epoch_len=10, n_epochs=12, seed=4)
+        run_distributed_svrg(p, 4, cfg)
+        assert drawn == [120]
+
+    def test_batches_exhausted_message(self):
+        p = random_ridge(103, 2, seed=5, alpha=0.3)
+        cfg = SVRGConfig(step_size=0.1, epoch_len=7, n_epochs=13, seed=5)
+        with pytest.raises(BatchesExhausted) as info:
+            run_distributed_svrg(p, 4, cfg)  # shards of 26, 26, 26, 25: 3 batches each
+        assert str(info.value) == (
+            "cluster holds 12 batches of size 7 but the run needs 13; "
+            "the total batch count must be at least the epoch count"
+        )
+
+    @pytest.mark.parametrize("k, message", [
+        (0, "need at least one machine"),
+        (-2, "need at least one machine"),
+        (41, "cannot split 40 points across 41 machines"),
+    ])
+    def test_bad_machine_count_messages(self, k, message):
+        p = random_ridge(40, 2, seed=6, alpha=0.3)
+        cfg = SVRGConfig(step_size=0.1, epoch_len=1, n_epochs=1, seed=6)
+        with pytest.raises(InvalidParameter) as info:
+            run_distributed_svrg(p, k, cfg)
+        assert str(info.value) == message
 
 
 class TestCommunication:

@@ -287,6 +287,12 @@ def test_reshuffle_epoch_cost_does_not_grow_with_m():
     ([0, 1, 0], "sigma provides 3 indices, need 4"),
     ([0, 1, 2, 0, 1], "sigma contains out-of-range indices"),
     ([0, 1, 0, 1, -1], "sigma contains out-of-range indices"),
+    ([0.7, 1.9, 0.5, 1.0], "sigma must hold integer indices, got dtype float64"),
+    ([True, False, True, False], "sigma must hold integer indices, got dtype bool"),
+    (np.array([0, 1, 1, 0], dtype=np.float32),
+     "sigma must hold integer indices, got dtype float32"),
+    ([], "sigma provides 0 indices, need 4"),
+    ([0.5], "sigma provides 1 indices, need 4"),
 ])
 def test_explicit_sequences_are_checked_alike_by_both_drivers(unit_axes_problem, sigma, message):
     sgd = SGDConfig(n_steps=4, step_rule=FixedStep(0.1), radius=5.0)
@@ -296,3 +302,16 @@ def test_explicit_sequences_are_checked_alike_by_both_drivers(unit_axes_problem,
         with pytest.raises(InvalidParameter) as err:
             run()
         assert str(err.value) == message
+
+
+def test_permutation_tuples_run_like_arrays(unit_axes_problem):
+    sgd = SGDConfig(n_steps=2, step_rule=FixedStep(0.1), radius=5.0)
+    svrg = SVRGConfig(step_size=0.1, epoch_len=1, n_epochs=2)
+    for sigma in enumerate_permutations(2):
+        order = np.array(sigma)
+        got = run_sgd(unit_axes_problem, sgd, sigma=sigma)
+        assert got.suboptimality.tobytes() == run_sgd(
+            unit_axes_problem, sgd, sigma=order).suboptimality.tobytes()
+        got = run_svrg(unit_axes_problem, svrg, sigma=sigma)
+        assert got.final_snapshot.tobytes() == run_svrg(
+            unit_axes_problem, svrg, sigma=order).final_snapshot.tobytes()

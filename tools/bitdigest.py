@@ -111,6 +111,9 @@ def svrg_digest(sg):
 
 
 def distributed_digest(sg):
+    """Each grid case twice: on the default partition, then on explicit
+    shards from ``partition`` on the same auxiliary lane, so both ways
+    of getting the batch schedule are hashed."""
     dig = Digest()
     for d, m, k, T, S in ((1, 300, 1, 30, 4), (3, 600, 3, 25, 5),
                           (5, 1200, 4, 100, 8), (20, 2003, 4, 41, 6)):
@@ -118,9 +121,12 @@ def distributed_digest(sg):
         for output in ("average", "random_iterate"):
             cfg = sg.SVRGConfig(step_size=0.1, epoch_len=T, n_epochs=S,
                                 epoch_output=output, seed=k)
-            trace, log = sg.run_distributed_svrg(p, k, cfg)
-            _svrg_trace(dig, trace)
-            dig.add(log.rounds, log.payload_floats)
+            lane = cfg.stream ^ sg.svrg.AUX_STREAM_BIT
+            shards = sg.partition(p.data, k, sg.Rng(cfg.seed, lane))
+            for run_shards in (None, shards):
+                trace, log = sg.run_distributed_svrg(p, k, cfg, shards=run_shards)
+                _svrg_trace(dig, trace)
+                dig.add(log.rounds, log.payload_floats)
     return dig.hexdigest()
 
 
