@@ -11,15 +11,18 @@ d-float vectors ever travel; data points stay put.  A broadcast round is
 modeled as one delivery per machine in the cluster, so every round
 moves exactly n_machines * d floats.
 
-Equivalence contract: the simulation runs the single-machine driver's
-epoch loop (``svrg._drive``) and supplies only the batches, the anchor
-and the broadcast, so the guard, the safety bound, the random-iterate
-pick and the trace are shared.  The reduce round's shard-weighted sum of
-the machines' local mean gradients is, by linearity, the full gradient,
-so the anchor is ``RidgeProblem.full_gradient``, the cached Gram form
-``hessian @ w - b``, whatever the partition.  A run on any number of
+Equivalence contract: the simulation only builds the run's
+(n_epochs, epoch_len) index schedule and runs it through the
+single-machine driver's epoch loop (``svrg._drive``), so the guard, the
+safety bound, the random-iterate pick and the trace are shared.  The
+reduce round's shard-weighted sum of the machines' local mean gradients
+is, by linearity, the full gradient, so the loop's anchor
+``RidgeProblem.full_gradient``, the cached Gram form ``hessian @ w - b``,
+is the reduced anchor whatever the partition.  A run on any number of
 machines therefore reproduces ``run_svrg`` on the matched permutation
-bit for bit, for both epoch outputs.
+bit for bit, for both epoch outputs.  Every epoch makes one reduce and
+one broadcast round, so the counts are known in advance and the
+:class:`CommLog` is filled in closed form after the loop.
 
 Without explicit shards only the permutation's prefix up to the last
 consumed position is drawn; it equals that prefix of the permutation
@@ -51,11 +54,6 @@ class CommLog:
     rounds: int = 0
     payload_floats: int = 0
     messages_by_kind: dict[str, int] = field(default_factory=dict)
-
-    def _record_round(self, kind: str, messages: int, floats: int) -> None:
-        self.rounds += 1
-        self.messages_by_kind[kind] = self.messages_by_kind.get(kind, 0) + messages
-        self.payload_floats += floats
 
     def rounds_per_decade(self, suboptimality) -> float | None:
         """Rounds per decade of accuracy gained along the suboptimality
@@ -107,20 +105,27 @@ def partition(dataset: Dataset, n_machines: int, rng: Rng) -> list[np.ndarray]:
     return np.split(shuffle(dataset.m, rng), list(accumulate(sizes[:-1])))
 
 
-def batch_schedule(shards: list[np.ndarray], epoch_len: int, n_epochs: int) -> list[np.ndarray]:
-    """The batch consumed at each epoch: machines in order, each
-    machine's consecutive full batches of ``epoch_len`` local indices in
-    local order (see :func:`_batch_starts`)."""
+def _batches(order: np.ndarray, starts: list[int], epoch_len: int) -> np.ndarray:
+    """The (len(starts), epoch_len) int64 index schedule whose row s is
+    ``order[starts[s] : starts[s] + epoch_len]``."""
+    rows = np.asarray(starts, dtype=np.int64)[:, None] + np.arange(epoch_len)
+    return order[rows].astype(np.int64, copy=False)
+
+
+def batch_schedule(shards: list[np.ndarray], epoch_len: int, n_epochs: int) -> np.ndarray:
+    """The (n_epochs, epoch_len) int64 index schedule: row s is the batch
+    consumed at epoch s, machines in order, each machine's consecutive
+    full batches of ``epoch_len`` local indices in local order (see
+    :func:`_batch_starts`)."""
     starts = _batch_starts([len(shard) for shard in shards], epoch_len, n_epochs)
     order = np.concatenate(shards) if shards else np.empty(0, dtype=np.int64)
-    return [order[i : i + epoch_len] for i in starts]
+    return _batches(order, starts, epoch_len)
 
 
 def matched_permutation(shards: list[np.ndarray], epoch_len: int, n_epochs: int) -> np.ndarray:
     """Single-machine index order that replays a distributed run exactly:
     the consumed batches in consumption order, then everything else."""
-    schedule = batch_schedule(shards, epoch_len, n_epochs)
-    consumed = np.concatenate(schedule) if schedule else np.empty(0, dtype=np.int64)
+    consumed = batch_schedule(shards, epoch_len, n_epochs).ravel()
     rest_mask = np.ones(sum(len(shard) for shard in shards), dtype=bool)
     rest_mask[consumed] = False
     return np.concatenate([consumed, np.flatnonzero(rest_mask)])
@@ -138,9 +143,9 @@ def run_distributed_svrg(
     Rng(config.seed, config.stream ^ AUX_STREAM_BIT))``, of which only
     the consumed prefix is drawn; explicit shards are integer index
     sequences, one per machine, that together hold each point exactly
-    once.  The epochs run in the single-machine driver's loop, fed the
-    batch schedule, the reduced anchor (``problem.full_gradient``) and a
-    snapshot broadcast after each epoch.
+    once.  The epochs run in the single-machine driver's loop on the
+    batch schedule; the log counts 2 * n_epochs rounds, n_machines *
+    n_epochs messages of each kind and d floats per message.
     """
     if config.sampler != SINGLE_SHUFFLE:
         raise InvalidParameter(
@@ -152,7 +157,7 @@ def run_distributed_svrg(
         starts = _batch_starts(_block_sizes(problem.m, n_machines), T, S)
         rng = Rng(config.seed, config.stream ^ AUX_STREAM_BIT)
         prefix = SingleShuffleSampler(problem.m, rng).take(starts[-1] + T)
-        schedule = [prefix[i : i + T] for i in starts]
+        indices = _batches(prefix, starts, T)
     else:
         shards = [np.asarray(shard) for shard in shards]
         flat = bool(shards) and all(shard.ndim == 1 for shard in shards)
@@ -163,16 +168,8 @@ def run_distributed_svrg(
             )
         if len(shards) != n_machines:
             raise InvalidParameter(f"expected {n_machines} shards, got {len(shards)}")
-        schedule = batch_schedule(shards, T, S)
-    floats = n_machines * problem.d
-    log = CommLog()
-
-    def reduce_anchor(snapshot):
-        log._record_round(REDUCE, n_machines, floats)
-        return problem.full_gradient(snapshot)
-
-    def broadcast(s, snapshot):
-        log._record_round(BROADCAST, n_machines, floats)
-
-    trace = _drive(problem, config, lambda s: schedule[s], reduce_anchor, broadcast)
-    return trace, log
+        indices = batch_schedule(shards, T, S)
+    trace = _drive(problem, config, indices)
+    messages = n_machines * S  # of each kind: one per machine and epoch
+    return trace, CommLog(rounds=2 * S, payload_floats=2 * messages * problem.d,
+                          messages_by_kind={REDUCE: messages, BROADCAST: messages})

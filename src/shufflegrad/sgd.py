@@ -169,12 +169,12 @@ def _stream_bytes(config: SGDConfig, d: int, collect_iterates: bool) -> int:
     """Bytes one stream adds to a chunk: its index row (drawn, then
     stacked), its trace and the previous chunk's, the block buffers (the
     iterate rows with the carried sum, the gathered points) with the
-    block evaluation's temporaries, and the O(T d) running sums of
-    ``suffix_half`` and the kept iterates (twice: the previous chunk's
-    are still held while the next one runs)."""
+    block evaluation's temporaries, the T//2 + 1 running sums that
+    ``suffix_half`` windows start at, and the kept iterates (twice: the
+    previous chunk's are still held while the next one runs)."""
     T = config.n_steps
-    windows = (config.averaging == SUFFIX_HALF) + 2 * collect_iterates
-    return 8 * (4 * T + (min(T, EVAL_BLOCK) + 2) * (6 * d + 8) + windows * (T + 1) * d)
+    rows = (config.averaging == SUFFIX_HALF) * (T // 2 + 1) + 2 * collect_iterates * (T + 1)
+    return 8 * (4 * T + (min(T, EVAL_BLOCK) + 2) * (6 * d + 8) + rows * d)
 
 
 def _traces(problem, config: SGDConfig, rows, n: int, collect_iterates=False, reference=None):
@@ -243,7 +243,8 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
     slope_col = slope[:, None]
     w_rows, sq_rows, z_rows = list(W), list(sqs), list(zs)  # views made once
     few_rows = B <= LIST_TEST_ROWS
-    csum = np.zeros((T + 1, B, d)) if suffix_mode else None  # S_0 .. S_T
+    # S_0 .. S_{T//2}: the window of step t starts at S_{t//2}.
+    csum = np.zeros((T // 2 + 1, B, d)) if suffix_mode else None
     kept = np.empty((B, T, d)) if collect_iterates else None
     subopt = np.empty((B, T))
     regret = np.zeros(B)
@@ -298,7 +299,7 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
             W[0] = W[n]
             ts = np.arange(lo + 1, lo + n + 1)
             if suffix_mode:
-                csum[lo + 1 : lo + n + 1] = iterates
+                csum[lo + 1 : lo + n + 1] = iterates[: max(0, T // 2 - lo)]  # t <= T//2 only
                 window = (ts + 1) // 2
                 np.subtract(iterates, csum[ts - window], out=iterates)
             else:

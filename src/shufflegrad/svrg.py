@@ -121,12 +121,12 @@ def log_suboptimality_bound(epoch_len: int, n_epochs: int, strong_convexity: flo
     return 2.0 * n_epochs * math.log(5.0 * epoch_len) + math.log(4.0 / strong_convexity)
 
 
-def _drive(problem, config: SVRGConfig, batch, anchor, after_epoch=None) -> EpochTrace:
+def _drive(problem, config: SVRGConfig, indices: np.ndarray) -> EpochTrace:
     """The epoch loop behind both SVRG front ends.
 
-    ``batch(s)`` returns the epoch_len inner-step indices of 0-based
-    epoch s, ``anchor(snapshot)`` the full gradient at the snapshot, and
-    the optional ``after_epoch(s, snapshot)`` sees each new snapshot.
+    ``indices`` is the run's (n_epochs, epoch_len) int64 index schedule:
+    row s holds the inner-step indices of 0-based epoch s.  Every epoch
+    is anchored at ``problem.full_gradient`` of its snapshot.
     """
     lam = problem.strong_convexity
     if lam <= 0:
@@ -158,10 +158,9 @@ def _drive(problem, config: SVRGConfig, batch, anchor, after_epoch=None) -> Epoc
     c = np.array(1.0 - eta * problem.alpha, dtype=np.float64)
     step = np.empty(())
     for s in range(S):
-        q = -eta * anchor(snapshot)
-        indices = batch(s)
+        q = -eta * problem.full_gradient(snapshot)
         pick = int(picker.below(T)) if picker is not None else None
-        Xb = np.take(X, indices, axis=0)
+        Xb = np.take(X, indices[s], axis=0)
 
         # A diverging epoch runs to its end before the guard below sees it,
         # so overflow on the way is expected, not an error.
@@ -194,8 +193,6 @@ def _drive(problem, config: SVRGConfig, batch, anchor, after_epoch=None) -> Epoc
         # but not toward the next snapshot.  cumsum adds the rows in order,
         # as a running accumulator would; a column sum (d = 1) would pair them.
         snapshot = np.cumsum(W[:T], axis=0)[-1] / T if picker is None else W[pick].copy()
-        if after_epoch is not None:
-            after_epoch(s, snapshot)
         subopt[s] = problem.suboptimality(snapshot)
         max_sub[s] = max(0.0, float(subs.max()))
 
@@ -212,20 +209,18 @@ def _drive(problem, config: SVRGConfig, batch, anchor, after_epoch=None) -> Epoc
 def run_svrg(problem, config: SVRGConfig, sigma=None) -> EpochTrace:
     """Run ``n_epochs`` epochs on a ridge problem.
 
-    ``sigma`` optionally fixes the inner-step index sequence (length at
-    least epoch_len * n_epochs), bypassing the sampler.  The anchor is
-    ``problem.full_gradient``, the Gram form ``hessian @ w - b``, which a
-    distributed run on any number of machines evaluates too and so
-    reproduces bit for bit.
+    The run's (n_epochs, epoch_len) index schedule is the first
+    epoch_len * n_epochs entries of ``sigma`` when given, else n_epochs
+    takes of epoch_len from the configured sampler, in order.  The anchor
+    is ``problem.full_gradient``, the Gram form ``hessian @ w - b``, so a
+    distributed run on any number of machines, which builds its schedule
+    from its shards, reproduces this one on the matched permutation bit
+    for bit.
     """
     T, S = config.epoch_len, config.n_epochs
     m = problem.m
     if sigma is not None:
-        sigma = explicit_indices(sigma, m, T * S)
-
-        def batch(s):
-            return sigma[s * T : (s + 1) * T]
-
+        indices = explicit_indices(sigma, m, T * S).reshape(S, T)
     else:
         if config.sampler == SINGLE_SHUFFLE and T * S > m:
             raise InvalidParameter(
@@ -235,11 +230,8 @@ def run_svrg(problem, config: SVRGConfig, sigma=None) -> EpochTrace:
         sampler = make_sampler(
             config.sampler, m, Rng(config.seed, config.stream), epoch_len=min(T, m)
         )
-
-        def batch(s):
-            return sampler.take(T)
-
-    return _drive(problem, config, batch, problem.full_gradient)
+        indices = np.stack([sampler.take(T) for _ in range(S)])
+    return _drive(problem, config, indices)
 
 
 def run_svrg_over_streams(problem, config: SVRGConfig, n_seeds: int):

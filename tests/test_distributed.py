@@ -18,7 +18,7 @@ from shufflegrad import (
 from shufflegrad import distributed
 from shufflegrad.distributed import BROADCAST, REDUCE
 from shufflegrad.problem import _gram_form, pairwise_mean, pairwise_sum
-from shufflegrad.errors import BatchesExhausted, InvalidParameter
+from shufflegrad.errors import BatchesExhausted, DivergenceError, InvalidParameter
 from shufflegrad.svrg import AUX_STREAM_BIT
 from conftest import random_dataset, random_ridge
 
@@ -120,6 +120,41 @@ class TestEquivalence:
             assert getattr(dist_trace, field).tobytes() == getattr(solo_trace, field).tobytes()
         assert (np.float64(dist_trace.initial_suboptimality).tobytes()
                 == np.float64(solo_trace.initial_suboptimality).tobytes())
+
+
+def _error_fields(err):
+    return (type(err), str(err), err.epoch, err.step, np.float64(err.value).tobytes(),
+            np.float64(err.bound).tobytes())
+
+
+class TestDivergence:
+    """A diverging distributed run raises exactly the error of ``run_svrg``
+    on the matched permutation, on the default partition and on explicit
+    shards."""
+
+    CASES = {  # (eta, T, S) on m = 1000, and where the default partition's run crosses
+        "mid_epoch": ((17.5, 80, 5), lambda err, T: 1 < err.step <= T),
+        "epoch_boundary": ((37.0, 20, 12), lambda err, T: err.step == T + 1),
+        "one_step_epochs": ((1e7, 1, 3), lambda err, T: err.step == 2),
+        "overflow_to_inf": ((1e200, 80, 5), lambda err, T: err.value == np.inf),
+    }
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_error_as_single_machine(self, case, k):
+        (eta, T, S), crosses = self.CASES[case]
+        p = random_ridge(1000, 3, seed=50, alpha=0.05)
+        cfg = SVRGConfig(step_size=eta, epoch_len=T, n_epochs=S, seed=5)
+        default = partition(p.data, k, Rng(cfg.seed, cfg.stream ^ AUX_STREAM_BIT))
+        explicit = partition(p.data, k, Rng(1, k))
+        for shards, run_shards in ((default, None), (explicit, explicit)):
+            with pytest.raises(DivergenceError) as dist:
+                run_distributed_svrg(p, k, cfg, shards=run_shards)
+            with pytest.raises(DivergenceError) as solo:
+                run_svrg(p, cfg, sigma=matched_permutation(shards, T, S))
+            assert _error_fields(dist.value) == _error_fields(solo.value)
+            if run_shards is None:
+                assert crosses(dist.value, T)
 
 
 class TestLocalOperators:
@@ -345,11 +380,13 @@ class TestScheduling:
         for S in range(len(every) + 1):
             schedule = batch_schedule(shards, T, S)
             assert len(schedule) == S
+            assert schedule.dtype == np.int64 and schedule.shape == (S, T)
             assert all(np.array_equal(a, b) for a, b in zip(schedule, every))
             consumed = np.concatenate(every[:S]) if S else np.empty(0, dtype=np.int64)
             rest = np.setdiff1d(np.arange(m), consumed)
             assert np.array_equal(matched_permutation(shards, T, S),
                                   np.concatenate([consumed, rest]))
+            assert np.array_equal(matched_permutation(shards, T, S)[: S * T], schedule.ravel())
         S = len(every) + 1
         with pytest.raises(BatchesExhausted) as info:
             batch_schedule(shards, T, S)

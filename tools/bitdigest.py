@@ -17,6 +17,14 @@ does:
     python tools/bitdigest.py /path/to/parent/src > before.txt
     python tools/bitdigest.py src > after.txt && diff before.txt after.txt
 
+or, in one call,
+
+    python tools/bitdigest.py src --against /path/to/parent/src
+
+which runs the grid once per tree, each in its own process, prints the
+lines that differ (``-`` the other tree's, ``+`` this one's) and exits 1
+if any does, else 0.
+
 The grid is small (a few seconds on one core) and fixed; extending it
 changes every later digest, so compare two trees with the same tool.
 """
@@ -27,6 +35,7 @@ import ctypes
 import glob
 import hashlib
 import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -267,9 +276,29 @@ DRIVERS = {
 }
 
 
+def compare(src, other):
+    """Digest both trees in fresh processes; print the differing lines."""
+    outputs = []
+    for tree in (other, src):
+        proc = subprocess.run([sys.executable, os.path.abspath(__file__), tree],
+                              capture_output=True, text=True)
+        if proc.returncode:
+            sys.stderr.write(proc.stderr)
+            return proc.returncode
+        outputs.append(proc.stdout.splitlines())
+    differ = [(a, b) for a, b in zip(*outputs) if a != b]
+    for before, after in differ:
+        print("-", before)
+        print("+", after)
+    return 1 if differ else 0
+
+
 def main(argv):
+    if len(argv) == 4 and argv[2] == "--against":
+        return compare(argv[1], argv[3])
     if len(argv) != 2:
-        print("usage: python tools/bitdigest.py SRC_DIR", file=sys.stderr)
+        print("usage: python tools/bitdigest.py SRC_DIR [--against OTHER_SRC_DIR]",
+              file=sys.stderr)
         return 2
     src = os.path.abspath(argv[1])
     sys.path.insert(0, src)
