@@ -10,6 +10,7 @@ import numpy as np
 
 from shufflegrad import (
     ConcentrationSpec,
+    FiniteVectorClass,
     LinearBallClass,
     RademacherSpec,
     RidgeProblem,
@@ -18,9 +19,11 @@ from shufflegrad import (
     SGDConfig,
     StronglyConvexStep,
     central_band_peak,
+    contraction_check,
     linear_ball_bound,
     matrix_concentration_check,
     permutation_identity_check,
+    product_class_check,
     rademacher_estimate,
     sqrt_sum_bound_scan,
     suboptimality_decomposition_check,
@@ -63,7 +66,20 @@ est = rademacher_estimate(RademacherSpec(LinearBallClass(Xb, 1.0), (50, 50), 20_
 print(f"   estimate {est.value:.4f} +- {est.stderr:.4f}  "
       f"closed-form bound {linear_ball_bound(1.0, (50, 50)):.4f}")
 
-print("\n4. prefix/suffix deviation of normalized second-moment matrices")
+print("\n4. contraction: R(g o V) of 1/2-Lipschitz maps against 1/2 * R(V)")
+cls = FiniteVectorClass(Rng(0, 55).normal(12).reshape(3, 4))
+cmp = contraction_check(cls, [lambda z: 0.5 * z] * 4, 0.5, (2, 2), 10_000, seed=0)
+print(f"   lhs {cmp.lhs.value:.4f}  rhs {cmp.rhs.value:.4f}  gap {cmp.gap:.2e}  "
+      f"within noise: {cmp.within_noise()}")
+
+print("\n5. product class: R(V * S) against B_S * R(V) + B_V * R(S)")
+rng = Rng(0, 56)
+cv = FiniteVectorClass(rng.normal(12).reshape(2, 6))
+cs = FiniteVectorClass(rng.normal(12).reshape(2, 6))
+cmp = product_class_check(cv, cs, (3, 3), 10_000, seed=0)
+print(f"   lhs {cmp.lhs.value:.4f}  rhs {cmp.rhs.value:.4f}  within noise: {cmp.within_noise()}")
+
+print("\n6. prefix/suffix deviation of normalized second-moment matrices")
 for m in (100, 400):
     Xc = Rng(10, m).normal(m * 5).reshape(m, 5)
     Xc /= np.linalg.norm(Xc, axis=1)[:, None]
@@ -72,5 +88,5 @@ for m in (100, 400):
           f"{central_band_peak(out.max_deviation_profile):.4f}, "
           f"violations of the tail bound = {out.violation_rate:.0%}")
 
-print("\n5. weighted square-root sum against 2/sqrt(m), scanned exhaustively")
+print("\n7. weighted square-root sum against 2/sqrt(m), scanned exhaustively")
 print(f"   worst ratio over m <= 500: {sqrt_sum_bound_scan(500):.4f} (must stay <= 1)")

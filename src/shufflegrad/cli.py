@@ -1,11 +1,11 @@
 """Command-line front end for reproducible experiments.
 
-Subcommands: ``gen``, ``sgd``, ``svrg``, ``dist``, ``verify``,
-``rademacher``.  Tabular traces are written as CSV, verification
-summaries as JSON; every output file embeds the resolved configuration
-and the package version, so feeding the same flags back reproduces the
-file byte for byte.  Exit codes: 0 success, 1 runtime failure, 2 usage
-error.
+Subcommands ``gen``, ``sgd``, ``svrg`` and ``dist``; the verification
+oracles are library calls, run end to end by ``demos/identity_oracles.py``.
+Traces are CSV, or JSON under ``--format json``; every output file embeds
+the resolved configuration and the package version, so feeding the same
+flags back reproduces the file byte for byte.  Exit codes: 0 success,
+1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from . import __version__
 from .datagen import GenSpec, generate, load, save
 from .distributed import run_distributed_svrg
 from .errors import ShufflegradError
-from .problem import Dataset, RidgeProblem
-from .rng import Rng
+from .problem import RidgeProblem
 from .sampling import RESHUFFLE_EACH_EPOCH, SINGLE_SHUFFLE, WITH_REPLACEMENT
 from .sgd import (
     FixedStep,
@@ -30,23 +29,8 @@ from .sgd import (
     SGDConfig,
     StronglyConvexStep,
     average_suboptimality_over_seeds,
-    suboptimality_decomposition_check,
 )
 from .svrg import SVRGConfig, epoch_decrease_ratio, recommended_params, run_svrg_over_streams
-from .verify import (
-    ConcentrationSpec,
-    FiniteVectorClass,
-    LinearBallClass,
-    RademacherSpec,
-    central_band_peak,
-    contraction_check,
-    linear_ball_bound,
-    matrix_concentration_check,
-    permutation_identity_check,
-    product_class_check,
-    rademacher_estimate,
-    sqrt_sum_bound_scan,
-)
 
 SAMPLER_FLAGS = {
     "no-replacement": SINGLE_SHUFFLE,
@@ -71,11 +55,11 @@ def _config_line(args: argparse.Namespace, command: str) -> dict:
 def _emit(args, command: str, columns: list[str], rows, extra: dict | None = None):
     cfg = _config_line(args, command)
     print(f"resolved config: {json.dumps(cfg, sort_keys=True)}")
-    if rows is None or args.format == "json":
+    if args.format == "json":
         doc = {
             "config": cfg,
-            "schema": CSV_SCHEMAS.get(command, f"{command}-v1"),
-            "results": extra if rows is None else {
+            "schema": CSV_SCHEMAS[command],
+            "results": {
                 "columns": columns,
                 "rows": [[_jsonable(v) for v in row] for row in rows],
                 **(extra or {}),
@@ -85,7 +69,7 @@ def _emit(args, command: str, columns: list[str], rows, extra: dict | None = Non
     else:
         lines = [
             f"# shufflegrad {__version__}\n",
-            f"# schema: {CSV_SCHEMAS.get(command, command)}\n",
+            f"# schema: {CSV_SCHEMAS[command]}\n",
             f"# config: {json.dumps(cfg, sort_keys=True)}\n",
         ]
         if extra:
@@ -249,154 +233,6 @@ def _cmd_dist(args) -> int:
     return 0
 
 
-def _random_ridge(m: int, d: int, seed: int, alpha: float = 0.25) -> RidgeProblem:
-    rng = Rng(seed, 777)
-    X = rng.normal(m * d).reshape(m, d)
-    X /= np.linalg.norm(X, axis=1).max()
-    y = np.clip(0.5 * rng.normal(m), -1.0, 1.0)
-    return RidgeProblem(Dataset(X, y), alpha=alpha)
-
-
-def _verify_key(args) -> dict:
-    m = args.m or 5
-    problem = _random_ridge(m, 2, args.seed)
-    gaps = []
-    for rule_id in range(args.rules):
-        step = 0.05 + 0.4 * Rng(args.seed, rule_id).uniform(1)[0]
-
-        def rule(prefix, _p=problem, _s=step):
-            w = np.zeros(_p.d)
-            for idx in prefix:
-                w = w - _s * _p.point_gradient(idx, w)
-            return _p.point_losses(w)
-
-        for t in range(1, m + 1):
-            lhs, rhs = permutation_identity_check(m, t, rule)
-            gaps.append(abs(lhs - rhs))
-    worst = max(gaps)
-    print(f"max |lhs - rhs| over {args.rules} rules and all t: {worst:.3e}")
-    return {"max_abs_gap": worst, "m": m, "rules": args.rules}
-
-
-def _verify_theorem1(args) -> dict:
-    m = args.m or 5
-    problem = _random_ridge(m, 2, args.seed)
-    worst = 0.0
-    for T in range(1, m + 1):
-        config = SGDConfig(
-            n_steps=T,
-            step_rule=StronglyConvexStep(problem.strong_convexity),
-            radius=2.0 * max(1.0, float(np.linalg.norm(problem.wstar))),
-        )
-        res = suboptimality_decomposition_check(problem, config)
-        worst = max(worst, abs(res.lhs - res.regret_term - res.prefix_suffix_term))
-    print(f"max |lhs - (regret + prefix/suffix)| over T=1..{m}: {worst:.3e}")
-    return {"max_abs_gap": worst, "m": m}
-
-
-def _verify_rademacher_linear(args) -> dict:
-    m = args.m or 100
-    half = m // 2
-    rng = Rng(args.seed, 99)
-    X = rng.normal(m * 8).reshape(m, 8)
-    X /= np.linalg.norm(X, axis=1)[:, None]
-    spec = RademacherSpec(LinearBallClass(X, 1.0), (half, m - half), args.mc, seed=args.seed)
-    est = rademacher_estimate(spec)
-    bound = linear_ball_bound(1.0, (half, m - half))
-    ok = est.value <= bound + 3 * est.stderr
-    print(f"estimate {est.value:.4f} +- {est.stderr:.4f} vs bound {bound:.4f}: {'ok' if ok else 'VIOLATION'}")
-    return {"estimate": est.value, "stderr": est.stderr, "bound": bound, "holds": ok}
-
-
-def _verify_contraction(args) -> dict:
-    rng = Rng(args.seed, 55)
-    cls = FiniteVectorClass(rng.normal(12).reshape(3, 4))
-    cmp = contraction_check(cls, [lambda z: 0.5 * z] * 4, 0.5, (2, 2), args.mc, seed=args.seed)
-    print(f"lhs {cmp.lhs.value:.4f} rhs {cmp.rhs.value:.4f} gap {cmp.gap:.2e} holds: {cmp.within_noise()}")
-    return {"lhs": cmp.lhs.value, "rhs": cmp.rhs.value, "gap": cmp.gap,
-            "gap_stderr": cmp.gap_stderr, "holds": cmp.within_noise()}
-
-
-def _verify_product(args) -> dict:
-    rng = Rng(args.seed, 56)
-    cv = FiniteVectorClass(rng.normal(12).reshape(2, 6))
-    cs = FiniteVectorClass(rng.normal(12).reshape(2, 6))
-    cmp = product_class_check(cv, cs, (3, 3), args.mc, seed=args.seed)
-    print(f"lhs {cmp.lhs.value:.4f} rhs {cmp.rhs.value:.4f} holds: {cmp.within_noise()}")
-    return {"lhs": cmp.lhs.value, "rhs": cmp.rhs.value, "gap": cmp.gap,
-            "gap_stderr": cmp.gap_stderr, "holds": cmp.within_noise()}
-
-
-def _verify_matrix(args) -> dict:
-    m = args.m or 200
-    d = 5
-    rng = Rng(args.seed, 57)
-    X = rng.normal(m * d).reshape(m, d)
-    X /= np.linalg.norm(X, axis=1)[:, None]
-    spec = ConcentrationSpec(X, 0.0, args.alpha, args.trials, seed=args.seed)
-    res = matrix_concentration_check(spec)
-    print(
-        f"violation rate {res.violation_rate:.4f} vs bound {min(1.0, res.bound):.4f}; "
-        f"central-band peak deviation {central_band_peak(res.max_deviation_profile):.4f}"
-    )
-    return {
-        "violation_rate": res.violation_rate,
-        "bound": res.bound,
-        "gamma": res.gamma,
-        "central_band_peak": central_band_peak(res.max_deviation_profile),
-    }
-
-
-def _verify_appendix_sum(args) -> dict:
-    worst = sqrt_sum_bound_scan(args.m_max)
-    print(f"worst ratio over m <= {args.m_max}: {worst:.6f} (bound 1)")
-    return {"worst_ratio": worst, "m_max": args.m_max}
-
-
-VERIFY_DISPATCH = {
-    "key": _verify_key,
-    "theorem1": _verify_theorem1,
-    "rademacher-linear": _verify_rademacher_linear,
-    "contraction": _verify_contraction,
-    "product": _verify_product,
-    "matrix": _verify_matrix,
-    "appendix-sum": _verify_appendix_sum,
-}
-
-
-def _cmd_verify(args) -> int:
-    results = VERIFY_DISPATCH[args.lemma](args)
-    _emit(args, "verify", [], None, extra=results)
-    return 0
-
-
-def _cmd_rademacher(args) -> int:
-    if args.cls == "finite" and not args.vectors:
-        print("--class finite requires --vectors <path>", file=sys.stderr)
-        return 2
-    if args.cls == "linear-ball":
-        if args.data:
-            X = load(args.data, normalize=args.normalize).X
-        else:
-            rng = Rng(args.seed, 98)
-            X = rng.normal(args.m * args.d).reshape(args.m, args.d)
-            X /= np.linalg.norm(X, axis=1)[:, None]
-        cls = LinearBallClass(X, args.radius)
-        bound = linear_ball_bound(args.radius, (args.s, args.u))
-    else:
-        with open(args.vectors) as fh:
-            cls = FiniteVectorClass(np.array(json.load(fh), dtype=float))
-        bound = None
-    spec = RademacherSpec(cls, (args.s, args.u), args.mc, seed=args.seed)
-    est = rademacher_estimate(spec)
-    print(f"estimate {est.value:.6f} +- {est.stderr:.6f}")
-    results = {"estimate": est.value, "stderr": est.stderr, "mc_samples": est.n_samples}
-    if bound is not None:
-        results["closed_form_bound"] = bound
-    _emit(args, "rademacher", [], None, extra=results)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shufflegrad",
@@ -415,6 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", type=str, required=True)
         p.add_argument("--normalize", action="store_true")
         p.add_argument("--reg", type=float, default=0.1, help="ridge weight")
+
+    def epoch_command(p):
+        """The trace flags plus the epoch flags of svrg and dist."""
+        trace_command(p)
+        p.add_argument("--eta", type=float, default=0.1)
+        p.add_argument("--T", type=int, default=None, dest="T")
+        p.add_argument("--S", type=int, default=None, dest="S")
+        p.add_argument("--eps", type=float, default=None)
+        p.add_argument("--c", type=float, default=10.0)
+        p.add_argument("--auto-params", action="store_true", dest="auto_params")
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     shared(p)
@@ -438,53 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sgd)
 
     p = sub.add_parser("svrg", help="variance-reduced epochs")
-    trace_command(p)
+    epoch_command(p)
     p.add_argument("--sampler", choices=sorted(SAMPLER_FLAGS), default="no-replacement")
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--T", type=int, default=None, dest="T")
-    p.add_argument("--S", type=int, default=None, dest="S")
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--c", type=float, default=10.0)
-    p.add_argument("--auto-params", action="store_true", dest="auto_params")
     p.add_argument("--seeds", type=int, default=1)
     p.set_defaults(func=_cmd_svrg)
 
     p = sub.add_parser("dist", help="simulated distributed run")
-    trace_command(p)
+    epoch_command(p)
     p.add_argument("--k", type=int, required=True, help="number of machines")
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--T", type=int, default=None, dest="T")
-    p.add_argument("--S", type=int, default=None, dest="S")
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--c", type=float, default=10.0)
-    p.add_argument("--auto-params", action="store_true", dest="auto_params")
     p.set_defaults(func=_cmd_dist)
-
-    p = sub.add_parser("verify", help="run a verification oracle")
-    shared(p)
-    p.add_argument("--lemma", choices=sorted(VERIFY_DISPATCH), required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--rules", type=int, default=10)
-    p.add_argument("--mc", type=int, default=10000)
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--alpha", type=float, default=12.0)
-    p.add_argument("--m-max", type=int, default=2000, dest="m_max")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("rademacher", help="Monte-Carlo complexity estimate")
-    shared(p)
-    p.add_argument("--class", choices=["linear-ball", "finite"], default="linear-ball",
-                   dest="cls")
-    p.add_argument("--data", type=str, default=None)
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--vectors", type=str, default=None, help="JSON file for the finite class")
-    p.add_argument("--m", type=int, default=100)
-    p.add_argument("--d", type=int, default=10)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--s", type=int, default=50)
-    p.add_argument("--u", type=int, default=50)
-    p.add_argument("--mc", type=int, default=10000)
-    p.set_defaults(func=_cmd_rademacher)
 
     return parser
 
@@ -494,10 +302,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ShufflegradError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ShufflegradError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -593,6 +593,6 @@ def _prox(kind: str, v: np.ndarray, y: np.ndarray, step: float) -> np.ndarray:
         middle = (~active) & (yv < 1.0) & (y != 0.0)
         out[middle] = 1.0 / y[middle]
         return out
-    if kind == "squared":
+    if kind == "squared":  # only for checking the ADMM core against the exact ridge solve
         return (v + step * y) / (1.0 + step)
     raise InvalidParameter(f"no proximal step for kind {kind!r}")

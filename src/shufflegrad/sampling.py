@@ -54,9 +54,11 @@ def is_permutation(order: np.ndarray, m: int) -> bool:
 
 
 def explicit_indices(sigma, m: int, need: int) -> np.ndarray:
-    """The first ``need`` indices of an explicit index sequence ``sigma``,
+    """The first ``need`` indices of an explicit 1-D index sequence ``sigma``,
     as int64.  ``sigma`` must hold at least ``need`` integer indices, all in [0, m)."""
     idx = np.asarray(sigma)
+    if idx.ndim != 1:
+        raise InvalidParameter(f"sigma must be a 1-D index sequence, got shape {idx.shape}")
     if idx.size < need:
         raise InvalidParameter(f"sigma provides {idx.size} indices, need {need}")
     if idx.dtype.kind not in "iu":

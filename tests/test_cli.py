@@ -1,11 +1,14 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from shufflegrad.cli import main
+from shufflegrad.cli import build_parser, main
 
 
 def run_cli(args):
@@ -134,78 +137,28 @@ def test_dist_reports_comm_costs(dataset_file, tmp_path):
     assert doc["results"]["floats_moved"] == 2 * 3 * 4 * 4
 
 
-def test_verify_key_prints_gap(tmp_path, capsys):
-    out = tmp_path / "key.json"
-    code = run_cli(["verify", "--lemma", "key", "--m", "4", "--rules", "3",
-                    "--out", str(out)])
-    assert code == 0
-    printed = capsys.readouterr().out
-    assert "max |lhs - rhs|" in printed
-    doc = json.loads(out.read_text())
-    assert doc["results"]["max_abs_gap"] <= 1e-12
-
-
-@pytest.mark.parametrize("lemma", ["theorem1", "rademacher-linear", "contraction",
-                                   "product", "appendix-sum"])
-def test_verify_other_lemmas_exit_zero(lemma, tmp_path):
-    out = tmp_path / f"{lemma}.json"
-    args = ["verify", "--lemma", lemma, "--out", str(out)]
-    if lemma == "appendix-sum":
-        args += ["--m-max", "300"]
-    if lemma == "theorem1":
-        args += ["--m", "4"]
-    assert run_cli(args) == 0
-    assert json.loads(out.read_text())["results"]
-
-
-def test_verify_matrix_small(tmp_path):
-    out = tmp_path / "matrix.json"
-    assert run_cli(["verify", "--lemma", "matrix", "--m", "60", "--trials", "50",
-                    "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["results"]["violation_rate"] == 0.0
-
-
-def test_rademacher_linear_ball(tmp_path):
-    out = tmp_path / "rad.json"
-    assert run_cli([
-        "rademacher", "--class", "linear-ball", "--m", "60", "--d", "6",
-        "--s", "30", "--u", "30", "--mc", "4000", "--out", str(out),
-    ]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["results"]["estimate"] <= doc["results"]["closed_form_bound"] + 0.1
-
-
-def test_rademacher_finite_class(tmp_path):
-    vec = tmp_path / "vectors.json"
-    vec.write_text("[[1.0, -1.0], [-1.0, 1.0]]")
-    out = tmp_path / "fin.json"
-    assert run_cli([
-        "rademacher", "--class", "finite", "--vectors", str(vec),
-        "--s", "1", "--u", "1", "--mc", "50000", "--out", str(out),
-    ]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["results"]["estimate"] == pytest.approx(1.5, abs=0.05)
-
-
 def test_usage_error_exit_code_2():
-    proc = subprocess.run(
-        [sys.executable, "-m", "shufflegrad.cli", "sgd", "--bogus-flag"],
-        capture_output=True,
-    )
-    assert proc.returncode == 2
+    # An unknown flag, and the removed verify and rademacher commands.
+    for argv in (["sgd", "--bogus-flag"], ["verify", "--lemma", "key"], ["rademacher"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "shufflegrad.cli", *argv], capture_output=True,
+        )
+        assert proc.returncode == 2, argv
+
+
+def test_readme_names_every_subcommand():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (row,) = [l for l in readme.splitlines() if l.startswith("| `shufflegrad.cli` |")]
+    listed = re.findall(r"`([a-z-]+)`", row.split("subcommands", 1)[1])
+    assert sorted(listed) == sorted(sub.choices)
 
 
 def test_gen_without_out_is_usage_error(capsys):
     assert run_cli(["gen", "--m", "5", "--d", "2"]) == 2
     err = capsys.readouterr().err
     assert err.strip() == "gen requires --out <path>"
-
-
-def test_rademacher_finite_without_vectors_is_usage_error(capsys):
-    assert run_cli(["rademacher", "--class", "finite"]) == 2
-    err = capsys.readouterr().err
-    assert err.strip() == "--class finite requires --vectors <path>"
 
 
 def test_runtime_error_exit_code_1(tmp_path):

@@ -293,6 +293,7 @@ def test_reshuffle_epoch_cost_does_not_grow_with_m():
      "sigma must hold integer indices, got dtype float32"),
     ([], "sigma provides 0 indices, need 4"),
     ([0.5], "sigma provides 1 indices, need 4"),
+    ([[0, 1], [1, 0]], "sigma must be a 1-D index sequence, got shape (2, 2)"),
 ])
 def test_explicit_sequences_are_checked_alike_by_both_drivers(unit_axes_problem, sigma, message):
     sgd = SGDConfig(n_steps=4, step_rule=FixedStep(0.1), radius=5.0)
