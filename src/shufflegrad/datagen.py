@@ -147,10 +147,11 @@ def load(path, normalize: bool = False) -> Dataset:
     A first pass counts the lines, so the parsed chunks of about
     ``READ_HINT`` characters fill one preallocated X and y; rows left
     over by blank and comment lines are trimmed.  A label or coordinate
-    value that is NaN or infinite is malformed.  Invariant violations
-    (feature norm > 1 or |label| > 1) are rejected unless
-    ``normalize=True``, which rescales all features by the largest norm
-    and all labels by the largest magnitude, in place.
+    value that is NaN or infinite is malformed.  Unless
+    ``normalize=True``, which first rescales all features by the largest
+    norm and all labels by the largest magnitude, in place, the
+    :class:`~.problem.Dataset` checks (feature norm <= 1, |label| <= 1)
+    decide, and a violation is a :class:`DataFormatError` naming the path.
     """
     with open(path) as fh:
         n_lines = sum(1 for _ in fh)
@@ -172,19 +173,16 @@ def load(path, normalize: bool = False) -> Dataset:
     if not m:
         raise DataFormatError(f"{path}: no data lines")
     X, y = X[:m], y[:m]
-    nmax, ymax = max_row_norm(X), np.abs(y).max()
     if normalize:
+        nmax, ymax = max_row_norm(X), np.abs(y).max()
         if nmax > 1.0:
             X /= nmax
         if ymax > 1.0:
             y /= ymax
-    elif nmax > 1.0 + 1e-12:
-        raise DataFormatError(f"{path}: feature norm {nmax:.6g} exceeds 1; rerun with normalize")
-    elif ymax > 1.0 + 1e-12:
-        raise DataFormatError(
-            f"{path}: label magnitude {ymax:.6g} exceeds 1; rerun with normalize"
-        )
-    return Dataset(X=X, y=y)
+    try:
+        return Dataset(X=X, y=y)
+    except InvalidParameter as err:
+        raise DataFormatError(f"{path}: {err}; rerun with normalize") from None
 
 
 def _parse_chunk(lines: list[str], d: int, path, lineno: int, X: np.ndarray,

@@ -39,7 +39,8 @@ import numpy as np
 from .errors import BatchesExhausted, InvalidParameter
 from .problem import Dataset
 from .rng import Rng
-from .sampling import SINGLE_SHUFFLE, SingleShuffleSampler, is_permutation, shuffle
+from .sampling import (SINGLE_SHUFFLE, SingleShuffleSampler, explicit_indices, is_permutation,
+                       shuffle)
 from .svrg import AUX_STREAM_BIT, SVRGConfig, _drive
 
 REDUCE = "reduce"
@@ -159,13 +160,10 @@ def run_distributed_svrg(
         prefix = SingleShuffleSampler(problem.m, rng).take(starts[-1] + T)
         indices = _batches(prefix, starts, T)
     else:
-        shards = [np.asarray(shard) for shard in shards]
-        flat = bool(shards) and all(shard.ndim == 1 for shard in shards)
-        if not (flat and is_permutation(np.concatenate(shards), problem.m)):
-            raise InvalidParameter(
-                f"shards must be integer index sequences holding each of the "
-                f"{problem.m} points exactly once"
-            )
+        shards = [explicit_indices(shard, problem.m, name=f"shard {j}")
+                  for j, shard in enumerate(shards)]
+        if not (shards and is_permutation(np.concatenate(shards), problem.m)):
+            raise InvalidParameter(f"shards must hold each of the {problem.m} points exactly once")
         if len(shards) != n_machines:
             raise InvalidParameter(f"expected {n_machines} shards, got {len(shards)}")
         indices = batch_schedule(shards, T, S)

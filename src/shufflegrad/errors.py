@@ -9,12 +9,12 @@ class DimensionMismatch(ShufflegradError, ValueError):
     """A vector or matrix argument has the wrong shape."""
 
 
-class IndexOutOfRange(ShufflegradError, IndexError):
-    """A data-point index is outside {0, ..., m-1}."""
-
-
 class InvalidParameter(ShufflegradError, ValueError):
     """A configuration value violates its documented constraints."""
+
+
+class IndexOutOfRange(InvalidParameter, IndexError):
+    """A data-point index is outside {0, ..., m-1}."""
 
 
 class SingularCurvature(ShufflegradError, ValueError):

@@ -10,6 +10,10 @@ per-point losses.  Two concrete problem types are provided:
   prediction <w, x_i> (absolute, hinge, or squared), restricted to a
   Euclidean ball of given radius.
 
+A point index ``i`` and an ``indices`` row subset pass the package's one
+index check, :func:`.sampling.explicit_indices`: integers in [0, m), no
+bools or floats, a subset 1-D (an empty one reads no rows).
+
 Mean reduction order
 --------------------
 ``full_objective``, and ``full_gradient`` of the Lipschitz losses,
@@ -49,12 +53,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InvalidParameter,
-    SingularCurvature,
-)
+from .errors import DimensionMismatch, InvalidParameter, SingularCurvature
+from .sampling import explicit_indices
 
 NORM_SLACK = 1e-12
 SINGULAR_CUTOFF = 1e-12
@@ -197,12 +197,6 @@ class _LinearPredictionProblem:
             )
         return w.reshape(-1, self.data.d), w.ndim == 1
 
-    def _check_i(self, i: int) -> int:
-        i = int(i)
-        if not 0 <= i < self.data.m:
-            raise IndexOutOfRange(f"index {i} outside [0, {self.data.m})")
-        return i
-
     @property
     def m(self) -> int:
         return self.data.m
@@ -213,7 +207,7 @@ class _LinearPredictionProblem:
 
     def point_loss(self, i: int, w) -> float:
         """f_i(w) for one data point."""
-        i = self._check_i(i)
+        (i,) = explicit_indices([i], self.data.m, name="i")
         w = self._check_w(w)
         z = float(self.data.X[i] @ w)
         reg = 0.5 * self.alpha * float(w @ w)
@@ -221,7 +215,7 @@ class _LinearPredictionProblem:
 
     def point_gradient(self, i: int, w) -> np.ndarray:
         """A (sub)gradient of f_i at w; kinks resolve to the zero slope."""
-        i = self._check_i(i)
+        (i,) = explicit_indices([i], self.data.m, name="i")
         w = self._check_w(w)
         z = float(self.data.X[i] @ w)
         g = _scalar_slope(self.kind, z, self.data.y[i]) * self.data.X[i]
@@ -244,9 +238,7 @@ class _LinearPredictionProblem:
     def _rows(self, indices):
         if indices is None:
             return self.data.X, self.data.y
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.data.m):
-            raise IndexOutOfRange("index list outside dataset range")
+        idx = explicit_indices(indices, self.data.m, name="indices")
         return np.take(self.data.X, idx, axis=0), np.take(self.data.y, idx)
 
     def full_objective(self, w):

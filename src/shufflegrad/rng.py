@@ -93,16 +93,6 @@ def _unit(words: np.ndarray) -> np.ndarray:
     return (words >> _SHIFT_11).astype(np.float64) * _U64_IN_FLOAT
 
 
-def _mix_scalar(z: int) -> int:
-    """SplitMix64 finalizer on one word, in Python ints masked to 64 bits."""
-    z &= MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & MASK64
-    return z ^ (z >> 31)
-
-
 class Rng:
     """Seedable counter-based generator; see the module docstring.
 
@@ -113,7 +103,9 @@ class Rng:
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed) & MASK64
         self.stream = int(stream) & MASK64
-        self._key = _mix_scalar(self.seed) ^ _mix_scalar((self.stream + GOLDEN) & MASK64)
+        seed_word, stream_word = _mix(np.array([self.seed, (self.stream + GOLDEN) & MASK64],
+                                               dtype=np.uint64))
+        self._key = seed_word ^ stream_word
         self._counter = 0
 
     def __repr__(self):
@@ -127,7 +119,7 @@ class Rng:
         """Words at counters start .. start+n-1; the counter does not move."""
         idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
         idx *= _GOLDEN_U64
-        idx += np.uint64(self._key)
+        idx += self._key
         return _mix(idx)
 
     def u64(self, n: int) -> np.ndarray:

@@ -2,14 +2,16 @@
 
 Provides one Fisher-Yates permutation driven by the package's
 counter-based generator, three samplers (with replacement, one shuffle
-for the whole run, reshuffle at every epoch boundary), and exhaustive
-permutation enumeration for the exact oracles.  The permutation is drawn
-in takes: each take draws the swap targets of its steps in one call and
-resolves the swaps with array operations (one argsort and a few
-pointer-jumping passes, O(n log n) for a take of n).  A sampler's first
-take reads the identity arrangement without building it; a second take
-builds one int64 position-to-value vector, kept until the last value is
-emitted.
+for the whole run, reshuffle at every epoch boundary), exhaustive
+permutation enumeration for the exact oracles, the package's one check
+of index sequences from outside (:func:`explicit_indices`), and the one
+builder of a run's index schedule (:func:`schedule`), which the SGD and
+SVRG drivers call.  The permutation is drawn in takes: each take draws
+the swap targets of its steps in one call and resolves the swaps with
+array operations (one argsort and a few pointer-jumping passes,
+O(n log n) for a take of n).  A sampler's first take reads the identity
+arrangement without building it; a second take builds one int64
+position-to-value vector, kept until the last value is emitted.
 Sizes are limited to m < 2**31.  Indices are 0-based everywhere; a
 1-based position t in formulas corresponds to ``order[t - 1]``.
 """
@@ -20,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from .errors import DataExhausted, InvalidParameter
+from .errors import DataExhausted, IndexOutOfRange, InvalidParameter
 from .rng import Rng
 
 WITH_REPLACEMENT = "with_replacement"
@@ -53,19 +55,45 @@ def is_permutation(order: np.ndarray, m: int) -> bool:
     return bool(seen.all())
 
 
-def explicit_indices(sigma, m: int, need: int) -> np.ndarray:
-    """The first ``need`` indices of an explicit 1-D index sequence ``sigma``,
-    as int64.  ``sigma`` must hold at least ``need`` integer indices, all in [0, m)."""
-    idx = np.asarray(sigma)
+def explicit_indices(seq, m: int, need: int | None = None, name: str = "sigma") -> np.ndarray:
+    """The first ``need`` entries (all by default) of the 1-D sequence
+    ``seq`` of integer indices in [0, m), as int64; ``name`` words the errors.
+
+    The package's one check of outside indices.  Bools and floats are
+    rejected; an empty sequence of any dtype is an empty index list.  A
+    range error is an :class:`IndexOutOfRange`, the others its base class
+    :class:`InvalidParameter`.
+    """
+    idx = np.asarray(seq)
     if idx.ndim != 1:
-        raise InvalidParameter(f"sigma must be a 1-D index sequence, got shape {idx.shape}")
-    if idx.size < need:
-        raise InvalidParameter(f"sigma provides {idx.size} indices, need {need}")
-    if idx.dtype.kind not in "iu":
-        raise InvalidParameter(f"sigma must hold integer indices, got dtype {idx.dtype}")
+        raise InvalidParameter(f"{name} must be a 1-D index sequence, got shape {idx.shape}")
+    if need is not None and idx.size < need:
+        raise InvalidParameter(f"{name} provides {idx.size} indices, need {need}")
+    if idx.size and idx.dtype.kind not in "iu":
+        raise InvalidParameter(f"{name} must hold integer indices, got dtype {idx.dtype}")
     if idx.size and (idx.min() < 0 or idx.max() >= m):
-        raise InvalidParameter("sigma contains out-of-range indices")
+        raise IndexOutOfRange(f"{name} contains out-of-range indices")
     return idx[:need].astype(np.int64, copy=False)
+
+
+def schedule(kind: str, m: int, rows: int, cols: int, rng: Rng, epoch_len: int,
+             sigma=None) -> np.ndarray:
+    """A run's (rows, cols) int64 index schedule.
+
+    The first rows * cols entries of ``sigma`` when given, else ``rows``
+    takes of ``cols`` from a ``kind`` sampler on ``rng`` (``epoch_len``
+    sets the reshuffle sampler's epoch), in order.  A single shuffle draws
+    each point at most once, so it needs rows * cols <= m.
+    """
+    if sigma is not None:
+        return explicit_indices(sigma, m, rows * cols).reshape(rows, cols)
+    if kind == SINGLE_SHUFFLE and rows * cols > m:
+        raise InvalidParameter(
+            f"single-shuffle sampling draws each of the m={m} points at most once; "
+            f"the run needs {rows * cols} draws"
+        )
+    sampler = make_sampler(kind, m, rng, epoch_len)
+    return np.stack([sampler.take(cols) for _ in range(rows)])
 
 
 def enumerate_permutations(m: int):

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from .sampling import (
     SAMPLER_KINDS,
     enumerate_permutations,
     explicit_indices,
-    make_sampler,
+    schedule,
 )
 from .verify import _prefix_suffix_gap
 
@@ -150,19 +150,6 @@ class Trace:
     regret: float
     gradient_evals: int
     iterates: np.ndarray | None = None
-
-
-def _draw_indices(problem, config: SGDConfig, sigma) -> np.ndarray:
-    T = config.n_steps
-    if sigma is not None:
-        return explicit_indices(sigma, problem.m, T)
-    if config.sampler == SINGLE_SHUFFLE and T > problem.m:
-        raise InvalidParameter(
-            f"single-shuffle SGD needs n_steps <= m ({T} > {problem.m})"
-        )
-    rng = Rng(config.seed, config.stream)
-    sampler = make_sampler(config.sampler, problem.m, rng, epoch_len=problem.m)
-    return sampler.take(T)
 
 
 def _stream_bytes(config: SGDConfig, d: int, collect_iterates: bool) -> int:
@@ -330,9 +317,11 @@ def run_sgd(
     for problems without a well-defined minimizer).  The comparator must
     lie inside the projection ball, otherwise projection excludes it.
     """
-    rows = _traces(problem, config, lambda k: _draw_indices(problem, config, sigma), 1,
-                   collect_iterates, reference)
-    return next(rows)
+    def rows(k):
+        return schedule(config.sampler, problem.m, 1, config.n_steps,
+                        Rng(config.seed, config.stream), problem.m, sigma)[0]
+
+    return next(_traces(problem, config, rows, 1, collect_iterates, reference))
 
 
 @dataclass
@@ -356,7 +345,8 @@ def average_suboptimality_over_seeds(problem, config: SGDConfig, n_seeds: int) -
     m2 = np.zeros(config.n_steps)
 
     def rows(k):
-        return _draw_indices(problem, replace(config, stream=k), None)
+        return schedule(config.sampler, problem.m, 1, config.n_steps, Rng(config.seed, k),
+                        problem.m)[0]
 
     for k, trace in enumerate(_traces(problem, config, rows, n_seeds)):
         delta = trace.suboptimality - mean
@@ -409,7 +399,7 @@ def suboptimality_decomposition_check(
     fref = float(pairwise_mean(ref_losses))
 
     sigmas = list(enumerate_permutations(m))
-    runs = _traces(problem, config, lambda k: _draw_indices(problem, config, sigmas[k]),
+    runs = _traces(problem, config, lambda k: explicit_indices(sigmas[k], m, T),
                    len(sigmas), collect_iterates=True, reference=wstar)
     lhs_total = 0.0
     regret_total = 0.0

@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidParameter
 from .rng import Rng
-from .sampling import SINGLE_SHUFFLE, SAMPLER_KINDS, explicit_indices, make_sampler
+from .sampling import SINGLE_SHUFFLE, SAMPLER_KINDS, schedule
 
 AUX_STREAM_BIT = 1 << 63  # auxiliary draws live on the high-bit stream lane
 RATIO_FLOOR = 1e-14
@@ -209,28 +209,16 @@ def _drive(problem, config: SVRGConfig, indices: np.ndarray) -> EpochTrace:
 def run_svrg(problem, config: SVRGConfig, sigma=None) -> EpochTrace:
     """Run ``n_epochs`` epochs on a ridge problem.
 
-    The run's (n_epochs, epoch_len) index schedule is the first
-    epoch_len * n_epochs entries of ``sigma`` when given, else n_epochs
-    takes of epoch_len from the configured sampler, in order.  The anchor
+    :func:`sampling.schedule` builds the run's (n_epochs, epoch_len) index
+    schedule from ``sigma`` or the configured sampler.  The anchor
     is ``problem.full_gradient``, the Gram form ``hessian @ w - b``, so a
     distributed run on any number of machines, which builds its schedule
     from its shards, reproduces this one on the matched permutation bit
     for bit.
     """
     T, S = config.epoch_len, config.n_epochs
-    m = problem.m
-    if sigma is not None:
-        indices = explicit_indices(sigma, m, T * S).reshape(S, T)
-    else:
-        if config.sampler == SINGLE_SHUFFLE and T * S > m:
-            raise InvalidParameter(
-                f"single-shuffle mode needs epoch_len * n_epochs <= m "
-                f"({T} * {S} > {m})"
-            )
-        sampler = make_sampler(
-            config.sampler, m, Rng(config.seed, config.stream), epoch_len=min(T, m)
-        )
-        indices = np.stack([sampler.take(T) for _ in range(S)])
+    indices = schedule(config.sampler, problem.m, S, T, Rng(config.seed, config.stream),
+                       min(T, problem.m), sigma)
     return _drive(problem, config, indices)
 
 
@@ -282,8 +270,8 @@ def recommended_params(problem, epsilon: float, c: float = 10.0) -> RecommendedP
     )
 
 
-def epoch_decrease_ratio(trace: EpochTrace, floor: float = RATIO_FLOOR) -> np.ndarray:
-    """Per-epoch contraction factors subopt_{s+1} / max(subopt_s, floor).
+def epoch_decrease_ratio(trace: EpochTrace) -> np.ndarray:
+    """Per-epoch contraction factors subopt_{s+1} / max(subopt_s, RATIO_FLOOR).
 
     The first entry compares epoch 1 against the starting point.  The
     floor only guards the division when a trajectory reaches exact zero.
@@ -291,4 +279,4 @@ def epoch_decrease_ratio(trace: EpochTrace, floor: float = RATIO_FLOOR) -> np.nd
     if trace.n_epochs < 2:
         raise InvalidParameter("need at least two epochs to form ratios")
     chain = np.concatenate([[trace.initial_suboptimality], trace.suboptimality])
-    return chain[1:] / np.maximum(chain[:-1], floor)
+    return chain[1:] / np.maximum(chain[:-1], RATIO_FLOOR)

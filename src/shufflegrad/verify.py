@@ -32,6 +32,7 @@ from .sampling import enumerate_permutations, shuffle
 
 MAX_IDENTITY_M = 8
 EIG_FLOOR = 1e-12
+SIGN_CHUNK = 1 << 18  # sign entries rademacher_estimate draws and reduces at once
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +188,21 @@ def _estimate(scale: float, sups: np.ndarray) -> McEstimate:
 
 
 def rademacher_estimate(spec: RademacherSpec) -> McEstimate:
-    """Monte-Carlo transductive Rademacher complexity of the class."""
+    """Monte-Carlo transductive Rademacher complexity of the class.
+
+    The sign rows are drawn and reduced ``SIGN_CHUNK // m`` (at least one)
+    at a time, in order from one stream, so they are the rows of one
+    (mc_samples, m) draw while memory stays bounded for any mc_samples.
+    """
     s, u = spec.split
+    m, n = spec.cls.length, spec.mc_samples
     rng = Rng(spec.seed, spec.stream)
-    r = ternary_signs(spec.p, (spec.mc_samples, spec.cls.length), rng)
-    return _estimate(1.0 / s + 1.0 / u, spec.cls.sup_correlation(r))
+    rows = max(1, SIGN_CHUNK // m)
+    sups = np.concatenate([
+        spec.cls.sup_correlation(ternary_signs(spec.p, (min(rows, n - lo), m), rng))
+        for lo in range(0, n, rows)
+    ])
+    return _estimate(1.0 / s + 1.0 / u, sups)
 
 
 def linear_ball_bound(radius: float, split: tuple[int, int]) -> float:

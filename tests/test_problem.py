@@ -72,10 +72,26 @@ class TestValidation:
             unit_axes_problem.full_gradient([1.0])
 
     def test_index_errors(self, unit_axes_problem):
+        p, w = unit_axes_problem, [0.0, 0.0]
         with pytest.raises(IndexOutOfRange):
-            unit_axes_problem.point_loss(2, [0.0, 0.0])
+            p.point_loss(2, w)
         with pytest.raises(IndexOutOfRange):
-            unit_axes_problem.point_gradient(-1, [0.0, 0.0])
+            p.point_gradient(-1, w)
+        with pytest.raises(IndexOutOfRange):
+            p.point_losses(w, [0, 2])
+        with pytest.raises(IndexOutOfRange):
+            p.point_gradient_rows(w, [-1])
+        # Float, bool and 2-D indices are rejected, not cast to rows.
+        for bad in (lambda: p.point_loss(2.7, w),
+                    lambda: p.point_loss(True, w),
+                    lambda: p.point_gradient(0.0, w),
+                    lambda: p.point_losses(w, [0.5, 1.9]),
+                    lambda: p.point_losses(w, [True, False]),
+                    lambda: p.point_gradient_rows(w, [[0, 1], [1, 0]])):
+            with pytest.raises(InvalidParameter):
+                bad()
+        assert p.point_losses(w, []).shape == (0,)
+        assert p.point_gradient_rows(w, []).shape == (0, 2)
 
     def test_dataset_invariants(self):
         with pytest.raises(InvalidParameter):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shufflegrad import Rng, rng as rng_module
-from shufflegrad.rng import MASK64, _mix, _mix_scalar
+from shufflegrad.rng import MASK64
 
 from conftest import straight_normal
 
@@ -132,12 +132,6 @@ def test_no_warnings_at_the_wrapping_extremes():
         r.normal(5)
         r.below(np.array([1, 3, 2**63, 2**64 - 1], dtype=np.uint64))
         r.below(7)
-
-
-def test_scalar_mix_matches_array_mix():
-    words = [0, MASK64] + [int(w) for w in Rng(17, 3).u64(500)]
-    mixed = _mix(np.array(words, dtype=np.uint64))
-    assert [_mix_scalar(w) for w in words] == [int(v) for v in mixed]
 
 
 def test_below_redraws_follow_the_documented_rule():

@@ -24,6 +24,7 @@ from shufflegrad import (
 )
 from shufflegrad.errors import DivergenceError, InvalidParameter
 from shufflegrad.rng import Rng
+from shufflegrad.sampling import schedule
 from shufflegrad import sgd as sgd_module
 from shufflegrad.sgd import EVAL_BLOCK
 from conftest import (
@@ -354,7 +355,7 @@ def test_batch_rows_match_one_stream_runs(kind, sampler, averaging, d, T, B, cap
                     averaging=averaging, seed=seed)
 
     def rows(k):
-        return sgd_module._draw_indices(p, replace(cfg, stream=k), None)
+        return schedule(cfg.sampler, p.m, 1, cfg.n_steps, Rng(cfg.seed, k), p.m)[0]
 
     budget = tiny_budget(cfg, d, collect, cap)
     with mock.patch.object(sgd_module, "STREAM_CHUNK_BYTES", budget):
@@ -440,7 +441,8 @@ def test_seed_average_raises_the_sequential_error(seed):
     cfg = SGDConfig(n_steps=450, step_rule=FixedStep(1e12), radius=math.inf,
                     sampler="with_replacement", seed=seed)
     n = 12
-    sigmas = [sgd_module._draw_indices(p, replace(cfg, stream=k), None) for k in range(n)]
+    sigmas = [schedule(cfg.sampler, p.m, 1, cfg.n_steps, Rng(cfg.seed, k), p.m)[0]
+              for k in range(n)]
     expected = first_sequential_error(p, cfg, sigmas, None)
     # The surviving streams' iterates reach ~1e150, so the across-seed
     # variance overflows whatever runs the streams; only the error is compared.
@@ -494,7 +496,7 @@ def test_block_size_keeps_every_bit(kind, averaging):
                     sampler="with_replacement", averaging=averaging, seed=3)
 
     def rows(k):
-        return sgd_module._draw_indices(p, replace(cfg, stream=k), None)
+        return schedule(cfg.sampler, p.m, 1, cfg.n_steps, Rng(cfg.seed, k), p.m)[0]
 
     runs = []
     for block, list_rows in ENGINE_SETTINGS:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,21 @@ class TestRademacherEstimate:
             RademacherSpec(LinearBallClass(X @ rot.T, 1.0), (20, 20), 4000, seed=10)
         )
         assert a.value == pytest.approx(b.value, abs=1e-10)
+
+    def test_memory_stays_below_one_sign_matrix(self):
+        # 0.11.0 drew all (2000, 2000) signs at once and peaked at about
+        # three such float64 matrices (95.4 MiB); its estimate on this
+        # spec was 0.060030479375327045.
+        X = unit_rows(2000, 5, seed=11)
+        spec = RademacherSpec(LinearBallClass(X, 1.0), (1000, 1000), 2000, seed=12)
+        tracemalloc.start()
+        try:
+            est = rademacher_estimate(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 2000 * 8
+        assert est.value == pytest.approx(0.060030479375327045, rel=1e-12, abs=0)
 
     def test_split_validation(self):
         cls = FiniteVectorClass([[1.0, 2.0, 3.0]])
