@@ -30,20 +30,19 @@ reproduces the single-machine anchor bit for bit on any partition.
 Blocks of points
 ----------------
 ``full_objective`` and ``suboptimality`` take one point w of shape (d,)
-and return a float, or a block W of shape (n, d) and return n values;
-the single point is evaluated as a block of one row.  Each row of a
-block gets the bits the same formula gives that row on its own, because
-every product is a *stacked* matmul: ``H @ D[:, :, None]`` and
-``X @ W[:, :, None]`` run one matrix-vector product per row and
-``D[:, None, :] @ Q`` one dot product per row, the same BLAS routines
-the one-point expressions ``H @ dw``, ``X @ w`` and ``dw @ q`` call.  A
-plain matrix product such as ``D @ H`` would let BLAS block the rows
-together and change the last bits.  The equality rests on how numpy
-dispatches stacked products, not on IEEE arithmetic, so the tests check
-it row by row against the one-point formulas.  The point losses of a block are
-evaluated in chunks of rows holding at most ``LOSS_CHUNK`` losses, so
-memory does not grow with n·m, and each row's losses pass through the
-same pairwise tree as a single point's.
+and return a float, or a block W of shape (n, d) and return n values.
+``full_objective`` forms the predictions of each chunk of rows (two, or
+as many as ``LOSS_CHUNK`` losses allow, so memory does not grow with n)
+as one matrix product ``A @ X.T``.  numpy sends a one-row product to
+gemv, so a lone row is evaluated as the first row of ``[w, w]``; GEMM
+rows do not depend on the block's size or on the row's place in it, so
+every row has the bits of ``(np.stack([w, w]) @ X.T)[0]`` and goes
+through the same pairwise tree as a single point.  The ridge curvature
+form uses stacked products, ``H @ D[:, :, None]`` and
+``D[:, None, :] @ Q``, one gemv and one dot per row, as the one-point
+``H @ dw`` and ``dw @ q`` do.  Both rest on how numpy and OpenBLAS
+dispatch products, not on IEEE arithmetic, so the tests check them row
+by row.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from .sampling import explicit_indices
 
 NORM_SLACK = 1e-12
 SINGULAR_CUTOFF = 1e-12
-LOSS_CHUNK = 1 << 15  # point losses held at once by a block evaluation
+LOSS_CHUNK = 1 << 15  # point losses a block evaluation holds at once (two rows at least)
 CHECK_ROWS = 2048  # rows of X a feature check or norm scan holds at once
 
 LOSS_KINDS = ("squared", "absolute", "hinge")
@@ -245,14 +244,17 @@ class _LinearPredictionProblem:
         """F(w): pairwise mean of the point losses, ascending index order.
 
         A block of rows gives one value per row (see "Blocks of points").
+        The predictions come from a matrix product, so F(w) may differ from
+        ``pairwise_mean(point_losses(w))`` in its last bits.
         """
         W, single = self._check_block(w)
         X, y = self.data.X, self.data.y
         out = np.empty(W.shape[0])
-        rows = max(1, LOSS_CHUNK // self.data.m)
+        rows = max(2, LOSS_CHUNK // self.data.m)
         for lo in range(0, W.shape[0], rows):
             A = W[lo : lo + rows]
-            z = (X @ A[:, :, None])[:, :, 0]
+            z = (A if len(A) > 1 else A[[0, 0]]) @ X.T
+            z = z[: len(A)]
             reg = 0.5 * self.alpha * (A[:, None, :] @ A[:, :, None])[:, 0]
             losses = _scalar_loss(self.kind, z, y, out=z)
             losses += reg

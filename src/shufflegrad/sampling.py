@@ -72,7 +72,8 @@ def explicit_indices(seq, m: int, need: int | None = None, name: str = "sigma") 
     if idx.size and idx.dtype.kind not in "iu":
         raise InvalidParameter(f"{name} must hold integer indices, got dtype {idx.dtype}")
     if idx.size and (idx.min() < 0 or idx.max() >= m):
-        raise IndexOutOfRange(f"{name} contains out-of-range indices")
+        pos = int(np.flatnonzero((idx < 0) | (idx >= m))[0])
+        raise IndexOutOfRange(f"{name} holds index {idx[pos]} at position {pos}, outside [0, {m})")
     return idx[:need].astype(np.int64, copy=False)
 
 

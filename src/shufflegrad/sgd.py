@@ -211,7 +211,7 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
     suffix_mode = config.averaging == SUFFIX_HALF
     star_losses = problem.point_losses(wstar)
     if given_reference:
-        ref_value = float(pairwise_mean(star_losses))
+        ref_value = problem.full_objective(wstar)
 
         def subopt_of(W):
             return problem.full_objective(W) - ref_value

@@ -477,11 +477,12 @@ def test_certificate_bounds_the_objective_on_the_ball(kind, alpha, d, m, seed):
 
 
 BLOCK_M = 400  # LOSS_CHUNK // BLOCK_M rows per chunk, so a block of 300 spans chunks
+KINKED_M = 2000  # the kinked benchmark's m: 16 rows per chunk, so n = 17 ends on one row
 
 
 @functools.lru_cache(maxsize=None)
-def block_problem(kind, d):
-    data = random_dataset(BLOCK_M, d, seed=d)
+def block_problem(kind, d, m=BLOCK_M):
+    data = random_dataset(m, d, seed=d)
     if kind == "ridge":
         return RidgeProblem(data, alpha=0.1)
     return LipschitzLinearProblem(data, kind, radius=10.0, alpha=0.1)
@@ -493,11 +494,18 @@ def block_problem(kind, d):
     d=st.sampled_from([1, 3, 9, 20]),
     n=st.integers(1, 300),
     seed=st.integers(0, 2**32),
+    m=st.just(BLOCK_M),
 )
-@example(kind="absolute", d=3, n=2 * (LOSS_CHUNK // BLOCK_M) + 1, seed=0)
-def test_block_rows_match_one_point_formulas(kind, d, n, seed):
-    """Each row of a block evaluation has the bits of the one-point formula."""
-    p = block_problem(kind, d)
+@example(kind="absolute", d=3, n=2 * (LOSS_CHUNK // BLOCK_M) + 1, seed=0, m=BLOCK_M)
+@example(kind="absolute", d=20, n=1, seed=1, m=KINKED_M)
+@example(kind="absolute", d=20, n=2, seed=2, m=KINKED_M)
+@example(kind="absolute", d=20, n=16, seed=3, m=KINKED_M)
+@example(kind="absolute", d=20, n=17, seed=4, m=KINKED_M)
+@example(kind="absolute", d=20, n=33, seed=5, m=KINKED_M)
+def test_block_rows_match_one_point_formulas(kind, d, n, seed, m):
+    """Each row of a block evaluation has the bits of the one-point formula,
+    a one-row tail chunk included."""
+    p = block_problem(kind, d, m)
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 4, size=(n, 1))
     W[0] = p.wstar
@@ -519,3 +527,71 @@ def test_block_shape_errors(unit_axes_problem):
             p.suboptimality(bad)
         with pytest.raises(DimensionMismatch):
             p.full_objective(bad)
+
+
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+def objective_rounding_bound(p, w):
+    """A bound on |computed F(w) - F(w)| that holds for any summation order
+    of the predictions' dot products (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., 2002).
+
+    * Predictions, §3.1 (3.5): |z^_i - z_i| <= gamma_d s_i with
+      s_i = sum_k |x_ik w_k|, so the loss moves by at most L_i gamma_d s_i,
+      L_i its Lipschitz constant between z^_i and z_i.
+    * Loss and regularizer, the standard model (2.4), one rounding per
+      operation: e_i below, and gamma_{d+1} rho for rho = (alpha/2)||w||^2.
+    * The sum of loss and regularizer, u per point, and the pairwise tree
+      then the division by m, §4.2 (4.6) and Lemma 3.3: gamma_{h+1} times
+      the mean loss, h = ceil(log2 m) the tree's depth.
+
+    Two evaluations that differ only in how they sum the dot products are
+    each within this bound of F(w), so they are within twice it of each
+    other.  The prediction term alone is not a bound on their difference:
+    rounding is not Lipschitz, so predictions a few ulps apart may round a
+    loss, or a partial sum of the tree, to neighbouring floats.
+    """
+    X, y = p.data.X, p.data.y
+    d, m = p.d, p.m
+    # The computed sum of nonnegative terms may fall short by gamma_d.
+    s = (np.abs(X) @ np.abs(w)) / (1 - gamma(d))
+    zhat = X @ w
+    # Either evaluation's prediction and the exact z lie within 2 gamma_d s of zhat.
+    r = np.abs(zhat - y) + 2 * gamma(d) * s  # bounds |t - y| there
+    q = np.abs(zhat) + 2 * gamma(d) * s  # bounds |t| there
+    if p.kind == "absolute":
+        lip, loss, e = 1.0, r, UNIT_ROUNDOFF * r
+    elif p.kind == "hinge":
+        lip, loss, e = np.abs(y), 1.0 + np.abs(y) * q, gamma(2) * (1.0 + np.abs(y) * q)
+    else:
+        lip, loss, e = r, 0.5 * r * r, gamma(3) * 0.5 * r * r
+    rho = 0.5 * p.alpha * float(w @ w)
+    upper = (loss + e + (1 + gamma(d + 1)) * rho) * (1 + UNIT_ROUNDOFF)  # >= each computed loss
+    h = math.ceil(math.log2(m)) if m > 1 else 0
+    per_point = lip * gamma(d) * s + e + gamma(d + 1) * rho + gamma(1) * upper
+    return 2 * (np.mean(per_point) + gamma(h + 1) * np.mean(upper))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["squared", "absolute", "hinge"]),
+    m=st.sampled_from([1, 5, 61, 400, 2000]),
+    d=st.sampled_from([1, 3, 9, 20]),
+    seed=st.integers(0, 2**32),
+)
+@example(kind="absolute", m=KINKED_M, d=20, seed=0)
+def test_objective_differs_from_point_losses_only_by_rounding(kind, m, d, seed):
+    """The matrix-product objective and the matrix-vector one agree to
+    within the rounding bound; they need not agree bit for bit."""
+    p = LipschitzLinearProblem(random_dataset(m, d, seed=d), kind, radius=10.0, alpha=0.1)
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((8, d)) * 10.0 ** rng.integers(-6, 4, size=(8, 1))
+    for w, value in zip(W, p.full_objective(W)):
+        gemv_value = float(pairwise_mean(p.point_losses(w)))
+        assert abs(value - gemv_value) <= objective_rounding_bound(p, w)

@@ -285,8 +285,8 @@ def test_reshuffle_epoch_cost_does_not_grow_with_m():
 
 @pytest.mark.parametrize("sigma, message", [
     ([0, 1, 0], "sigma provides 3 indices, need 4"),
-    ([0, 1, 2, 0, 1], "sigma contains out-of-range indices"),
-    ([0, 1, 0, 1, -1], "sigma contains out-of-range indices"),
+    ([0, 1, 2, 0, 1], "sigma holds index 2 at position 2, outside [0, 2)"),
+    ([0, 1, 0, 1, -1], "sigma holds index -1 at position 4, outside [0, 2)"),
     ([0.7, 1.9, 0.5, 1.0], "sigma must hold integer indices, got dtype float64"),
     ([True, False, True, False], "sigma must hold integer indices, got dtype bool"),
     (np.array([0, 1, 1, 0], dtype=np.float32),
