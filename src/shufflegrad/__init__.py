@@ -13,7 +13,7 @@ The package provides, for mean losses of linear predictions:
 * synthetic data generation and text serialization (:mod:`.datagen`).
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .datagen import GenSpec, generate, load, planted_weights, save
 from .distributed import (
@@ -49,7 +49,6 @@ from .sampling import (
     WITH_REPLACEMENT,
     enumerate_permutations,
     is_permutation,
-    make_sampler,
     shuffle,
 )
 from .sgd import (

@@ -135,12 +135,12 @@ def _step_rule(args, problem):
 
 def _cmd_sgd(args) -> int:
     problem = _load_problem(args)
-    radius = args.radius if args.radius else 2.0 * max(1.0, float(np.linalg.norm(problem.wstar)))
-    args.radius = radius
+    if args.radius is None:
+        args.radius = 2.0 * max(1.0, float(np.linalg.norm(problem.wstar)))
     config = SGDConfig(
         n_steps=args.T,
         step_rule=_step_rule(args, problem),
-        radius=radius,
+        radius=args.radius,
         sampler=SAMPLER_FLAGS[args.sampler],
         seed=args.seed,
     )

@@ -1,19 +1,20 @@
 """Permutations and the index-sampling disciplines.
 
 Provides one Fisher-Yates permutation driven by the package's
-counter-based generator, three samplers (with replacement, one shuffle
-for the whole run, reshuffle at every epoch boundary), exhaustive
-permutation enumeration for the exact oracles, the package's one check
-of index sequences from outside (:func:`explicit_indices`), and the one
-builder of a run's index schedule (:func:`schedule`), which the SGD and
-SVRG drivers call.  The permutation is drawn in takes: each take draws
-the swap targets of its steps in one call and resolves the swaps with
-array operations (one argsort and a few pointer-jumping passes,
-O(n log n) for a take of n).  A sampler's first take reads the identity
-arrangement without building it; a second take builds one int64
-position-to-value vector, kept until the last value is emitted.
-Sizes are limited to m < 2**31.  Indices are 0-based everywhere; a
-1-based position t in formulas corresponds to ``order[t - 1]``.
+counter-based generator, the one builder of a run's index schedule
+(:func:`schedule`), which the SGD and SVRG drivers call and which draws
+each of the three disciplines (with replacement, one shuffle for the
+whole run, a fresh shuffle at every epoch boundary), exhaustive
+permutation enumeration for the exact oracles, and the package's one
+check of index sequences from outside (:func:`explicit_indices`).  The
+permutation is drawn in takes: each take draws the swap targets of its
+steps in one call and resolves the swaps with array operations (one
+argsort and a few pointer-jumping passes, O(n log n) for a take of n).
+A sampler's first take reads the identity arrangement without building
+it; a second take builds one int64 position-to-value vector, kept until
+the last value is emitted.  Sizes are limited to m < 2**31.  Indices are
+0-based everywhere; a 1-based position t in formulas corresponds to
+``order[t - 1]``.
 """
 
 from __future__ import annotations
@@ -77,24 +78,34 @@ def explicit_indices(seq, m: int, need: int | None = None, name: str = "sigma") 
     return idx[:need].astype(np.int64, copy=False)
 
 
-def schedule(kind: str, m: int, rows: int, cols: int, rng: Rng, epoch_len: int,
-             sigma=None) -> np.ndarray:
+def schedule(kind: str, m: int, rows: int, cols: int, rng: Rng, sigma=None) -> np.ndarray:
     """A run's (rows, cols) int64 index schedule.
 
     The first rows * cols entries of ``sigma`` when given, else ``rows``
-    takes of ``cols`` from a ``kind`` sampler on ``rng`` (``epoch_len``
-    sets the reshuffle sampler's epoch), in order.  A single shuffle draws
-    each point at most once, so it needs rows * cols <= m.
+    rows of ``cols`` drawn on ``rng`` by the ``kind`` discipline, in order:
+    independent uniform draws, one ``below`` call per row; one permutation,
+    one take per row, so each point is drawn at most once and the run needs
+    rows * cols <= m; or a fresh permutation for every epoch of
+    min(cols, m) draws, the epochs read back to back.
     """
     if sigma is not None:
         return explicit_indices(sigma, m, rows * cols).reshape(rows, cols)
-    if kind == SINGLE_SHUFFLE and rows * cols > m:
-        raise InvalidParameter(
-            f"single-shuffle sampling draws each of the m={m} points at most once; "
-            f"the run needs {rows * cols} draws"
-        )
-    sampler = make_sampler(kind, m, rng, epoch_len)
-    return np.stack([sampler.take(cols) for _ in range(rows)])
+    if kind == WITH_REPLACEMENT:
+        return np.stack([rng.below(np.full(cols, m, dtype=np.uint64)) for _ in range(rows)])
+    if kind == SINGLE_SHUFFLE:
+        if rows * cols > m:
+            raise InvalidParameter(
+                f"single-shuffle sampling draws each of the m={m} points at most once; "
+                f"the run needs {rows * cols} draws"
+            )
+        sampler = SingleShuffleSampler(m, rng)
+        return np.stack([sampler.take(cols) for _ in range(rows)])
+    if kind == RESHUFFLE_EACH_EPOCH:
+        epoch = min(cols, m)
+        draws = np.concatenate([SingleShuffleSampler(m, rng).take(epoch)
+                                for _ in range(-(-rows * cols // epoch))])
+        return draws[: rows * cols].reshape(rows, cols)
+    raise InvalidParameter(f"unknown sampler kind {kind!r}; expected one of {SAMPLER_KINDS}")
 
 
 def enumerate_permutations(m: int):
@@ -111,26 +122,11 @@ def enumerate_permutations(m: int):
     return itertools.permutations(range(m))
 
 
-class WithReplacementSampler:
-    """Independent uniform draws from {0, ..., m-1}."""
-
-    kind = WITH_REPLACEMENT
-
-    def __init__(self, m: int, rng: Rng):
-        if m < 1:
-            raise InvalidParameter("sampler needs m >= 1")
-        self.m = m
-        self.rng = rng
-
-    def take(self, n: int) -> np.ndarray:
-        return self.rng.below(np.full(n, self.m, dtype=np.uint64))
-
-
 class SingleShuffleSampler:
     """One permutation drawn up front; at most m draws for the whole run.
 
     This is the package's only Fisher-Yates shuffle: :func:`shuffle`,
-    :class:`ReshuffleSampler` and the distributed partition take their
+    :func:`schedule` and the distributed partition take their
     permutations from it.  It is the forward variant: step t swaps
     position t with a uniform position j_t in [t, m-1] and emits the value
     that lands at t.  Step t consumes one bounded draw for t < m - 1 and
@@ -155,8 +151,6 @@ class SingleShuffleSampler:
     changes; it is freed once all m values are emitted.  Sort keys must
     fit in int64, so m is limited to m < 2**31.
     """
-
-    kind = SINGLE_SHUFFLE
 
     def __init__(self, m: int, rng: Rng):
         if m < 1:
@@ -244,49 +238,3 @@ class SingleShuffleSampler:
             self._state = None
         return out
 
-
-class ReshuffleSampler:
-    """A fresh uniform permutation at every epoch boundary.
-
-    The epoch length is supplied by the caller (SVRG passes its inner
-    loop length); the sampler never guesses it.
-    """
-
-    kind = RESHUFFLE_EACH_EPOCH
-
-    def __init__(self, m: int, rng: Rng, epoch_len: int):
-        if m < 1:
-            raise InvalidParameter("sampler needs m >= 1")
-        if epoch_len < 1 or epoch_len > m:
-            raise InvalidParameter("epoch_len must satisfy 1 <= epoch_len <= m")
-        self.m = m
-        self.rng = rng
-        self.epoch_len = epoch_len
-        self._current = np.empty(0, dtype=np.int64)
-        self._used = 0
-
-    def take(self, n: int) -> np.ndarray:
-        out = np.empty(n, dtype=np.int64)
-        filled = 0
-        while filled < n:
-            if self._used == self._current.size:
-                self._current = SingleShuffleSampler(self.m, self.rng).take(self.epoch_len)
-                self._used = 0
-            grab = min(n - filled, self._current.size - self._used)
-            out[filled : filled + grab] = self._current[self._used : self._used + grab]
-            self._used += grab
-            filled += grab
-        return out
-
-
-def make_sampler(kind: str, m: int, rng: Rng, epoch_len: int | None = None):
-    """Sampler factory keyed by the three discipline names."""
-    if kind == WITH_REPLACEMENT:
-        return WithReplacementSampler(m, rng)
-    if kind == SINGLE_SHUFFLE:
-        return SingleShuffleSampler(m, rng)
-    if kind == RESHUFFLE_EACH_EPOCH:
-        if epoch_len is None:
-            raise InvalidParameter("reshuffle sampler needs an explicit epoch_len")
-        return ReshuffleSampler(m, rng, epoch_len)
-    raise InvalidParameter(f"unknown sampler kind {kind!r}; expected one of {SAMPLER_KINDS}")

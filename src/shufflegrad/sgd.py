@@ -14,7 +14,7 @@ One engine runs B independent streams
 -------------------------------------
 Monte-Carlo streams share nothing but the data, so one private engine
 runs B of them as the rows of a (B, d) iterate matrix, each with its own
-index row (its sampler's single ``take(T)``, or an explicit sequence).
+index row (one row of ``sampling.schedule``, or an explicit sequence).
 ``run_sgd`` is its B = 1 call; ``average_suboptimality_over_seeds`` and
 ``suboptimality_decomposition_check`` run their streams through it in
 consecutive chunks, each chunk sized to one fixed working-memory budget
@@ -319,7 +319,7 @@ def run_sgd(
     """
     def rows(k):
         return schedule(config.sampler, problem.m, 1, config.n_steps,
-                        Rng(config.seed, config.stream), problem.m, sigma)[0]
+                        Rng(config.seed, config.stream), sigma)[0]
 
     return next(_traces(problem, config, rows, 1, collect_iterates, reference))
 
@@ -345,8 +345,7 @@ def average_suboptimality_over_seeds(problem, config: SGDConfig, n_seeds: int) -
     m2 = np.zeros(config.n_steps)
 
     def rows(k):
-        return schedule(config.sampler, problem.m, 1, config.n_steps, Rng(config.seed, k),
-                        problem.m)[0]
+        return schedule(config.sampler, problem.m, 1, config.n_steps, Rng(config.seed, k))[0]
 
     for k, trace in enumerate(_traces(problem, config, rows, n_seeds)):
         delta = trace.suboptimality - mean

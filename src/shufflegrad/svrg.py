@@ -217,8 +217,7 @@ def run_svrg(problem, config: SVRGConfig, sigma=None) -> EpochTrace:
     for bit.
     """
     T, S = config.epoch_len, config.n_epochs
-    indices = schedule(config.sampler, problem.m, S, T, Rng(config.seed, config.stream),
-                       min(T, problem.m), sigma)
+    indices = schedule(config.sampler, problem.m, S, T, Rng(config.seed, config.stream), sigma)
     return _drive(problem, config, indices)
 
 

@@ -166,6 +166,16 @@ def test_runtime_error_exit_code_1(tmp_path):
     assert run_cli(["sgd", "--data", str(missing), "--T", "5"]) == 1
 
 
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_sgd_nonpositive_radius_exit_code_1(dataset_file, tmp_path, capsys, radius):
+    # --radius 0 is a given radius, not a request for the default one.
+    out = tmp_path / "r.csv"
+    args = ["sgd", "--data", str(dataset_file), "--T", "5", "--radius", radius, "--out", str(out)]
+    assert run_cli(args) == 1
+    assert "radius must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invariant_violation_exit_code_1(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("#dim 2\n2.0 1:0.5\n")

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shufflegrad import (
@@ -14,14 +14,14 @@ from shufflegrad import (
     SVRGConfig,
     enumerate_permutations,
     is_permutation,
-    make_sampler,
     partition,
     run_sgd,
     run_svrg,
     shuffle,
 )
 from shufflegrad.errors import DataExhausted, InvalidParameter
-from shufflegrad.sampling import SingleShuffleSampler
+from shufflegrad.sampling import SingleShuffleSampler, schedule
+from conftest import random_ridge
 
 
 def test_shuffle_m1():
@@ -115,8 +115,10 @@ FROZEN_TAKES = {
 
 @pytest.mark.parametrize("kind", sorted(FROZEN_TAKES))
 def test_sampler_frozen_takes(kind):
-    s = make_sampler(kind, 50, Rng(5, 1), epoch_len=7)
-    assert [s.take(n).tolist() for n in (3, 7, 11, 4)] == FROZEN_TAKES[kind]
+    # Rows of 7 (the reshuffle epoch) read the takes back to back.
+    drawn = schedule(kind, 50, 4, 7, Rng(5, 1))
+    assert drawn.shape == (4, 7) and drawn.dtype == np.int64
+    assert drawn.ravel()[:25].tolist() == sum(FROZEN_TAKES[kind], [])
 
 
 def test_partition_frozen_vector():
@@ -127,9 +129,12 @@ def test_partition_frozen_vector():
 
 
 def test_single_shuffle_bijection_and_exhaustion():
-    s = make_sampler("single_shuffle", 3, Rng(2, 0))
-    draws = [int(s.take(1)[0]) for _ in range(3)]
-    assert sorted(draws) == [0, 1, 2]
+    draws = schedule("single_shuffle", 3, 3, 1, Rng(2, 0))
+    assert sorted(draws.ravel().tolist()) == [0, 1, 2]
+    with pytest.raises(InvalidParameter, match="at most once"):
+        schedule("single_shuffle", 3, 4, 1, Rng(2, 0))
+    s = SingleShuffleSampler(3, Rng(2, 0))
+    s.take(3)
     with pytest.raises(DataExhausted):
         s.take(1)
 
@@ -141,31 +146,26 @@ def test_single_shuffle_matches_eager_shuffle():
 
 
 def test_with_replacement_m1_and_frequencies():
-    s = make_sampler("with_replacement", 1, Rng(0))
-    assert all(int(s.take(1)[0]) == 0 for _ in range(10))
-    s3 = make_sampler("with_replacement", 3, Rng(6, 0))
-    draws = s3.take(30_000)
+    assert schedule("with_replacement", 1, 10, 1, Rng(0)).tolist() == [[0]] * 10
+    draws = schedule("with_replacement", 3, 1, 30_000, Rng(6, 0))[0]
     freq = np.bincount(draws, minlength=3) / 30_000
     assert np.abs(freq - 1 / 3).max() < 0.02
 
 
 def test_reshuffle_epochs_are_fresh_permutation_prefixes():
-    s = make_sampler("reshuffle_each_epoch", 6, Rng(11, 0), epoch_len=4)
-    first = s.take(4)
-    second = s.take(4)
+    first, second = schedule("reshuffle_each_epoch", 6, 2, 4, Rng(11, 0))
     # within an epoch no index repeats
     assert len(set(first.tolist())) == 4
     assert len(set(second.tolist())) == 4
-    # a partial take spanning the boundary keeps the same stream
-    s2 = make_sampler("reshuffle_each_epoch", 6, Rng(11, 0), epoch_len=4)
-    assert np.array_equal(s2.take(8), np.concatenate([first, second]))
+    # each epoch is the prefix of a fresh shuffle on the same stream
+    rng = Rng(11, 0)
+    assert np.array_equal(first, SingleShuffleSampler(6, rng).take(4))
+    assert np.array_equal(second, SingleShuffleSampler(6, rng).take(4))
 
 
-def test_reshuffle_needs_epoch_len():
-    with pytest.raises(InvalidParameter):
-        make_sampler("reshuffle_each_epoch", 5, Rng(0))
-    with pytest.raises(InvalidParameter):
-        make_sampler("bogus", 5, Rng(0))
+def test_schedule_rejects_unknown_kind():
+    with pytest.raises(InvalidParameter, match="unknown sampler kind 'bogus'"):
+        schedule("bogus", 5, 1, 1, Rng(0))
 
 
 def test_enumeration_basics():
@@ -233,12 +233,48 @@ def test_take_matches_reference_at_1e5():
 
 def test_reshuffle_matches_reference_over_epochs():
     m, epoch_len = 500, 180
-    sampler = make_sampler("reshuffle_each_epoch", m, Rng(13, 4), epoch_len=epoch_len)
-    got = np.concatenate([sampler.take(n) for n in (100, 250, 7, 363)])
+    drawn = Rng(13, 4)
+    got = schedule("reshuffle_each_epoch", m, 4, epoch_len, drawn)
     rng = Rng(13, 4)
     epochs = [reference_take(m, rng, 0, epoch_len, {}) for _ in range(4)]
-    assert np.array_equal(got, np.concatenate(epochs))
-    assert sampler.rng.counter == rng.counter
+    assert np.array_equal(got, np.stack(epochs))
+    assert drawn.counter == rng.counter
+
+
+# The oracle for a reshuffle schedule: epochs of min(cols, m) draws, each
+# the prefix of a fresh permutation, read back to back and cut to shape.
+def reference_reshuffle(m, rows, cols, rng):
+    epoch, flat = min(cols, m), []
+    while len(flat) < rows * cols:
+        flat.extend(reference_take(m, rng, 0, epoch, {}))
+    return np.array(flat[: rows * cols], dtype=np.int64).reshape(rows, cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 60), rows=st.integers(1, 6), cols=st.integers(1, 130),
+       seed=st.integers(0, 2**32))
+@example(m=50, rows=4, cols=7, seed=5)  # rows > 1, cols < m
+@example(m=60, rows=5, cols=61, seed=6)  # SVRG with T > m: epochs of m
+@example(m=60, rows=1, cols=200, seed=7)  # SGD with T > m
+def test_reshuffle_schedule_matches_reference(m, rows, cols, seed):
+    drawn, rng = Rng(seed, 2), Rng(seed, 2)
+    got = schedule("reshuffle_each_epoch", m, rows, cols, drawn)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_reshuffle(m, rows, cols, rng))
+    assert drawn.counter == rng.counter
+
+
+@pytest.mark.parametrize("T", [1, 7, 59])
+def test_sgd_reshuffle_below_m_reads_a_shuffle_prefix(T):
+    # One epoch of T < m draws: the first T values of the stream's shuffle.
+    p = random_ridge(60, 3, seed=2, alpha=0.2)
+    for k in range(3):
+        prefix = shuffle(p.m, Rng(4, k))[:T]
+        assert np.array_equal(schedule("reshuffle_each_epoch", p.m, 1, T, Rng(4, k))[0], prefix)
+        cfg = SGDConfig(n_steps=T, step_rule=FixedStep(0.1), radius=5.0,
+                        sampler="reshuffle_each_epoch", seed=4, stream=k)
+        got, want = run_sgd(p, cfg), run_sgd(p, cfg, sigma=prefix)
+        assert got.suboptimality.tobytes() == want.suboptimality.tobytes()
 
 
 def test_exhausted_sampler_keeps_no_state():
@@ -272,11 +308,9 @@ def test_huge_m_rejected_before_allocating():
 def test_reshuffle_epoch_cost_does_not_grow_with_m():
     # Each epoch's first take reads the identity arrangement in place of an
     # 8·m-byte vector, so short epochs over a large dataset stay small.
-    sampler = make_sampler("reshuffle_each_epoch", 10**6, Rng(3, 3), epoch_len=10)
     tracemalloc.start()
     try:
-        for _ in range(100):
-            sampler.take(10)
+        schedule("reshuffle_each_epoch", 10**6, 100, 10, Rng(3, 3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -19,7 +19,7 @@ from shufflegrad import (
     run_svrg_over_streams,
 )
 from shufflegrad.errors import DivergenceError, InvalidParameter
-from shufflegrad.sampling import make_sampler
+from shufflegrad.sampling import schedule
 from conftest import random_ridge
 
 
@@ -123,11 +123,7 @@ class TestUpdateStructure:
         )
         trace = run_svrg(p, cfg)
         # replay the same drawn indices through the straight-line oracle
-        from shufflegrad.rng import Rng
-        from shufflegrad.sampling import make_sampler
-
-        sampler = make_sampler("with_replacement", p.m, Rng(5, 0))
-        indices = sampler.take(30)
+        indices = schedule("with_replacement", p.m, 3, 10, Rng(5, 0)).ravel()
         snaps, maxima = reference_svrg(p, 0.08, 10, 3, indices)
         assert np.array_equal(trace.final_snapshot, snaps[-1])
         assert np.array_equal(trace.max_suboptimality, np.array(maxima))
@@ -140,11 +136,7 @@ class TestUpdateStructure:
         )
         trace = run_svrg(p, cfg)
         # rebuild the epoch's iterates and check membership
-        from shufflegrad.rng import Rng
-        from shufflegrad.sampling import make_sampler
-
-        sampler = make_sampler("single_shuffle", p.m, Rng(9, 0))
-        indices = sampler.take(8)
+        indices = schedule("single_shuffle", p.m, 1, 8, Rng(9, 0))[0]
         X, a = p.data.X, p.alpha
         snapshot = np.zeros(p.d)
         anchor = p.full_gradient(snapshot)
@@ -175,12 +167,8 @@ class TestBookkeeping:
     def test_single_shuffle_never_revisits(self):
         p = random_ridge(40, 3, seed=5)
         cfg = SVRGConfig(step_size=0.1, epoch_len=8, n_epochs=5, seed=2)
-        # instrument by replaying the sampler
-        from shufflegrad.rng import Rng
-        from shufflegrad.sampling import make_sampler
-
-        sampler = make_sampler("single_shuffle", p.m, Rng(2, 0))
-        seen = sampler.take(40)
+        # instrument by replaying the schedule
+        seen = schedule("single_shuffle", p.m, 5, 8, Rng(2, 0)).ravel()
         assert len(set(seen.tolist())) == 40
         run_svrg(p, cfg)  # must not raise
 
@@ -288,10 +276,7 @@ class TestSafetyBound:
         guard = math.exp(
             min(log_suboptimality_bound(epoch_len, n_epochs, p.strong_convexity), 700.0)
         )
-        from shufflegrad.rng import Rng
-        from shufflegrad.sampling import make_sampler
-
-        indices = make_sampler("single_shuffle", p.m, Rng(5, 0)).take(epoch_len * n_epochs)
+        indices = schedule("single_shuffle", p.m, n_epochs, epoch_len, Rng(5, 0)).ravel()
         with np.errstate(all="ignore"), pytest.raises(Crossed) as crossed:
             reference_svrg(Guarded(p, guard), eta, epoch_len, n_epochs, indices)
         calls, value = crossed.value.args
@@ -317,10 +302,7 @@ def test_snapshots_and_maxima_match_reference(d, eta, epoch_len):
     p = random_ridge(200, d, seed=14, alpha=0.2)
     cfg = SVRGConfig(step_size=eta, epoch_len=epoch_len, n_epochs=4, seed=8)
     trace = run_svrg(p, cfg)
-    from shufflegrad.rng import Rng
-    from shufflegrad.sampling import make_sampler
-
-    indices = make_sampler("single_shuffle", p.m, Rng(8, 0)).take(epoch_len * 4)
+    indices = schedule("single_shuffle", p.m, 4, epoch_len, Rng(8, 0)).ravel()
     snaps, maxima = reference_svrg(p, eta, epoch_len, 4, indices)
     assert np.array_equal(trace.final_snapshot, snaps[-1])
     assert np.array_equal(trace.max_suboptimality, np.array(maxima))
@@ -358,8 +340,7 @@ def test_run_matches_reference_bitwise(sampler, d, T, S, eta, alpha, spare, seed
     else:
         cfg = SVRGConfig(step_size=eta, epoch_len=T, n_epochs=S, sampler=sampler, seed=seed)
         trace = run_svrg(p, cfg)
-        draws = make_sampler(sampler, p.m, Rng(seed, 0), epoch_len=min(T, p.m))
-        indices = np.concatenate([draws.take(T) for _ in range(S)])
+        indices = schedule(sampler, p.m, S, T, Rng(seed, 0)).ravel()
     snaps, maxima = reference_svrg(p, eta, T, S, indices)
     assert trace.final_snapshot.tobytes() == snaps[-1].tobytes()
     assert trace.max_suboptimality.tobytes() == np.array(maxima).tobytes()

@@ -150,13 +150,16 @@ def _sgd_problems(sg):
 def _sgd_configs(sg, p, radius):
     lam = getattr(p, "strong_convexity", None) or p.alpha
     rules = (sg.StronglyConvexStep(lam), sg.InverseSqrtStep(0.5), sg.FixedStep(0.05))
-    for sampler in (sg.SINGLE_SHUFFLE, sg.RESHUFFLE_EACH_EPOCH, sg.WITH_REPLACEMENT):
-        for rad in (radius, 0.2 + float(np.linalg.norm(p.wstar))):
-            for averaging in (sg.ALL_ITERATES, sg.SUFFIX_HALF):
-                for rule in rules:
-                    T = p.m if sampler == sg.SINGLE_SHUFFLE else p.m + 7
-                    yield sg.SGDConfig(n_steps=T, step_rule=rule, radius=rad,
-                                       sampler=sampler, averaging=averaging, seed=5)
+    # Reshuffle runs shorter than m read one epoch of T draws; longer ones, epochs of m.
+    lengths = {sg.SINGLE_SHUFFLE: (p.m,), sg.RESHUFFLE_EACH_EPOCH: (1, p.m // 3, p.m + 7),
+               sg.WITH_REPLACEMENT: (p.m + 7,)}
+    for sampler, steps in lengths.items():
+        for T in steps:
+            for rad in (radius, 0.2 + float(np.linalg.norm(p.wstar))):
+                for averaging in (sg.ALL_ITERATES, sg.SUFFIX_HALF):
+                    for rule in rules:
+                        yield sg.SGDConfig(n_steps=T, step_rule=rule, radius=rad,
+                                           sampler=sampler, averaging=averaging, seed=5)
 
 
 def sgd_digest(sg):
