@@ -22,14 +22,22 @@ consecutive chunks, each chunk sized to one fixed working-memory budget
 
 Every row keeps the bits of its one-stream run.  The row dots,
 ``np.vecdot`` for x_i . w and for ||w||^2, have the bits of the 1-D
-``x_i @ w`` (checked row by row, see ``problem``, "Blocks of points");
-the elementwise updates perform the scalar loop's operations in its
-order (g = slope x_i, then g + alpha w, then eta_t g, then w - that);
-projection scales only the rows whose norm exceeds the radius.  Step t
-reads w_t from a row of one block buffer and writes w_{t+1} into the
-next.  After each ``EVAL_BLOCK`` steps, one ``cumsum`` over the carried
-sum and the block's iterates gives S_t = w_1 + ... + w_t, added in step
-order like a running accumulator; the average iterate is
+``x_i @ w`` (checked row by row, see ``problem``, "Blocks of points").
+The update is rounded in the order of the SVRG inner step,
+
+    w_{t+1} = (c_t * w_t) - x_i * (eta_t * s_t),   c_t = 1 - eta_t alpha,
+
+with s_t the loss slope at x_i . w_t; the c_t multiply is skipped when
+alpha = 0.  Projection scales only the rows whose norm exceeds the
+radius.  Step t reads x_i and w_t from a row of one block buffer, plane
+0 the gathered points and plane 1 the iterates, and writes w_{t+1} into
+the next row, whose two dots, x_{i'} . w_{t+1} for the next step and
+||w_{t+1}||^2 for the projection test, come from one ``np.vecdot`` call
+(a projected row recomputes its pair).  The rate table eta_1..eta_T and
+the c_t come from one array call of the step rule, with the bits of
+calls at each t.  After each ``EVAL_BLOCK`` steps, one ``cumsum`` over
+the carried sum and the block's iterates gives S_t = w_1 + ... + w_t,
+added in step order like a running accumulator; the average iterate is
 (S_t - S_{t-window}) / window, window t (``all``, S_0 = 0) or ceil(t/2)
 (``suffix_half``), and the averages are evaluated as one block, as are
 the losses; the regret is a cumulative sum along the step axis.
@@ -77,7 +85,7 @@ class StronglyConvexStep:
         if self.strong_convexity <= 0:
             raise InvalidParameter("strong_convexity must be positive")
 
-    def rate(self, t: int) -> float:
+    def rate(self, t: int | np.ndarray) -> float | np.ndarray:
         return 2.0 / (self.strong_convexity * t)
 
 
@@ -89,13 +97,14 @@ class FixedStep:
         if self.eta <= 0:
             raise InvalidParameter("step size must be positive")
 
-    def rate(self, t: int) -> float:
+    def rate(self, t: int | np.ndarray) -> float | np.ndarray:
         return self.eta
 
 
 @dataclass(frozen=True)
 class InverseSqrtStep:
-    """eta_t = eta0 / sqrt(t)."""
+    """eta_t = eta0 / sqrt(t); ``np.sqrt`` is correctly rounded, like
+    ``math.sqrt``, so an array of t gives the bits of the calls at each t."""
 
     eta0: float
 
@@ -103,8 +112,8 @@ class InverseSqrtStep:
         if self.eta0 <= 0:
             raise InvalidParameter("step size must be positive")
 
-    def rate(self, t: int) -> float:
-        return self.eta0 / math.sqrt(t)
+    def rate(self, t: int | np.ndarray) -> float | np.ndarray:
+        return self.eta0 / np.sqrt(t)
 
 
 ALL_ITERATES = "all"
@@ -154,14 +163,18 @@ class Trace:
 
 def _stream_bytes(config: SGDConfig, d: int, collect_iterates: bool) -> int:
     """Bytes one stream adds to a chunk: its index row (drawn, then
-    stacked), its trace and the previous chunk's, the block buffers (the
-    iterate rows with the carried sum, the gathered points) with the
-    block evaluation's temporaries, the T//2 + 1 running sums that
-    ``suffix_half`` windows start at, and the kept iterates (twice: the
-    previous chunk's are still held while the next one runs)."""
+    stacked), its trace and the previous chunk's; per row of the block
+    buffer, 4 vectors of d (the two planes, gathered points and iterates,
+    and the block evaluation's two temporaries, the ridge curvature
+    form's offsets and their Hessian products; the copy of the gathered
+    points and the suffix window's sums are freed before them) and 10
+    scalars (the two dots, the labels, the losses and the regret's
+    temporaries, the block's suboptimality values); the T//2 + 1 running
+    sums that ``suffix_half`` windows start at; and the kept iterates
+    (twice: the previous chunk's are still held while the next one runs)."""
     T = config.n_steps
     rows = (config.averaging == SUFFIX_HALF) * (T // 2 + 1) + 2 * collect_iterates * (T + 1)
-    return 8 * (4 * T + (min(T, EVAL_BLOCK) + 2) * (6 * d + 8) + rows * d)
+    return 8 * (4 * T + (min(T, EVAL_BLOCK) + 2) * (4 * d + 10) + rows * d)
 
 
 def _traces(problem, config: SGDConfig, rows, n: int, collect_iterates=False, reference=None):
@@ -207,7 +220,8 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
     kind = problem.kind
     radius = config.radius
     limit = min(radius, sys.float_info.max)  # a non-finite norm exceeds it even at radius inf
-    rates = [config.step_rule.rate(t) for t in range(1, T + 1)]
+    rates = np.broadcast_to(config.step_rule.rate(np.arange(1.0, T + 1)), (T,))
+    shrinks = 1.0 - rates * alpha  # c_t
     suffix_mode = config.averaging == SUFFIX_HALF
     star_losses = problem.point_losses(wstar)
     if given_reference:
@@ -219,16 +233,19 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
         subopt_of = problem.suboptimality
 
     K = min(T, EVAL_BLOCK)
-    # In the block of steps lo+1 .. lo+n, row 0 of W carries S_lo, step t reads
-    # w_t from row t - lo, and row t - lo - 1 of sqs and zs holds ||w_t||^2, x_i . w_t.
-    W = np.zeros((K + 2, B, d))
-    sqs = np.zeros((K + 1, B))
-    zs = np.empty((K, B))
+    # Plane 0 of buf holds the gathered points, plane 1 (W) the iterates, and
+    # the planes of ZS their row dots x . w and ||w||^2.  In the block of steps
+    # lo+1 .. lo+n, row 0 of W carries S_lo and step t reads x_t, w_t and their
+    # dots from row t - lo, and writes w_{t+1} and its dots into the next.
+    buf = np.zeros((2, K + 2, B, d))
+    P, W = buf
+    ZS = np.zeros((2, K + 2, B))
     G = np.empty((B, d))
-    tmp = np.empty((B, d))
     slope = np.empty(B)
     slope_col = slope[:, None]
-    w_rows, sq_rows, z_rows = list(W), list(sqs), list(zs)  # views made once
+    # views made once: buf[:, j], ZS[:, j] and the rows of each plane
+    pairs, zs_pairs = list(buf.transpose(1, 0, 2, 3)), list(ZS.transpose(1, 0, 2))
+    x_rows, w_rows, z_rows, sq_rows = list(P), list(W), list(ZS[0]), list(ZS[1])
     few_rows = B <= LIST_TEST_ROWS
     # S_0 .. S_{T//2}: the window of step t starts at S_{t//2}.
     csum = np.zeros((T // 2 + 1, B, d)) if suffix_mode else None
@@ -242,22 +259,27 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
             n = min(K, T - lo)
             if lo:  # every block but the last is full: carry its last iterate
                 W[1] = W[K + 1]
-                sqs[0] = sqs[K]
             block = indices[:, lo : lo + n].T
-            Xb = X[block]  # (n, B, d)
+            P[1 : n + 1] = X[block]
             yb = y[block]
-            steps = zip(range(lo + 1, lo + n + 1), w_rows[1:], w_rows[2:], sq_rows[1:],
-                        z_rows, Xb, yb)
-            for t, w, w_next, sq, z, x, yc in steps:
-                np.vecdot(x, w, out=z)
+            # The block's first pair of dots; the last step's x dot reads no point and is unused.
+            np.vecdot(pairs[1], W[1], out=zs_pairs[1])
+            # 0-d views of eta_t and c_t: no scalar conversion in every call
+            steps = zip(range(lo + 1, lo + n + 1), x_rows[1:], w_rows[1:], w_rows[2:],
+                        pairs[2:], zs_pairs[2:], z_rows[1:], sq_rows[2:], yb,
+                        [rates[t, ...] for t in range(lo, lo + n)],
+                        [shrinks[t, ...] for t in range(lo, lo + n)])
+            for t, x, w, w_next, pair, zs_next, z, sq, yc, rate, shrink in steps:
                 _scalar_slope(kind, z, yc, out=slope)
+                np.multiply(slope, rate, out=slope)
                 np.multiply(x, slope_col, out=G)
                 if alpha:
-                    np.multiply(w, alpha, out=tmp)
-                    np.add(G, tmp, out=G)
-                np.multiply(G, rates[t - 1], out=G)
-                np.subtract(w, G, out=w_next)
-                np.vecdot(w_next, w_next, out=sq)
+                    np.multiply(w, shrink, out=w_next)
+                    np.subtract(w_next, G, out=w_next)
+                else:
+                    np.subtract(w, G, out=w_next)
+                # x_{t+1} . w_{t+1} and ||w_{t+1}||^2 in one call
+                np.vecdot(pair, w_next, out=zs_next)
                 # sqrt is monotone: a row to project or a non-finite row fails.
                 if few_rows:  # on Python floats; the sum catches a NaN max skips
                     row_sqs = sq.tolist()
@@ -269,15 +291,14 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
                     first_bad[(first_bad == 0) & ~np.isfinite(norm)] = t
                     over = norm > radius
                     w_next[over] *= (radius / norm[over])[:, None]
-                    projected = w_next[over]
-                    sq[over] = np.vecdot(projected, projected)
+                    zs_next[:, over] = np.vecdot(pair[:, over], w_next[over])
 
             iterates = W[1 : n + 1]  # w_{lo+1} .. w_{lo+n}
             if kept is not None:
                 kept[:, lo : lo + n] = iterates.transpose(1, 0, 2)
-            loss = _scalar_loss(kind, zs[:n], yb)
+            loss = _scalar_loss(kind, ZS[0, 1 : n + 1], yb)
             if alpha:
-                loss += 0.5 * alpha * sqs[:n]
+                loss += 0.5 * alpha * ZS[1, 1 : n + 1]
             loss -= star_losses[block]
             regret = np.cumsum(np.concatenate([regret[None], loss]), axis=0)[-1]
 

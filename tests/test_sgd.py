@@ -82,10 +82,8 @@ def reference_sgd(problem, config, indices, reference=None):
         if a:
             loss += 0.5 * a * (w @ w)
         regret += loss - star[i]
-        g = slope * X[i]
-        if a:
-            g = g + a * w
-        w = w - config.step_rule.rate(t) * g
+        r = config.step_rule.rate(t)
+        w = ((1.0 - r * a) * w if a else w) - X[i] * (r * slope)
         norm = math.sqrt(w @ w)
         if norm > config.radius:
             w *= config.radius / norm
@@ -561,3 +559,28 @@ def test_vecdot_rows_match_one_dimensional_dots(d):
             assert out.tobytes() == dots.tobytes()
             np.vecdot(w, w, out=out)
             assert out.tobytes() == squares.tobytes()
+        # The engine's merged call: plane 0 of a (2, K+2, B, d) buffer holds
+        # the points, plane 1 the iterates; row j gives both dots at once.
+        buf = np.zeros((2, 5, B, d))
+        buf[0, 3], buf[1, 3] = X, w
+        zs = np.zeros((2, 5, B))
+        np.vecdot(buf[:, 3], buf[1, 3], out=zs[:, 3])
+        assert zs[0, 3].tobytes() == dots.tobytes()
+        assert zs[1, 3].tobytes() == squares.tobytes()
+        rows = np.arange(0, B, 2)  # the recomputed pairs of projected rows
+        assert np.vecdot(buf[:, 3][:, rows], buf[1, 3][rows]).tobytes() == \
+            np.stack([dots[rows], squares[rows]]).tobytes()
+
+
+NEAR_2_40 = [2**40 - 1, 2**40, 2**40 + 1, 2**40 + 3**20]
+
+
+@pytest.mark.parametrize("rule", [StronglyConvexStep(0.1), StronglyConvexStep(3.7e-5),
+                                  InverseSqrtStep(0.3), InverseSqrtStep(7.0), FixedStep(0.05)])
+def test_rate_table_has_the_bits_of_per_step_calls(rule):
+    """The engine's one array call of ``rate`` equals the calls at each t."""
+    for steps in (range(1, 10**5 + 1), NEAR_2_40):
+        table = rule.rate(np.array(steps, dtype=np.float64))
+        table = np.broadcast_to(table, (len(steps),))  # FixedStep returns its scalar
+        calls = np.array([rule.rate(t) for t in steps], dtype=np.float64)
+        assert table.tobytes() == calls.tobytes()

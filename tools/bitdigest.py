@@ -145,10 +145,13 @@ def _sgd_problems(sg):
     yield ridge, 3.0
     for kind in ("absolute", "hinge"):
         yield sg.LipschitzLinearProblem(data, kind=kind, radius=4.0, alpha=0.05), 4.0
+    # alpha = 0: the SGD step skips its shrink factor 1 - eta_t alpha.
+    yield sg.LipschitzLinearProblem(data, kind="absolute", radius=4.0, alpha=0.0), 4.0
 
 
 def _sgd_configs(sg, p, radius):
-    lam = getattr(p, "strong_convexity", None) or p.alpha
+    # 2 / (lam t) with lam = 1 where the problem is not strongly convex (alpha = 0)
+    lam = getattr(p, "strong_convexity", None) or p.alpha or 1.0
     rules = (sg.StronglyConvexStep(lam), sg.InverseSqrtStep(0.5), sg.FixedStep(0.05))
     # Reshuffle runs shorter than m read one epoch of T draws; longer ones, epochs of m.
     lengths = {sg.SINGLE_SHUFFLE: (p.m,), sg.RESHUFFLE_EACH_EPOCH: (1, p.m // 3, p.m + 7),
@@ -184,6 +187,14 @@ def seed_summary_digest(sg):
                 continue
             summary = sg.average_suboptimality_over_seeds(p, cfg, 4)
             dig.add(summary.mean, summary.stderr, summary.n_seeds)
+    # 40 streams in one batch: the projection test by ufunc reduce, above
+    # sgd.LIST_TEST_ROWS = 32, on a radius tight enough to project.
+    for p, _ in _sgd_problems(sg):
+        cfg = sg.SGDConfig(n_steps=p.m, step_rule=sg.InverseSqrtStep(2.0),
+                           radius=0.2 + float(np.linalg.norm(p.wstar)),
+                           sampler=sg.WITH_REPLACEMENT, seed=8)
+        summary = sg.average_suboptimality_over_seeds(p, cfg, 40)
+        dig.add(summary.mean, summary.stderr, summary.n_seeds)
     return dig.hexdigest()
 
 
