@@ -74,7 +74,7 @@ class GenSpec:
             raise InvalidParameter(f"spectrum must be one of {SPECTRA}")
         if self.spectrum == "geometric" and not 0.0 < self.decay <= 1.0:
             raise InvalidParameter("geometric decay must lie in (0, 1]")
-        if self.noise < 0 or self.signal_norm < 0:
+        if not (self.noise >= 0 and self.signal_norm >= 0):
             raise InvalidParameter("noise and signal_norm must be >= 0")
 
 

@@ -80,6 +80,19 @@ def max_row_norm(X: np.ndarray) -> np.float64:
                for lo in range(0, X.shape[0], CHECK_ROWS))
 
 
+def _check_features(X: np.ndarray, y: np.ndarray | None = None) -> None:
+    """Raise ``InvalidParameter`` unless the (m, d) features X (and the
+    labels y, when given) are finite and every row norm is at most
+    1 + ``NORM_SLACK``.  Scans ``CHECK_ROWS`` rows of X at a time."""
+    finite = all(np.isfinite(X[lo : lo + CHECK_ROWS]).all()
+                 for lo in range(0, X.shape[0], CHECK_ROWS))
+    if not (finite and (y is None or np.isfinite(y).all())):
+        raise InvalidParameter("features and labels must be finite")
+    nmax = max_row_norm(X)
+    if nmax > 1.0 + NORM_SLACK:
+        raise InvalidParameter(f"feature norms must be <= 1 (max is {nmax:.6g})")
+
+
 def pairwise_sum(values: np.ndarray) -> np.ndarray:
     """Sum along axis 0 with the documented index-ascending pairwise tree."""
     s = np.asarray(values, dtype=np.float64)
@@ -115,13 +128,7 @@ class Dataset:
             raise DimensionMismatch(f"y must have shape ({X.shape[0]},), got {y.shape}")
         if X.shape[0] < 1 or X.shape[1] < 1:
             raise InvalidParameter("dataset needs m >= 1 and d >= 1")
-        finite = all(np.isfinite(X[lo : lo + CHECK_ROWS]).all()
-                     for lo in range(0, X.shape[0], CHECK_ROWS))
-        if not (finite and np.isfinite(y).all()):
-            raise InvalidParameter("features and labels must be finite")
-        nmax = max_row_norm(X)
-        if nmax > 1.0 + NORM_SLACK:
-            raise InvalidParameter(f"feature norms must be <= 1 (max is {nmax:.6g})")
+        _check_features(X, y)
         if np.abs(y).max() > 1.0 + NORM_SLACK:
             raise InvalidParameter(f"labels must lie in [-1, 1] (max |y| is {np.abs(y).max():.6g})")
         object.__setattr__(self, "X", X)
@@ -282,7 +289,7 @@ class RidgeProblem(_LinearPredictionProblem):
     kind = "squared"
 
     def __init__(self, data: Dataset, alpha: float):
-        if alpha < 0:
+        if not alpha >= 0:
             raise InvalidParameter("alpha must be >= 0")
         self.data = data
         self.alpha = float(alpha)
@@ -369,9 +376,9 @@ class LipschitzLinearProblem(_LinearPredictionProblem):
     def __init__(self, data: Dataset, kind: str, radius: float, alpha: float = 0.0):
         if kind not in LOSS_KINDS:
             raise InvalidParameter(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-        if radius <= 0:
+        if not radius > 0:
             raise InvalidParameter("radius must be positive")
-        if alpha < 0:
+        if not alpha >= 0:
             raise InvalidParameter("alpha must be >= 0")
         self.data = data
         self.kind = kind

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameter
-from .problem import _scalar_loss, _scalar_slope, pairwise_mean
+from .problem import _scalar_loss, _scalar_slope
 from .rng import Rng
 from .sampling import (
     SINGLE_SHUFFLE,
@@ -72,7 +72,7 @@ from .sampling import (
     explicit_indices,
     schedule,
 )
-from .verify import _prefix_suffix_gap
+from .verify import _split_gaps
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class StronglyConvexStep:
     strong_convexity: float
 
     def __post_init__(self):
-        if self.strong_convexity <= 0:
+        if not self.strong_convexity > 0:
             raise InvalidParameter("strong_convexity must be positive")
 
     def rate(self, t: int | np.ndarray) -> float | np.ndarray:
@@ -94,7 +94,7 @@ class FixedStep:
     eta: float
 
     def __post_init__(self):
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise InvalidParameter("step size must be positive")
 
     def rate(self, t: int | np.ndarray) -> float | np.ndarray:
@@ -109,7 +109,7 @@ class InverseSqrtStep:
     eta0: float
 
     def __post_init__(self):
-        if self.eta0 <= 0:
+        if not self.eta0 > 0:
             raise InvalidParameter("step size must be positive")
 
     def rate(self, t: int | np.ndarray) -> float | np.ndarray:
@@ -142,7 +142,7 @@ class SGDConfig:
     def __post_init__(self):
         if self.n_steps < 1:
             raise InvalidParameter("n_steps must be >= 1")
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise InvalidParameter("radius must be positive")
         if self.sampler not in SAMPLER_KINDS:
             raise InvalidParameter(f"sampler must be one of {SAMPLER_KINDS}")
@@ -405,6 +405,9 @@ def suboptimality_decomposition_check(
     The identity lhs = regret_term + prefix_suffix_term is exact; any
     fixed reference point may stand in for w* (pass ``wstar``).  All m!
     runs go through the SGD engine as one batch of explicit index rows.
+    The regret term is the engine's own ``Trace.regret / T``, so the
+    identity checks it too; the other two terms are means over the
+    (m!, T, m) point losses of the engine's (m!, T, d) iterates.
     """
     m = problem.m
     if m > MAX_DECOMPOSITION_M:
@@ -415,29 +418,19 @@ def suboptimality_decomposition_check(
     if T > m:
         raise InvalidParameter("decomposition needs T <= m (single pass)")
     ref = problem.wstar if wstar is None else np.asarray(wstar, dtype=np.float64)
-    ref_losses = problem.point_losses(ref)
-    fref = float(pairwise_mean(ref_losses))
 
-    sigmas = list(enumerate_permutations(m))
-    runs = _traces(problem, config, lambda k: explicit_indices(sigmas[k], m, T),
-                   len(sigmas), collect_iterates=True, reference=wstar)
-    lhs_total = 0.0
-    regret_total = 0.0
-    ps_total = 0.0
-    count = 0
-    for sigma, trace in zip(sigmas, runs):
-        ws = trace.iterates
-        losses_at = [problem.point_losses(ws[t]) for t in range(T)]
-        lhs_total += sum(float(pairwise_mean(lv)) - fref for lv in losses_at) / T
-        regret_total += (
-            sum(losses_at[t][sigma[t]] - ref_losses[sigma[t]] for t in range(T)) / T
-        )
-        for t in range(2, T + 1):
-            ps_total += (t - 1) * _prefix_suffix_gap(losses_at[t - 1], sigma, t) / (m * T)
-        count += 1
-
+    sigmas = np.array(list(enumerate_permutations(m)))
+    runs = list(_traces(problem, config, lambda k: explicit_indices(sigmas[k], m, T),
+                        len(sigmas), collect_iterates=True, reference=wstar))
+    W = np.stack([run.iterates for run in runs])  # (m!, T, d)
+    losses = _scalar_loss(problem.kind, W @ problem.data.X.T, problem.data.y)
+    losses += 0.5 * problem.alpha * np.vecdot(W, W)[..., None]
+    regret = np.array([run.regret for run in runs])
+    # row t-1 of the losses split after its first t-1 drawn points, t = 2..T
+    ts = np.arange(2, T + 1)
+    gaps = _split_gaps(np.take_along_axis(losses, sigmas[:, None, :], axis=2))[:, ts - 1, ts - 2]
     return DecompositionResult(
-        lhs=lhs_total / count,
-        regret_term=regret_total / count,
-        prefix_suffix_term=ps_total / count,
+        lhs=float(losses.mean(axis=2).mean() - problem.point_losses(ref).mean()),
+        regret_term=float(regret.mean() / T),
+        prefix_suffix_term=float((gaps @ (ts - 1.0)).mean() / (m * T)),
     )

@@ -80,7 +80,7 @@ class SVRGConfig:
     stream: int = 0
 
     def __post_init__(self):
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise InvalidParameter("step_size must be positive")
         if self.epoch_len < 1 or self.n_epochs < 1:
             raise InvalidParameter("epoch_len and n_epochs must be >= 1")
@@ -129,7 +129,7 @@ def _drive(problem, config: SVRGConfig, indices: np.ndarray) -> EpochTrace:
     is anchored at ``problem.full_gradient`` of its snapshot.
     """
     lam = problem.strong_convexity
-    if lam <= 0:
+    if not lam > 0:
         raise InvalidParameter("problem must be strongly convex (lambda > 0)")
     T, S = config.epoch_len, config.n_epochs
     eta = config.step_size
@@ -246,10 +246,10 @@ def recommended_params(problem, epsilon: float, c: float = 10.0) -> RecommendedP
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameter("epsilon must lie in (0, 1)")
-    if c < 1.0:
+    if not c >= 1.0:
         raise InvalidParameter("c must be >= 1")
     lam = problem.strong_convexity
-    if lam <= 0:
+    if not lam > 0:
         raise InvalidParameter("problem must be strongly convex (lambda > 0)")
     eta = 1.0 / c
     # Guard the ceilings against values that are exact up to rounding.

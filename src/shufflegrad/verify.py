@@ -27,12 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, SingularCurvature
+from .problem import _check_features
 from .rng import Rng
 from .sampling import enumerate_permutations, shuffle
 
 MAX_IDENTITY_M = 8
 EIG_FLOOR = 1e-12
-SIGN_CHUNK = 1 << 18  # sign entries rademacher_estimate draws and reduces at once
+SIGN_CHUNK = 1 << 18  # sign entries the Monte-Carlo oracles draw and reduce at once
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +46,10 @@ def permutation_identity_check(m: int, t: int, value_rule) -> tuple[float, float
     ``value_rule(prefix)`` must return the m values s_0..s_{m-1} as an
     array, where ``prefix`` is the tuple of the first t-1 drawn indices.
     Depending only on the prefix is exactly the measurability condition
-    the identity needs.  Both expectations are computed by summing over
-    all m! permutations (values are cached per prefix).
+    the identity needs.  ``value_rule`` is called once per distinct
+    prefix, in lexicographic order; the permutations that share a prefix
+    are consecutive in that order, so both expectations are means over
+    the (m!, m) matrix of all permutations.
 
     Returns (lhs, rhs) where
     lhs = E[mean(s) - s_{sigma(t)}] and
@@ -58,33 +61,29 @@ def permutation_identity_check(m: int, t: int, value_rule) -> tuple[float, float
     if not 1 <= t <= m:
         raise InvalidParameter(f"need 1 <= t <= m, got t={t}")
 
-    cache: dict[tuple, np.ndarray] = {}
-    lhs_total = 0.0
-    rhs_total = 0.0
-    count = 0
-    for sigma in enumerate_permutations(m):
-        prefix = sigma[: t - 1]
-        s = cache.get(prefix)
-        if s is None:
-            s = np.asarray(value_rule(prefix), dtype=np.float64)
-            if s.shape != (m,):
-                raise DimensionMismatch(
-                    f"value_rule must return {m} values, got shape {s.shape}"
-                )
-            cache[prefix] = s
-        lhs_total += s.mean() - s[sigma[t - 1]]
-        if t > 1:
-            rhs_total += (t - 1) / m * _prefix_suffix_gap(s, sigma, t)
-        count += 1
-    return lhs_total / count, rhs_total / count
+    def values(prefix):
+        s = np.asarray(value_rule(tuple(prefix)), dtype=np.float64)
+        if s.shape != (m,):
+            raise DimensionMismatch(f"value_rule must return {m} values, got shape {s.shape}")
+        return s
+
+    sigmas = np.array(list(enumerate_permutations(m)))
+    share = math.factorial(m - t + 1)  # permutations per distinct prefix
+    S = np.repeat([values(p) for p in sigmas[::share, : t - 1].tolist()], share, axis=0)
+    ordered = np.take_along_axis(S, sigmas, axis=1)
+    lhs = float((S.mean(axis=1) - ordered[:, t - 1]).mean())
+    rhs = (t - 1) / m * float(_split_gaps(ordered)[:, t - 2].mean()) if t > 1 else 0.0
+    return lhs, rhs
 
 
-def _prefix_suffix_gap(values: np.ndarray, sigma, t: int) -> float:
-    """Mean of ``values`` over sigma's first t - 1 positions minus the mean
-    over the rest, for 2 <= t <= len(sigma)."""
-    pre = np.fromiter((values[i] for i in sigma[: t - 1]), float, count=t - 1)
-    suf = np.fromiter((values[i] for i in sigma[t - 1 :]), float, count=len(sigma) - t + 1)
-    return pre.mean() - suf.mean()
+def _split_gaps(ordered: np.ndarray) -> np.ndarray:
+    """Along the last axis (length n), the mean of the first k entries
+    minus the mean of the rest, for k = 1..n-1."""
+    n = ordered.shape[-1]
+    k = np.arange(1, n)
+    head = np.cumsum(ordered, axis=-1)[..., :-1]
+    tail = np.cumsum(ordered[..., ::-1], axis=-1)[..., -2::-1]
+    return head / k - tail / (n - k)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,7 @@ class LinearBallClass:
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=np.float64))
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise InvalidParameter("radius must be positive")
         object.__setattr__(self, "X", X)
 
@@ -187,21 +186,32 @@ def _estimate(scale: float, sups: np.ndarray) -> McEstimate:
     return McEstimate(float(scale * sups.mean()), float(stderr), n)
 
 
-def rademacher_estimate(spec: RademacherSpec) -> McEstimate:
-    """Monte-Carlo transductive Rademacher complexity of the class.
+def _sign_sups(spec: RademacherSpec, *classes) -> list[np.ndarray]:
+    """Each class's ``sup_correlation`` on every row of spec's
+    (mc_samples, m) sign stream.
 
-    The sign rows are drawn and reduced ``SIGN_CHUNK // m`` (at least one)
-    at a time, in order from one stream, so they are the rows of one
+    The rows are drawn and reduced ``SIGN_CHUNK // m`` (at least one) at
+    a time, in order from one stream, so they are the rows of one
     (mc_samples, m) draw while memory stays bounded for any mc_samples.
+    A row's sups may still differ in their last bits from a product over
+    all rows at once: OpenBLAS picks its GEMM kernel by the product's size.
     """
-    s, u = spec.split
     m, n = spec.cls.length, spec.mc_samples
     rng = Rng(spec.seed, spec.stream)
     rows = max(1, SIGN_CHUNK // m)
-    sups = np.concatenate([
-        spec.cls.sup_correlation(ternary_signs(spec.p, (min(rows, n - lo), m), rng))
-        for lo in range(0, n, rows)
-    ])
+    sups = np.empty((len(classes), n))
+    for lo in range(0, n, rows):
+        r = ternary_signs(spec.p, (min(rows, n - lo), m), rng)
+        for out, cls in zip(sups, classes):
+            out[lo : lo + len(r)] = cls.sup_correlation(r)
+    return list(sups)
+
+
+def rademacher_estimate(spec: RademacherSpec) -> McEstimate:
+    """Monte-Carlo transductive Rademacher complexity of the class, on
+    sign rows drawn in chunks (see :func:`_sign_sups`)."""
+    s, u = spec.split
+    (sups,) = _sign_sups(spec, spec.cls)
     return _estimate(1.0 / s + 1.0 / u, sups)
 
 
@@ -248,24 +258,19 @@ def contraction_check(
     m = finite_class.length
     if len(maps) != m:
         raise DimensionMismatch(f"need {m} coordinate maps, got {len(maps)}")
-    if lipschitz < 0:
+    if not lipschitz >= 0:
         raise InvalidParameter("lipschitz must be >= 0")
-    W = np.empty_like(V)
-    for i, g in enumerate(maps):
-        W[:, i] = [g(v) for v in V[:, i]]
-        col = V[:, i]
-        gaps = np.abs(W[:, i][:, None] - W[:, i][None, :])
-        dist = np.abs(col[:, None] - col[None, :])
-        if np.any(gaps > lipschitz * dist + 1e-9):
-            raise InvalidParameter(
-                f"map {i} violates the declared Lipschitz constant {lipschitz}"
-            )
+    W = np.array([[g(v) for g, v in zip(maps, row)] for row in V], dtype=np.float64)
+    gaps = np.abs(W[:, None] - W[None])
+    bad = np.any(gaps > lipschitz * np.abs(V[:, None] - V[None]) + 1e-9, axis=(0, 1))
+    if bad.any():
+        raise InvalidParameter(
+            f"map {int(bad.argmax())} violates the declared Lipschitz constant {lipschitz}"
+        )
     spec = RademacherSpec(finite_class, split, mc_samples, seed, stream)
-    r = ternary_signs(spec.p, (mc_samples, m), Rng(seed, stream))
-    lhs_sups = (r @ W.T).max(axis=1)
-    rhs_sups = lipschitz * (r @ V.T).max(axis=1)
+    mapped, plain = _sign_sups(spec, FiniteVectorClass(W), finite_class)
     s, u = split
-    return _paired(1.0 / s + 1.0 / u, lhs_sups, rhs_sups)
+    return _paired(1.0 / s + 1.0 / u, mapped, lipschitz * plain)
 
 
 def product_class_check(
@@ -286,13 +291,9 @@ def product_class_check(
     products = np.einsum("ak,bk->abk", class_v.vectors, class_s.vectors).reshape(-1, m)
 
     spec = RademacherSpec(class_v, split, mc_samples, seed, stream)
-    r = ternary_signs(spec.p, (mc_samples, m), Rng(seed, stream))
-    lhs_sups = (r @ products.T).max(axis=1)
-    rhs_sups = bound_s * (r @ class_v.vectors.T).max(axis=1) + bound_v * (
-        r @ class_s.vectors.T
-    ).max(axis=1)
+    sup_u, sup_v, sup_s = _sign_sups(spec, FiniteVectorClass(products), class_v, class_s)
     s, u = split
-    return _paired(1.0 / s + 1.0 / u, lhs_sups, rhs_sups)
+    return _paired(1.0 / s + 1.0 / u, sup_u, bound_s * sup_v + bound_v * sup_s)
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +319,15 @@ class ConcentrationSpec:
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=np.float64))
-        if np.linalg.norm(X, axis=1).max() > 1.0 + 1e-12:
-            raise InvalidParameter("feature norms must be <= 1")
-        if self.shift < 0:
+        if X.shape[0] < 2:
+            raise InvalidParameter("need at least two points")
+        _check_features(X)
+        if not self.shift >= 0:
             raise InvalidParameter("shift must be >= 0")
-        if self.alpha < 2:
+        if not self.alpha >= 2:
             raise InvalidParameter("alpha must be >= 2")
         if self.trials < 1:
             raise InvalidParameter("trials must be >= 1")
-        if X.shape[0] < 2:
-            raise InvalidParameter("need at least two points")
         object.__setattr__(self, "X", X)
 
 

@@ -204,11 +204,13 @@ def test_criterion_05_geometric_convergence(svrg_traces):
     live = chain[:-1] > 1e-10
     ratios = chain[1:][live] / chain[:-1][live]
     geo = float(np.exp(np.mean(np.log(ratios))))
-    assert geo <= 0.5
+    # recommended_params sets n_epochs = ceil(log_4(9 / epsilon)): the rule
+    # itself targets a contraction of at least 4x per epoch.
+    assert geo <= 0.25
     reach = int(np.argmax(mean_traj <= 1e-8)) + 1 if np.any(mean_traj <= 1e-8) else 99
     assert reach <= 13
     assert elapsed < 600.0
-    report(5, f"geometric mean ratio {geo:.3f} <= 0.5; mean suboptimality "
+    report(5, f"geometric mean ratio {geo:.3f} <= 0.25; mean suboptimality "
                f"<= 1e-8 after {reach} epochs over 50 seeds ({elapsed:.0f}s)")
 
 

@@ -8,12 +8,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shufflegrad import (
+    ConcentrationSpec,
     Dataset,
+    FiniteVectorClass,
+    FixedStep,
+    GenSpec,
+    InverseSqrtStep,
+    LinearBallClass,
     LipschitzLinearProblem,
     RidgeProblem,
     Rng,
+    SGDConfig,
+    StronglyConvexStep,
+    SVRGConfig,
+    contraction_check,
     pairwise_mean,
     pairwise_sum,
+    recommended_params,
     reference_minimizer,
 )
 from shufflegrad.errors import (
@@ -149,6 +160,41 @@ def test_dataset_checks_row_blocks_as_one_array(monkeypatch, block):
     X[8, 1] = np.nan  # past the first block at every block size
     with pytest.raises(InvalidParameter, match="features and labels must be finite"):
         Dataset(X=X, y=np.zeros(10))
+
+
+NAN = math.nan
+NAN_PARAMETERS = {
+    "SGDConfig.radius": lambda: SGDConfig(n_steps=1, step_rule=FixedStep(0.1), radius=NAN),
+    "SVRGConfig.step_size": lambda: SVRGConfig(step_size=NAN, epoch_len=1, n_epochs=1),
+    "FixedStep": lambda: FixedStep(NAN),
+    "InverseSqrtStep": lambda: InverseSqrtStep(NAN),
+    "StronglyConvexStep": lambda: StronglyConvexStep(NAN),
+    "RidgeProblem.alpha": lambda: RidgeProblem(random_dataset(4, 2, seed=1), alpha=NAN),
+    "LipschitzLinearProblem.radius":
+        lambda: LipschitzLinearProblem(random_dataset(4, 2, seed=1), "absolute", radius=NAN),
+    "LipschitzLinearProblem.alpha": lambda: LipschitzLinearProblem(
+        random_dataset(4, 2, seed=1), "absolute", radius=1.0, alpha=NAN),
+    "GenSpec.noise": lambda: GenSpec(m=4, d=2, noise=NAN),
+    "GenSpec.signal_norm": lambda: GenSpec(m=4, d=2, signal_norm=NAN),
+    "LinearBallClass.radius": lambda: LinearBallClass(np.eye(2), NAN),
+    "ConcentrationSpec.shift": lambda: ConcentrationSpec(np.eye(2), NAN, 12.0, 1),
+    "ConcentrationSpec.alpha": lambda: ConcentrationSpec(np.eye(2), 0.0, NAN, 1),
+    "contraction_check.lipschitz": lambda: contraction_check(
+        FiniteVectorClass(np.eye(2)), [abs, abs], NAN, (1, 1), 10),
+    "recommended_params.c": lambda: recommended_params(random_ridge(4, 2, seed=1), 0.1, c=NAN),
+}
+
+
+@pytest.mark.parametrize("make", NAN_PARAMETERS.values(), ids=NAN_PARAMETERS.keys())
+def test_nan_parameters_raise(make):
+    with pytest.raises(InvalidParameter):
+        make()
+
+
+def test_infinite_radius_stays_legal():
+    assert SGDConfig(n_steps=1, step_rule=FixedStep(0.1), radius=math.inf).radius == math.inf
+    assert LipschitzLinearProblem(random_dataset(4, 2, seed=1), "absolute",
+                                  radius=math.inf).radius == math.inf
 
 
 def test_dataset_checks_hold_no_full_size_temporary():

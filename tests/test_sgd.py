@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -308,6 +309,26 @@ class TestDecomposition:
         assert res.lhs == pytest.approx(0.0, abs=1e-15)
         assert res.regret_term == pytest.approx(0.0, abs=1e-15)
         assert res.prefix_suffix_term == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("T", [1, 2, 4])
+    def test_terms_match_a_loop_over_permutations(self, T):
+        # Each term against one run_sgd per permutation, with the regret
+        # formed from point_losses rather than read from the engine.
+        p = random_ridge(4, 2, seed=33, alpha=0.3)
+        cfg = config_for(p, T)
+        res = suboptimality_decomposition_check(p, cfg)
+        ref = p.point_losses(p.wstar)
+        sums = np.zeros(3)
+        for sigma in itertools.permutations(range(4)):
+            ws = run_sgd(p, cfg, sigma=sigma, collect_iterates=True).iterates
+            losses = [p.point_losses(w) for w in ws]
+            lhs = sum(f.mean() - ref.mean() for f in losses) / T
+            regret = sum(losses[t][sigma[t]] - ref[sigma[t]] for t in range(T)) / T
+            ps = sum((t - 1) * (f[list(sigma[: t - 1])].mean() - f[list(sigma[t - 1 :])].mean())
+                     for t, f in zip(range(2, T + 1), losses[1:])) / (4 * T)
+            sums += (lhs, regret, ps)
+        got = (res.lhs, res.regret_term, res.prefix_suffix_term)
+        assert got == pytest.approx(tuple(sums / 24), rel=1e-12, abs=1e-15)
 
     def test_guard_on_large_m(self):
         p = random_ridge(8, 2, seed=31)

@@ -52,6 +52,32 @@ class TestPermutationIdentity:
         lhs, rhs = permutation_identity_check(5, 3, rule)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    @pytest.mark.parametrize("m, t", [(1, 1), (3, 1), (4, 2), (4, 4), (5, 3)])
+    def test_matches_a_loop_over_permutations(self, m, t):
+        # One call per distinct prefix, in lexicographic order; both sides
+        # equal a plain loop over the m! permutations up to rounding.
+        p = random_ridge(m, 2, seed=m + 10 * t, alpha=0.2)
+        calls = []
+
+        def rule(prefix):
+            calls.append(prefix)
+            w = np.zeros(2)
+            for idx in prefix:
+                w = w - 0.3 * p.point_gradient(idx, w)
+            return p.point_losses(w)
+
+        lhs, rhs = permutation_identity_check(m, t, rule)
+        prefixes = sorted({sigma[: t - 1] for sigma in itertools.permutations(range(m))})
+        assert calls == prefixes
+        sums = np.zeros(2)
+        for sigma in itertools.permutations(range(m)):
+            s = rule(sigma[: t - 1])
+            ordered = s[list(sigma)]
+            gap = ordered[: t - 1].mean() - ordered[t - 1 :].mean() if t > 1 else 0.0
+            sums += (s.mean() - s[sigma[t - 1]], (t - 1) / m * gap)
+        n = math.factorial(m)
+        assert (lhs, rhs) == pytest.approx((sums[0] / n, sums[1] / n), rel=1e-12, abs=1e-15)
+
     def test_guards(self):
         with pytest.raises(InvalidParameter):
             permutation_identity_check(9, 1, lambda p: np.zeros(9))
@@ -180,6 +206,29 @@ class TestProductClass:
         assert cmp.within_noise()
 
 
+def test_paired_checks_stay_below_one_sign_matrix():
+    # 0.15.0 drew each check's (20000, 400) signs at once and peaked at
+    # 190.8 MiB; the pinned values are its outputs on these draws.
+    m, n = 400, 20_000
+    cv = FiniteVectorClass(Rng(34, 0).normal(3 * m).reshape(3, m))
+    cs = FiniteVectorClass(Rng(35, 0).normal(2 * m).reshape(2, m))
+    tracemalloc.start()
+    try:
+        mapped = contraction_check(cv, [np.tanh] * m, 1.0, (200, 200), n, seed=36)
+        product = product_class_check(cv, cs, (200, 200), n, seed=37)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * m * 8
+    pinned = {
+        "contraction": (mapped, 0.07349211900175179, 0.11859222073722016, 0.04510010173546839),
+        "product": (product, 0.1770637136825312, 0.658913864106066, 0.4818501504235348),
+    }
+    for name, (cmp, lhs, rhs, gap) in pinned.items():
+        got = (cmp.lhs.value, cmp.rhs.value, cmp.gap)
+        assert got == pytest.approx((lhs, rhs, gap), rel=1e-12, abs=0), name
+
+
 class TestMatrixConcentration:
     def test_identical_summands_never_deviate(self):
         # One-dimensional points all equal: every normalized matrix is the
@@ -202,6 +251,13 @@ class TestMatrixConcentration:
         res = matrix_concentration_check(ConcentrationSpec(X, 0.0, 12.0, 300, seed=27))
         assert res.violation_rate <= min(1.0, res.bound)
         assert res.violation_rate == 0.0  # alpha = 12 is far in the tail
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = unit_rows(10, 3, seed=30)
+        X[7, 1] = bad
+        with pytest.raises(InvalidParameter, match="must be finite"):
+            ConcentrationSpec(X, 0.0, 12.0, 10)
 
     def test_singular_shift_rejected(self):
         X = np.zeros((10, 3))

@@ -282,6 +282,61 @@ def datagen_digest(sg):
     return dig.hexdigest()
 
 
+def _paired_fields(cmp):
+    return (cmp.lhs.value, cmp.lhs.stderr, cmp.rhs.value, cmp.rhs.stderr, cmp.gap,
+            cmp.gap_stderr)
+
+
+def oracles_digest(sg):
+    """The Monte-Carlo oracles, at m = 6 and at m = 400, where the sign
+    rows (m * mc_samples > verify.SIGN_CHUNK) are drawn in chunks."""
+    dig = Digest()
+    for m, n in ((6, 5000), (400, 1500)):
+        rng = sg.Rng(70, m)
+        cv = sg.FiniteVectorClass(rng.normal(3 * m).reshape(3, m))
+        cs = sg.FiniteVectorClass(rng.uniform(2 * m).reshape(2, m))
+        X = rng.normal(m * 4).reshape(m, 4)
+        X /= np.linalg.norm(X, axis=1).max()
+        split = (m // 2, m - m // 2)
+        for cls in (cv, sg.LinearBallClass(X, 1.5)):
+            est = sg.rademacher_estimate(sg.RademacherSpec(cls, split, n, seed=71))
+            dig.add(est.value, est.stderr, est.n_samples)
+        dig.add(*_paired_fields(sg.contraction_check(cv, [np.tanh] * m, 1.0, split, n, seed=72)))
+        dig.add(*_paired_fields(sg.product_class_check(cv, cs, split, n, seed=73)))
+    X = sg.Rng(74, 0).normal(60 * 3).reshape(60, 3)
+    X /= np.linalg.norm(X, axis=1).max()
+    res = sg.matrix_concentration_check(sg.ConcentrationSpec(X, 0.05, 4.0, 20, seed=75))
+    dig.add(res.violation_rate, res.bound, res.max_deviation_profile, res.thresholds,
+            res.gamma, res.mean_matrix)
+    return dig.hexdigest()
+
+
+def exact_oracles_digest(sg):
+    """Both exhaustive oracles: the prefix/suffix identity under an
+    adaptive value rule, and the decomposition of SGD's suboptimality."""
+    dig = Digest()
+    for m in (2, 4, 5):
+        p = _ridge(sg, m, 2, seed=80 + m, alpha=0.2)
+
+        def rule(prefix, p=p):
+            w = np.zeros(p.d)
+            for idx in prefix:
+                w = w - 0.3 * p.point_gradient(idx, w)
+            return p.point_losses(w)
+
+        for t in range(1, m + 1):
+            dig.add(*sg.permutation_identity_check(m, t, rule))
+    data = sg.generate(sg.GenSpec(m=5, d=2, noise=0.5, seed=84))
+    for p, rule in ((_ridge(sg, 5, 2, seed=85, alpha=0.25), sg.StronglyConvexStep(0.25)),
+                    (sg.LipschitzLinearProblem(data, "hinge", radius=4.0, alpha=0.05),
+                     sg.InverseSqrtStep(0.5))):
+        for T in range(1, 6):
+            cfg = sg.SGDConfig(n_steps=T, step_rule=rule, radius=4.0)
+            res = sg.suboptimality_decomposition_check(p, cfg)
+            dig.add(res.lhs, res.regret_term, res.prefix_suffix_term)
+    return dig.hexdigest()
+
+
 DRIVERS = {
     "run_svrg": svrg_digest,
     "run_distributed_svrg": distributed_digest,
@@ -291,6 +346,8 @@ DRIVERS = {
     "reference": reference_digest,
     "DivergenceError": divergence_digest,
     "datagen": datagen_digest,
+    "oracles": oracles_digest,
+    "exact_oracles": exact_oracles_digest,
 }
 
 
