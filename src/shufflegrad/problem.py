@@ -32,12 +32,15 @@ Blocks of points
 ``full_objective`` and ``suboptimality`` take one point w of shape (d,)
 and return a float, or a block W of shape (n, d) and return n values.
 ``full_objective`` forms the predictions of each chunk of rows (two, or
-as many as ``LOSS_CHUNK`` losses allow, so memory does not grow with n)
-as one matrix product ``A @ X.T``.  numpy sends a one-row product to
-gemv, so a lone row is evaluated as the first row of ``[w, w]``; GEMM
-rows do not depend on the block's size or on the row's place in it, so
-every row has the bits of ``(np.stack([w, w]) @ X.T)[0]`` and goes
-through the same pairwise tree as a single point.  The ridge curvature
+as many as fit in ``LOSS_CHUNK`` losses, 512 KiB, so memory does not
+grow with n) as one matrix product ``A @ X.T``, and the regularizers of
+the whole block as one ``np.vecdot(W, W)``, a dot per row like the
+one-point ``w @ w``.  numpy sends a one-row product to gemv, so a lone
+row is evaluated as the first row of ``[w, w]``.  On the SkylakeX and
+Sandybridge OpenBLAS kernels, with m a multiple of 8, GEMM rows do not
+depend on the block's size or on the row's place in it, so every row
+has the bits of ``(np.stack([w, w]) @ X.T)[0]`` and goes through the
+same pairwise tree as a single point.  The ridge curvature
 form uses stacked products, ``H @ D[:, :, None]`` and
 ``D[:, None, :] @ Q``, one gemv and one dot per row, as the one-point
 ``H @ dw`` and ``dw @ q`` do.  Both rest on how numpy and OpenBLAS
@@ -57,7 +60,7 @@ from .sampling import explicit_indices
 
 NORM_SLACK = 1e-12
 SINGULAR_CUTOFF = 1e-12
-LOSS_CHUNK = 1 << 15  # point losses a block evaluation holds at once (two rows at least)
+LOSS_CHUNK = 1 << 16  # point losses a block evaluation holds at once (two rows at least)
 CHECK_ROWS = 2048  # rows of X a feature check or norm scan holds at once
 
 LOSS_KINDS = ("squared", "absolute", "hinge")
@@ -257,14 +260,14 @@ class _LinearPredictionProblem:
         W, single = self._check_block(w)
         X, y = self.data.X, self.data.y
         out = np.empty(W.shape[0])
+        reg = 0.5 * self.alpha * np.vecdot(W, W)
         rows = max(2, LOSS_CHUNK // self.data.m)
         for lo in range(0, W.shape[0], rows):
             A = W[lo : lo + rows]
             z = (A if len(A) > 1 else A[[0, 0]]) @ X.T
             z = z[: len(A)]
-            reg = 0.5 * self.alpha * (A[:, None, :] @ A[:, :, None])[:, 0]
             losses = _scalar_loss(self.kind, z, y, out=z)
-            losses += reg
+            losses += reg[lo : lo + rows, None]
             out[lo : lo + rows] = pairwise_mean(losses.T)
         return float(out[0]) if single else out
 

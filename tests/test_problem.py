@@ -523,7 +523,12 @@ def test_certificate_bounds_the_objective_on_the_ball(kind, alpha, d, m, seed):
 
 
 BLOCK_M = 400  # LOSS_CHUNK // BLOCK_M rows per chunk, so a block of 300 spans chunks
-KINKED_M = 2000  # the kinked benchmark's m: 16 rows per chunk, so n = 17 ends on one row
+KINKED_M = 2000  # the kinked benchmark's m
+KINKED_ROWS = LOSS_CHUNK // KINKED_M  # rows per chunk at KINKED_M; rows + 1 ends on one row
+# GEMM rows keep their one-point bits only when m is a multiple of 8 (README),
+# and the hypothesis range n <= 300 must reach a second chunk.
+assert BLOCK_M % 8 == 0 and KINKED_M % 8 == 0
+assert LOSS_CHUNK // BLOCK_M < 300
 
 
 @functools.lru_cache(maxsize=None)
@@ -545,9 +550,9 @@ def block_problem(kind, d, m=BLOCK_M):
 @example(kind="absolute", d=3, n=2 * (LOSS_CHUNK // BLOCK_M) + 1, seed=0, m=BLOCK_M)
 @example(kind="absolute", d=20, n=1, seed=1, m=KINKED_M)
 @example(kind="absolute", d=20, n=2, seed=2, m=KINKED_M)
-@example(kind="absolute", d=20, n=16, seed=3, m=KINKED_M)
-@example(kind="absolute", d=20, n=17, seed=4, m=KINKED_M)
-@example(kind="absolute", d=20, n=33, seed=5, m=KINKED_M)
+@example(kind="absolute", d=20, n=KINKED_ROWS, seed=3, m=KINKED_M)
+@example(kind="absolute", d=20, n=KINKED_ROWS + 1, seed=4, m=KINKED_M)
+@example(kind="absolute", d=20, n=2 * KINKED_ROWS + 1, seed=5, m=KINKED_M)
 def test_block_rows_match_one_point_formulas(kind, d, n, seed, m):
     """Each row of a block evaluation has the bits of the one-point formula,
     a one-row tail chunk included."""
@@ -573,6 +578,21 @@ def test_block_shape_errors(unit_axes_problem):
             p.suboptimality(bad)
         with pytest.raises(DimensionMismatch):
             p.full_objective(bad)
+
+
+def test_block_objective_holds_chunks_not_the_block():
+    """A block evaluation holds a few chunks of losses and a few n-vectors;
+    the whole (n, m) loss matrix here would be about 305 MiB."""
+    p = block_problem("absolute", 20, KINKED_M)
+    n = 20_000
+    W = 0.3 * np.random.default_rng(0).standard_normal((n, 20))
+    tracemalloc.start()
+    try:
+        p.full_objective(W)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * LOSS_CHUNK + 3 * 8 * n
 
 
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2

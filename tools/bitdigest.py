@@ -204,10 +204,12 @@ def suboptimality_digest(sg):
     problems = [_ridge(sg, 500, d, seed=40 + d, alpha=0.1) for d in (1, 4, 20)]
     problems += [p for p, _ in _sgd_problems(sg)][1:]
     grid = [(p, n) for p in problems for n in (1, 2, 37, 300)]
-    # The kinked benchmark's shape: 16 rows per loss chunk, so 33 rows end on a one-row chunk.
+    # The kinked benchmark's shape: 32 rows per loss chunk, so 33 and 65 rows end
+    # on a one-row chunk.  n is fixed, not derived, so both trees run one grid.
     data = sg.generate(sg.GenSpec(m=2000, d=20, spectrum="geometric", decay=0.7, noise=0.2,
                                   signal_norm=0.8, seed=43))
-    grid.append((sg.LipschitzLinearProblem(data, "absolute", radius=4.0, alpha=0.05), 33))
+    kinked = sg.LipschitzLinearProblem(data, "absolute", radius=4.0, alpha=0.05)
+    grid += [(kinked, 33), (kinked, 65)]
     for p, n in grid:
         W = 0.3 * rng.normal(n * p.d).reshape(n, p.d)
         dig.add(p.suboptimality(W), p.suboptimality(W[0]), p.full_objective(W))
