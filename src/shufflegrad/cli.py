@@ -45,38 +45,34 @@ CSV_SCHEMAS = {
 }
 
 
-def _config_line(args: argparse.Namespace, command: str) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    cfg["command"] = command
+def _print_config(args: argparse.Namespace) -> dict:
+    """Print the resolved configuration line and return the configuration."""
+    cfg = {k: v for k, v in vars(args).items() if k != "func"}
     cfg["artifact_version"] = __version__
+    print(f"resolved config: {json.dumps(cfg, sort_keys=True)}")
     return cfg
 
 
-def _emit(args, command: str, columns: list[str], rows, extra: dict | None = None):
-    cfg = _config_line(args, command)
-    print(f"resolved config: {json.dumps(cfg, sort_keys=True)}")
+def _emit(args, columns: list[str], rows, extra: dict | None = None):
+    cfg = _print_config(args)
     if args.format == "json":
         doc = {
             "config": cfg,
-            "schema": CSV_SCHEMAS[command],
-            "results": {
-                "columns": columns,
-                "rows": [[_jsonable(v) for v in row] for row in rows],
-                **(extra or {}),
-            },
+            "schema": CSV_SCHEMAS[args.command],
+            "results": {"columns": columns, "rows": rows, **(extra or {})},
         }
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
         lines = [
             f"# shufflegrad {__version__}\n",
-            f"# schema: {CSV_SCHEMAS[command]}\n",
+            f"# schema: {CSV_SCHEMAS[args.command]}\n",
             f"# config: {json.dumps(cfg, sort_keys=True)}\n",
         ]
         if extra:
             lines.append(f"# summary: {json.dumps(extra, sort_keys=True)}\n")
         lines.append(",".join(columns) + "\n")
         for row in rows:
-            lines.append(",".join(_render(v) for v in row) + "\n")
+            lines.append(",".join("" if v is None else str(v) for v in row) + "\n")
         text = "".join(lines)
     if args.out:
         with open(args.out, "w") as fh:
@@ -86,29 +82,12 @@ def _emit(args, command: str, columns: list[str], rows, extra: dict | None = Non
         sys.stdout.write(text)
 
 
-def _render(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
-
-
 def _load_problem(args) -> RidgeProblem:
     dataset = load(args.data, normalize=args.normalize)
     return RidgeProblem(dataset, alpha=args.reg)
 
 
 def _cmd_gen(args) -> int:
-    if not args.out:
-        print("gen requires --out <path>", file=sys.stderr)
-        return 2
     spec = GenSpec(
         m=args.m,
         d=args.d,
@@ -119,7 +98,7 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
     )
     dataset = generate(spec)
-    print(f"resolved config: {json.dumps(_config_line(args, 'gen'), sort_keys=True)}")
+    _print_config(args)
     save(dataset, args.out)
     print(f"wrote {args.out} ({dataset.m} points, dimension {dataset.d})")
     return 0
@@ -150,14 +129,14 @@ def _cmd_sgd(args) -> int:
         (t + 1, float(summary.mean[t]), None if se is None else float(se[t]))
         for t in range(args.T)
     ]
-    _emit(args, "sgd", ["t", "mean_subopt", "se"], rows)
+    _emit(args, ["t", "mean_subopt", "se"], rows)
     return 0
 
 
-def _epoch_params(args, problem):
-    """(eta, T, S) from the flags, or from the parameter rule under
-    --auto-params, written back into args so the config line records them."""
-    if args.auto_params:
+def _apply_param_rule(args, problem):
+    """Under --eps, set eta, T and S from the parameter rule, in args so
+    the config line records them."""
+    if args.eps is not None:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             params = recommended_params(problem, args.eps, args.c)
@@ -168,17 +147,13 @@ def _epoch_params(args, problem):
             f"S={params.n_epochs} (single-shuffle rule needs m >= 2*S*T = {params.m_required})"
         )
         args.eta, args.T, args.S = params.step_size, params.epoch_len, params.n_epochs
-    return args.eta, args.T, args.S
 
 
 def _cmd_svrg(args) -> int:
-    code = _check_epoch_flags(args)
-    if code:
-        return code
     problem = _load_problem(args)
-    eta, T, S = _epoch_params(args, problem)
+    _apply_param_rule(args, problem)
     config = SVRGConfig(
-        step_size=eta, epoch_len=T, n_epochs=S,
+        step_size=args.eta, epoch_len=args.T, n_epochs=args.S,
         sampler=SAMPLER_FLAGS[args.sampler], seed=args.seed,
     )
     traces = run_svrg_over_streams(problem, config, args.seeds)
@@ -188,39 +163,24 @@ def _cmd_svrg(args) -> int:
     se = sub.std(axis=0, ddof=1) / np.sqrt(args.seeds) if args.seeds > 1 else None
     rows = [
         (s + 1, float(mean[s]), None if se is None else float(se[s]), float(worst[s]))
-        for s in range(S)
+        for s in range(args.S)
     ]
     extra = {}
-    if S >= 2:
+    if args.S >= 2:
         ratios = np.stack([epoch_decrease_ratio(t) for t in traces])
         extra["mean_decrease_ratio"] = float(ratios.mean())
-    _emit(args, "svrg", ["epoch", "mean_subopt", "se", "mean_max_subopt"], rows, extra)
-    return 0
-
-
-def _check_epoch_flags(args) -> int:
-    """Usage validation shared by svrg and dist; returns 2 on misuse."""
-    if args.auto_params:
-        if args.eps is None:
-            print("--auto-params requires --eps", file=sys.stderr)
-            return 2
-    elif args.T is None or args.S is None:
-        print("need --T and --S, or --auto-params with --eps", file=sys.stderr)
-        return 2
+    _emit(args, ["epoch", "mean_subopt", "se", "mean_max_subopt"], rows, extra)
     return 0
 
 
 def _cmd_dist(args) -> int:
-    code = _check_epoch_flags(args)
-    if code:
-        return code
     problem = _load_problem(args)
-    eta, T, S = _epoch_params(args, problem)
-    config = SVRGConfig(step_size=eta, epoch_len=T, n_epochs=S, seed=args.seed)
+    _apply_param_rule(args, problem)
+    config = SVRGConfig(step_size=args.eta, epoch_len=args.T, n_epochs=args.S, seed=args.seed)
     trace, log = run_distributed_svrg(problem, args.k, config)
     rows = [
         (s + 1, float(trace.suboptimality[s]), float(trace.max_suboptimality[s]))
-        for s in range(S)
+        for s in range(args.S)
     ]
     extra = {
         "rounds": log.rounds,
@@ -229,7 +189,7 @@ def _cmd_dist(args) -> int:
             np.concatenate([[trace.initial_suboptimality], trace.suboptimality])
         ),
     }
-    _emit(args, "dist", ["epoch", "subopt", "max_subopt"], rows, extra)
+    _emit(args, ["epoch", "subopt", "max_subopt"], rows, extra)
     return 0
 
 
@@ -258,9 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta", type=float, default=0.1)
         p.add_argument("--T", type=int, default=None, dest="T")
         p.add_argument("--S", type=int, default=None, dest="S")
-        p.add_argument("--eps", type=float, default=None)
+        p.add_argument("--eps", type=float, default=None, help="accuracy that picks eta, T and S")
         p.add_argument("--c", type=float, default=10.0)
-        p.add_argument("--auto-params", action="store_true", dest="auto_params")
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     shared(p)
@@ -298,8 +257,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # The usage rules argparse cannot state.  svrg and dist take T and S
+    # either from --eps's parameter rule or from both --T and --S.
+    usage = None
+    if args.command == "gen" and not args.out:
+        usage = "gen requires --out <path>"
+    elif args.command in ("svrg", "dist") and (
+        (args.T, args.S).count(None) != (0 if args.eps is None else 2)
+    ):
+        usage = f"{args.command} needs --eps, or --T and --S without --eps"
+    if usage:
+        print(usage, file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ShufflegradError, OSError) as exc:

@@ -27,8 +27,8 @@ The update is rounded in the order of the SVRG inner step,
 
     w_{t+1} = (c_t * w_t) - x_i * (eta_t * s_t),   c_t = 1 - eta_t alpha,
 
-with s_t the loss slope at x_i . w_t; the c_t multiply is skipped when
-alpha = 0.  Projection scales only the rows whose norm exceeds the
+with s_t the loss slope at x_i . w_t; at alpha = 0, c_t is exactly 1,
+a no-op factor.  Projection scales only the rows whose norm exceeds the
 radius.  Step t reads x_i and w_t from a row of one block buffer, plane
 0 the gathered points and plane 1 the iterates, and writes w_{t+1} into
 the next row, whose two dots, x_{i'} . w_{t+1} for the next step and
@@ -273,11 +273,8 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
                 _scalar_slope(kind, z, yc, out=slope)
                 np.multiply(slope, rate, out=slope)
                 np.multiply(x, slope_col, out=G)
-                if alpha:
-                    np.multiply(w, shrink, out=w_next)
-                    np.subtract(w_next, G, out=w_next)
-                else:
-                    np.subtract(w, G, out=w_next)
+                np.multiply(w, shrink, out=w_next)
+                np.subtract(w_next, G, out=w_next)
                 # x_{t+1} . w_{t+1} and ||w_{t+1}||^2 in one call
                 np.vecdot(pair, w_next, out=zs_next)
                 # sqrt is monotone: a row to project or a non-finite row fails.
@@ -297,8 +294,7 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
             if kept is not None:
                 kept[:, lo : lo + n] = iterates.transpose(1, 0, 2)
             loss = _scalar_loss(kind, ZS[0, 1 : n + 1], yb)
-            if alpha:
-                loss += 0.5 * alpha * ZS[1, 1 : n + 1]
+            loss += 0.5 * alpha * ZS[1, 1 : n + 1]
             loss -= star_losses[block]
             regret = np.cumsum(np.concatenate([regret[None], loss]), axis=0)[-1]
 

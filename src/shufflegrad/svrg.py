@@ -121,6 +121,15 @@ def log_suboptimality_bound(epoch_len: int, n_epochs: int, strong_convexity: flo
     return 2.0 * n_epochs * math.log(5.0 * epoch_len) + math.log(4.0 / strong_convexity)
 
 
+def _strong_convexity(problem) -> float:
+    """The problem's strong convexity lambda, which SVRG's guard and
+    parameter rule need; a problem without a positive one is rejected."""
+    lam = getattr(problem, "strong_convexity", 0.0)
+    if not lam > 0:
+        raise InvalidParameter("problem must be a strongly convex ridge problem (lambda > 0)")
+    return lam
+
+
 def _drive(problem, config: SVRGConfig, indices: np.ndarray) -> EpochTrace:
     """The epoch loop behind both SVRG front ends.
 
@@ -128,9 +137,7 @@ def _drive(problem, config: SVRGConfig, indices: np.ndarray) -> EpochTrace:
     row s holds the inner-step indices of 0-based epoch s.  Every epoch
     is anchored at ``problem.full_gradient`` of its snapshot.
     """
-    lam = problem.strong_convexity
-    if not lam > 0:
-        raise InvalidParameter("problem must be strongly convex (lambda > 0)")
+    lam = _strong_convexity(problem)
     T, S = config.epoch_len, config.n_epochs
     eta = config.step_size
     picker = (
@@ -248,9 +255,7 @@ def recommended_params(problem, epsilon: float, c: float = 10.0) -> RecommendedP
         raise InvalidParameter("epsilon must lie in (0, 1)")
     if not c >= 1.0:
         raise InvalidParameter("c must be >= 1")
-    lam = problem.strong_convexity
-    if not lam > 0:
-        raise InvalidParameter("problem must be strongly convex (lambda > 0)")
+    lam = _strong_convexity(problem)
     eta = 1.0 / c
     # Guard the ceilings against values that are exact up to rounding.
     epoch_len = math.ceil(9.0 / (eta * lam) - 1e-9)

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -80,12 +81,13 @@ def test_sgd_file_independent_of_core_count(dataset_file, tmp_path, monkeypatch)
 def test_svrg_auto_params_warns_on_small_m(dataset_file, capsys):
     code = run_cli([
         "svrg", "--data", str(dataset_file), "--reg", "0.01",
-        "--eps", "0.01", "--c", "10", "--auto-params", "--seeds", "1",
+        "--eps", "0.01", "--c", "10", "--seeds", "1",
         "--sampler", "reshuffle",
     ])
     assert code == 0
     printed = capsys.readouterr().out
-    assert "m >= 2*S*T" in printed
+    # The "auto params:" line always names the rule; the warning is its own line.
+    assert any(l.startswith("warning: dataset has m=") for l in printed.splitlines())
 
 
 def test_svrg_auto_params_single_shuffle_warning_path(tmp_path, capsys):
@@ -97,16 +99,38 @@ def test_svrg_auto_params_single_shuffle_warning_path(tmp_path, capsys):
     capsys.readouterr()
     code = run_cli([
         "svrg", "--data", str(path), "--reg", "0.9",
-        "--eps", "0.01", "--c", "10", "--auto-params", "--seeds", "1",
+        "--eps", "0.01", "--c", "10", "--seeds", "1",
     ])
     assert code == 0
     printed = capsys.readouterr().out
-    assert "m >= 2*S*T" in printed
+    assert any(l.startswith("warning: dataset has m=") for l in printed.splitlines())
 
 
-def test_svrg_missing_epoch_flags_is_usage_error(dataset_file):
-    assert run_cli(["svrg", "--data", str(dataset_file)]) == 2
-    assert run_cli(["svrg", "--data", str(dataset_file), "--auto-params"]) == 2
+def test_svrg_eps_on_large_m_prints_no_warning(tmp_path, capsys):
+    # m = 5000 meets the rule's m >= 2*S*T, so only the "auto params:" line names it.
+    path = tmp_path / "large.txt"
+    assert run_cli(["gen", "--m", "5000", "--d", "4", "--noise", "0.05",
+                    "--signal-norm", "0.5", "--seed", "8", "--out", str(path)]) == 0
+    capsys.readouterr()
+    code = run_cli(["svrg", "--data", str(path), "--reg", "0.9", "--eps", "0.01"])
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert "auto params:" in printed and "m >= 2*S*T" in printed
+    assert not any(l.startswith("warning:") for l in printed.splitlines())
+
+
+def test_svrg_missing_epoch_flags_is_usage_error(dataset_file, capsys):
+    data = ["--data", str(dataset_file)]
+    assert run_cli(["svrg", *data]) == 2
+    assert run_cli(["svrg", *data, "--T", "5"]) == 2
+    assert run_cli(["dist", *data, "--k", "2", "--S", "3"]) == 2
+    # --eps picks T and S by the parameter rule, so it takes neither flag.
+    for epoch_flags in (["--T", "5"], ["--S", "3"], ["--T", "5", "--S", "3"]):
+        assert run_cli(["svrg", *data, "--eps", "0.01", *epoch_flags]) == 2
+        assert run_cli(["dist", *data, "--k", "2", "--eps", "0.01", *epoch_flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 9
 
 
 def test_svrg_json_format(dataset_file, tmp_path):
@@ -138,8 +162,11 @@ def test_dist_reports_comm_costs(dataset_file, tmp_path):
 
 
 def test_usage_error_exit_code_2():
-    # An unknown flag, and the removed verify and rademacher commands.
-    for argv in (["sgd", "--bogus-flag"], ["verify", "--lemma", "key"], ["rademacher"]):
+    # Unknown flags (--auto-params was removed: --eps selects the rule), and
+    # the removed verify and rademacher commands.
+    for argv in (["sgd", "--bogus-flag"], ["svrg", "--auto-params"],
+                 ["svrg", "--data", "missing.txt", "--eps", "0.01", "--auto-params"],
+                 ["verify", "--lemma", "key"], ["rademacher"]):
         proc = subprocess.run(
             [sys.executable, "-m", "shufflegrad.cli", *argv], capture_output=True,
         )
@@ -153,6 +180,18 @@ def test_readme_names_every_subcommand():
     (row,) = [l for l in readme.splitlines() if l.startswith("| `shufflegrad.cli` |")]
     listed = re.findall(r"`([a-z-]+)`", row.split("subcommands", 1)[1])
     assert sorted(listed) == sorted(sub.choices)
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    commands = [shlex.split(line, comments=True)
+                for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("shufflegrad ")]
+    assert {argv[1] for argv in commands} == {"gen", "sgd", "svrg", "dist"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def test_gen_without_out_is_usage_error(capsys):

@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from shufflegrad import (
     Dataset,
     FixedStep,
+    GenSpec,
     InverseSqrtStep,
     LipschitzLinearProblem,
     RidgeProblem,
     SGDConfig,
     StronglyConvexStep,
     average_suboptimality_over_seeds,
+    generate,
     pairwise_mean,
     run_sgd,
     suboptimality_decomposition_check,
@@ -280,6 +282,48 @@ class TestSeedAveraging:
         grid = np.array([64, 256, 1024, 2048])
         slope = np.polyfit(np.log10(grid), np.log10(summary.mean[grid - 1]), 1)[0]
         assert slope <= -0.4
+
+
+# Exact expectations at m = 6: every index sequence a sampler can draw is
+# equally likely, so the mean trace over all of them, each run through the
+# engine as an explicit row, is the expectation the seed average estimates.
+EXACT_T = 6
+EXACT_Z = 3.72  # two-sided, family-wise alpha = 1e-3, Bonferroni over t = 2..6
+EXACT_STREAMS = 4000
+EXACT_SEED = 0  # fixed before the first run
+
+
+@functools.cache
+def exact_expectation_setup(sampler):
+    data = generate(GenSpec(m=6, d=3, spectrum="geometric", decay=0.7, noise=0.2, seed=11))
+    problem = RidgeProblem(data, alpha=0.1)
+    cfg = SGDConfig(n_steps=EXACT_T, step_rule=FixedStep(0.5), radius=1e3, sampler=sampler,
+                    seed=EXACT_SEED)
+    if sampler == "single_shuffle":
+        rows = np.array(list(itertools.permutations(range(6))))  # 720 orders
+    else:
+        rows = np.array(list(itertools.product(range(6), repeat=EXACT_T)))  # 46,656 sequences
+    traces = sgd_module._traces(problem, cfg, lambda k: rows[k], len(rows))
+    exact = np.mean([trace.suboptimality for trace in traces], axis=0)
+    return problem, cfg, exact
+
+
+@pytest.mark.parametrize("sampler", ["single_shuffle", "with_replacement"])
+def test_seed_average_centres_on_the_exact_expectation(sampler):
+    problem, cfg, exact = exact_expectation_setup(sampler)
+    summary = average_suboptimality_over_seeds(problem, cfg, n_seeds=EXACT_STREAMS)
+    # Every stream starts at w_1 = 0, so t = 1 has no spread to test against.
+    assert summary.mean[0] == pytest.approx(exact[0], rel=1e-12, abs=0)
+    z = (summary.mean[1:] - exact[1:]) / summary.stderr[1:]
+    assert np.all(np.abs(z) <= EXACT_Z), z
+
+
+def test_exact_expectation_without_replacement_is_lower():
+    _, _, without = exact_expectation_setup("single_shuffle")
+    _, _, with_ = exact_expectation_setup("with_replacement")
+    assert np.all(without[2:] <= with_[2:])
+    assert without[-1] == pytest.approx(0.02448, abs=5e-6)
+    assert with_[-1] == pytest.approx(0.02870, abs=5e-6)
 
 
 class TestDecomposition:

@@ -9,18 +9,20 @@ from hypothesis import strategies as st
 
 from shufflegrad import (
     Dataset,
+    LipschitzLinearProblem,
     RidgeProblem,
     Rng,
     SVRGConfig,
     epoch_decrease_ratio,
     log_suboptimality_bound,
     recommended_params,
+    run_distributed_svrg,
     run_svrg,
     run_svrg_over_streams,
 )
 from shufflegrad.errors import DivergenceError, InvalidParameter
 from shufflegrad.sampling import schedule
-from conftest import random_ridge
+from conftest import random_dataset, random_ridge
 
 
 def reference_svrg(problem, eta, epoch_len, n_epochs, indices):
@@ -221,6 +223,23 @@ class TestParameterRule:
             warnings.simplefilter("always")
             recommended_params(p, epsilon=0.01, c=10.0)
         assert any("2*S*T" in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: run_svrg(p, SVRGConfig(step_size=0.1, epoch_len=2, n_epochs=2)),
+    lambda p: run_distributed_svrg(p, 2, SVRGConfig(step_size=0.1, epoch_len=2, n_epochs=2)),
+    lambda p: recommended_params(p, epsilon=0.01),
+], ids=["run_svrg", "run_distributed_svrg", "recommended_params"])
+@pytest.mark.parametrize("make", [
+    lambda: LipschitzLinearProblem(random_dataset(20, 3, seed=5), "absolute", radius=6.0,
+                                   alpha=0.05),
+    # a zero feature column at alpha = 0: the Hessian's smallest eigenvalue is exactly 0
+    lambda: RidgeProblem(Dataset(X=np.column_stack([np.linspace(0.1, 1.0, 10), np.zeros(10)]),
+                                 y=np.zeros(10)), alpha=0.0),
+], ids=["lipschitz", "ridge_lambda_0"])
+def test_svrg_needs_a_strongly_convex_ridge_problem(call, make):
+    with pytest.raises(InvalidParameter, match="strongly convex"):
+        call(make())
 
 
 class TestSafetyBound:
