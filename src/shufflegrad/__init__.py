@@ -13,7 +13,7 @@ The package provides, for mean losses of linear predictions:
 * synthetic data generation and text serialization (:mod:`.datagen`).
 """
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 from .datagen import GenSpec, generate, load, planted_weights, save
 from .distributed import (
@@ -25,7 +25,6 @@ from .distributed import (
 )
 from .errors import (
     BatchesExhausted,
-    DataExhausted,
     DataFormatError,
     DimensionMismatch,
     DivergenceError,

@@ -134,19 +134,21 @@ def _cmd_sgd(args) -> int:
 
 
 def _apply_param_rule(args, problem):
-    """Under --eps, set eta, T and S from the parameter rule, in args so
-    the config line records them."""
-    if args.eps is not None:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            params = recommended_params(problem, args.eps, args.c)
-        for warning in caught:
-            print(f"warning: {warning.message}")
-        print(
-            f"auto params: eta={params.step_size} T={params.epoch_len} "
-            f"S={params.n_epochs} (single-shuffle rule needs m >= 2*S*T = {params.m_required})"
-        )
-        args.eta, args.T, args.S = params.step_size, params.epoch_len, params.n_epochs
+    """Set eta, T and S in args, so the config line records them: under
+    --eps from the parameter rule, else eta defaults to 0.1."""
+    if args.eps is None:
+        args.eta = 0.1 if args.eta is None else args.eta
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        params = recommended_params(problem, args.eps)
+    for warning in caught:
+        print(f"warning: {warning.message}")
+    print(
+        f"auto params: eta={params.step_size} T={params.epoch_len} "
+        f"S={params.n_epochs} (single-shuffle rule needs m >= 2*S*T = {params.m_required})"
+    )
+    args.eta, args.T, args.S = params.step_size, params.epoch_len, params.n_epochs
 
 
 def _cmd_svrg(args) -> int:
@@ -215,11 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     def epoch_command(p):
         """The trace flags plus the epoch flags of svrg and dist."""
         trace_command(p)
-        p.add_argument("--eta", type=float, default=0.1)
+        p.add_argument("--eta", type=float, default=None, help="step size (default 0.1)")
         p.add_argument("--T", type=int, default=None, dest="T")
         p.add_argument("--S", type=int, default=None, dest="S")
         p.add_argument("--eps", type=float, default=None, help="accuracy that picks eta, T and S")
-        p.add_argument("--c", type=float, default=10.0)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     shared(p)
@@ -258,15 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # The usage rules argparse cannot state.  svrg and dist take T and S
-    # either from --eps's parameter rule or from both --T and --S.
+    # The usage rules argparse cannot state.  svrg and dist take eta, T and
+    # S either from --eps's parameter rule or from --eta (optional), --T and --S.
     usage = None
     if args.command == "gen" and not args.out:
         usage = "gen requires --out <path>"
     elif args.command in ("svrg", "dist") and (
-        (args.T, args.S).count(None) != (0 if args.eps is None else 2)
+        None in (args.T, args.S) if args.eps is None
+        else (args.T, args.S, args.eta) != (None, None, None)
     ):
-        usage = f"{args.command} needs --eps, or --T and --S without --eps"
+        usage = f"{args.command} needs --eps, or --T and --S (and optionally --eta) without --eps"
     if usage:
         print(usage, file=sys.stderr)
         return 2

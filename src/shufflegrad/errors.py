@@ -21,10 +21,6 @@ class SingularCurvature(ShufflegradError, ValueError):
     """The quadratic term is numerically singular; no unique minimizer."""
 
 
-class DataExhausted(ShufflegradError, RuntimeError):
-    """A single-shuffle sampler was asked for more than m draws."""
-
-
 class BatchesExhausted(ShufflegradError, RuntimeError):
     """The distributed simulation ran out of batches before finishing."""
 

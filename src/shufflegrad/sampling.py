@@ -6,15 +6,13 @@ counter-based generator, the one builder of a run's index schedule
 each of the three disciplines (with replacement, one shuffle for the
 whole run, a fresh shuffle at every epoch boundary), exhaustive
 permutation enumeration for the exact oracles, and the package's one
-check of index sequences from outside (:func:`explicit_indices`).  The
-permutation is drawn in takes: each take draws the swap targets of its
-steps in one call and resolves the swaps with array operations (one
-argsort and a few pointer-jumping passes, O(n log n) for a take of n).
-A sampler's first take reads the identity arrangement without building
-it; a second take builds one int64 position-to-value vector, kept until
-the last value is emitted.  Sizes are limited to m < 2**31.  Indices are
-0-based everywhere; a 1-based position t in formulas corresponds to
-``order[t - 1]``.
+check of index sequences from outside (:func:`explicit_indices`).  Every
+permutation is read as a prefix drawn in one take: the take draws the
+swap targets of its steps in one call and resolves the swaps with array
+operations (one argsort and a few pointer-jumping passes, O(n log n) for
+a prefix of n), reading the identity arrangement without building it.
+Sizes are limited to m < 2**31.  Indices are 0-based everywhere; a
+1-based position t in formulas corresponds to ``order[t - 1]``.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from .errors import DataExhausted, IndexOutOfRange, InvalidParameter
+from .errors import IndexOutOfRange, InvalidParameter
 from .rng import Rng
 
 WITH_REPLACEMENT = "with_replacement"
@@ -38,8 +36,6 @@ MAX_SHUFFLE = 2**31
 
 def shuffle(m: int, rng: Rng) -> np.ndarray:
     """Uniformly random permutation of range(m) by Fisher-Yates."""
-    if m < 1:
-        raise InvalidParameter("shuffle needs m >= 1")
     return SingleShuffleSampler(m, rng).take(m)
 
 
@@ -83,23 +79,17 @@ def schedule(kind: str, m: int, rows: int, cols: int, rng: Rng, sigma=None) -> n
 
     The first rows * cols entries of ``sigma`` when given, else ``rows``
     rows of ``cols`` drawn on ``rng`` by the ``kind`` discipline, in order:
-    independent uniform draws, one ``below`` call per row; one permutation,
-    one take per row, so each point is drawn at most once and the run needs
-    rows * cols <= m; or a fresh permutation for every epoch of
-    min(cols, m) draws, the epochs read back to back.
+    independent uniform draws, one ``below`` call per row; the first
+    rows * cols values of one permutation, so each point is drawn at most
+    once and the run needs rows * cols <= m; or a fresh permutation for
+    every epoch of min(cols, m) draws, the epochs read back to back.
     """
     if sigma is not None:
         return explicit_indices(sigma, m, rows * cols).reshape(rows, cols)
     if kind == WITH_REPLACEMENT:
         return np.stack([rng.below(np.full(cols, m, dtype=np.uint64)) for _ in range(rows)])
     if kind == SINGLE_SHUFFLE:
-        if rows * cols > m:
-            raise InvalidParameter(
-                f"single-shuffle sampling draws each of the m={m} points at most once; "
-                f"the run needs {rows * cols} draws"
-            )
-        sampler = SingleShuffleSampler(m, rng)
-        return np.stack([sampler.take(cols) for _ in range(rows)])
+        return SingleShuffleSampler(m, rng).take(rows * cols).reshape(rows, cols)
     if kind == RESHUFFLE_EACH_EPOCH:
         epoch = min(cols, m)
         draws = np.concatenate([SingleShuffleSampler(m, rng).take(epoch)
@@ -123,33 +113,29 @@ def enumerate_permutations(m: int):
 
 
 class SingleShuffleSampler:
-    """One permutation drawn up front; at most m draws for the whole run.
+    """Prefixes of uniformly random permutations of range(m).
 
     This is the package's only Fisher-Yates shuffle: :func:`shuffle`,
-    :func:`schedule` and the distributed partition take their
-    permutations from it.  It is the forward variant: step t swaps
-    position t with a uniform position j_t in [t, m-1] and emits the value
-    that lands at t.  Step t consumes one bounded draw for t < m - 1 and
-    none for t = m - 1, and each take makes one ``below`` call for all of
-    its steps, so the emitted sequence does not depend on how the takes
-    are split.
+    :func:`schedule` and the distributed partition each draw their
+    permutation prefix from it in one take, and no caller takes twice.
+    Each take is the prefix of a fresh permutation on the sampler's
+    ``rng``; it draws only the steps it emits.  It is the forward
+    variant: step t swaps position t with a uniform position j_t in
+    [t, m-1] and emits the value that lands at t.  Step t consumes one
+    bounded draw for t < m - 1 and none for t = m - 1, all in one
+    ``below`` call, so a take of n is the first n values of the take of m.
 
-    A take evaluates its k steps with array operations instead of one
-    swap at a time.  The value a step reads from a position is the value
-    the latest earlier step targeting that position wrote there, or the
-    position's value at the start of the take when none did.  One argsort
-    of the keys (j_t, t) groups the steps by target, which gives for each
-    step the previous step with the same target (its output) and the
-    last step whose target is its own position (its outgoing value);
-    pointer jumping resolves the chains of the latter in about
-    log2(longest chain) passes.  A take costs O(k log k).
-
-    The first take reads the identity arrangement without building it
-    and keeps only the positions it changed, so a sampler used for one
-    take (a reshuffle epoch, or :func:`shuffle`) costs O(k).  A second
-    take builds one int64 position-to-value vector (8·m bytes) from those
-    changes; it is freed once all m values are emitted.  Sort keys must
-    fit in int64, so m is limited to m < 2**31.
+    A take evaluates its n steps with array operations instead of one
+    swap at a time, reading the identity arrangement without building
+    it, so it costs O(n log n) whatever m is.  The value a step reads
+    from a position is the value the latest earlier step targeting that
+    position wrote there, or the position itself when none did.  One
+    argsort of the keys (j_t, t) groups the steps by target, which gives
+    for each step the previous step with the same target (its output)
+    and the last step whose target is its own position (its outgoing
+    value); pointer jumping resolves the chains of the latter in about
+    log2(longest chain) passes.  Sort keys must fit in int64, so m is
+    limited to m < 2**31.
     """
 
     def __init__(self, m: int, rng: Rng):
@@ -161,31 +147,18 @@ class SingleShuffleSampler:
             )
         self.m = m
         self.rng = rng
-        self.cursor = 0
-        self._state: np.ndarray | None = None
-        self._first: tuple[np.ndarray, np.ndarray] | None = None
 
     def take(self, n: int) -> np.ndarray:
-        m, start, stop = self.m, self.cursor, self.cursor + n
-        if stop > m:
-            raise DataExhausted(
-                f"single-shuffle sampler exhausted: asked for draw "
-                f"{stop} of m={m} (data is seen at most once; "
-                f"the supported regime is T <= m)"
+        m = self.m
+        if n > m:
+            raise InvalidParameter(
+                f"single-shuffle sampling draws each of the m={m} points at most once; "
+                f"the run needs {n} draws"
             )
-        if start == 0:
-            state = None  # the identity, read without building it
-        else:
-            if self._state is None:
-                self._state = np.arange(m, dtype=np.int64)
-                if self._first is not None:
-                    self._state[self._first[0]] = self._first[1]
-                    self._first = None
-            state = self._state[start:]  # indexed by position - start
-        k = max(0, min(stop, m - 1) - start)
-        # Step t of the take swaps positions t and target[t] >= t.
+        k = max(0, min(n, m - 1))
+        # Step t swaps positions t and target[t] >= t.
         steps = np.arange(k)
-        target = self.rng.below(np.arange(m - start, m - start - k, -1, dtype=np.uint64))
+        target = self.rng.below(np.arange(m, m - k, -1, dtype=np.uint64))
         target += steps
         order = (target * k + steps).argsort()  # by target, then by step
         grouped = target[order]
@@ -202,8 +175,8 @@ class SingleShuffleSampler:
         prev[order[1:]] = order[:-1]
         prev[heads] = heads
         # ptr[t]: the latest earlier step whose target is position t, or t
-        # itself if none.  aim is ascending, so the positions of this take's
-        # steps come first.
+        # itself if none.  aim is ascending, so the positions of the steps
+        # come first.
         ptr = np.arange(k)
         inside = aim.searchsorted(k)
         ptr[aim[:inside]] = tails[:inside]
@@ -216,25 +189,11 @@ class SingleShuffleSampler:
             if (up == ptr).all():
                 break
             ptr = up
-        # moved[t]: the value at position t just before step t
-        moved = ptr if state is None else state[ptr]
+        # ptr[t] is also the value at position t just before step t.
         out = np.empty(n, dtype=np.int64)
-        out[:k] = moved[prev]
-        # A first step reads the value the take started with.
-        out[heads] = aim if state is None else state[aim]
-        # Each targeted position keeps what its last swap left there (the
-        # positions of this take's steps are never read again).
-        left = moved[tails]
-        if state is not None:
-            state[aim] = left
-            if k < n:  # the last position needs no draw
-                out[k] = state[k]
-        elif k < n:
-            out[k] = left[-1] if k and aim[-1] == k else k
-        elif k:  # the vector is built from these if another take comes
-            self._first = (aim, left)
-        self.cursor = stop
-        if stop == m:
-            self._state = None
+        out[:k] = ptr[prev]
+        # A first step reads the position's own value.
+        out[heads] = aim
+        if k < n:  # the last position needs no draw; it keeps what its last swap left
+            out[k] = ptr[tails[-1]] if k and aim[-1] == k else k
         return out
-

@@ -8,7 +8,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DRIVERS = ["run_svrg", "run_distributed_svrg", "run_sgd", "SeedSummary", "suboptimality",
-           "reference", "DivergenceError", "datagen", "oracles", "exact_oracles"]
+           "reference", "DivergenceError", "datagen", "sampling", "oracles",
+           "exact_oracles"]
 
 
 def test_prints_one_digest_per_driver(tmp_path):

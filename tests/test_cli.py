@@ -81,7 +81,7 @@ def test_sgd_file_independent_of_core_count(dataset_file, tmp_path, monkeypatch)
 def test_svrg_auto_params_warns_on_small_m(dataset_file, capsys):
     code = run_cli([
         "svrg", "--data", str(dataset_file), "--reg", "0.01",
-        "--eps", "0.01", "--c", "10", "--seeds", "1",
+        "--eps", "0.01", "--seeds", "1",
         "--sampler", "reshuffle",
     ])
     assert code == 0
@@ -99,7 +99,7 @@ def test_svrg_auto_params_single_shuffle_warning_path(tmp_path, capsys):
     capsys.readouterr()
     code = run_cli([
         "svrg", "--data", str(path), "--reg", "0.9",
-        "--eps", "0.01", "--c", "10", "--seeds", "1",
+        "--eps", "0.01", "--seeds", "1",
     ])
     assert code == 0
     printed = capsys.readouterr().out
@@ -124,13 +124,23 @@ def test_svrg_missing_epoch_flags_is_usage_error(dataset_file, capsys):
     assert run_cli(["svrg", *data]) == 2
     assert run_cli(["svrg", *data, "--T", "5"]) == 2
     assert run_cli(["dist", *data, "--k", "2", "--S", "3"]) == 2
-    # --eps picks T and S by the parameter rule, so it takes neither flag.
-    for epoch_flags in (["--T", "5"], ["--S", "3"], ["--T", "5", "--S", "3"]):
+    # --eps picks eta, T and S by the parameter rule, so it takes none of those flags.
+    for epoch_flags in (["--T", "5"], ["--S", "3"], ["--T", "5", "--S", "3"], ["--eta", "0.5"]):
         assert run_cli(["svrg", *data, "--eps", "0.01", *epoch_flags]) == 2
         assert run_cli(["dist", *data, "--k", "2", "--eps", "0.01", *epoch_flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert len(captured.err.splitlines()) == 9
+    assert len(captured.err.splitlines()) == 11
+
+
+@pytest.mark.parametrize("command", [["svrg"], ["dist", "--k", "2"]])
+def test_eta_defaults_to_0_1_without_eps(dataset_file, capsys, command):
+    data = ["--data", str(dataset_file), "--T", "5", "--S", "2"]
+    for eta_flags, eta in (([], 0.1), (["--eta", "0.3"], 0.3)):
+        assert run_cli([*command, *data, *eta_flags]) == 0
+        (line,) = [l for l in capsys.readouterr().out.splitlines()
+                   if l.startswith("resolved config: ")]
+        assert json.loads(line.split(": ", 1)[1])["eta"] == eta
 
 
 def test_svrg_json_format(dataset_file, tmp_path):
@@ -162,9 +172,10 @@ def test_dist_reports_comm_costs(dataset_file, tmp_path):
 
 
 def test_usage_error_exit_code_2():
-    # Unknown flags (--auto-params was removed: --eps selects the rule), and
-    # the removed verify and rademacher commands.
-    for argv in (["sgd", "--bogus-flag"], ["svrg", "--auto-params"],
+    # Unknown flags (--auto-params was removed: --eps selects the rule; --c
+    # was removed: the rule's c is 10), and the removed verify and
+    # rademacher commands.
+    for argv in (["sgd", "--bogus-flag"], ["svrg", "--auto-params"], ["svrg", "--c", "10"],
                  ["svrg", "--data", "missing.txt", "--eps", "0.01", "--auto-params"],
                  ["verify", "--lemma", "key"], ["rademacher"]):
         proc = subprocess.run(

@@ -19,7 +19,7 @@ from shufflegrad import (
     run_svrg,
     shuffle,
 )
-from shufflegrad.errors import DataExhausted, InvalidParameter
+from shufflegrad.errors import InvalidParameter
 from shufflegrad.sampling import SingleShuffleSampler, schedule
 from conftest import random_ridge
 
@@ -133,16 +133,13 @@ def test_single_shuffle_bijection_and_exhaustion():
     assert sorted(draws.ravel().tolist()) == [0, 1, 2]
     with pytest.raises(InvalidParameter, match="at most once"):
         schedule("single_shuffle", 3, 4, 1, Rng(2, 0))
-    s = SingleShuffleSampler(3, Rng(2, 0))
-    s.take(3)
-    with pytest.raises(DataExhausted):
-        s.take(1)
-
-
-def test_single_shuffle_matches_eager_shuffle():
-    lazy = SingleShuffleSampler(37, Rng(8, 1))
-    taken = np.concatenate([lazy.take(5) for _ in range(7)] + [lazy.take(2)])
-    assert np.array_equal(taken, shuffle(37, Rng(8, 1)))
+    # A take longer than the permutation is refused before anything is drawn.
+    rng = Rng(2, 0)
+    with pytest.raises(InvalidParameter) as err:
+        SingleShuffleSampler(3, rng).take(4)
+    assert str(err.value) == ("single-shuffle sampling draws each of the m=3 points at most "
+                              "once; the run needs 4 draws")
+    assert rng.counter == 0
 
 
 def test_with_replacement_m1_and_frequencies():
@@ -189,14 +186,13 @@ def test_enumeration_guard():
 # The oracle for SingleShuffleSampler.take: the forward Fisher-Yates loop
 # one swap at a time, with the displaced positions in a dict.  It draws
 # its targets with the same single `below` call per take.
-def reference_take(m, rng, start, n, displaced):
-    """Steps start, ..., start+n-1 of the permutation of range(m)."""
-    n_draws = max(0, min(start + n, m - 1) - start)
-    offsets = rng.below(np.arange(m - start, m - start - n_draws, -1, dtype=np.uint64))
-    out = []
-    for i in range(n_draws):
-        t = start + i
-        j = t + int(offsets[i])
+def reference_take(m, rng, n):
+    """The first n values of a permutation of range(m)."""
+    n_draws = min(n, m - 1)
+    offsets = rng.below(np.arange(m, m - n_draws, -1, dtype=np.uint64))
+    out, displaced = [], {}
+    for t in range(n_draws):
+        j = t + int(offsets[t])
         out.append(displaced.get(j, j))
         if j != t:
             displaced[j] = displaced.get(t, t)
@@ -205,30 +201,28 @@ def reference_take(m, rng, start, n, displaced):
     return np.array(out, dtype=np.int64)
 
 
-def assert_takes_match_reference(m, sizes, seed, stream=0):
-    sampler, rng = SingleShuffleSampler(m, Rng(seed, stream)), Rng(seed, stream)
-    start, displaced = 0, {}
-    for n in sizes:
-        got = sampler.take(n)
-        expect = reference_take(m, rng, start, n, displaced)
-        assert got.dtype == expect.dtype == np.int64
-        assert np.array_equal(got, expect)
-        assert sampler.rng.counter == rng.counter
-        start += n
+def assert_take_matches_reference(m, n, seed, stream=0):
+    drawn, rng = Rng(seed, stream), Rng(seed, stream)
+    got, expect = SingleShuffleSampler(m, drawn).take(n), reference_take(m, rng, n)
+    assert got.dtype == expect.dtype == np.int64
+    assert np.array_equal(got, expect)
+    assert drawn.counter == rng.counter
 
 
 @settings(max_examples=200, deadline=None)
 @given(m=st.integers(1, 400), seed=st.integers(0, 2**32), data=st.data())
-def test_take_matches_reference_on_random_splits(m, seed, data):
-    cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=12)))
-    sizes = np.diff([0, *cuts, m]).tolist()
-    assert_takes_match_reference(m, sizes, seed)
+def test_take_matches_reference_at_every_prefix_length(m, seed, data):
+    assert_take_matches_reference(m, data.draw(st.integers(0, m)), seed)
 
 
 def test_take_matches_reference_at_1e5():
     m = 100_000
-    assert_takes_match_reference(m, [m], seed=41, stream=3)
-    assert_takes_match_reference(m, [1800] * 13, seed=42, stream=3)
+    assert_take_matches_reference(m, m, seed=41, stream=3)
+    # SVRG's single-shuffle schedule at S = 13, T = 1800 reads one prefix.
+    drawn, rng = Rng(42, 3), Rng(42, 3)
+    got = schedule("single_shuffle", m, 13, 1800, drawn)
+    assert np.array_equal(got.ravel(), reference_take(m, rng, 13 * 1800))
+    assert drawn.counter == rng.counter
 
 
 def test_reshuffle_matches_reference_over_epochs():
@@ -236,7 +230,7 @@ def test_reshuffle_matches_reference_over_epochs():
     drawn = Rng(13, 4)
     got = schedule("reshuffle_each_epoch", m, 4, epoch_len, drawn)
     rng = Rng(13, 4)
-    epochs = [reference_take(m, rng, 0, epoch_len, {}) for _ in range(4)]
+    epochs = [reference_take(m, rng, epoch_len) for _ in range(4)]
     assert np.array_equal(got, np.stack(epochs))
     assert drawn.counter == rng.counter
 
@@ -246,7 +240,7 @@ def test_reshuffle_matches_reference_over_epochs():
 def reference_reshuffle(m, rows, cols, rng):
     epoch, flat = min(cols, m), []
     while len(flat) < rows * cols:
-        flat.extend(reference_take(m, rng, 0, epoch, {}))
+        flat.extend(reference_take(m, rng, epoch))
     return np.array(flat[: rows * cols], dtype=np.int64).reshape(rows, cols)
 
 
@@ -306,11 +300,22 @@ def test_huge_m_rejected_before_allocating():
 
 
 def test_reshuffle_epoch_cost_does_not_grow_with_m():
-    # Each epoch's first take reads the identity arrangement in place of an
-    # 8·m-byte vector, so short epochs over a large dataset stay small.
+    # Every take reads the identity arrangement in place of an 8·m-byte
+    # vector, so short epochs over a large dataset stay small.
     tracemalloc.start()
     try:
         schedule("reshuffle_each_epoch", 10**6, 100, 10, Rng(3, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_single_shuffle_schedule_cost_does_not_grow_with_m():
+    # The schedule is one prefix of 130 values, drawn without an m-sized vector.
+    tracemalloc.start()
+    try:
+        schedule("single_shuffle", 10**6, 13, 10, Rng(3, 4))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -284,6 +284,23 @@ def datagen_digest(sg):
     return dig.hexdigest()
 
 
+def sampling_digest(sg):
+    """Permutations, index schedules and partitions, each with the counter it leaves."""
+    dig = Digest()
+    for m in (1, 2, 7, 1000, 100_000):
+        rng = sg.Rng(90, m)
+        dig.add(sg.shuffle(m, rng), rng.counter)
+    for kind in (sg.WITH_REPLACEMENT, sg.SINGLE_SHUFFLE, sg.RESHUFFLE_EACH_EPOCH):
+        for m, rows, cols in ((50, 4, 7), (100_000, 13, 1800), (400, 3, 100)):
+            rng = sg.Rng(91, m)
+            dig.add(sg.sampling.schedule(kind, m, rows, cols, rng), rng.counter)
+    data = sg.Dataset(X=np.zeros((1003, 1)), y=np.zeros(1003))
+    for k in (1, 3, 7):
+        rng = sg.Rng(92, k)
+        dig.add(*sg.partition(data, k, rng), rng.counter)
+    return dig.hexdigest()
+
+
 def _paired_fields(cmp):
     return (cmp.lhs.value, cmp.lhs.stderr, cmp.rhs.value, cmp.rhs.stderr, cmp.gap,
             cmp.gap_stderr)
@@ -348,6 +365,7 @@ DRIVERS = {
     "reference": reference_digest,
     "DivergenceError": divergence_digest,
     "datagen": datagen_digest,
+    "sampling": sampling_digest,
     "oracles": oracles_digest,
     "exact_oracles": exact_oracles_digest,
 }
