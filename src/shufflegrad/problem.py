@@ -20,7 +20,11 @@ Mean reduction order
 reduce per-point terms with an index-ascending balanced pairwise tree
 (:func:`pairwise_sum`): level 0 pairs elements (0,1), (2,3), ...; an odd
 trailing element passes to the next level unchanged; levels repeat until
-one value remains.  The ridge gradient needs no reduction over points:
+one value remains.  ``full_objective`` reduces the data losses alone and
+adds the regularizer (alpha/2)||w||^2 to their mean, F(w) =
+pairwise_mean(loss_i) + (alpha/2)||w||^2, one rounding of the
+regularizer per point w rather than one per loss.  The ridge gradient
+needs no reduction over points:
 it is exactly ``hessian @ w - b`` with the cached Hessian and right-hand
 side b = (1/m) X^T y, an O(d^2) evaluation.  The distributed simulation's
 reduced anchor, the shard-weighted sum of local Gram forms, equals it by
@@ -33,17 +37,31 @@ Blocks of points
 and return a float, or a block W of shape (n, d) and return n values.
 ``full_objective`` forms the predictions of each chunk of rows (two, or
 as many as fit in ``LOSS_CHUNK`` losses, 512 KiB, so memory does not
-grow with n) as one matrix product ``A @ X.T``, and the regularizers of
-the whole block as one ``np.vecdot(W, W)``, a dot per row like the
-one-point ``w @ w``.  numpy sends a one-row product to gemv, so a lone
-row is evaluated as the first row of ``[w, w]``.  On the SkylakeX and
-Sandybridge OpenBLAS kernels, with m a multiple of 8, GEMM rows do not
-depend on the block's size or on the row's place in it, so every row
-has the bits of ``(np.stack([w, w]) @ X.T)[0]`` and goes through the
-same pairwise tree as a single point.  The ridge curvature
-form uses stacked products, ``H @ D[:, :, None]`` and
-``D[:, None, :] @ Q``, one gemv and one dot per row, as the one-point
-``H @ dw`` and ``dw @ q`` do.  Both rest on how numpy and OpenBLAS
+grow with n) as one matrix product, and the regularizers of the whole
+block as one ``np.vecdot(W, W)``, a dot per row like the one-point
+``w @ w``.  numpy sends a one-row product to gemv, so a lone row is
+evaluated as the first row of ``[w, w]``.
+
+A call whose block spans more than one chunk folds the labels into the
+product: it builds one (d+1, m) operand [X^T; y] and multiplies each
+chunk's [A, -1] by it, so the last term of every product is -y and the
+product is the residual z - y, from which the absolute and squared
+losses follow in place.  The hinge takes [A, 0] instead, which gives z
+exactly.  A call of one chunk at an m that is a multiple of
+``GEMM_TILE`` (8) takes ``A @ X.T`` and subtracts the labels after, which
+spares the one-point calls at large m the copy of X.  At other m every
+call takes the operand, padded with zero columns to a multiple of 8, so
+that no prediction lands in a GEMM edge tile: there the fold moves last
+bits, and a row's bits depend on its place in the block.
+
+On the SkylakeX and Sandybridge OpenBLAS kernels, full GEMM tiles keep
+each row's bits independent of the block's size and of the row's place
+in it, and the folded -y term rounds as the separate subtraction does.
+So every row has the bits of its one-point call, whose predictions at m
+a multiple of 8 are ``(np.stack([w, w]) @ X.T)[0]``, and goes through the
+same pairwise tree.  The ridge curvature form uses stacked products,
+``H @ D[:, :, None]`` and ``D[:, None, :] @ Q``, one gemv and one dot per
+row, as the one-point ``H @ dw`` and ``dw @ q`` do.  Both rest on how numpy and OpenBLAS
 dispatch products, not on IEEE arithmetic, so the tests check them row
 by row.
 """
@@ -61,6 +79,7 @@ from .sampling import explicit_indices
 NORM_SLACK = 1e-12
 SINGULAR_CUTOFF = 1e-12
 LOSS_CHUNK = 1 << 16  # point losses a block evaluation holds at once (two rows at least)
+GEMM_TILE = 8  # product columns per GEMM kernel tile; edge tiles round differently
 CHECK_ROWS = 2048  # rows of X a feature check or norm scan holds at once
 
 LOSS_KINDS = ("squared", "absolute", "hinge")
@@ -146,13 +165,18 @@ class Dataset:
         return self.X.shape[1]
 
 
+def _residual_loss(kind: str, r: np.ndarray, out=None) -> np.ndarray:
+    """The squared or absolute loss of the residuals r = z - y elementwise,
+    written into ``out`` when given (it may be r)."""
+    if kind == "squared":
+        return np.multiply(0.5, np.square(r, out=out), out=out)
+    return np.abs(r, out=out)
+
+
 def _scalar_loss(kind: str, z: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     """loss(z; y) elementwise; written into ``out`` when given (it may be z)."""
-    if kind == "squared":
-        r = np.subtract(z, y, out=out)
-        return np.multiply(0.5, np.square(r, out=out), out=out)
-    if kind == "absolute":
-        return np.abs(np.subtract(z, y, out=out), out=out)
+    if kind in ("squared", "absolute"):
+        return _residual_loss(kind, np.subtract(z, y, out=out), out=out)
     if kind == "hinge":
         r = np.subtract(1.0, np.multiply(y, z, out=out), out=out)
         return np.maximum(0.0, r, out=out)
@@ -251,24 +275,43 @@ class _LinearPredictionProblem:
         return np.take(self.data.X, idx, axis=0), np.take(self.data.y, idx)
 
     def full_objective(self, w):
-        """F(w): pairwise mean of the point losses, ascending index order.
+        """F(w): pairwise mean of the data losses, ascending index order,
+        plus the regularizer (alpha/2)||w||^2.
 
         A block of rows gives one value per row (see "Blocks of points").
-        The predictions come from a matrix product, so F(w) may differ from
+        The predictions come from a matrix product and the regularizer is
+        added once, after the tree, so F(w) may differ from
         ``pairwise_mean(point_losses(w))`` in its last bits.
         """
         W, single = self._check_block(w)
-        X, y = self.data.X, self.data.y
-        out = np.empty(W.shape[0])
-        reg = 0.5 * self.alpha * np.vecdot(W, W)
-        rows = max(2, LOSS_CHUNK // self.data.m)
-        for lo in range(0, W.shape[0], rows):
+        n, d = W.shape
+        m, X, y = self.data.m, self.data.X, self.data.y
+        rows = max(2, LOSS_CHUNK // m)
+        hinge = self.kind == "hinge"
+        # A call of more than one chunk, or any call at an m off the GEMM
+        # tile, multiplies [A, c] by [X^T; y] padded with zero columns to
+        # whole tiles: with c = -1 each product ends on z - y, the residual;
+        # with c = 0 (hinge) it is z.  Aligned one-chunk calls skip the copy.
+        fold = n > rows or m % GEMM_TILE
+        B = X.T
+        if fold:
+            B = np.zeros((d + 1, m + -m % GEMM_TILE))
+            B[:d, :m], B[d, :m] = X.T, y
+            A1 = np.full((min(n, rows), d + 1), 0.0 if hinge else -1.0)
+        out = np.empty(n)
+        for lo in range(0, n, rows):
             A = W[lo : lo + rows]
-            z = (A if len(A) > 1 else A[[0, 0]]) @ X.T
-            z = z[: len(A)]
-            losses = _scalar_loss(self.kind, z, y, out=z)
-            losses += reg[lo : lo + rows, None]
+            if fold:
+                A1[: len(A), :d] = A
+                A = A1[: len(A)]
+            z = (A if len(A) > 1 else A[[0, 0]]) @ B
+            z = z[: len(A), :m]
+            if fold and not hinge:
+                losses = _residual_loss(self.kind, z, out=z)
+            else:
+                losses = _scalar_loss(self.kind, z, y, out=z)
             out[lo : lo + rows] = pairwise_mean(losses.T)
+        out += 0.5 * self.alpha * np.vecdot(W, W)
         return float(out[0]) if single else out
 
     def suboptimality(self, w):

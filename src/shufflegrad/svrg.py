@@ -24,6 +24,9 @@ iterates, bitwise the per-iterate values); the ``DivergenceError``
 reports the first crossing, its epoch, step, value and bound, exactly as
 a check after every step would.  A diverging epoch therefore finishes its
 inner steps before it raises, with floating-point overflow silenced.
+The block's first row is the epoch's snapshot, so it also gives the
+trace's value of the start and of each earlier snapshot; only the last
+snapshot is evaluated on its own.
 
 The inner step.  For the squared loss the correction
 grad f_i(w) - grad f_i(ws) is exactly x_i x_i^T (w - ws) + alpha (w - ws),
@@ -153,7 +156,6 @@ def _drive(problem, config: SVRGConfig, indices: np.ndarray) -> EpochTrace:
     snapshot = np.zeros(problem.d)
     subopt = np.empty(S)
     max_sub = np.empty(S)
-    initial = problem.suboptimality(snapshot)
     # Row j holds the offset v_{j+1} during the steps, then the iterate
     # w_{j+1}; row T the post-step one.
     W = np.empty((T + 1, problem.d))
@@ -196,12 +198,19 @@ def _drive(problem, config: SVRGConfig, indices: np.ndarray) -> EpochTrace:
                 epoch=s + 1, step=k + 1, value=sub, bound=guard,
             )
 
+        # Row 0 is the snapshot itself, w_1 = 0 + ws: its value is the start's
+        # or the previous epoch's, so only the last snapshot is evaluated alone.
+        if s == 0:
+            initial = float(subs[0])
+        else:
+            subopt[s - 1] = subs[0]
         # The post-step iterate (row T) counts toward the in-epoch maximum
         # but not toward the next snapshot.  cumsum adds the rows in order,
         # as a running accumulator would; a column sum (d = 1) would pair them.
         snapshot = np.cumsum(W[:T], axis=0)[-1] / T if picker is None else W[pick].copy()
-        subopt[s] = problem.suboptimality(snapshot)
         max_sub[s] = max(0.0, float(subs.max()))
+
+    subopt[S - 1] = problem.suboptimality(snapshot)
 
     return EpochTrace(
         suboptimality=subopt,

@@ -36,11 +36,11 @@ POINT_LOSSES = {
 
 
 def straight_objective(problem, w):
-    """F(w) as one vector of point losses reduced by the pairwise tree; the
-    predictions are the first row of the two-row product [w, w] @ X^T."""
+    """F(w) as the pairwise-tree mean of the data losses plus the regularizer;
+    the predictions are the first row of the two-row product [w, w] @ X^T."""
     z = (np.stack([w, w]) @ problem.data.X.T)[0]
     losses = POINT_LOSSES[problem.kind](z, problem.data.y)
-    return float(pairwise_mean(losses + 0.5 * problem.alpha * float(w @ w)))
+    return float(pairwise_mean(losses)) + 0.5 * problem.alpha * float(w @ w)
 
 
 def straight_suboptimality(problem, w):

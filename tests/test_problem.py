@@ -553,6 +553,10 @@ def block_problem(kind, d, m=BLOCK_M):
 @example(kind="absolute", d=20, n=KINKED_ROWS, seed=3, m=KINKED_M)
 @example(kind="absolute", d=20, n=KINKED_ROWS + 1, seed=4, m=KINKED_M)
 @example(kind="absolute", d=20, n=2 * KINKED_ROWS + 1, seed=5, m=KINKED_M)
+# Folded labels (more rows than one chunk) and the hinge's zero column.
+@example(kind="squared", d=20, n=2 * KINKED_ROWS + 1, seed=6, m=KINKED_M)
+@example(kind="ridge", d=20, n=2 * KINKED_ROWS + 1, seed=7, m=KINKED_M)
+@example(kind="hinge", d=20, n=2 * KINKED_ROWS + 1, seed=8, m=KINKED_M)
 def test_block_rows_match_one_point_formulas(kind, d, n, seed, m):
     """Each row of a block evaluation has the bits of the one-point formula,
     a one-row tail chunk included."""
@@ -568,6 +572,28 @@ def test_block_rows_match_one_point_formulas(kind, d, n, seed, m):
     assert p.full_objective(W[-1]) == objective[-1]
     assert p.suboptimality(W[-1]) == subopt[-1]
     assert type(p.suboptimality(W[-1])) is float
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["ridge", "squared", "absolute", "hinge"]),
+    d=st.sampled_from([1, 3, 9, 20]),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32),
+    m=st.sampled_from([5, 61, 300, 1999]),
+)
+@example(kind="absolute", d=3, n=2 * (LOSS_CHUNK // 300) + 1, seed=0, m=300)
+@example(kind="squared", d=20, n=2 * (LOSS_CHUNK // 1999) + 1, seed=1, m=1999)
+@example(kind="hinge", d=9, n=2 * (LOSS_CHUNK // 1999) + 1, seed=2, m=1999)
+def test_block_rows_match_one_point_calls_off_the_tile(kind, d, n, seed, m):
+    """At an m that is not a multiple of 8 each row of a block has the bits
+    of its own one-point call, however many chunks the block spans."""
+    p = block_problem(kind, d, m)
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 4, size=(n, 1))
+    objective = p.full_objective(W)
+    for k in range(n):
+        assert objective[k] == p.full_objective(W[k])
 
 
 def test_block_shape_errors(unit_axes_problem):
@@ -611,11 +637,13 @@ def objective_rounding_bound(p, w):
     * Predictions, §3.1 (3.5): |z^_i - z_i| <= gamma_d s_i with
       s_i = sum_k |x_ik w_k|, so the loss moves by at most L_i gamma_d s_i,
       L_i its Lipschitz constant between z^_i and z_i.
-    * Loss and regularizer, the standard model (2.4), one rounding per
-      operation: e_i below, and gamma_{d+1} rho for rho = (alpha/2)||w||^2.
-    * The sum of loss and regularizer, u per point, and the pairwise tree
-      then the division by m, §4.2 (4.6) and Lemma 3.3: gamma_{h+1} times
-      the mean loss, h = ceil(log2 m) the tree's depth.
+    * Loss, the standard model (2.4), one rounding per operation: e_i below.
+    * The pairwise tree of the losses then the division by m, §4.2 (4.6)
+      and Lemma 3.3: gamma_{h+1} times the mean loss, h = ceil(log2 m) the
+      tree's depth.
+    * The regularizer rho = (alpha/2)||w||^2, gamma_{d+1} rho, and its sum
+      with the mean, u.  The same terms bound the sum of loss and
+      regularizer per point before the tree, as ``point_losses`` adds them.
 
     Two evaluations that differ only in how they sum the dot products are
     each within this bound of F(w), so they are within twice it of each

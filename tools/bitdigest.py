@@ -206,10 +206,13 @@ def suboptimality_digest(sg):
     grid = [(p, n) for p in problems for n in (1, 2, 37, 300)]
     # The kinked benchmark's shape: 32 rows per loss chunk, so 33 and 65 rows end
     # on a one-row chunk.  n is fixed, not derived, so both trees run one grid.
-    data = sg.generate(sg.GenSpec(m=2000, d=20, spectrum="geometric", decay=0.7, noise=0.2,
-                                  signal_norm=0.8, seed=43))
-    kinked = sg.LipschitzLinearProblem(data, "absolute", radius=4.0, alpha=0.05)
-    grid += [(kinked, 33), (kinked, 65)]
+    # m = 1999 ends on a GEMM edge tile; the squared kind folds its labels too.
+    for m, kind, ns in ((2000, "absolute", (33, 65)), (1999, "absolute", (65,)),
+                        (2000, "squared", (65,))):
+        data = sg.generate(sg.GenSpec(m=m, d=20, spectrum="geometric", decay=0.7, noise=0.2,
+                                      signal_norm=0.8, seed=43))
+        p = sg.LipschitzLinearProblem(data, kind, radius=4.0, alpha=0.05)
+        grid += [(p, n) for n in ns]
     for p, n in grid:
         W = 0.3 * rng.normal(n * p.d).reshape(n, p.d)
         dig.add(p.suboptimality(W), p.suboptimality(W[0]), p.full_objective(W))
