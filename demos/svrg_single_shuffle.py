@@ -25,7 +25,7 @@ data = generate(GenSpec(m=60_000, d=15, spectrum="geometric", decay=0.5,
 problem = RidgeProblem(data, alpha=0.08)
 lam = problem.strong_convexity
 
-params = recommended_params(problem, epsilon=1e-9, c=10.0)
+params = recommended_params(problem, epsilon=1e-9)
 epochs = min(params.n_epochs, problem.m // params.epoch_len)
 print(f"m={problem.m}, lambda={lam:.4f}")
 print(f"parameter rule: eta={params.step_size}, T={params.epoch_len}, "

@@ -209,9 +209,13 @@ def _gram_form(X: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, 
 class _LinearPredictionProblem:
     """Shared machinery: per-point losses/gradients and the pairwise objective."""
 
-    data: Dataset
-    alpha: float
     kind: str
+
+    def __init__(self, data: Dataset, alpha: float):
+        if not alpha >= 0:
+            raise InvalidParameter("alpha must be >= 0")
+        self.data = data
+        self.alpha = float(alpha)
 
     def _check_w(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)
@@ -239,20 +243,12 @@ class _LinearPredictionProblem:
         return self.data.d
 
     def point_loss(self, i: int, w) -> float:
-        """f_i(w) for one data point."""
-        (i,) = explicit_indices([i], self.data.m, name="i")
-        w = self._check_w(w)
-        z = float(self.data.X[i] @ w)
-        reg = 0.5 * self.alpha * float(w @ w)
-        return float(_scalar_loss(self.kind, z, self.data.y[i])) + reg
+        """f_i(w) for one data point: ``point_losses(w, [i])[0]``."""
+        return float(self.point_losses(w, explicit_indices([i], self.data.m, name="i"))[0])
 
     def point_gradient(self, i: int, w) -> np.ndarray:
-        """A (sub)gradient of f_i at w; kinks resolve to the zero slope."""
-        (i,) = explicit_indices([i], self.data.m, name="i")
-        w = self._check_w(w)
-        z = float(self.data.X[i] @ w)
-        g = _scalar_slope(self.kind, z, self.data.y[i]) * self.data.X[i]
-        return g + self.alpha * w
+        """A (sub)gradient of f_i at w, zero slope at kinks: ``point_gradient_rows(w, [i])[0]``."""
+        return self.point_gradient_rows(w, explicit_indices([i], self.data.m, name="i"))[0]
 
     def point_losses(self, w, indices=None) -> np.ndarray:
         """Vector of f_i(w) over the given indices (all points by default)."""
@@ -335,10 +331,7 @@ class RidgeProblem(_LinearPredictionProblem):
     kind = "squared"
 
     def __init__(self, data: Dataset, alpha: float):
-        if not alpha >= 0:
-            raise InvalidParameter("alpha must be >= 0")
-        self.data = data
-        self.alpha = float(alpha)
+        super().__init__(data, alpha)
         self.hessian, self._rhs = _gram_form(data.X, data.y, self.alpha)
 
     @cached_property
@@ -424,27 +417,18 @@ class LipschitzLinearProblem(_LinearPredictionProblem):
             raise InvalidParameter(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
         if not radius > 0:
             raise InvalidParameter("radius must be positive")
-        if not alpha >= 0:
-            raise InvalidParameter("alpha must be >= 0")
-        self.data = data
+        super().__init__(data, alpha)
         self.kind = kind
-        self.radius = float(radius)
-        self.alpha = float(alpha)
+        self.radius = R = float(radius)
         ymax = float(np.abs(data.y).max())
         if kind == "absolute":
-            self.lipschitz = 1.0
+            self.lipschitz, raw = 1.0, R + ymax
         elif kind == "hinge":
-            self.lipschitz = ymax
+            self.lipschitz, raw = ymax, 1.0 + ymax * R
         else:
-            self.lipschitz = self.radius + ymax
-        self.grad_bound = self.lipschitz + self.alpha * self.radius
-        if kind == "absolute":
-            raw = self.radius + ymax
-        elif kind == "hinge":
-            raw = 1.0 + ymax * self.radius
-        else:
-            raw = 0.5 * (self.radius + ymax) ** 2
-        self.loss_bound = raw + 0.5 * self.alpha * self.radius**2
+            self.lipschitz, raw = R + ymax, 0.5 * (R + ymax) ** 2
+        self.grad_bound = self.lipschitz + self.alpha * R
+        self.loss_bound = raw + 0.5 * self.alpha * R**2
         self.smoothness = 1.0 + self.alpha if kind == "squared" else None
 
     @cached_property
@@ -616,6 +600,7 @@ def _dual_objective(problem, a) -> float:
 
 
 def _in_ball(w: np.ndarray, radius: float) -> bool:
+    """||w|| <= radius up to a relative 1e-9; a NaN norm lies outside."""
     return np.linalg.norm(w) <= radius * (1.0 + 1e-9)
 
 

@@ -24,8 +24,8 @@ a generator with parameters ``(seed, stream)`` produces its i-th word
 
 which is exactly the SplitMix64 sequence started from state ``key``.
 Floats in [0, 1) take the top 53 bits: ``(word >> 11) * 2.0**-53``.
-Bounded integers use rejection below the largest multiple of the bound,
-so they are exactly uniform.  Normal deviates use the Box-Muller
+A bounded integer below b is ``w mod b`` of a word w, redrawn while
+w < 2**64 mod b, so it is exactly uniform.  Normal deviates use the Box-Muller
 transform: for ``normal(n)`` starting at counter ``base``, with
 ``pairs = ceil(n / 2)``, pair i takes u1 from word ``base + i`` and u2
 from word ``base + pairs + i`` and gives deviates 2i (cosine) and 2i+1
@@ -47,8 +47,8 @@ Test vectors (seed=42, stream=7)::
 Counter consumption is documented per method so that interleaved use
 stays reproducible: ``u64(n)`` and ``uniform(n)`` consume ``n`` words,
 ``normal(n)`` consumes ``2 * ceil(n / 2)``, and ``below`` consumes one
-word per requested value plus one per rejected draw (rejection
-probability is below bound / 2**64, i.e. never observed in practice).
+word per requested value plus one per rejected draw (a draw is rejected
+with probability (2**64 mod bound) / 2**64, below bound / 2**64).
 
 Note on drawing from two streams of one seed: both walk the same
 2**64-cycle of SplitMix64 at offsets mixed from the stream id, so the
@@ -75,7 +75,6 @@ _SHIFT_31 = np.uint64(31)
 _MUL_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL_2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN_U64 = np.uint64(GOLDEN)
-_ZERO_U64 = np.uint64(0)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -164,36 +163,21 @@ class Rng:
     def below(self, bounds) -> np.ndarray:
         """Uniform integers 0 <= v < bounds[i], exactly unbiased.
 
-        ``bounds`` may be a scalar or an array of positive integers; the
-        result matches its shape.  Draws whose word falls above the
-        largest multiple of the bound are rejected and redrawn.
+        ``bounds`` may be a scalar (giving an ``np.int64``) or an array of
+        positive integers, whose shape the result keeps.  Value i is w mod
+        bounds[i] of a word w, redrawn while w < 2**64 mod bounds[i]; each
+        round draws one word per value still pending, in index order.
         """
         b = np.asarray(bounds, dtype=np.uint64)
-        shape = b.shape
-        b = b.reshape(-1)
-        if b.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if not b.all():
+        flat = b.reshape(-1)
+        if not flat.all():
             raise ValueError("bounds must be positive")
-        words = self.u64(b.size)
-        # A word is rejected when it is below 2**64 mod b, which is below b.
-        if (words >= b).all():
-            words %= b
-            out = words.view(np.int64)
-        else:
-            # 2**64 mod b, computed as (2**64 - b) mod b in uint64 arithmetic
-            reject_below = (_ZERO_U64 - b) % b
-            out = np.empty(b.size, dtype=np.int64)
-            pending = np.arange(b.size)
-            while pending.size:
-                ok = words >= reject_below[pending]
-                done = pending[ok]
-                out[done] = (words[ok] % b[done]).astype(np.int64)
-                pending = pending[~ok]
-                if pending.size:
-                    words = self.u64(pending.size)
-                else:
-                    break
-        if not shape:
-            return out[0]
-        return out.reshape(shape)
+        words = self.u64(flat.size)
+        # 2**64 mod b is below b, so only a word below b can be rejected.
+        pending = np.flatnonzero(words < flat)
+        while pending.size:
+            bound = flat[pending]
+            pending = pending[words[pending] < -bound % bound]  # 2**64 mod b, in uint64
+            words[pending] = self.u64(pending.size)
+        words %= flat
+        return words.view(np.int64).reshape(b.shape)[()]

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameter
-from .problem import _scalar_loss, _scalar_slope
+from .problem import _in_ball, _scalar_loss, _scalar_slope
 from .rng import Rng
 from .sampling import (
     SINGLE_SHUFFLE,
@@ -184,7 +184,7 @@ def _traces(problem, config: SGDConfig, rows, n: int, collect_iterates=False, re
     chunks, as many per chunk as ``STREAM_CHUNK_BYTES`` allows.
     """
     wstar = problem.wstar if reference is None else np.asarray(reference, dtype=np.float64)
-    if np.linalg.norm(wstar) > config.radius + 1e-9:
+    if not _in_ball(wstar, config.radius):
         raise InvalidParameter(
             f"projection radius {config.radius:g} excludes the minimizer "
             f"(norm {np.linalg.norm(wstar):.6g})"

@@ -154,7 +154,7 @@ def _drive(problem, config: SVRGConfig, indices: np.ndarray) -> EpochTrace:
 
     X = problem.data.X
     snapshot = np.zeros(problem.d)
-    subopt = np.empty(S)
+    chain = np.empty(S + 1)  # F - F* at the start, then at each epoch's snapshot
     max_sub = np.empty(S)
     # Row j holds the offset v_{j+1} during the steps, then the iterate
     # w_{j+1}; row T the post-step one.
@@ -200,24 +200,21 @@ def _drive(problem, config: SVRGConfig, indices: np.ndarray) -> EpochTrace:
 
         # Row 0 is the snapshot itself, w_1 = 0 + ws: its value is the start's
         # or the previous epoch's, so only the last snapshot is evaluated alone.
-        if s == 0:
-            initial = float(subs[0])
-        else:
-            subopt[s - 1] = subs[0]
+        chain[s] = subs[0]
         # The post-step iterate (row T) counts toward the in-epoch maximum
         # but not toward the next snapshot.  cumsum adds the rows in order,
         # as a running accumulator would; a column sum (d = 1) would pair them.
         snapshot = np.cumsum(W[:T], axis=0)[-1] / T if picker is None else W[pick].copy()
         max_sub[s] = max(0.0, float(subs.max()))
 
-    subopt[S - 1] = problem.suboptimality(snapshot)
+    chain[S] = problem.suboptimality(snapshot)
 
     return EpochTrace(
-        suboptimality=subopt,
+        suboptimality=chain[1:],
         max_suboptimality=max_sub,
         stochastic_grad_evals=np.full(S, T),
         full_grad_point_evals=np.full(S, problem.m),
-        initial_suboptimality=initial,
+        initial_suboptimality=float(chain[0]),
         final_snapshot=snapshot,
     )
 
@@ -252,20 +249,18 @@ class RecommendedParams:
     m_required: int
 
 
-def recommended_params(problem, epsilon: float, c: float = 10.0) -> RecommendedParams:
+def recommended_params(problem, epsilon: float) -> RecommendedParams:
     """Parameter rule for geometric convergence to accuracy ``epsilon``.
 
-    step_size = 1/c, epoch_len = ceil(9 / (step_size * lambda)),
+    step_size = 1/10, epoch_len = ceil(9 / (step_size * lambda)),
     n_epochs = ceil(log4(9 / epsilon)), and the data-size requirement
     m >= 2 * n_epochs * epoch_len for a single-shuffle run.  Emits a
     warning when the problem is too small for that requirement.
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameter("epsilon must lie in (0, 1)")
-    if not c >= 1.0:
-        raise InvalidParameter("c must be >= 1")
     lam = _strong_convexity(problem)
-    eta = 1.0 / c
+    eta = 0.1
     # Guard the ceilings against values that are exact up to rounding.
     epoch_len = math.ceil(9.0 / (eta * lam) - 1e-9)
     n_epochs = math.ceil(math.log(9.0 / epsilon) / math.log(4.0) - 1e-12)

@@ -9,7 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DRIVERS = ["run_svrg", "run_distributed_svrg", "run_sgd", "SeedSummary", "suboptimality",
            "reference", "DivergenceError", "datagen", "sampling", "oracles",
-           "exact_oracles"]
+           "exact_oracles", "rng", "points"]
 
 
 def test_prints_one_digest_per_driver(tmp_path):

@@ -24,7 +24,6 @@ from shufflegrad import (
     contraction_check,
     pairwise_mean,
     pairwise_sum,
-    recommended_params,
     reference_minimizer,
 )
 from shufflegrad.errors import (
@@ -104,6 +103,13 @@ class TestValidation:
         assert p.point_losses(w, []).shape == (0,)
         assert p.point_gradient_rows(w, []).shape == (0, 2)
 
+    @pytest.mark.parametrize("method", ["point_loss", "point_gradient"])
+    @pytest.mark.parametrize("i", [-1, 2, 2**40])
+    def test_point_index_error_names_i(self, unit_axes_problem, method, i):
+        call = getattr(unit_axes_problem, method)
+        with pytest.raises(IndexOutOfRange, match=rf"^i holds index {i} at position 0, "):
+            call(i, [0.0, 0.0])
+
     def test_dataset_invariants(self):
         with pytest.raises(InvalidParameter):
             Dataset(X=np.array([[1.5, 0.0]]), y=np.array([0.0]))
@@ -181,7 +187,6 @@ NAN_PARAMETERS = {
     "ConcentrationSpec.alpha": lambda: ConcentrationSpec(np.eye(2), 0.0, NAN, 1),
     "contraction_check.lipschitz": lambda: contraction_check(
         FiniteVectorClass(np.eye(2)), [abs, abs], NAN, (1, 1), 10),
-    "recommended_params.c": lambda: recommended_params(random_ridge(4, 2, seed=1), 0.1, c=NAN),
 }
 
 

@@ -122,6 +122,44 @@ def test_below_always_in_range(seed, stream, bound):
     assert 0 <= v < bound
 
 
+def documented_below(rng, bound):
+    """One value below ``bound`` by the documented rule, drawn word by word."""
+    while True:
+        w = int(rng.u64(1)[0])
+        if w >= (1 << 64) % bound:
+            return w % bound
+
+
+def test_rejecting_scalar_bound_gives_an_int64():
+    # 2**64 mod bound is just below 2**63 here: about half of all words reject.
+    bound = 2**63 + 2**40 + 5
+    for stream in range(64):
+        if int(Rng(8, stream).u64(1)[0]) < (1 << 64) % bound:
+            break
+    r, ref = Rng(8, stream), Rng(8, stream)
+    v = r.below(bound)
+    assert type(v) is np.int64
+    assert int(v) & MASK64 == documented_below(ref, bound)
+    assert r.counter == ref.counter > 1
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+def test_empty_bounds_keep_their_shape(shape):
+    r = Rng(3)
+    out = r.below(np.ones(shape, dtype=np.uint64))
+    assert out.shape == shape and out.dtype == np.int64
+    assert r.counter == 0
+
+
+def test_two_dimensional_bounds_draw_in_row_major_order():
+    bounds = np.array([[2**63 + 1, 3, 7], [2**64 - 1, 1, 2**63 + 12345]], dtype=np.uint64)
+    r, ref = Rng(21, 5), Rng(21, 5)
+    out = r.below(bounds)
+    assert out.shape == bounds.shape and out.dtype == np.int64
+    assert out.tobytes() == ref.below(bounds.reshape(-1)).tobytes()
+    assert r.counter == ref.counter > bounds.size
+
+
 def test_no_warnings_at_the_wrapping_extremes():
     # uint64 arithmetic must wrap silently for every seed, stream and counter.
     with warnings.catch_warnings():

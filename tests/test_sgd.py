@@ -176,6 +176,21 @@ class TestSingleRun:
         with pytest.raises(InvalidParameter):
             run_sgd(p, config_for(p, 5, radius=tiny))
 
+    # The reference solve's rule, ||w|| <= radius * (1 + 1e-9), at margins
+    # where an absolute slack of 1e-9 decides the other way.
+    @pytest.mark.parametrize("radius, norm, inside", [(4.0, 4.0 + 2e-9, True),
+                                                      (0.5, 0.5 + 0.8e-9, False),
+                                                      (4.0, math.nan, False)])
+    def test_reference_inside_the_ball_by_the_solve_rule(self, radius, norm, inside):
+        p = random_ridge(30, 3, seed=3)
+        reference = np.array([0.0, norm, 0.0])
+        cfg = config_for(p, 5, radius=radius)
+        if inside:
+            assert run_sgd(p, cfg, reference=reference).regret is not None
+        else:
+            with pytest.raises(InvalidParameter, match="excludes the minimizer"):
+                run_sgd(p, cfg, reference=reference)
+
     def test_single_shuffle_requires_T_at_most_m(self):
         p = random_ridge(10, 2, seed=4)
         with pytest.raises(InvalidParameter):

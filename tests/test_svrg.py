@@ -196,19 +196,20 @@ class TestBookkeeping:
 class TestParameterRule:
     def test_worked_example(self):
         p = type("P", (), {"strong_convexity": 0.01, "m": 10**6})()
-        params = recommended_params(p, epsilon=0.01, c=10.0)
+        params = recommended_params(p, epsilon=0.01)
         assert params.step_size == pytest.approx(0.1)
         assert params.epoch_len == 9000
         assert params.n_epochs == 5
         assert params.m_required == 90_000
 
     def test_exact_power_of_four(self):
-        p = type("P", (), {"strong_convexity": 1.0, "m": 100})()
-        assert recommended_params(p, epsilon=0.5625, c=1.0).n_epochs == 2
+        p = type("P", (), {"strong_convexity": 1.0, "m": 1000})()
+        assert recommended_params(p, epsilon=0.5625).n_epochs == 2
 
     def test_unit_constants(self):
-        p = type("P", (), {"strong_convexity": 1.0, "m": 100})()
-        assert recommended_params(p, epsilon=0.5, c=1.0).epoch_len == 9
+        # lambda = 10 makes step_size * lambda = 1, so epoch_len is 9 exactly.
+        p = type("P", (), {"strong_convexity": 10.0, "m": 100})()
+        assert recommended_params(p, epsilon=0.5).epoch_len == 9
 
     def test_epsilon_range(self):
         p = type("P", (), {"strong_convexity": 0.5, "m": 100})()
@@ -221,7 +222,7 @@ class TestParameterRule:
         p = type("P", (), {"strong_convexity": 0.01, "m": 100})()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            recommended_params(p, epsilon=0.01, c=10.0)
+            recommended_params(p, epsilon=0.01)
         assert any("2*S*T" in str(w.message) for w in caught)
 
 
@@ -400,7 +401,7 @@ class TestEpochRatios:
     @pytest.mark.filterwarnings("ignore:dataset has")
     def test_geometric_decrease_on_benchmark(self):
         p = random_ridge(4000, 6, seed=12, alpha=0.1)
-        params = recommended_params(p, epsilon=1e-6, c=10.0)
+        params = recommended_params(p, epsilon=1e-6)
         cfg = SVRGConfig(
             step_size=params.step_size,
             epoch_len=params.epoch_len,

@@ -304,6 +304,45 @@ def sampling_digest(sg):
     return dig.hexdigest()
 
 
+def rng_digest(sg):
+    """Words, floats, normals and bounded draws, each with the counter it
+    leaves; the bounds above 2**63 reject about half of all words."""
+    dig = Digest()
+    rejecting = np.array([2**63 + 1, 3, 2**63 + 12345, 2**64 - 1, 2**63 + 7, 1], dtype=np.uint64)
+    bounds = (rejecting, 1, 7, 2**63 + 2**40 + 5, np.empty(0, dtype=np.uint64),
+              np.arange(1, 13, dtype=np.uint64).reshape(3, 4), rejecting.reshape(2, 3))
+    for stream in range(8):
+        rng = sg.Rng(95, stream)
+        dig.add(rng.u64(5), rng.counter, rng.uniform(3), rng.counter, rng.normal(7), rng.counter)
+        for b in bounds:
+            dig.add(rng.below(b), rng.counter)
+    return dig.hexdigest()
+
+
+def points_digest(sg):
+    """One-point and row-subset losses and gradients of every loss kind,
+    at random points and at the kinks of the absolute and hinge losses."""
+    dig = Digest()
+    rng = sg.Rng(96, 0)
+    for d in (1, 3, 8, 20, 33):
+        data = sg.generate(sg.GenSpec(m=50, d=d, noise=0.5, seed=96 + d))
+        # z = w[0] in {0, 1, -1}: residual zero at y = z, hinge margin one at y = 1
+        kinks = sg.Dataset(X=np.tile(np.eye(1, d), (6, 1)), y=[1.0, -1.0, 0.0, 1.0, 0.5, 0.0])
+        W = np.concatenate([0.4 * rng.normal(3 * d).reshape(3, d), np.eye(3, d), -np.eye(1, d)])
+        for ds in (data, kinks):
+            idx = rng.below(np.full(17, ds.m, dtype=np.uint64))
+            problems = [sg.RidgeProblem(ds, alpha=0.1)]
+            problems += [sg.LipschitzLinearProblem(ds, kind, radius=4.0, alpha=alpha)
+                         for kind in ("squared", "absolute", "hinge") for alpha in (0.0, 0.05)]
+            for p in problems:
+                for w in W:
+                    dig.add(p.point_losses(w), p.point_gradient_rows(w),
+                            p.point_losses(w, idx), p.point_gradient_rows(w, idx))
+                    for i in idx[:6]:
+                        dig.add(p.point_loss(int(i), w), p.point_gradient(i, w))
+    return dig.hexdigest()
+
+
 def _paired_fields(cmp):
     return (cmp.lhs.value, cmp.lhs.stderr, cmp.rhs.value, cmp.rhs.stderr, cmp.gap,
             cmp.gap_stderr)
@@ -371,6 +410,8 @@ DRIVERS = {
     "sampling": sampling_digest,
     "oracles": oracles_digest,
     "exact_oracles": exact_oracles_digest,
+    "rng": rng_digest,
+    "points": points_digest,
 }
 
 
