@@ -187,9 +187,7 @@ def _cmd_dist(args) -> int:
     extra = {
         "rounds": log.rounds,
         "floats_moved": log.payload_floats,
-        "rounds_per_decade": log.rounds_per_decade(
-            np.concatenate([[trace.initial_suboptimality], trace.suboptimality])
-        ),
+        "rounds_per_decade": log.rounds_per_decade(trace.chain),
     }
     _emit(args, ["epoch", "subopt", "max_subopt"], rows, extra)
     return 0

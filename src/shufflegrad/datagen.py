@@ -21,13 +21,15 @@ Python doubles, so save followed by load reproduces every stored value
 exactly.  Coordinates equal to zero are not stored (a stored -0.0 would
 reload as such, but generated zeros are unsigned).
 
-Both directions stream in bounded chunks: save formats and writes
-``WRITE_ROWS`` lines at a time, load reads and parses about
-``READ_HINT`` characters of whole lines at a time, checking each chunk
-with whole-chunk operations, into arrays sized by a first pass that
-counts the lines.  Neither holds the whole text in memory, load holds
-one copy of the arrays, and the bytes written and the arrays read do not
-depend on the chunking.
+Both directions stream in bounded chunks.  Save formats and writes
+batches of about ``WRITE_VALUES`` labels and coordinates: max(1,
+WRITE_VALUES // (d + 1)) lines each, so its peak grows with neither m
+nor d while a row fits the budget (a wider row is written alone).  Load
+reads and parses about ``READ_HINT`` characters of whole lines at a
+time, checking each chunk with whole-chunk operations, into arrays sized
+by a first pass that counts the lines.  Neither holds the whole text in
+memory, load holds one copy of the arrays, and the bytes written and the
+arrays read do not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .problem import Dataset, max_row_norm
 from .rng import Rng
 
 SPECTRA = ("uniform", "geometric")
-WRITE_ROWS = 2048  # lines save formats and writes at once
+WRITE_VALUES = 1 << 12  # labels and coordinates save formats and writes at once
 READ_HINT = 1 << 17  # characters of whole lines load parses at once
 
 
@@ -120,17 +122,20 @@ def generate(spec: GenSpec) -> Dataset:
 def save(dataset: Dataset, path) -> None:
     """Write the dataset in the sparse text format described above.
 
-    Lines are formatted and written ``WRITE_ROWS`` at a time.  A row with
-    no zero goes through one ``%r`` template of all its coordinates; any
-    other row is written token by token without its zeros (of either sign).
+    Lines are formatted and written in batches of max(1, ``WRITE_VALUES``
+    // (d + 1)) rows, so a batch holds at most ``WRITE_VALUES`` values, or
+    one row if a row is wider, whatever m is.  A row with no zero goes
+    through one ``%r`` template of all its coordinates; any other row is
+    written token by token without its zeros (of either sign).
     """
     X, y = dataset.X, dataset.y
     template = "%r" + "".join(f" {j}:%r" for j in range(1, dataset.d + 1)) + "\n"
+    batch = max(1, WRITE_VALUES // (dataset.d + 1))
     with open(path, "w") as fh:
         fh.write(f"#dim {dataset.d}\n")
-        for lo in range(0, dataset.m, WRITE_ROWS):
-            block = X[lo : lo + WRITE_ROWS]
-            rows = zip(y[lo : lo + WRITE_ROWS].tolist(), block.tolist(),
+        for lo in range(0, dataset.m, batch):
+            block = X[lo : lo + batch]
+            rows = zip(y[lo : lo + batch].tolist(), block.tolist(),
                        (block != 0.0).all(axis=1).tolist())
             fh.write("".join([template % (label, *row) if dense else _sparse_line(label, row)
                               for label, row, dense in rows]))
@@ -197,34 +202,41 @@ def _parse_chunk(lines: list[str], d: int, path, lineno: int, X: np.ndarray,
     number of ``lines[0]``) raises the error :func:`_line_problem` words.
     """
     rows = [p for p in map(str.split, lines) if p and not p[0].startswith("#")]
+    n_rows, counts, label_texts = len(rows), [len(p) - 1 for p in rows], [p[0] for p in rows]
     tokens = list(chain.from_iterable([p[1:] for p in rows]))
+    n_tokens = len(tokens)
+    # The split rows and the token strings go before the joined text is split
+    # again, so they never sit in memory next to the field strings.
+    del rows
     # With exactly one colon per token the joined fields alternate index, value.
     if set(map(str.count, tokens, repeat(":"))) <= {1}:
-        fields = ":".join(tokens).split(":") if tokens else []
-        counts = [len(p) - 1 for p in rows]
+        joined = ":".join(tokens)
+        del tokens
+        fields = joined.split(":") if n_tokens else []
+        del joined
         # Rows written without zeros carry the indices "1".."d" in order;
         # a chunk of only such rows needs no int() per index.
-        dense = (counts.count(d) == len(rows)
-                 and fields[0::2] == [str(j) for j in range(1, d + 1)] * len(rows))
+        dense = (counts.count(d) == n_rows
+                 and fields[0::2] == [str(j) for j in range(1, d + 1)] * n_rows)
         try:
-            labels = np.fromiter(map(float, [p[0] for p in rows]), np.float64, len(rows))
+            labels = np.fromiter(map(float, label_texts), np.float64, n_rows)
             if dense:
-                idx = np.tile(np.arange(1, d + 1), len(rows))
+                idx = np.tile(np.arange(1, d + 1), n_rows)
             else:
-                idx = np.fromiter(map(int, fields[0::2]), np.intp, len(tokens))
-            vals = np.fromiter(map(float, fields[1::2]), np.float64, len(tokens))
+                idx = np.fromiter(map(int, fields[0::2]), np.intp, n_tokens)
+            vals = np.fromiter(map(float, fields[1::2]), np.float64, n_tokens)
         except (ValueError, OverflowError):
             pass
         else:
-            pos = np.repeat(np.arange(len(rows)) * d, counts) + (idx - 1)
+            pos = np.repeat(np.arange(n_rows) * d, counts) + (idx - 1)
             valid = np.isfinite(labels).all() and np.isfinite(vals).all()
-            if tokens:
+            if n_tokens:
                 valid = valid and 1 <= idx.min() and idx.max() <= d
                 valid = valid and np.bincount(pos).max() == 1
             if valid:
-                y[: len(rows)] = labels
-                X[: len(rows)].ravel()[pos] = vals
-                return len(rows)
+                y[:n_rows] = labels
+                X[:n_rows].ravel()[pos] = vals
+                return n_rows
     for n, line in enumerate(lines, start=lineno):
         if problem := _line_problem(line, d):
             raise DataFormatError(f"{path}: line {n}: {problem}")

@@ -108,6 +108,11 @@ class EpochTrace:
     def n_epochs(self) -> int:
         return self.suboptimality.size
 
+    @property
+    def chain(self) -> np.ndarray:
+        """The n_epochs + 1 values F - F*: the start, then each snapshot's."""
+        return np.concatenate([[self.initial_suboptimality], self.suboptimality])
+
 
 def log_suboptimality_bound(epoch_len: int, n_epochs: int, strong_convexity: float) -> float:
     """Probability-one cap on log(F(w_t) - F*) for any iterate of a run.
@@ -286,5 +291,5 @@ def epoch_decrease_ratio(trace: EpochTrace) -> np.ndarray:
     """
     if trace.n_epochs < 2:
         raise InvalidParameter("need at least two epochs to form ratios")
-    chain = np.concatenate([[trace.initial_suboptimality], trace.suboptimality])
+    chain = trace.chain
     return chain[1:] / np.maximum(chain[:-1], RATIO_FLOOR)

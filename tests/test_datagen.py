@@ -177,11 +177,13 @@ def datasets(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=datasets(), write_rows=st.integers(1, 4), read_hint=st.integers(1, 300))
-def test_save_writes_straight_bytes_and_load_inverts_it(tmp_path_factory, data, write_rows,
+@given(data=datasets(), write_values=st.integers(1, 60), read_hint=st.integers(1, 300))
+def test_save_writes_straight_bytes_and_load_inverts_it(tmp_path_factory, data, write_values,
                                                         read_hint):
+    # A budget below d + 1 values still writes one row per batch; up to 60
+    # values, a batch holds several rows of every d drawn.
     tmp = tmp_path_factory.mktemp("io")
-    with mock.patch.object(datagen, "WRITE_ROWS", write_rows), \
+    with mock.patch.object(datagen, "WRITE_VALUES", write_values), \
             mock.patch.object(datagen, "READ_HINT", read_hint):
         save(data, tmp / "a.txt")
         straight_save(data, tmp / "b.txt")
@@ -265,12 +267,21 @@ def test_generate_peak_memory_stays_near_the_dataset():
 
 
 def test_load_peak_memory_stays_near_the_dataset(tmp_path):
-    """load fills one preallocated X and y, and ``normalize`` divides the
-    features (saved at norm 2 here) and the labels in place."""
+    """save formats a bounded batch of values at a time, load fills one
+    preallocated X and y, and ``normalize`` divides the features (saved at
+    norm 2 here) and the labels in place."""
     data = generate(GenSpec(m=50_000, d=20, noise=0.5, seed=5))
     path = tmp_path / "data.txt"
-    save(SimpleNamespace(X=2.0 * data.X, y=2.0 * data.y, d=data.d, m=data.m), path)
+    doubled = SimpleNamespace(X=2.0 * data.X, y=2.0 * data.y, d=data.d, m=data.m)
     del data
+    tracemalloc.start()
+    try:
+        save(doubled, path)
+        _, save_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert save_peak <= 1 << 20
+    del doubled
     tracemalloc.start()
     try:
         back = load(path, normalize=True)

@@ -383,6 +383,12 @@ def test_epoch_cost_does_not_grow_with_m():
 
 
 class TestEpochRatios:
+    def test_chain_is_the_start_then_each_snapshot(self):
+        trace = run_svrg(random_ridge(30, 2, seed=11),
+                         SVRGConfig(step_size=0.1, epoch_len=5, n_epochs=3))
+        chain = np.concatenate([[trace.initial_suboptimality], trace.suboptimality])
+        assert trace.chain.tobytes() == chain.tobytes()
+
     def test_needs_two_epochs(self):
         p = random_ridge(30, 2, seed=11)
         trace = run_svrg(p, SVRGConfig(step_size=0.1, epoch_len=5, n_epochs=1))

@@ -266,9 +266,12 @@ def datagen_digest(sg):
     dig = Digest()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.txt")
-        # m = 2500 spans more than one write and one read chunk.
-        for m, d, seed in ((1, 1, 60), (40, 3, 61), (300, 12, 62), (2500, 20, 63)):
-            data = sg.generate(sg.GenSpec(m=m, d=d, spectrum="geometric", decay=0.7,
+        # m = 2500 spans several write batches and more than one read chunk;
+        # a d = 5000 row alone exceeds a write batch's value budget (decay 1
+        # keeps its coordinates clear of underflow, so the dense rows stay dense).
+        for m, d, seed, decay in ((1, 1, 60, 0.7), (40, 3, 61, 0.7), (300, 12, 62, 0.7),
+                                  (2500, 20, 63, 0.7), (3, 5000, 64, 1.0)):
+            data = sg.generate(sg.GenSpec(m=m, d=d, spectrum="geometric", decay=decay,
                                           noise=0.2, seed=seed))
             X = data.X.copy()
             X[::3, ::2] = 0.0
