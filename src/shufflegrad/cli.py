@@ -105,11 +105,11 @@ def _cmd_gen(args) -> int:
 
 
 def _step_rule(args, problem):
+    """The step rule of --steps; eta defaults to 0.1 in args, so the config line records it."""
     if args.steps == "strongly-convex":
         return StronglyConvexStep(problem.strong_convexity)
-    if args.steps == "fixed":
-        return FixedStep(args.eta)
-    return InverseSqrtStep(args.eta)
+    args.eta = 0.1 if args.eta is None else args.eta
+    return (FixedStep if args.steps == "fixed" else InverseSqrtStep)(args.eta)
 
 
 def _cmd_sgd(args) -> int:
@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", choices=sorted(SAMPLER_FLAGS), default="no-replacement")
     p.add_argument("--steps", choices=["strongly-convex", "fixed", "inverse-sqrt"],
                    default="strongly-convex")
-    p.add_argument("--eta", type=float, default=0.1, help="step size for fixed/inverse-sqrt")
+    p.add_argument("--eta", type=float, default=None,
+                   help="step size for fixed/inverse-sqrt (default 0.1)")
     p.add_argument("--T", type=int, required=True, dest="T")
     p.add_argument("--seeds", type=int, default=1)
     p.add_argument("--radius", type=float, default=None)
@@ -258,10 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # The usage rules argparse cannot state.  svrg and dist take eta, T and
-    # S either from --eps's parameter rule or from --eta (optional), --T and --S.
+    # S either from --eps's parameter rule or from --eta (optional), --T and --S;
+    # sgd's strongly convex rule takes no eta.
     usage = None
     if args.command == "gen" and not args.out:
         usage = "gen requires --out <path>"
+    elif args.command == "sgd" and args.steps == "strongly-convex" and args.eta is not None:
+        usage = "sgd --eta needs --steps fixed or inverse-sqrt"
     elif args.command in ("svrg", "dist") and (
         None in (args.T, args.S) if args.eps is None
         else (args.T, args.S, args.eta) != (None, None, None)

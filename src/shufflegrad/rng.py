@@ -48,7 +48,10 @@ Counter consumption is documented per method so that interleaved use
 stays reproducible: ``u64(n)`` and ``uniform(n)`` consume ``n`` words,
 ``normal(n)`` consumes ``2 * ceil(n / 2)``, and ``below`` consumes one
 word per requested value plus one per rejected draw (a draw is rejected
-with probability (2**64 mod bound) / 2**64, below bound / 2**64).
+with probability (2**64 mod bound) / 2**64, below bound / 2**64).  A
+count that is not a non-negative integer, or a bound that is not a
+positive integer below 2**64, raises ``InvalidParameter`` and consumes
+nothing.
 
 Note on drawing from two streams of one seed: both walk the same
 2**64-cycle of SplitMix64 at offsets mixed from the stream id, so the
@@ -58,6 +61,8 @@ chance that two streams consuming n words each overlap is about n/2**64.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import InvalidParameter
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -85,6 +90,13 @@ def _mix(z: np.ndarray) -> np.ndarray:
     z *= _MUL_2
     z ^= z >> _SHIFT_31
     return z
+
+
+def _count(n) -> int:
+    """``n`` as a number of values: a non-negative integer, else InvalidParameter."""
+    if not (isinstance(n, (int, np.integer)) and n >= 0):
+        raise InvalidParameter("a count of values must be a non-negative integer")
+    return int(n)
 
 
 def _unit(words: np.ndarray) -> np.ndarray:
@@ -123,8 +135,7 @@ class Rng:
 
     def u64(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words as a uint64 array; consumes n counters."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
+        n = _count(n)
         start = self._counter
         self._counter += n
         return self._words(start, n)
@@ -135,7 +146,7 @@ class Rng:
 
     def normal(self, n: int) -> np.ndarray:
         """n standard normal deviates via Box-Muller; consumes 2*ceil(n/2)."""
-        out = np.empty(n)
+        out = np.empty(_count(n))
         self._normal_into(out)
         return out
 
@@ -164,14 +175,17 @@ class Rng:
         """Uniform integers 0 <= v < bounds[i], exactly unbiased.
 
         ``bounds`` may be a scalar (giving an ``np.int64``) or an array of
-        positive integers, whose shape the result keeps.  Value i is w mod
-        bounds[i] of a word w, redrawn while w < 2**64 mod bounds[i]; each
-        round draws one word per value still pending, in index order.
+        an integer dtype, whose shape the result keeps; any bound that is
+        not a positive integer below 2**64 raises before a word is drawn.
+        Value i is w mod bounds[i] of a word w, redrawn while w < 2**64 mod
+        bounds[i]; each round draws one word per value still pending, in
+        index order.
         """
-        b = np.asarray(bounds, dtype=np.uint64)
+        b = np.asarray(bounds)  # an integer dtype holds integers below 2**64
+        if b.dtype.kind not in "iu" or not (b > 0).all():
+            raise InvalidParameter("bounds must be positive integers below 2**64")
+        b = b.astype(np.uint64, copy=False)
         flat = b.reshape(-1)
-        if not flat.all():
-            raise ValueError("bounds must be positive")
         words = self.u64(flat.size)
         # 2**64 mod b is below b, so only a word below b can be rejected.
         pending = np.flatnonzero(words < flat)

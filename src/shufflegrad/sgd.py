@@ -29,11 +29,14 @@ The update is rounded in the order of the SVRG inner step,
 
 with s_t the loss slope at x_i . w_t; at alpha = 0, c_t is exactly 1,
 a no-op factor.  Projection scales only the rows whose norm exceeds the
-radius.  Step t reads x_i and w_t from a row of one block buffer, plane
-0 the gathered points and plane 1 the iterates, and writes w_{t+1} into
-the next row, whose two dots, x_{i'} . w_{t+1} for the next step and
-||w_{t+1}||^2 for the projection test, come from one ``np.vecdot`` call
-(a projected row recomputes its pair).  The rate table eta_1..eta_T and
+radius; one test per step, at every B, compares the largest norm (the
+row ``argmax`` picks, the first NaN if any) with the radius, so a NaN or
+overflowed row fails it like a row outside the ball.  Step t reads x_i
+and w_t from a row of one block buffer, plane 0 the gathered points and
+plane 1 the iterates, and writes w_{t+1} into the next row, whose two
+dots, x_{i'} . w_{t+1} for the next step and ||w_{t+1}||^2 for the
+projection test, come from one ``np.vecdot`` call (a projected row
+recomputes its pair).  The rate table eta_1..eta_T and
 the c_t come from one array call of the step rule, with the bits of
 calls at each t.  After each ``EVAL_BLOCK`` steps, one ``cumsum`` over
 the carried sum and the block's iterates gives S_t = w_1 + ... + w_t,
@@ -121,7 +124,6 @@ SUFFIX_HALF = "suffix_half"
 
 EVAL_BLOCK = 256  # running averages evaluated per suboptimality call
 STREAM_CHUNK_BYTES = 1 << 25  # working memory of one chunk of streams
-LIST_TEST_ROWS = 32  # batches up to this size run the projection test on floats
 
 
 @dataclass(frozen=True)
@@ -246,7 +248,6 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
     # views made once: buf[:, j], ZS[:, j] and the rows of each plane
     pairs, zs_pairs = list(buf.transpose(1, 0, 2, 3)), list(ZS.transpose(1, 0, 2))
     x_rows, w_rows, z_rows, sq_rows = list(P), list(W), list(ZS[0]), list(ZS[1])
-    few_rows = B <= LIST_TEST_ROWS
     # S_0 .. S_{T//2}: the window of step t starts at S_{t//2}.
     csum = np.zeros((T // 2 + 1, B, d)) if suffix_mode else None
     kept = np.empty((B, T, d)) if collect_iterates else None
@@ -277,13 +278,9 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
                 np.subtract(w_next, G, out=w_next)
                 # x_{t+1} . w_{t+1} and ||w_{t+1}||^2 in one call
                 np.vecdot(pair, w_next, out=zs_next)
-                # sqrt is monotone: a row to project or a non-finite row fails.
-                if few_rows:  # on Python floats; the sum catches a NaN max skips
-                    row_sqs = sq.tolist()
-                    inside = math.sqrt(max(row_sqs)) <= limit and sum(row_sqs) < math.inf
-                else:  # the ufunc reduce propagates NaN
-                    inside = math.sqrt(np.maximum.reduce(sq)) <= limit
-                if not inside:
+                # sqrt is monotone: a row to project or a non-finite row fails;
+                # argmax returns the first NaN, which fails any comparison.
+                if not math.sqrt(sq[sq.argmax()]) <= limit:
                     norm = np.sqrt(sq)
                     first_bad[(first_bad == 0) & ~np.isfinite(norm)] = t
                     over = norm > radius

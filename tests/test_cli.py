@@ -143,6 +143,32 @@ def test_eta_defaults_to_0_1_without_eps(dataset_file, capsys, command):
         assert json.loads(line.split(": ", 1)[1])["eta"] == eta
 
 
+def test_sgd_eta_under_the_strongly_convex_rule_is_usage_error(dataset_file, capsys):
+    # eta_t = 2 / (lambda t) reads no step size, so a given --eta would go unused.
+    data = ["--data", str(dataset_file), "--T", "5"]
+    for steps_flags in ([], ["--steps", "strongly-convex"]):
+        assert run_cli(["sgd", *data, *steps_flags, "--eta", "0.7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["sgd --eta needs --steps fixed or inverse-sqrt"] * 2
+
+
+@pytest.mark.parametrize("steps", ["strongly-convex", "fixed", "inverse-sqrt"])
+def test_sgd_config_line_records_the_eta_that_ran(dataset_file, tmp_path, capsys, steps):
+    data = ["--data", str(dataset_file), "--T", "5", "--steps", steps]
+    cases = [([], None)] if steps == "strongly-convex" else [([], 0.1), (["--eta", "0.3"], 0.3)]
+    texts = {}
+    for eta_flags, eta in cases:
+        out = tmp_path / "r.csv"
+        assert run_cli(["sgd", *data, *eta_flags, "--out", str(out)]) == 0
+        (line,) = [l for l in capsys.readouterr().out.splitlines()
+                   if l.startswith("resolved config: ")]
+        assert json.loads(line.split(": ", 1)[1])["eta"] == eta
+        texts[eta] = out.read_text().split("\n", 3)[3]  # the trace after the comment lines
+    if steps != "strongly-convex":
+        assert texts[0.1] != texts[0.3]
+
+
 def test_svrg_json_format(dataset_file, tmp_path):
     out = tmp_path / "svrg.json"
     code = run_cli([

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shufflegrad import Rng, rng as rng_module
+from shufflegrad import Rng, ShufflegradError, rng as rng_module
 from shufflegrad.rng import MASK64
 
 from conftest import straight_normal
@@ -105,10 +105,19 @@ def test_below_bounds_and_frequencies():
 def test_below_scalar_and_errors():
     assert isinstance(int(Rng(1).below(7)), int)
     assert Rng(1).below(1) == 0
-    with pytest.raises(ValueError):
-        Rng(1).below(0)
-    with pytest.raises(ValueError):
-        Rng(1).u64(-1)
+    # A bound that is not a positive integer below 2**64, scalar or array
+    # entry, and a count that is not a non-negative integer raise before
+    # any word is drawn.
+    bad_calls = [("below", b) for b in (0, -1, 2.5, 2**64, np.nan, "7",
+                                        np.array([3, 0], dtype=np.uint64),
+                                        np.array([3, -1]), np.array([2.0, 2.5]))]
+    bad_calls += [(draw, n) for n in (-1, 2.5) for draw in ("u64", "uniform", "normal")]
+    for method, arg in bad_calls:
+        r = Rng(1)
+        with pytest.raises(ValueError) as info:
+            getattr(r, method)(arg)
+        assert isinstance(info.value, ShufflegradError)
+        assert r.counter == 0
 
 
 @settings(max_examples=50, deadline=None)

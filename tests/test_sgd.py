@@ -438,6 +438,9 @@ def engine_problem(kind, d):
 )
 @example(kind="hinge", sampler="single_shuffle", averaging="suffix_half", d=3,
          T=EVAL_BLOCK + 1, B=7, cap=2, collect=True, given_reference=True, eta=2.0, seed=1)
+# 40 streams in one batch; at some steps only rows above 32 leave the ball
+@example(kind="ridge", sampler="with_replacement", averaging="all", d=3,
+         T=EVAL_BLOCK + 3, B=40, cap=40, collect=False, given_reference=False, eta=0.5, seed=2)
 def test_batch_rows_match_one_stream_runs(kind, sampler, averaging, d, T, B, cap, collect,
                                           given_reference, eta, seed):
     """Row b of a batch has the bits of run_sgd on stream b, also across chunks."""
@@ -513,15 +516,19 @@ def test_batch_raises_lowest_diverging_stream(cap):
     late[30:] = 1  # diverges around step 38
     early = quiet.copy()
     early[2:] = 1  # diverges around step 10
-    sigmas = [quiet, late, early, quiet]
-    expected = first_sequential_error(p, cfg, sigmas, ref)
-    assert expected is not None and expected.step > 30
-    assert first_sequential_error(p, cfg, [early], ref).step < expected.step
-    with mock.patch.object(sgd_module, "STREAM_CHUNK_BYTES", tiny_budget(cfg, 2, False, cap)):
-        got = batch_error(p, cfg, lambda k: sigmas[k], len(sigmas), ref)
-    assert str(got) == str(expected)
-    assert got.step == expected.step
-    assert (got.epoch, got.value, got.bound) == (None, None, None)
+    assert first_sequential_error(p, cfg, [early], ref).step < 30
+    # 4 streams in chunks of cap; 40 in chunks of 10 * cap, one batch at
+    # cap 4 with the diverging streams at rows 33 and 35.
+    for sigmas, streams in (([quiet, late, early, quiet], cap),
+                            ([quiet] * 33 + [late, quiet, early] + [quiet] * 4, 10 * cap)):
+        expected = first_sequential_error(p, cfg, sigmas, ref)
+        assert expected is not None and expected.step > 30
+        budget = tiny_budget(cfg, 2, False, streams)
+        with mock.patch.object(sgd_module, "STREAM_CHUNK_BYTES", budget):
+            got = batch_error(p, cfg, lambda k: sigmas[k], len(sigmas), ref)
+        assert str(got) == str(expected)
+        assert got.step == expected.step
+        assert (got.epoch, got.value, got.bound) == (None, None, None)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -575,17 +582,14 @@ def test_suffix_batch_memory_stays_within_budget():
     assert peak <= sgd_module.STREAM_CHUNK_BYTES
 
 
-# (EVAL_BLOCK, LIST_TEST_ROWS): block sizes, and the projection test on
-# Python floats (3 streams <= 32) or by the ufunc reduce (3 > 0).
-ENGINE_SETTINGS = [(256, 32), (1, 32), (7, 0), (256, 0)]
+BLOCK_SIZES = [256, 1, 7]
 
 
 @pytest.mark.parametrize("averaging", ["all", "suffix_half"])
 @pytest.mark.parametrize("kind", ["ridge", "absolute", "hinge"])
 def test_block_size_keeps_every_bit(kind, averaging):
     """The running sum and the last iterate carried from block to block:
-    blocks of 1, 7 and 256 steps, and either projection test, give the
-    same bits."""
+    blocks of 1, 7 and 256 steps give the same bits."""
     p = engine_problem(kind, 3)
     reference = None if kind == "ridge" else np.full(3, 0.02)
     radius = 0.3 if reference is not None else 1.05 * float(np.linalg.norm(p.wstar)) + 1e-3
@@ -596,8 +600,8 @@ def test_block_size_keeps_every_bit(kind, averaging):
         return schedule(cfg.sampler, p.m, 1, cfg.n_steps, Rng(cfg.seed, k))[0]
 
     runs = []
-    for block, list_rows in ENGINE_SETTINGS:
-        with mock.patch.multiple(sgd_module, EVAL_BLOCK=block, LIST_TEST_ROWS=list_rows):
+    for block in BLOCK_SIZES:
+        with mock.patch.object(sgd_module, "EVAL_BLOCK", block):
             runs.append(list(sgd_module._traces(p, cfg, rows, 3, True, reference)))
     for run in runs[1:]:
         for got, want in zip(run, runs[0], strict=True):
@@ -613,8 +617,8 @@ def test_block_size_keeps_the_divergence_step():
     sigma = np.zeros(300, dtype=np.int64)
     sigma[260:] = 1  # non-finite in the second block of 256 steps
     errors = set()
-    for block, list_rows in ENGINE_SETTINGS:
-        with mock.patch.multiple(sgd_module, EVAL_BLOCK=block, LIST_TEST_ROWS=list_rows):
+    for block in BLOCK_SIZES:
+        with mock.patch.object(sgd_module, "EVAL_BLOCK", block):
             with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
                 run_sgd(p, cfg, sigma=sigma, reference=ref)
         errors.add((str(info.value), info.value.step))

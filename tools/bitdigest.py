@@ -187,8 +187,7 @@ def seed_summary_digest(sg):
                 continue
             summary = sg.average_suboptimality_over_seeds(p, cfg, 4)
             dig.add(summary.mean, summary.stderr, summary.n_seeds)
-    # 40 streams in one batch: the projection test by ufunc reduce, above
-    # sgd.LIST_TEST_ROWS = 32, on a radius tight enough to project.
+    # 40 streams in one batch, on a radius tight enough to project.
     for p, _ in _sgd_problems(sg):
         cfg = sg.SGDConfig(n_steps=p.m, step_rule=sg.InverseSqrtStep(2.0),
                            radius=0.2 + float(np.linalg.norm(p.wstar)),
@@ -258,6 +257,15 @@ def divergence_digest(sg):
                 dig.error(err)
             else:
                 dig.add("ok")
+    # 40 streams in one batch, of which only stream 33 diverges (at step 294).
+    cfg = sg.SGDConfig(n_steps=300, step_rule=sg.FixedStep(36.0), radius=np.inf,
+                       sampler=sg.WITH_REPLACEMENT, seed=6)
+    try:
+        sg.average_suboptimality_over_seeds(p, cfg, 40)
+    except sg.ShufflegradError as err:
+        dig.error(err)
+    else:
+        dig.add("ok")
     return dig.hexdigest()
 
 
