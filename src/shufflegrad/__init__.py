@@ -13,7 +13,7 @@ The package provides, for mean losses of linear predictions:
 * synthetic data generation and text serialization (:mod:`.datagen`).
 """
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 from .datagen import GenSpec, generate, load, planted_weights, save
 from .distributed import (
@@ -51,8 +51,6 @@ from .sampling import (
     shuffle,
 )
 from .sgd import (
-    ALL_ITERATES,
-    SUFFIX_HALF,
     FixedStep,
     InverseSqrtStep,
     SGDConfig,

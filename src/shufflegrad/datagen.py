@@ -10,7 +10,7 @@ at a time, so generation holds about the dataset's own bytes; every bit
 is that of the whole-array formulas.
 
 The on-disk format is one point per line with 1-based sparse
-coordinates, preceded by a dimension header::
+coordinates, preceded by a header of exactly the two tokens ``#dim <d>``::
 
     #dim 4
     0.5 1:0.25 3:-0.125
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DataFormatError, InvalidParameter
 from .problem import Dataset, max_row_norm
-from .rng import Rng
+from .rng import Rng, _integer
 
 SPECTRA = ("uniform", "geometric")
 WRITE_VALUES = 1 << 12  # labels and coordinates save formats and writes at once
@@ -70,8 +70,8 @@ class GenSpec:
     stream: int = 0
 
     def __post_init__(self):
-        if self.m < 1 or self.d < 1:
-            raise InvalidParameter("need m >= 1 and d >= 1")
+        for n in (self.m, self.d):
+            _integer(n, "need integers m >= 1 and d >= 1", 1)
         if self.spectrum not in SPECTRA:
             raise InvalidParameter(f"spectrum must be one of {SPECTRA}")
         if self.spectrum == "geometric" and not 0.0 < self.decay <= 1.0:
@@ -162,11 +162,12 @@ def load(path, normalize: bool = False) -> Dataset:
         n_lines = sum(1 for _ in fh)
     with open(path) as fh:
         header = fh.readline()
-        if not header.startswith("#dim"):
+        fields = header.split()
+        if len(fields) != 2 or fields[0] != "#dim":
             raise DataFormatError(f"{path}: line 1: expected header '#dim <d>'")
         try:
-            d = int(header.split()[1])
-        except (IndexError, ValueError):
+            d = int(fields[1])
+        except ValueError:
             raise DataFormatError(f"{path}: line 1: malformed header {header!r}") from None
         if d < 1:
             raise DataFormatError(f"{path}: line 1: dimension must be >= 1")

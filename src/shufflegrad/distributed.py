@@ -14,15 +14,15 @@ moves exactly n_machines * d floats.
 Equivalence contract: the simulation only builds the run's
 (n_epochs, epoch_len) index schedule and runs it through the
 single-machine driver's epoch loop (``svrg._drive``), so the guard, the
-safety bound, the random-iterate pick and the trace are shared.  The
+safety bound, the snapshot average and the trace are shared.  The
 reduce round's shard-weighted sum of the machines' local mean gradients
 is, by linearity, the full gradient, so the loop's anchor
 ``RidgeProblem.full_gradient``, the cached Gram form ``hessian @ w - b``,
 is the reduced anchor whatever the partition.  A run on any number of
 machines therefore reproduces ``run_svrg`` on the matched permutation
-bit for bit, for both epoch outputs.  Every epoch makes one reduce and
-one broadcast round, so the counts are known in advance and the
-:class:`CommLog` is filled in closed form after the loop.
+bit for bit.  Every epoch makes one reduce and one broadcast round, so
+the counts are known in advance and the :class:`CommLog` is filled in
+closed form after the loop.
 
 Without explicit shards only the permutation's prefix up to the last
 consumed position is drawn; it equals that prefix of the permutation
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import BatchesExhausted, InvalidParameter
 from .problem import Dataset
-from .rng import Rng
+from .rng import Rng, _integer
 from .sampling import (SINGLE_SHUFFLE, SingleShuffleSampler, explicit_indices, is_permutation,
                        shuffle)
 from .svrg import AUX_STREAM_BIT, SVRGConfig, _drive
@@ -71,7 +71,7 @@ class CommLog:
 def _block_sizes(m: int, n_machines: int) -> list[int]:
     """Sizes of ``n_machines`` balanced blocks of m points, by
     ``np.array_split``'s rule: the first m mod n_machines are one longer."""
-    if n_machines < 1:
+    if _integer(n_machines, "the machine count must be an integer", None) < 1:
         raise InvalidParameter("need at least one machine")
     if n_machines > m:
         raise InvalidParameter(f"cannot split {m} points across {n_machines} machines")
@@ -164,7 +164,7 @@ def run_distributed_svrg(
                   for j, shard in enumerate(shards)]
         if not (shards and is_permutation(np.concatenate(shards), problem.m)):
             raise InvalidParameter(f"shards must hold each of the {problem.m} points exactly once")
-        if len(shards) != n_machines:
+        if len(shards) != _integer(n_machines, "the machine count must be an integer", None):
             raise InvalidParameter(f"expected {n_machines} shards, got {len(shards)}")
         indices = batch_schedule(shards, T, S)
     trace = _drive(problem, config, indices)

@@ -51,7 +51,8 @@ word per requested value plus one per rejected draw (a draw is rejected
 with probability (2**64 mod bound) / 2**64, below bound / 2**64).  A
 count that is not a non-negative integer, or a bound that is not a
 positive integer below 2**64, raises ``InvalidParameter`` and consumes
-nothing.
+nothing.  A seed or stream may be any integer (taken modulo 2**64); any
+other value, a float or a string among them, raises ``InvalidParameter``.
 
 Note on drawing from two streams of one seed: both walk the same
 2**64-cycle of SplitMix64 at offsets mixed from the stream id, so the
@@ -92,11 +93,19 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _integer(n, message: str, least: int | None = 0) -> int:
+    """``n`` as an int if it is an ``int`` or ``np.integer`` of at least
+    ``least`` (of any value when ``least`` is None), else
+    ``InvalidParameter(message)``: the package's one check of counts,
+    sizes and seeds, so a float or a string is refused, never truncated."""
+    if not (isinstance(n, (int, np.integer)) and (least is None or n >= least)):
+        raise InvalidParameter(message)
+    return int(n)
+
+
 def _count(n) -> int:
     """``n`` as a number of values: a non-negative integer, else InvalidParameter."""
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
-        raise InvalidParameter("a count of values must be a non-negative integer")
-    return int(n)
+    return _integer(n, "a count of values must be a non-negative integer")
 
 
 def _unit(words: np.ndarray) -> np.ndarray:
@@ -112,8 +121,8 @@ class Rng:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed) & MASK64
-        self.stream = int(stream) & MASK64
+        self.seed = _integer(seed, "seed must be an integer", None) & MASK64
+        self.stream = _integer(stream, "stream must be an integer", None) & MASK64
         seed_word, stream_word = _mix(np.array([self.seed, (self.stream + GOLDEN) & MASK64],
                                                dtype=np.uint64))
         self._key = seed_word ^ stream_word

@@ -22,7 +22,7 @@ import itertools
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidParameter
-from .rng import Rng
+from .rng import Rng, _integer
 
 WITH_REPLACEMENT = "with_replacement"
 SINGLE_SHUFFLE = "single_shuffle"
@@ -139,8 +139,7 @@ class SingleShuffleSampler:
     """
 
     def __init__(self, m: int, rng: Rng):
-        if m < 1:
-            raise InvalidParameter("sampler needs m >= 1")
+        _integer(m, "sampler needs an integer m >= 1", 1)
         if m >= MAX_SHUFFLE:
             raise InvalidParameter(
                 f"sampler needs m < 2**31 so its int64 sort keys cannot overflow (got m={m})"

@@ -41,9 +41,8 @@ the c_t come from one array call of the step rule, with the bits of
 calls at each t.  After each ``EVAL_BLOCK`` steps, one ``cumsum`` over
 the carried sum and the block's iterates gives S_t = w_1 + ... + w_t,
 added in step order like a running accumulator; the average iterate is
-(S_t - S_{t-window}) / window, window t (``all``, S_0 = 0) or ceil(t/2)
-(``suffix_half``), and the averages are evaluated as one block, as are
-the losses; the regret is a cumulative sum along the step axis.
+S_t / t, and the averages are evaluated as one block, as are the
+losses; the regret is a cumulative sum along the step axis.
 
 A stream whose iterate norm becomes non-finite keeps running as NaNs
 until its chunk ends.  Then the lowest such stream's first non-finite
@@ -67,7 +66,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidParameter
 from .problem import _in_ball, _scalar_loss, _scalar_slope
-from .rng import Rng
+from .rng import Rng, _integer
 from .sampling import (
     SINGLE_SHUFFLE,
     SAMPLER_KINDS,
@@ -119,39 +118,25 @@ class InverseSqrtStep:
         return self.eta0 / np.sqrt(t)
 
 
-ALL_ITERATES = "all"
-SUFFIX_HALF = "suffix_half"
-
 EVAL_BLOCK = 256  # running averages evaluated per suboptimality call
 STREAM_CHUNK_BYTES = 1 << 25  # working memory of one chunk of streams
 
 
 @dataclass(frozen=True)
 class SGDConfig:
-    """``averaging`` selects the reported average iterate: ``all`` is the
-    uniform average of w_1..w_t; ``suffix_half`` averages only the last
-    ceil(t/2) iterates, which drops the logarithmic factor from the
-    strongly convex rate at the price of a non-running memory window."""
-
     n_steps: int
     step_rule: StronglyConvexStep | FixedStep | InverseSqrtStep
     radius: float
     sampler: str = SINGLE_SHUFFLE
-    averaging: str = ALL_ITERATES
     seed: int = 0
     stream: int = 0
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise InvalidParameter("n_steps must be >= 1")
+        _integer(self.n_steps, "n_steps must be an integer >= 1", 1)
         if not self.radius > 0:
             raise InvalidParameter("radius must be positive")
         if self.sampler not in SAMPLER_KINDS:
             raise InvalidParameter(f"sampler must be one of {SAMPLER_KINDS}")
-        if self.averaging not in (ALL_ITERATES, SUFFIX_HALF):
-            raise InvalidParameter(
-                f"averaging must be {ALL_ITERATES!r} or {SUFFIX_HALF!r}"
-            )
 
 
 @dataclass
@@ -169,13 +154,12 @@ def _stream_bytes(config: SGDConfig, d: int, collect_iterates: bool) -> int:
     buffer, 4 vectors of d (the two planes, gathered points and iterates,
     and the block evaluation's two temporaries, the ridge curvature
     form's offsets and their Hessian products; the copy of the gathered
-    points and the suffix window's sums are freed before them) and 10
-    scalars (the two dots, the labels, the losses and the regret's
-    temporaries, the block's suboptimality values); the T//2 + 1 running
-    sums that ``suffix_half`` windows start at; and the kept iterates
-    (twice: the previous chunk's are still held while the next one runs)."""
+    points is freed before them) and 10 scalars (the two dots, the labels,
+    the losses and the regret's temporaries, the block's suboptimality
+    values); and the kept iterates (twice: the previous chunk's are still
+    held while the next one runs)."""
     T = config.n_steps
-    rows = (config.averaging == SUFFIX_HALF) * (T // 2 + 1) + 2 * collect_iterates * (T + 1)
+    rows = 2 * collect_iterates * (T + 1)
     return 8 * (4 * T + (min(T, EVAL_BLOCK) + 2) * (4 * d + 10) + rows * d)
 
 
@@ -224,7 +208,6 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
     limit = min(radius, sys.float_info.max)  # a non-finite norm exceeds it even at radius inf
     rates = np.broadcast_to(config.step_rule.rate(np.arange(1.0, T + 1)), (T,))
     shrinks = 1.0 - rates * alpha  # c_t
-    suffix_mode = config.averaging == SUFFIX_HALF
     star_losses = problem.point_losses(wstar)
     if given_reference:
         ref_value = problem.full_objective(wstar)
@@ -248,8 +231,6 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
     # views made once: buf[:, j], ZS[:, j] and the rows of each plane
     pairs, zs_pairs = list(buf.transpose(1, 0, 2, 3)), list(ZS.transpose(1, 0, 2))
     x_rows, w_rows, z_rows, sq_rows = list(P), list(W), list(ZS[0]), list(ZS[1])
-    # S_0 .. S_{T//2}: the window of step t starts at S_{t//2}.
-    csum = np.zeros((T // 2 + 1, B, d)) if suffix_mode else None
     kept = np.empty((B, T, d)) if collect_iterates else None
     subopt = np.empty((B, T))
     regret = np.zeros(B)
@@ -298,14 +279,7 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
             # W[j] becomes S_{lo+j}; row 0 carries S_{lo+n} on, rows 1..n become averages.
             np.cumsum(W[: n + 1], axis=0, out=W[: n + 1])
             W[0] = W[n]
-            ts = np.arange(lo + 1, lo + n + 1)
-            if suffix_mode:
-                csum[lo + 1 : lo + n + 1] = iterates[: max(0, T // 2 - lo)]  # t <= T//2 only
-                window = (ts + 1) // 2
-                np.subtract(iterates, csum[ts - window], out=iterates)
-            else:
-                window = ts
-            np.divide(iterates, window[:, None, None], out=iterates)
+            np.divide(iterates, np.arange(lo + 1, lo + n + 1)[:, None, None], out=iterates)
             subopt[:, lo : lo + n] = subopt_of(iterates.reshape(n * B, d)).reshape(n, B).T
 
     bad = np.flatnonzero(first_bad)
@@ -353,8 +327,7 @@ def average_suboptimality_over_seeds(problem, config: SGDConfig, n_seeds: int) -
     The streams run as batches of the one SGD engine; trials are reduced
     in stream order, so the result equals a loop of ``run_sgd`` calls.
     """
-    if n_seeds < 1:
-        raise InvalidParameter("n_seeds must be >= 1")
+    _integer(n_seeds, "n_seeds must be an integer >= 1", 1)
     mean = np.zeros(config.n_steps)
     m2 = np.zeros(config.n_steps)
 

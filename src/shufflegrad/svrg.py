@@ -8,8 +8,8 @@ steps
 
 drawing i from the configured sampler.  The next snapshot is the average
 of the epoch's iterates w_1..w_T (w_1 = ws; the post-step iterate w_{T+1}
-is excluded), or one of them drawn uniformly at random.  The domain is
-unconstrained; no projection is applied.
+is excluded), summed in step order.  The domain is unconstrained; no
+projection is applied.
 
 The default sampling discipline is a single shuffle for the whole run,
 which requires epoch_len * n_epochs <= m: every inner step consumes a
@@ -50,8 +50,7 @@ two nearly equal gradients.
 
 Auxiliary draws of a run with stream s live on the high-bit lane
 ``s ^ AUX_STREAM_BIT``, which the distributed driver's default partition
-uses, and on the next lane ``(s ^ AUX_STREAM_BIT) + 1``, which draws the
-random-iterate pick in both drivers.
+uses.
 """
 
 from __future__ import annotations
@@ -62,14 +61,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameter
-from .rng import Rng
+from .rng import Rng, _integer
 from .sampling import SINGLE_SHUFFLE, SAMPLER_KINDS, schedule
 
 AUX_STREAM_BIT = 1 << 63  # auxiliary draws live on the high-bit stream lane
 RATIO_FLOOR = 1e-14
-
-AVERAGE = "average"
-RANDOM_ITERATE = "random_iterate"
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,6 @@ class SVRGConfig:
     step_size: float
     epoch_len: int
     n_epochs: int
-    epoch_output: str = AVERAGE
     sampler: str = SINGLE_SHUFFLE
     seed: int = 0
     stream: int = 0
@@ -85,10 +80,8 @@ class SVRGConfig:
     def __post_init__(self):
         if not self.step_size > 0:
             raise InvalidParameter("step_size must be positive")
-        if self.epoch_len < 1 or self.n_epochs < 1:
-            raise InvalidParameter("epoch_len and n_epochs must be >= 1")
-        if self.epoch_output not in (AVERAGE, RANDOM_ITERATE):
-            raise InvalidParameter("epoch_output must be 'average' or 'random_iterate'")
+        for n in (self.epoch_len, self.n_epochs):
+            _integer(n, "epoch_len and n_epochs must be integers >= 1", 1)
         if self.sampler not in SAMPLER_KINDS:
             raise InvalidParameter(f"sampler must be one of {SAMPLER_KINDS}")
 
@@ -148,11 +141,6 @@ def _drive(problem, config: SVRGConfig, indices: np.ndarray) -> EpochTrace:
     lam = _strong_convexity(problem)
     T, S = config.epoch_len, config.n_epochs
     eta = config.step_size
-    picker = (
-        Rng(config.seed, (config.stream ^ AUX_STREAM_BIT) + 1)
-        if config.epoch_output == RANDOM_ITERATE
-        else None
-    )
 
     bound = log_suboptimality_bound(T, S, lam) if lam < 1.0 else None
     guard = math.exp(min(bound, 700.0)) if bound is not None else math.inf
@@ -173,7 +161,6 @@ def _drive(problem, config: SVRGConfig, indices: np.ndarray) -> EpochTrace:
     step = np.empty(())
     for s in range(S):
         q = -eta * problem.full_gradient(snapshot)
-        pick = int(picker.below(T)) if picker is not None else None
         Xb = np.take(X, indices[s], axis=0)
 
         # A diverging epoch runs to its end before the guard below sees it,
@@ -209,7 +196,7 @@ def _drive(problem, config: SVRGConfig, indices: np.ndarray) -> EpochTrace:
         # The post-step iterate (row T) counts toward the in-epoch maximum
         # but not toward the next snapshot.  cumsum adds the rows in order,
         # as a running accumulator would; a column sum (d = 1) would pair them.
-        snapshot = np.cumsum(W[:T], axis=0)[-1] / T if picker is None else W[pick].copy()
+        snapshot = np.cumsum(W[:T], axis=0)[-1] / T
         max_sub[s] = max(0.0, float(subs.max()))
 
     chain[S] = problem.suboptimality(snapshot)
@@ -241,8 +228,7 @@ def run_svrg(problem, config: SVRGConfig, sigma=None) -> EpochTrace:
 
 def run_svrg_over_streams(problem, config: SVRGConfig, n_seeds: int):
     """Traces for streams 0..n_seeds-1 of the config's seed, in stream order."""
-    if n_seeds < 1:
-        raise InvalidParameter("n_seeds must be >= 1")
+    _integer(n_seeds, "n_seeds must be an integer >= 1", 1)
     return [run_svrg(problem, replace(config, stream=k)) for k in range(n_seeds)]
 
 

@@ -72,9 +72,10 @@ def straight_load(path):
     """
     with open(path) as fh:
         raw = fh.readlines()
-    if not raw or not raw[0].startswith("#dim"):
+    header = raw[0].split() if raw else []
+    if len(header) != 2 or header[0] != "#dim":
         raise DataFormatError(f"{path}: line 1: expected header '#dim <d>'")
-    d = int(raw[0].split()[1])
+    d = int(header[1])
     ys, rows = [], []
     for lineno, line in enumerate(raw[1:], start=2):
         line = line.strip()

@@ -101,6 +101,8 @@ def test_load_rejects_invariant_violations(tmp_path):
     "content,fragment",
     [
         ("0.5 1:0.1\n", "header"),
+        ("#dimension 2\n0.5 1:0.1\n", "line 1"),
+        ("#dim 2 extra\n0.5 1:0.1\n", "line 1"),
         ("#dim 2\nfoo 1:0.1\n", "line 2"),
         ("#dim 2\n0.5 9:0.1\n", "line 2"),
         ("#dim 2\n0.5 1:zzz\n", "line 2"),

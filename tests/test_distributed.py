@@ -73,11 +73,9 @@ class TestPartition:
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("epoch_output", ["average", "random_iterate"])
-    def test_single_machine_bitwise(self, epoch_output):
+    def test_single_machine_bitwise(self):
         p = random_ridge(300, 4, seed=6, alpha=0.2)
-        cfg = SVRGConfig(step_size=0.1, epoch_len=25, n_epochs=4, seed=8,
-                         epoch_output=epoch_output)
+        cfg = SVRGConfig(step_size=0.1, epoch_len=25, n_epochs=4, seed=8)
         shards = partition(p.data, 1, Rng(8, 77))
         dist_trace, _ = run_distributed_svrg(p, 1, cfg, shards=shards)
         sigma = matched_permutation(shards, 25, 4)
@@ -88,7 +86,6 @@ class TestEquivalence:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        epoch_output=st.sampled_from(["average", "random_iterate"]),
         d=st.integers(1, 6),
         T=st.integers(1, 60),
         S=st.integers(1, 5),
@@ -97,11 +94,9 @@ class TestEquivalence:
         spare=st.integers(0, 40),
         seed=st.integers(0, 2**32),
     )
-    def test_single_machine_bitwise_on_random_runs(self, epoch_output, d, T, S, eta, alpha,
-                                                   spare, seed):
+    def test_single_machine_bitwise_on_random_runs(self, d, T, S, eta, alpha, spare, seed):
         p = random_ridge(T * S + spare, d, seed=seed % 997, alpha=alpha)
-        cfg = SVRGConfig(step_size=eta, epoch_len=T, n_epochs=S, seed=seed,
-                         epoch_output=epoch_output)
+        cfg = SVRGConfig(step_size=eta, epoch_len=T, n_epochs=S, seed=seed)
         shards = partition(p.data, 1, Rng(seed, 77))
         dist_trace, _ = run_distributed_svrg(p, 1, cfg, shards=shards)
         solo_trace = run_svrg(p, cfg, sigma=matched_permutation(shards, T, S))
@@ -205,14 +200,12 @@ class TestDefaultPartition:
         "one_point_per_machine": (40, 40, 1, 30),
     }
 
-    @pytest.mark.parametrize("epoch_output", ["average", "random_iterate"])
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_equals_explicit_partition(self, shape, epoch_output):
+    def test_equals_explicit_partition(self, shape):
         m, k, T, S = self.SHAPES[shape]
         p = random_ridge(m, 3, seed=m + k, alpha=0.2)
         for stream in (0, 6):
-            cfg = SVRGConfig(step_size=0.1, epoch_len=T, n_epochs=S, seed=k,
-                             stream=stream, epoch_output=epoch_output)
+            cfg = SVRGConfig(step_size=0.1, epoch_len=T, n_epochs=S, seed=k, stream=stream)
             trace, log = run_distributed_svrg(p, k, cfg)
             shards = partition(p.data, k, Rng(cfg.seed, stream ^ AUX_STREAM_BIT))
             expected, expected_log = run_distributed_svrg(p, k, cfg, shards=shards)

@@ -21,10 +21,15 @@ from shufflegrad import (
     SGDConfig,
     StronglyConvexStep,
     SVRGConfig,
+    average_suboptimality_over_seeds,
     contraction_check,
+    generate,
     pairwise_mean,
     pairwise_sum,
     reference_minimizer,
+    run_distributed_svrg,
+    run_svrg_over_streams,
+    shuffle,
 )
 from shufflegrad.errors import (
     DimensionMismatch,
@@ -194,6 +199,45 @@ NAN_PARAMETERS = {
 def test_nan_parameters_raise(make):
     with pytest.raises(InvalidParameter):
         make()
+
+
+SGD_1 = SGDConfig(n_steps=1, step_rule=FixedStep(0.1), radius=5.0)
+SVRG_1 = SVRGConfig(step_size=0.1, epoch_len=1, n_epochs=1)
+NON_INTEGER_COUNTS = {
+    "SGDConfig.n_steps": lambda: SGDConfig(n_steps=2.5, step_rule=FixedStep(0.1), radius=1.0),
+    "SVRGConfig.epoch_len": lambda: SVRGConfig(step_size=0.1, epoch_len=2.5, n_epochs=1),
+    "SVRGConfig.n_epochs": lambda: SVRGConfig(step_size=0.1, epoch_len=1, n_epochs=2.0),
+    "average_suboptimality_over_seeds.n_seeds": lambda: average_suboptimality_over_seeds(
+        random_ridge(4, 2, seed=1), SGD_1, 2.0),
+    "run_svrg_over_streams.n_seeds":
+        lambda: run_svrg_over_streams(random_ridge(4, 2, seed=1), SVRG_1, 2.0),
+    "run_distributed_svrg.n_machines":
+        lambda: run_distributed_svrg(random_ridge(4, 2, seed=1), 2.0, SVRG_1),
+    "GenSpec.m": lambda: GenSpec(m=10.5, d=2),
+    "shuffle.m": lambda: shuffle(5.0, Rng(1)),
+    "Rng.seed float": lambda: Rng(1.5),
+    "Rng.seed str": lambda: Rng("7"),
+}
+
+
+@pytest.mark.parametrize("make", NON_INTEGER_COUNTS.values(), ids=NON_INTEGER_COUNTS.keys())
+def test_non_integer_counts_and_seeds_raise(make):
+    """Counts and seeds pass one integer check: no float or string is
+    truncated or parsed, and none escapes as a raw numpy error."""
+    with pytest.raises(InvalidParameter):
+        make()
+
+
+def test_numpy_integer_counts_stay_legal():
+    one = np.int64(1)
+    p = random_ridge(4, 2, seed=1)
+    svrg = SVRGConfig(step_size=0.1, epoch_len=one, n_epochs=one, seed=one)
+    assert run_distributed_svrg(p, np.int64(2), svrg)[1].rounds == 2
+    assert len(run_svrg_over_streams(p, svrg, np.int64(2))) == 2
+    sgd = SGDConfig(n_steps=np.int64(3), step_rule=FixedStep(0.1), radius=5.0)
+    assert average_suboptimality_over_seeds(p, sgd, np.int64(2)).mean.shape == (3,)
+    assert generate(GenSpec(m=np.int64(5), d=np.int64(2))).X.shape == (5, 2)
+    assert sorted(shuffle(np.int64(5), Rng(np.int64(1), np.uint64(2)))) == list(range(5))
 
 
 def test_infinite_radius_stays_legal():

@@ -57,15 +57,11 @@ def reference_sgd(problem, config, indices, reference=None):
     star = problem.point_losses(comparator)
     T, d = config.n_steps, problem.d
     w = np.zeros(d)
-    csum = [np.zeros(d)]  # running sums S_t = w_1 + ... + w_t
+    total = np.zeros(d)  # running sum S_t = w_1 + ... + w_t
     subopt, regret = [], 0.0
     for t in range(1, T + 1):
-        csum.append(csum[-1] + w)
-        if config.averaging == "suffix_half":
-            window = (t + 1) // 2
-            avg = (csum[t] - csum[t - window]) / window
-        else:
-            avg = csum[t] / t
+        total = total + w
+        avg = total / t
         if reference is None:
             subopt.append(straight_suboptimality(problem, avg))
         else:
@@ -94,9 +90,8 @@ def reference_sgd(problem, config, indices, reference=None):
 
 
 @pytest.mark.parametrize("T", [1, 37, EVAL_BLOCK, 2 * EVAL_BLOCK + 37])
-@pytest.mark.parametrize("averaging", ["all", "suffix_half"])
 @pytest.mark.parametrize("kind", ["ridge", "absolute"])
-def test_run_matches_per_step_oracle(T, averaging, kind):
+def test_run_matches_per_step_oracle(T, kind):
     data = random_dataset(120, 3, seed=T)
     if kind == "ridge":
         problem, reference = RidgeProblem(data, alpha=0.1), None
@@ -104,7 +99,7 @@ def test_run_matches_per_step_oracle(T, averaging, kind):
     else:  # the comparator is given: no reference solve for the kinked loss
         problem = LipschitzLinearProblem(data, "absolute", radius=2.0, alpha=0.05)
         reference, rule = np.full(3, 0.1), InverseSqrtStep(0.5)
-    cfg = SGDConfig(n_steps=T, step_rule=rule, radius=2.0, averaging=averaging)
+    cfg = SGDConfig(n_steps=T, step_rule=rule, radius=2.0)
     sigma = Rng(T, 1).below(np.full(T, problem.m, dtype=np.uint64))
     trace = run_sgd(problem, cfg, sigma=sigma, reference=reference)
     subopt, avg, regret = reference_sgd(problem, cfg, sigma, reference)
@@ -214,26 +209,6 @@ class TestSingleRun:
             f_avg = p.full_objective(avg)
             mean_f = np.mean([p.full_objective(w) for w in trace.iterates[:t]])
             assert f_avg <= mean_f + 1e-10
-
-    def test_suffix_averaging_window(self):
-        # suffix mode reports the mean of the last ceil(t/2) iterates
-        p = random_ridge(30, 3, seed=21, alpha=0.2)
-        cfg = config_for(p, 12, seed=6)
-        suffix_cfg = SGDConfig(
-            n_steps=12, step_rule=cfg.step_rule, radius=cfg.radius,
-            sampler=cfg.sampler, averaging="suffix_half", seed=6,
-        )
-        plain = run_sgd(p, cfg, collect_iterates=True)
-        suffix = run_sgd(p, suffix_cfg)
-        for t in (1, 2, 5, 12):
-            window = (t + 1) // 2
-            manual = plain.iterates[t - window : t].mean(axis=0)
-            assert suffix.suboptimality[t - 1] == pytest.approx(
-                p.suboptimality(manual), rel=1e-12, abs=1e-15
-            )
-        assert np.allclose(
-            suffix.average_iterate, plain.iterates[6:].mean(axis=0), atol=1e-12
-        )
 
     def test_regret_measurement(self, unit_axes_problem):
         p = unit_axes_problem
@@ -426,7 +401,6 @@ def engine_problem(kind, d):
 @given(
     kind=st.sampled_from(["ridge", "squared", "absolute", "hinge"]),
     sampler=st.sampled_from(["single_shuffle", "with_replacement", "reshuffle_each_epoch"]),
-    averaging=st.sampled_from(["all", "suffix_half"]),
     d=st.integers(1, 5),
     T=st.integers(1, 2 * EVAL_BLOCK + 7),
     B=st.integers(1, 7),
@@ -436,12 +410,12 @@ def engine_problem(kind, d):
     eta=st.floats(0.05, 4.0),
     seed=st.integers(0, 2**32),
 )
-@example(kind="hinge", sampler="single_shuffle", averaging="suffix_half", d=3,
+@example(kind="hinge", sampler="single_shuffle", d=3,
          T=EVAL_BLOCK + 1, B=7, cap=2, collect=True, given_reference=True, eta=2.0, seed=1)
 # 40 streams in one batch; at some steps only rows above 32 leave the ball
-@example(kind="ridge", sampler="with_replacement", averaging="all", d=3,
+@example(kind="ridge", sampler="with_replacement", d=3,
          T=EVAL_BLOCK + 3, B=40, cap=40, collect=False, given_reference=False, eta=0.5, seed=2)
-def test_batch_rows_match_one_stream_runs(kind, sampler, averaging, d, T, B, cap, collect,
+def test_batch_rows_match_one_stream_runs(kind, sampler, d, T, B, cap, collect,
                                           given_reference, eta, seed):
     """Row b of a batch has the bits of run_sgd on stream b, also across chunks."""
     p = engine_problem(kind, d)
@@ -451,8 +425,7 @@ def test_batch_rows_match_one_stream_runs(kind, sampler, averaging, d, T, B, cap
     reference = np.full(d, 0.02) if given_reference or kind in ("absolute", "hinge") else None
     radius = 0.3 if reference is not None else 1.05 * float(np.linalg.norm(p.wstar)) + 1e-3
     rule = FixedStep(eta) if seed % 2 else InverseSqrtStep(eta)
-    cfg = SGDConfig(n_steps=T, step_rule=rule, radius=radius, sampler=sampler,
-                    averaging=averaging, seed=seed)
+    cfg = SGDConfig(n_steps=T, step_rule=rule, radius=radius, sampler=sampler, seed=seed)
 
     def rows(k):
         return schedule(cfg.sampler, p.m, 1, cfg.n_steps, Rng(cfg.seed, k))[0]
@@ -562,12 +535,12 @@ def test_seed_average_raises_the_sequential_error(seed):
     assert info.value.step == expected.step
 
 
-def test_suffix_batch_memory_stays_within_budget():
+def test_batch_memory_stays_within_budget():
     """Streams above the chunk cap run in chunks: the peak stays under the
     fixed budget, far below what one batch of every stream would take."""
     p = random_ridge(100, 200, seed=41)
     cfg = SGDConfig(n_steps=1000, step_rule=StronglyConvexStep(p.strong_convexity),
-                    radius=2.0, sampler="with_replacement", averaging="suffix_half")
+                    radius=2.0, sampler="with_replacement")
     n_seeds = 48
     per_stream = sgd_module._stream_bytes(cfg, p.d, False)
     assert n_seeds * (cfg.n_steps + 1) * p.d * 8 > 2 * sgd_module.STREAM_CHUNK_BYTES
@@ -585,16 +558,15 @@ def test_suffix_batch_memory_stays_within_budget():
 BLOCK_SIZES = [256, 1, 7]
 
 
-@pytest.mark.parametrize("averaging", ["all", "suffix_half"])
 @pytest.mark.parametrize("kind", ["ridge", "absolute", "hinge"])
-def test_block_size_keeps_every_bit(kind, averaging):
+def test_block_size_keeps_every_bit(kind):
     """The running sum and the last iterate carried from block to block:
     blocks of 1, 7 and 256 steps give the same bits."""
     p = engine_problem(kind, 3)
     reference = None if kind == "ridge" else np.full(3, 0.02)
     radius = 0.3 if reference is not None else 1.05 * float(np.linalg.norm(p.wstar)) + 1e-3
     cfg = SGDConfig(n_steps=300, step_rule=InverseSqrtStep(1.0), radius=radius,
-                    sampler="with_replacement", averaging=averaging, seed=3)
+                    sampler="with_replacement", seed=3)
 
     def rows(k):
         return schedule(cfg.sampler, p.m, 1, cfg.n_steps, Rng(cfg.seed, k))[0]

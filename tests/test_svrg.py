@@ -131,25 +131,6 @@ class TestUpdateStructure:
         assert np.array_equal(trace.max_suboptimality, np.array(maxima))
         assert trace.suboptimality[-1] == p.suboptimality(snaps[-1])
 
-    def test_random_iterate_output_is_an_epoch_iterate(self):
-        p = random_ridge(40, 3, seed=3, alpha=0.2)
-        cfg = SVRGConfig(
-            step_size=0.1, epoch_len=8, n_epochs=1, epoch_output="random_iterate", seed=9
-        )
-        trace = run_svrg(p, cfg)
-        # rebuild the epoch's iterates and check membership
-        indices = schedule("single_shuffle", p.m, 1, 8, Rng(9, 0))[0]
-        X, a = p.data.X, p.alpha
-        snapshot = np.zeros(p.d)
-        anchor = p.full_gradient(snapshot)
-        v = np.zeros(p.d)
-        iterates = []
-        for i in indices:
-            iterates.append(v + snapshot)
-            xi = X[i]
-            v = (1.0 - 0.1 * a) * v + (-0.1 * anchor) - xi * (0.1 * (xi @ v))
-        assert any(np.array_equal(trace.final_snapshot, it) for it in iterates)
-
 
 class TestBookkeeping:
     def test_gradient_counts(self):

@@ -106,11 +106,10 @@ def svrg_digest(sg):
                        (20, 1999, 99, 8)):
         p = _ridge(sg, m, d, seed=10 + d, alpha=0.1, spectrum="geometric")
         for sampler in samplers:
-            for output in ("average", "random_iterate"):
-                for eta in (0.05, 0.4):
-                    cfg = sg.SVRGConfig(step_size=eta, epoch_len=T, n_epochs=S,
-                                        epoch_output=output, sampler=sampler, seed=d)
-                    _svrg_trace(dig, sg.run_svrg(p, cfg))
+            for eta in (0.05, 0.4):
+                cfg = sg.SVRGConfig(step_size=eta, epoch_len=T, n_epochs=S,
+                                    sampler=sampler, seed=d)
+                _svrg_trace(dig, sg.run_svrg(p, cfg))
         sigma = sg.shuffle(m, sg.Rng(99, d))[::-1]
         cfg = sg.SVRGConfig(step_size=0.2, epoch_len=T, n_epochs=S, seed=3)
         _svrg_trace(dig, sg.run_svrg(p, cfg, sigma=sigma))
@@ -127,15 +126,13 @@ def distributed_digest(sg):
     for d, m, k, T, S in ((1, 300, 1, 30, 4), (3, 600, 3, 25, 5),
                           (5, 1200, 4, 100, 8), (20, 2003, 4, 41, 6)):
         p = _ridge(sg, m, d, seed=20 + d, alpha=0.05)
-        for output in ("average", "random_iterate"):
-            cfg = sg.SVRGConfig(step_size=0.1, epoch_len=T, n_epochs=S,
-                                epoch_output=output, seed=k)
-            lane = cfg.stream ^ sg.svrg.AUX_STREAM_BIT
-            shards = sg.partition(p.data, k, sg.Rng(cfg.seed, lane))
-            for run_shards in (None, shards):
-                trace, log = sg.run_distributed_svrg(p, k, cfg, shards=run_shards)
-                _svrg_trace(dig, trace)
-                dig.add(log.rounds, log.payload_floats)
+        cfg = sg.SVRGConfig(step_size=0.1, epoch_len=T, n_epochs=S, seed=k)
+        lane = cfg.stream ^ sg.svrg.AUX_STREAM_BIT
+        shards = sg.partition(p.data, k, sg.Rng(cfg.seed, lane))
+        for run_shards in (None, shards):
+            trace, log = sg.run_distributed_svrg(p, k, cfg, shards=run_shards)
+            _svrg_trace(dig, trace)
+            dig.add(log.rounds, log.payload_floats)
     return dig.hexdigest()
 
 
@@ -159,17 +156,16 @@ def _sgd_configs(sg, p, radius):
     for sampler, steps in lengths.items():
         for T in steps:
             for rad in (radius, 0.2 + float(np.linalg.norm(p.wstar))):
-                for averaging in (sg.ALL_ITERATES, sg.SUFFIX_HALF):
-                    for rule in rules:
-                        yield sg.SGDConfig(n_steps=T, step_rule=rule, radius=rad,
-                                           sampler=sampler, averaging=averaging, seed=5)
+                for rule in rules:
+                    yield sg.SGDConfig(n_steps=T, step_rule=rule, radius=rad,
+                                       sampler=sampler, seed=5)
 
 
 def sgd_digest(sg):
     dig = Digest()
     for p, radius in _sgd_problems(sg):
         for cfg in _sgd_configs(sg, p, radius):
-            tr = sg.run_sgd(p, cfg, collect_iterates=cfg.averaging == sg.ALL_ITERATES)
+            tr = sg.run_sgd(p, cfg, collect_iterates=True)
             dig.add(tr.suboptimality, tr.average_iterate, tr.regret, tr.gradient_evals,
                     tr.iterates)
         sigma = sg.shuffle(p.m, sg.Rng(7, 1))
@@ -183,8 +179,6 @@ def seed_summary_digest(sg):
     dig = Digest()
     for p, radius in _sgd_problems(sg):
         for cfg in _sgd_configs(sg, p, radius):
-            if cfg.averaging != sg.ALL_ITERATES:
-                continue
             summary = sg.average_suboptimality_over_seeds(p, cfg, 4)
             dig.add(summary.mean, summary.stderr, summary.n_seeds)
     # 40 streams in one batch, on a radius tight enough to project.
