@@ -9,10 +9,8 @@ the estimate must respect.
 import numpy as np
 
 from shufflegrad import (
-    ConcentrationSpec,
     FiniteVectorClass,
     LinearBallClass,
-    RademacherSpec,
     RidgeProblem,
     Rng,
     Dataset,
@@ -62,7 +60,7 @@ print(f"   identity gap              = {abs(res.lhs - res.regret_term - res.pref
 print("\n3. transductive complexity of a unit-ball linear class")
 Xb = Rng(8, 0).normal(100 * 10).reshape(100, 10)
 Xb /= np.linalg.norm(Xb, axis=1)[:, None]
-est = rademacher_estimate(RademacherSpec(LinearBallClass(Xb, 1.0), (50, 50), 20_000, seed=9))
+est = rademacher_estimate(LinearBallClass(Xb, 1.0), (50, 50), 20_000, seed=9)
 print(f"   estimate {est.value:.4f} +- {est.stderr:.4f}  "
       f"closed-form bound {linear_ball_bound(1.0, (50, 50)):.4f}")
 
@@ -83,7 +81,7 @@ print("\n6. prefix/suffix deviation of normalized second-moment matrices")
 for m in (100, 400):
     Xc = Rng(10, m).normal(m * 5).reshape(m, 5)
     Xc /= np.linalg.norm(Xc, axis=1)[:, None]
-    out = matrix_concentration_check(ConcentrationSpec(Xc, 0.0, 12.0, 500, seed=11, stream=m))
+    out = matrix_concentration_check(Xc, 0.0, 12.0, 500, seed=11, stream=m)
     print(f"   m={m:>3}: gamma={out.gamma:.3f}, worst central deviation = "
           f"{central_band_peak(out.max_deviation_profile):.4f}, "
           f"violations of the tail bound = {out.violation_rate:.0%}")

@@ -15,7 +15,7 @@ print(f"dataset: m={data.m}, d={data.d}, max feature norm = "
       f"{np.linalg.norm(data.X, axis=1).max():.3f}, max |label| = {np.abs(data.y).max():.3f}")
 
 problem = RidgeProblem(data, alpha=0.1)
-wstar, fstar = problem.minimizer()
+wstar, fstar = problem.wstar, problem.fstar
 print(f"\nridge weight 0.1:")
 print(f"  strong convexity  lambda = {problem.strong_convexity:.5f}")
 print(f"  smoothness        mu     = {problem.smoothness:.5f}")

@@ -13,7 +13,7 @@ The package provides, for mean losses of linear predictions:
 * synthetic data generation and text serialization (:mod:`.datagen`).
 """
 
-__version__ = "0.24.0"
+__version__ = "0.25.0"
 
 from .datagen import GenSpec, generate, load, planted_weights, save
 from .distributed import (
@@ -39,7 +39,6 @@ from .problem import (
     RidgeProblem,
     pairwise_mean,
     pairwise_sum,
-    reference_minimizer,
 )
 from .rng import Rng
 from .sampling import (
@@ -71,11 +70,9 @@ from .svrg import (
     run_svrg_over_streams,
 )
 from .verify import (
-    ConcentrationSpec,
     FiniteVectorClass,
     LinearBallClass,
     McEstimate,
-    RademacherSpec,
     central_band_peak,
     contraction_check,
     linear_ball_bound,

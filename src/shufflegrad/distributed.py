@@ -84,6 +84,8 @@ def _batch_starts(sizes: list[int], epoch_len: int, n_epochs: int) -> list[int]:
     batch consumed at each epoch: blocks in order, each block's full
     batches of ``epoch_len`` in order; a shorter trailing remainder takes
     no inner steps (it still counts in every anchor)."""
+    epoch_len = _integer(epoch_len, "epoch_len must be an integer >= 1", 1)
+    _integer(n_epochs, "n_epochs must be an integer >= 0")
     counts = [size // epoch_len for size in sizes]
     if sum(counts) < n_epochs:
         raise BatchesExhausted(

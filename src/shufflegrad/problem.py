@@ -346,6 +346,7 @@ class RidgeProblem(_LinearPredictionProblem):
 
     @cached_property
     def _solution(self):
+        """(w*, F(w*)) from a direct solve of H w = b with one refinement step."""
         if self.strong_convexity < SINGULAR_CUTOFF:
             raise SingularCurvature(
                 f"Hessian smallest eigenvalue {self.strong_convexity:.3g} is below "
@@ -370,10 +371,6 @@ class RidgeProblem(_LinearPredictionProblem):
     @property
     def fstar(self) -> float:
         return self._solution[1]
-
-    def minimizer(self):
-        """(w*, F(w*)) from a direct solve of H w = b with one refinement step."""
-        return self._solution
 
     def full_gradient(self, w) -> np.ndarray:
         """Gradient of F in Gram form, hessian @ w - (1/m) X^T y: O(d^2)."""
@@ -438,7 +435,7 @@ class LipschitzLinearProblem(_LinearPredictionProblem):
     @property
     def wstar(self) -> np.ndarray:
         """Reference minimizer (exact for squared; certified ADMM for the
-        kinked losses, see :func:`reference_minimizer`)."""
+        kinked losses, see :func:`_certified_minimizer`)."""
         return self._reference[0]
 
     @property
@@ -456,12 +453,9 @@ class LipschitzLinearProblem(_LinearPredictionProblem):
         return pairwise_mean(self.point_gradient_rows(w))
 
 
-def reference_minimizer(
-    problem: LipschitzLinearProblem,
-    tol: float = REFERENCE_TOL,
-    max_iter: int = REFERENCE_MAX_ITER,
-) -> np.ndarray:
-    """Minimizer of a Lipschitz linear-loss objective with a duality-gap certificate.
+def _certified_minimizer(problem, tol, max_iter):
+    """(w, F(w), gap): the minimizer of a Lipschitz linear-loss objective,
+    its value, and a duality gap F(w) - D(a) >= F(w) - F* that certifies it.
 
     The squared kind is solved exactly through :class:`RidgeProblem`.
     The kinked kinds run scaled ADMM (Boyd et al. 2011, *Distributed
@@ -507,11 +501,6 @@ def reference_minimizer(
     returned; if its F lies below D(a), it beats every point of the ball,
     which proves the minimizer outside, and the solve raises at once.
     """
-    return _certified_minimizer(problem, tol, max_iter)[0]
-
-
-def _certified_minimizer(problem, tol, max_iter):
-    """(w, F(w), gap) with the gap F(w) - D(a) >= F(w) - F*."""
     if problem.kind != "squared":
         return _admm(problem, tol, max_iter)
     w = RidgeProblem(problem.data, problem.alpha).wstar
@@ -522,7 +511,7 @@ def _certified_minimizer(problem, tol, max_iter):
 
 
 def _admm(problem, tol, max_iter):
-    """The ADMM loop of :func:`reference_minimizer`; returns (w, F(w), gap)."""
+    """The ADMM loop of :func:`_certified_minimizer`; returns (w, F(w), gap)."""
     X, y = problem.data.X, problem.data.y
     m, d = problem.data.m, problem.data.d
     alpha = problem.alpha
@@ -578,7 +567,7 @@ def _admm(problem, tol, max_iter):
 
 
 def _dual_objective(problem, a) -> float:
-    """D(a) of :func:`reference_minimizer`, after projecting a onto the
+    """D(a) of :func:`_certified_minimizer`, after projecting a onto the
     conjugate's domain, so any a gives a lower bound on F* over the ball."""
     X, y = problem.data.X, problem.data.y
     if problem.kind == "absolute":

@@ -103,9 +103,7 @@ def enumerate_permutations(m: int):
 
     Guarded at m <= 9 (9! = 362,880) so a typo cannot hang a test run.
     """
-    if m < 1:
-        raise InvalidParameter("enumeration needs m >= 1")
-    if m > MAX_ENUMERATION:
+    if _integer(m, "enumeration needs an integer m >= 1", 1) > MAX_ENUMERATION:
         raise InvalidParameter(
             f"refusing to enumerate {m}! permutations (limit m <= {MAX_ENUMERATION})"
         )

@@ -115,8 +115,8 @@ def log_suboptimality_bound(epoch_len: int, n_epochs: int, strong_convexity: flo
     strong convexity in (0, 1).  Monotone increasing in both epoch
     counts and decreasing in the strong convexity.
     """
-    if epoch_len < 1 or n_epochs < 1:
-        raise InvalidParameter("epoch_len and n_epochs must be >= 1")
+    for n in (epoch_len, n_epochs):
+        _integer(n, "epoch_len and n_epochs must be integers >= 1", 1)
     if not 0.0 < strong_convexity < 1.0:
         raise InvalidParameter("strong_convexity must lie in (0, 1)")
     return 2.0 * n_epochs * math.log(5.0 * epoch_len) + math.log(4.0 / strong_convexity)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, SingularCurvature
 from .problem import _check_features
-from .rng import Rng
+from .rng import Rng, _integer
 from .sampling import enumerate_permutations, shuffle
 
 MAX_IDENTITY_M = 8
@@ -56,9 +56,9 @@ def permutation_identity_check(m: int, t: int, value_rule) -> tuple[float, float
     rhs = ((t-1)/m) * E[mean_{i<t} s_{sigma(i)} - mean_{i>=t} s_{sigma(i)}],
     with rhs = 0 for t = 1 by the empty-prefix convention.
     """
-    if m > MAX_IDENTITY_M:
+    if _integer(m, "m must be an integer >= 1", 1) > MAX_IDENTITY_M:
         raise InvalidParameter(f"exhaustive check is limited to m <= {MAX_IDENTITY_M}")
-    if not 1 <= t <= m:
+    if not 1 <= _integer(t, "t must be an integer", None) <= m:
         raise InvalidParameter(f"need 1 <= t <= m, got t={t}")
 
     def values(prefix):
@@ -139,29 +139,13 @@ class LinearBallClass:
         return self.radius * np.linalg.norm(r @ self.X, axis=1)
 
 
-@dataclass(frozen=True)
-class RademacherSpec:
-    cls: FiniteVectorClass | LinearBallClass
-    split: tuple[int, int]
-    mc_samples: int
-    seed: int = 0
-    stream: int = 0
-
-    def __post_init__(self):
-        s, u = self.split
-        if s < 1 or u < 1:
-            raise InvalidParameter("both split sizes must be >= 1")
-        if s + u != self.cls.length:
-            raise InvalidParameter(
-                f"split {s}+{u} must cover the class coordinate length {self.cls.length}"
-            )
-        if self.mc_samples < 2:
-            raise InvalidParameter("mc_samples must be >= 2")
-
-    @property
-    def p(self) -> float:
-        s, u = self.split
-        return s * u / (s + u) ** 2
+def _split_sizes(split, length: int, mc_samples) -> tuple[int, int, int]:
+    """(s, u, mc_samples) as ints: a split of ``length`` coordinates into
+    two integer sizes >= 1, and an integer sample count >= 2."""
+    s, u = (_integer(n, "both split sizes must be integers >= 1", 1) for n in split)
+    if s + u != length:
+        raise InvalidParameter(f"split {s}+{u} must cover the class coordinate length {length}")
+    return s, u, _integer(mc_samples, "mc_samples must be an integer >= 2", 2)
 
 
 def ternary_signs(p: float, shape, rng: Rng) -> np.ndarray:
@@ -186,9 +170,10 @@ def _estimate(scale: float, sups: np.ndarray) -> McEstimate:
     return McEstimate(float(scale * sups.mean()), float(stderr), n)
 
 
-def _sign_sups(spec: RademacherSpec, *classes) -> list[np.ndarray]:
-    """Each class's ``sup_correlation`` on every row of spec's
-    (mc_samples, m) sign stream.
+def _sign_sups(split, mc_samples, seed, stream, *classes) -> tuple[float, list[np.ndarray]]:
+    """The complexity scale 1/s + 1/u of the split, and each class's
+    ``sup_correlation`` on every row of the (mc_samples, m) ternary sign
+    stream of ``Rng(seed, stream)``, with p = s*u/(s+u)^2.
 
     The rows are drawn and reduced ``SIGN_CHUNK // m`` (at least one) at
     a time, in order from one stream, so they are the rows of one
@@ -196,23 +181,30 @@ def _sign_sups(spec: RademacherSpec, *classes) -> list[np.ndarray]:
     A row's sups may still differ in their last bits from a product over
     all rows at once: OpenBLAS picks its GEMM kernel by the product's size.
     """
-    m, n = spec.cls.length, spec.mc_samples
-    rng = Rng(spec.seed, spec.stream)
+    s, u, n = _split_sizes(split, classes[0].length, mc_samples)
+    m, p = s + u, s * u / (s + u) ** 2
+    rng = Rng(seed, stream)
     rows = max(1, SIGN_CHUNK // m)
     sups = np.empty((len(classes), n))
     for lo in range(0, n, rows):
-        r = ternary_signs(spec.p, (min(rows, n - lo), m), rng)
+        r = ternary_signs(p, (min(rows, n - lo), m), rng)
         for out, cls in zip(sups, classes):
             out[lo : lo + len(r)] = cls.sup_correlation(r)
-    return list(sups)
+    return 1.0 / s + 1.0 / u, list(sups)
 
 
-def rademacher_estimate(spec: RademacherSpec) -> McEstimate:
-    """Monte-Carlo transductive Rademacher complexity of the class, on
-    sign rows drawn in chunks (see :func:`_sign_sups`)."""
-    s, u = spec.split
-    (sups,) = _sign_sups(spec, spec.cls)
-    return _estimate(1.0 / s + 1.0 / u, sups)
+def rademacher_estimate(
+    cls: FiniteVectorClass | LinearBallClass,
+    split: tuple[int, int],
+    mc_samples: int,
+    seed: int = 0,
+    stream: int = 0,
+) -> McEstimate:
+    """Monte-Carlo transductive Rademacher complexity of the class under
+    the split (s, u) with s + u = ``cls.length``, on sign rows drawn in
+    chunks (see :func:`_sign_sups`)."""
+    scale, (sups,) = _sign_sups(split, mc_samples, seed, stream, cls)
+    return _estimate(scale, sups)
 
 
 def linear_ball_bound(radius: float, split: tuple[int, int]) -> float:
@@ -267,10 +259,9 @@ def contraction_check(
         raise InvalidParameter(
             f"map {int(bad.argmax())} violates the declared Lipschitz constant {lipschitz}"
         )
-    spec = RademacherSpec(finite_class, split, mc_samples, seed, stream)
-    mapped, plain = _sign_sups(spec, FiniteVectorClass(W), finite_class)
-    s, u = split
-    return _paired(1.0 / s + 1.0 / u, mapped, lipschitz * plain)
+    scale, (mapped, plain) = _sign_sups(split, mc_samples, seed, stream,
+                                        FiniteVectorClass(W), finite_class)
+    return _paired(scale, mapped, lipschitz * plain)
 
 
 def product_class_check(
@@ -289,46 +280,13 @@ def product_class_check(
     bound_v = class_v.coordinate_bound()
     bound_s = class_s.coordinate_bound()
     products = np.einsum("ak,bk->abk", class_v.vectors, class_s.vectors).reshape(-1, m)
-
-    spec = RademacherSpec(class_v, split, mc_samples, seed, stream)
-    sup_u, sup_v, sup_s = _sign_sups(spec, FiniteVectorClass(products), class_v, class_s)
-    s, u = split
-    return _paired(1.0 / s + 1.0 / u, sup_u, bound_s * sup_v + bound_v * sup_s)
+    scale, (sup_u, sup_v, sup_s) = _sign_sups(split, mc_samples, seed, stream,
+                                              FiniteVectorClass(products), class_v, class_s)
+    return _paired(scale, sup_u, bound_s * sup_v + bound_v * sup_s)
 
 
 # ---------------------------------------------------------------------------
 # matrix concentration
-
-
-@dataclass(frozen=True)
-class ConcentrationSpec:
-    """Inputs for the permuted prefix/suffix matrix deviation experiment.
-
-    ``shift`` is the diagonal loading added to the feature second moment;
-    the resulting smallest eigenvalue gamma is computed, never assumed,
-    and must be positive (values above 1 only occur in degenerate
-    single-direction setups and are allowed).
-    """
-
-    X: np.ndarray
-    shift: float
-    alpha: float
-    trials: int
-    seed: int = 0
-    stream: int = 0
-
-    def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=np.float64))
-        if X.shape[0] < 2:
-            raise InvalidParameter("need at least two points")
-        _check_features(X)
-        if not self.shift >= 0:
-            raise InvalidParameter("shift must be >= 0")
-        if not self.alpha >= 2:
-            raise InvalidParameter("alpha must be >= 2")
-        if self.trials < 1:
-            raise InvalidParameter("trials must be >= 1")
-        object.__setattr__(self, "X", X)
 
 
 @dataclass
@@ -375,7 +333,14 @@ def concentration_thresholds(m: int, gamma: float, alpha: float) -> np.ndarray:
     )
 
 
-def matrix_concentration_check(spec: ConcentrationSpec) -> ConcentrationResult:
+def matrix_concentration_check(
+    X: np.ndarray,
+    shift: float,
+    alpha: float,
+    trials: int,
+    seed: int = 0,
+    stream: int = 0,
+) -> ConcentrationResult:
     """Monte-Carlo deviation profile over random permutations.
 
     For each trial permutation and every split point s, measures the
@@ -383,16 +348,31 @@ def matrix_concentration_check(spec: ConcentrationSpec) -> ConcentrationResult:
     it against the exponential-tail threshold; reports the fraction of
     trials with any exceedance, the theoretical trial-failure bound, and
     the per-split maximum deviation across trials.
+
+    ``shift`` is the diagonal loading added to the feature second moment;
+    the resulting smallest eigenvalue gamma is computed, never assumed,
+    and must be positive (values above 1 only occur in degenerate
+    single-direction setups and are allowed).
     """
-    mats, gamma, mean_matrix = normalized_outer_products(spec.X, spec.shift)
-    m, d = spec.X.shape
-    thresholds = concentration_thresholds(m, gamma, spec.alpha)
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[0] < 2:
+        raise InvalidParameter("need at least two points")
+    _check_features(X)
+    if not shift >= 0:
+        raise InvalidParameter("shift must be >= 0")
+    if not alpha >= 2:
+        raise InvalidParameter("alpha must be >= 2")
+    trials = _integer(trials, "trials must be an integer >= 1", 1)
+
+    mats, gamma, mean_matrix = normalized_outer_products(X, shift)
+    m, d = X.shape
+    thresholds = concentration_thresholds(m, gamma, alpha)
     counts = np.arange(1, m, dtype=np.float64)
 
-    rng = Rng(spec.seed, spec.stream)
+    rng = Rng(seed, stream)
     profile = np.zeros(m - 1)
     violations = 0
-    for _ in range(spec.trials):
+    for _ in range(trials):
         order = shuffle(m, rng)
         prefix = np.cumsum(mats[order], axis=0)[:-1]
         total = prefix[-1] + mats[order[-1]]
@@ -402,9 +382,9 @@ def matrix_concentration_check(spec: ConcentrationSpec) -> ConcentrationResult:
         if np.any(norms > thresholds):
             violations += 1
 
-    bound = 4.0 * d * m * math.exp(-spec.alpha / 2.0)
+    bound = 4.0 * d * m * math.exp(-alpha / 2.0)
     return ConcentrationResult(
-        violation_rate=violations / spec.trials,
+        violation_rate=violations / trials,
         bound=bound,
         max_deviation_profile=profile,
         thresholds=thresholds,
@@ -433,8 +413,7 @@ def central_band_peak(profile: np.ndarray) -> float:
 def sqrt_sum_bound_scan(m_max: int) -> float:
     """Worst ratio of (1/(mT)) sum_{t=2}^{T} (t-1)(1/sqrt(t-1)+1/sqrt(m-t+1))
     to 2/sqrt(m) over all 1 <= T <= m <= m_max.  Asserts the bound holds."""
-    if m_max < 2:
-        raise InvalidParameter("m_max must be >= 2")
+    _integer(m_max, "m_max must be an integer >= 2", 2)
     worst = 0.0
     for m in range(2, m_max + 1):
         t = np.arange(2, m + 1, dtype=np.float64)

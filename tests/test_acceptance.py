@@ -9,12 +9,10 @@ import numpy as np
 import pytest
 
 from shufflegrad import (
-    ConcentrationSpec,
     GenSpec,
     InverseSqrtStep,
     LinearBallClass,
     LipschitzLinearProblem,
-    RademacherSpec,
     RidgeProblem,
     Rng,
     SGDConfig,
@@ -167,8 +165,7 @@ def test_criterion_03_linear_class_complexity_bound():
         rng = Rng(31, 0)
         X = rng.normal(100 * 10).reshape(100, 10)
         X /= np.linalg.norm(X, axis=1)[:, None]
-        spec = RademacherSpec(LinearBallClass(X, 1.0), (50, 50), 10_000, seed=32)
-        return rademacher_estimate(spec)
+        return rademacher_estimate(LinearBallClass(X, 1.0), (50, 50), 10_000, seed=32)
 
     est, elapsed = timed(experiment)
     bound = linear_ball_bound(1.0, (50, 50))
@@ -258,8 +255,7 @@ def test_criterion_08_matrix_concentration_scaling():
             rng = Rng(60, m)
             X = rng.normal(m * 5).reshape(m, 5)
             X /= np.linalg.norm(X, axis=1)[:, None]
-            spec = ConcentrationSpec(X, 0.0, 12.0, 2000, seed=61, stream=m)
-            res = matrix_concentration_check(spec)
+            res = matrix_concentration_check(X, 0.0, 12.0, 2000, seed=61, stream=m)
             peaks[m] = central_band_peak(res.max_deviation_profile)
             rates[m] = res.violation_rate
         return peaks, rates

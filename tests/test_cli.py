@@ -231,6 +231,22 @@ def test_readme_command_lines_parse():
         parser.parse_args(argv[1:])
 
 
+def test_readme_python_example_runs(tmp_path, monkeypatch):
+    """The README's library example runs as written once the CLI line its
+    ``# after:`` comment names has written the data file it loads."""
+    root = Path(__file__).resolve().parent.parent
+    (block,) = re.findall(r"^```python\n(.*?)^```", (root / "README.md").read_text(),
+                          flags=re.M | re.S)
+    (after,) = re.findall(r"^# after: shufflegrad (.*)$", block, flags=re.M)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(shlex.split(after)) == 0
+    proc = subprocess.run(
+        [sys.executable, "-c", block], cwd=tmp_path, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_gen_without_out_is_usage_error(capsys):
     assert run_cli(["gen", "--m", "5", "--d", "2"]) == 2
     err = capsys.readouterr().err

@@ -26,9 +26,9 @@ SCRIPT = textwrap.dedent(
     assert ridge.strong_convexity > 0 and ridge.wstar.shape == (3,)
     for kind in ("absolute", "hinge"):
         p = sg.LipschitzLinearProblem(data, kind=kind, radius=6.0, alpha=0.05)
-        assert sg.reference_minimizer(p).shape == (3,)
+        assert p.wstar.shape == (3,)
         assert p.reference_gap <= 1e-13 * max(1.0, abs(p.fstar))
-    res = sg.matrix_concentration_check(sg.ConcentrationSpec(data.X, 0.0, 12.0, 20, seed=6))
+    res = sg.matrix_concentration_check(data.X, 0.0, 12.0, 20, seed=6)
     assert res.gamma > 0
 
     tmp = sys.argv[2]

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shufflegrad import (
-    ConcentrationSpec,
     Dataset,
     FiniteVectorClass,
     FixedStep,
@@ -22,14 +21,20 @@ from shufflegrad import (
     StronglyConvexStep,
     SVRGConfig,
     average_suboptimality_over_seeds,
+    batch_schedule,
     contraction_check,
+    enumerate_permutations,
     generate,
+    log_suboptimality_bound,
+    matrix_concentration_check,
     pairwise_mean,
     pairwise_sum,
-    reference_minimizer,
+    permutation_identity_check,
+    rademacher_estimate,
     run_distributed_svrg,
     run_svrg_over_streams,
     shuffle,
+    sqrt_sum_bound_scan,
 )
 from shufflegrad.errors import (
     DimensionMismatch,
@@ -61,7 +66,7 @@ class TestHandValues:
         assert p.full_objective([0.5, 0.0]) == pytest.approx(0.125, abs=1e-15)
 
     def test_exact_minimizer(self, unit_axes_problem):
-        w, f = unit_axes_problem.minimizer()
+        w, f = unit_axes_problem.wstar, unit_axes_problem.fstar
         assert np.allclose(w, [0.5, 0.0], atol=1e-12)
         assert f == pytest.approx(0.125, abs=1e-12)
 
@@ -188,8 +193,10 @@ NAN_PARAMETERS = {
     "GenSpec.noise": lambda: GenSpec(m=4, d=2, noise=NAN),
     "GenSpec.signal_norm": lambda: GenSpec(m=4, d=2, signal_norm=NAN),
     "LinearBallClass.radius": lambda: LinearBallClass(np.eye(2), NAN),
-    "ConcentrationSpec.shift": lambda: ConcentrationSpec(np.eye(2), NAN, 12.0, 1),
-    "ConcentrationSpec.alpha": lambda: ConcentrationSpec(np.eye(2), 0.0, NAN, 1),
+    "matrix_concentration_check.shift":
+        lambda: matrix_concentration_check(np.eye(2), NAN, 12.0, 1),
+    "matrix_concentration_check.alpha":
+        lambda: matrix_concentration_check(np.eye(2), 0.0, NAN, 1),
     "contraction_check.lipschitz": lambda: contraction_check(
         FiniteVectorClass(np.eye(2)), [abs, abs], NAN, (1, 1), 10),
 }
@@ -203,6 +210,13 @@ def test_nan_parameters_raise(make):
 
 SGD_1 = SGDConfig(n_steps=1, step_rule=FixedStep(0.1), radius=5.0)
 SVRG_1 = SVRGConfig(step_size=0.1, epoch_len=1, n_epochs=1)
+EYE_4 = FiniteVectorClass(np.eye(4))
+
+
+def zero_values(prefix):
+    return np.zeros(3)
+
+
 NON_INTEGER_COUNTS = {
     "SGDConfig.n_steps": lambda: SGDConfig(n_steps=2.5, step_rule=FixedStep(0.1), radius=1.0),
     "SVRGConfig.epoch_len": lambda: SVRGConfig(step_size=0.1, epoch_len=2.5, n_epochs=1),
@@ -217,6 +231,16 @@ NON_INTEGER_COUNTS = {
     "shuffle.m": lambda: shuffle(5.0, Rng(1)),
     "Rng.seed float": lambda: Rng(1.5),
     "Rng.seed str": lambda: Rng("7"),
+    "enumerate_permutations.m": lambda: enumerate_permutations(3.0),
+    "permutation_identity_check.t": lambda: permutation_identity_check(3, 1.5, zero_values),
+    "sqrt_sum_bound_scan.m_max": lambda: sqrt_sum_bound_scan(20.5),
+    "batch_schedule.epoch_len": lambda: batch_schedule([np.arange(4)], 2.0, 1),
+    "log_suboptimality_bound.epoch_len": lambda: log_suboptimality_bound(2.5, 2, 0.1),
+    "rademacher_estimate.split": lambda: rademacher_estimate(EYE_4, (2.0, 2), 10),
+    "contraction_check.mc_samples":
+        lambda: contraction_check(FiniteVectorClass(np.eye(2)), [abs, abs], 1.0, (1, 1), 10.5),
+    "matrix_concentration_check.trials":
+        lambda: matrix_concentration_check(np.eye(2), 0.0, 12.0, 2.5),
 }
 
 
@@ -238,6 +262,16 @@ def test_numpy_integer_counts_stay_legal():
     assert average_suboptimality_over_seeds(p, sgd, np.int64(2)).mean.shape == (3,)
     assert generate(GenSpec(m=np.int64(5), d=np.int64(2))).X.shape == (5, 2)
     assert sorted(shuffle(np.int64(5), Rng(np.int64(1), np.uint64(2)))) == list(range(5))
+    three, two = np.int64(3), np.int64(2)
+    assert len(list(enumerate_permutations(three))) == 6
+    assert permutation_identity_check(three, two, zero_values) == (0.0, 0.0)
+    assert sqrt_sum_bound_scan(np.int64(5)) <= 1.0
+    assert batch_schedule([np.arange(4)], two, one).tolist() == [[0, 1]]
+    assert log_suboptimality_bound(two, two, 0.1) == log_suboptimality_bound(2, 2, 0.1)
+    assert rademacher_estimate(EYE_4, (two, two), np.int64(10)).n_samples == 10
+    eye_2 = FiniteVectorClass(np.eye(2))
+    assert contraction_check(eye_2, [abs, abs], 1.0, (one, one), np.int64(10)).lhs.n_samples == 10
+    assert matrix_concentration_check(np.eye(2), 0.0, 12.0, two).violation_rate == 0.0
 
 
 def test_infinite_radius_stays_legal():
@@ -439,7 +473,7 @@ class TestLipschitzProblem:
         p = LipschitzLinearProblem(
             Dataset(X=np.ones((5, 1)), y=y), "absolute", radius=5.0
         )
-        w = reference_minimizer(p)
+        w = p.wstar
         assert abs(p.full_objective(w) - p.full_objective([0.1])) < 1e-10
 
     def test_reference_squared_equals_ridge(self):
@@ -530,7 +564,7 @@ class TestCertifiedReference:
         p = LipschitzLinearProblem(random_dataset(30, 3, seed=12, label_scale=0.9), "absolute",
                                    radius=8.0, alpha=0.05)
         with pytest.raises(InvalidParameter, match="did not reach"):
-            reference_minimizer(p, max_iter=20)
+            _certified_minimizer(p, problem_module.REFERENCE_TOL, 20)
 
 
 CERTIFY_BUDGET = 50_000  # iterations; alpha >= 0.01 draws took at most ~15k

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from shufflegrad import (
-    ConcentrationSpec,
     FiniteVectorClass,
     LinearBallClass,
-    RademacherSpec,
     Rng,
     central_band_peak,
     contraction_check,
@@ -103,29 +101,25 @@ class TestTernarySigns:
 
 class TestRademacherEstimate:
     def test_singleton_class_centers_on_zero(self):
-        spec = RademacherSpec(FiniteVectorClass([[1.0, 1.0]]), (1, 1), 50_000, seed=4)
-        est = rademacher_estimate(spec)
+        est = rademacher_estimate(FiniteVectorClass([[1.0, 1.0]]), (1, 1), 50_000, seed=4)
         assert abs(est.value) <= 3 * est.stderr
 
     def test_two_member_exact_enumeration(self):
         # Exact value by enumerating the 9 outcomes of (r1, r2).
         cls = FiniteVectorClass([[1.0, -1.0], [-1.0, 1.0]])
-        spec = RademacherSpec(cls, (1, 1), 200_000, seed=5)
-        p = spec.p
-        assert p == 0.25
+        p = 0.25  # s*u/(s+u)^2 at the split (1, 1)
         probs = {1: p, -1: p, 0: 1 - 2 * p}
         exact = sum(
             probs[a] * probs[b] * max(a - b, b - a)
             for a, b in itertools.product(probs, repeat=2)
         ) * (1.0 / 1 + 1.0 / 1)
         assert exact == pytest.approx(1.5)
-        est = rademacher_estimate(spec)
+        est = rademacher_estimate(cls, (1, 1), 200_000, seed=5)
         assert est.value == pytest.approx(exact, abs=3 * est.stderr)
 
     def test_linear_ball_closed_form_bound(self):
         X = unit_rows(100, 8, seed=6)
-        spec = RademacherSpec(LinearBallClass(X, 1.0), (50, 50), 10_000, seed=7)
-        est = rademacher_estimate(spec)
+        est = rademacher_estimate(LinearBallClass(X, 1.0), (50, 50), 10_000, seed=7)
         bound = linear_ball_bound(1.0, (50, 50))
         assert bound == pytest.approx(0.4, abs=1e-12)
         assert est.value <= bound + 3 * est.stderr
@@ -133,21 +127,18 @@ class TestRademacherEstimate:
     def test_rotation_invariance_with_shared_stream(self):
         X = unit_rows(40, 5, seed=8)
         rot, _ = np.linalg.qr(Rng(9, 0).normal(25).reshape(5, 5))
-        a = rademacher_estimate(RademacherSpec(LinearBallClass(X, 1.0), (20, 20), 4000, seed=10))
-        b = rademacher_estimate(
-            RademacherSpec(LinearBallClass(X @ rot.T, 1.0), (20, 20), 4000, seed=10)
-        )
+        a = rademacher_estimate(LinearBallClass(X, 1.0), (20, 20), 4000, seed=10)
+        b = rademacher_estimate(LinearBallClass(X @ rot.T, 1.0), (20, 20), 4000, seed=10)
         assert a.value == pytest.approx(b.value, abs=1e-10)
 
     def test_memory_stays_below_one_sign_matrix(self):
         # 0.11.0 drew all (2000, 2000) signs at once and peaked at about
         # three such float64 matrices (95.4 MiB); its estimate on this
-        # spec was 0.060030479375327045.
+        # input was 0.060030479375327045.
         X = unit_rows(2000, 5, seed=11)
-        spec = RademacherSpec(LinearBallClass(X, 1.0), (1000, 1000), 2000, seed=12)
         tracemalloc.start()
         try:
-            est = rademacher_estimate(spec)
+            est = rademacher_estimate(LinearBallClass(X, 1.0), (1000, 1000), 2000, seed=12)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -157,9 +148,9 @@ class TestRademacherEstimate:
     def test_split_validation(self):
         cls = FiniteVectorClass([[1.0, 2.0, 3.0]])
         with pytest.raises(InvalidParameter):
-            RademacherSpec(cls, (1, 1), 100)
+            rademacher_estimate(cls, (1, 1), 100)
         with pytest.raises(InvalidParameter):
-            RademacherSpec(cls, (0, 3), 100)
+            rademacher_estimate(cls, (0, 3), 100)
 
 
 class TestContraction:
@@ -234,7 +225,7 @@ class TestMatrixConcentration:
         # One-dimensional points all equal: every normalized matrix is the
         # same scalar, so all deviations vanish.
         X = np.ones((20, 1))
-        res = matrix_concentration_check(ConcentrationSpec(X, 0.0, 12.0, 50, seed=24))
+        res = matrix_concentration_check(X, 0.0, 12.0, 50, seed=24)
         assert res.gamma == pytest.approx(1.0)
         assert res.violation_rate == 0.0
         assert res.max_deviation_profile.max() == pytest.approx(0.0, abs=1e-12)
@@ -248,7 +239,7 @@ class TestMatrixConcentration:
 
     def test_violation_rate_bounded(self):
         X = unit_rows(100, 5, seed=26)
-        res = matrix_concentration_check(ConcentrationSpec(X, 0.0, 12.0, 300, seed=27))
+        res = matrix_concentration_check(X, 0.0, 12.0, 300, seed=27)
         assert res.violation_rate <= min(1.0, res.bound)
         assert res.violation_rate == 0.0  # alpha = 12 is far in the tail
 
@@ -257,20 +248,18 @@ class TestMatrixConcentration:
         X = unit_rows(10, 3, seed=30)
         X[7, 1] = bad
         with pytest.raises(InvalidParameter, match="must be finite"):
-            ConcentrationSpec(X, 0.0, 12.0, 10)
+            matrix_concentration_check(X, 0.0, 12.0, 10)
 
     def test_singular_shift_rejected(self):
         X = np.zeros((10, 3))
         with pytest.raises(SingularCurvature):
-            matrix_concentration_check(ConcentrationSpec(X, 0.0, 12.0, 10))
+            matrix_concentration_check(X, 0.0, 12.0, 10)
 
     def test_profile_shrinks_with_m(self):
         peaks = {}
         for m in (100, 400):
             X = unit_rows(m, 5, seed=28, stream=m)
-            res = matrix_concentration_check(
-                ConcentrationSpec(X, 0.0, 12.0, 300, seed=29, stream=m)
-            )
+            res = matrix_concentration_check(X, 0.0, 12.0, 300, seed=29, stream=m)
             peaks[m] = central_band_peak(res.max_deviation_profile)
         assert peaks[400] <= 0.75 * peaks[100]
 

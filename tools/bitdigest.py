@@ -27,6 +27,9 @@ if any does, else 0.
 
 The grid is small (a few seconds on one core) and fixed; extending it
 changes every later digest, so compare two trees with the same tool.
+When a public signature the grid calls changes, the one tool cannot run
+both trees: run each tree's own ``tools/bitdigest.py`` on its ``src``
+and ``diff`` the outputs.
 """
 
 from __future__ import annotations
@@ -365,13 +368,13 @@ def oracles_digest(sg):
         X /= np.linalg.norm(X, axis=1).max()
         split = (m // 2, m - m // 2)
         for cls in (cv, sg.LinearBallClass(X, 1.5)):
-            est = sg.rademacher_estimate(sg.RademacherSpec(cls, split, n, seed=71))
+            est = sg.rademacher_estimate(cls, split, n, seed=71)
             dig.add(est.value, est.stderr, est.n_samples)
         dig.add(*_paired_fields(sg.contraction_check(cv, [np.tanh] * m, 1.0, split, n, seed=72)))
         dig.add(*_paired_fields(sg.product_class_check(cv, cs, split, n, seed=73)))
     X = sg.Rng(74, 0).normal(60 * 3).reshape(60, 3)
     X /= np.linalg.norm(X, axis=1).max()
-    res = sg.matrix_concentration_check(sg.ConcentrationSpec(X, 0.05, 4.0, 20, seed=75))
+    res = sg.matrix_concentration_check(X, 0.05, 4.0, 20, seed=75)
     dig.add(res.violation_rate, res.bound, res.max_deviation_profile, res.thresholds,
             res.gamma, res.mean_matrix)
     return dig.hexdigest()
