@@ -183,20 +183,24 @@ def _scalar_loss(kind: str, z: np.ndarray, y: np.ndarray, out=None) -> np.ndarra
     raise InvalidParameter(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
 
 
+def _hinge_slope(z: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    slope = np.where(1.0 - y * z > 0.0, -y, 0.0)
+    if out is None:
+        return slope
+    out[...] = slope
+    return out
+
+
+_SLOPES = {"squared": np.subtract,
+           "absolute": lambda z, y, out=None: np.sign(np.subtract(z, y, out), out),
+           "hinge": _hinge_slope}
+
+
 def _scalar_slope(kind: str, z: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     """A subgradient of the scalar loss in z, written into ``out`` when
-    given.  At kinks the value 0 is used."""
-    if kind == "squared":
-        return np.subtract(z, y, out=out)
-    if kind == "absolute":
-        return np.sign(np.subtract(z, y, out=out), out=out)
-    if kind == "hinge":
-        slope = np.where(1.0 - y * z > 0.0, -y, 0.0)
-        if out is None:
-            return slope
-        out[...] = slope
-        return out
-    raise InvalidParameter(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    given.  At kinks the value 0 is used.  Each kind's writer sits in
+    ``_SLOPES``, which the SGD engine reads once per batch."""
+    return _SLOPES[kind](z, y, out)
 
 
 def _gram_form(X: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:

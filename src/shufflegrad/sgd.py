@@ -27,22 +27,26 @@ The update is rounded in the order of the SVRG inner step,
 
     w_{t+1} = (c_t * w_t) - x_i * (eta_t * s_t),   c_t = 1 - eta_t alpha,
 
-with s_t the loss slope at x_i . w_t; at alpha = 0, c_t is exactly 1,
-a no-op factor.  Projection scales only the rows whose norm exceeds the
-radius; one test per step, at every B, compares the largest norm (the
-row ``argmax`` picks, the first NaN if any) with the radius, so a NaN or
-overflowed row fails it like a row outside the ball.  Step t reads x_i
-and w_t from a row of one block buffer, plane 0 the gathered points and
-plane 1 the iterates, and writes w_{t+1} into the next row, whose two
-dots, x_{i'} . w_{t+1} for the next step and ||w_{t+1}||^2 for the
-projection test, come from one ``np.vecdot`` call (a projected row
-recomputes its pair).  The rate table eta_1..eta_T and
-the c_t come from one array call of the step rule, with the bits of
-calls at each t.  After each ``EVAL_BLOCK`` steps, one ``cumsum`` over
-the carried sum and the block's iterates gives S_t = w_1 + ... + w_t,
-added in step order like a running accumulator; the average iterate is
-S_t / t, and the averages are evaluated as one block, as are the
-losses; the regret is a cumulative sum along the step axis.
+with s_t the loss slope at x_i . w_t; at alpha = 0, c_t is exactly 1, a
+no-op factor.  As in ``svrg._drive``, each step call is a local taking
+``out`` positionally, on operands of one shape or a 0-d eta_t or c_t:
+x_i multiplies in place the column eta_t * s_t copied across a (B, d)
+buffer (IEEE products commute, so the bits are x_i * (eta_t * s_t)).
+Projection scales only the rows whose norm exceeds the radius; one test
+per step, at every B, compares the largest norm (the row ``argmax``
+picks, the first NaN if any) with the radius, so a NaN or overflowed
+row fails it like a row outside the ball.  Step t reads x_i and w_t
+from a row of one block buffer, plane 0 the gathered points and plane 1
+the iterates, and writes w_{t+1} into the next row, whose two dots,
+x_{i'} . w_{t+1} for the next step and ||w_{t+1}||^2 for the projection
+test, come from one ``np.vecdot`` call (a projected row recomputes its
+pair).  The rate table eta_1..eta_T and the c_t come from one array
+call of the step rule, with the bits of calls at each t.  After each
+``EVAL_BLOCK`` steps, one ``cumsum`` over the carried sum and the
+block's iterates gives S_t = w_1 + ... + w_t, added in step order like
+a running accumulator; the average iterate is S_t / t, and the averages
+are evaluated as one block, as are the losses; the regret is a
+cumulative sum along the step axis.
 
 A stream whose iterate norm becomes non-finite keeps running as NaNs
 until its chunk ends.  Then the lowest such stream's first non-finite
@@ -65,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameter
-from .problem import _in_ball, _scalar_loss, _scalar_slope
+from .problem import _SLOPES, _in_ball, _scalar_loss
 from .rng import Rng, _integer
 from .sampling import (
     SINGLE_SHUFFLE,
@@ -228,6 +232,8 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
     G = np.empty((B, d))
     slope = np.empty(B)
     slope_col = slope[:, None]
+    slope_of, sqrt = _SLOPES[kind], math.sqrt
+    multiply, subtract, vecdot = np.multiply, np.subtract, np.vecdot
     # views made once: buf[:, j], ZS[:, j] and the rows of each plane
     pairs, zs_pairs = list(buf.transpose(1, 0, 2, 3)), list(ZS.transpose(1, 0, 2))
     x_rows, w_rows, z_rows, sq_rows = list(P), list(W), list(ZS[0]), list(ZS[1])
@@ -252,16 +258,17 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
                         [rates[t, ...] for t in range(lo, lo + n)],
                         [shrinks[t, ...] for t in range(lo, lo + n)])
             for t, x, w, w_next, pair, zs_next, z, sq, yc, rate, shrink in steps:
-                _scalar_slope(kind, z, yc, out=slope)
-                np.multiply(slope, rate, out=slope)
-                np.multiply(x, slope_col, out=G)
-                np.multiply(w, shrink, out=w_next)
-                np.subtract(w_next, G, out=w_next)
+                slope_of(z, yc, slope)
+                multiply(slope, rate, slope)
+                G[...] = slope_col  # so that x * G has operands of one shape
+                multiply(x, G, G)
+                multiply(w, shrink, w_next)
+                subtract(w_next, G, w_next)
                 # x_{t+1} . w_{t+1} and ||w_{t+1}||^2 in one call
-                np.vecdot(pair, w_next, out=zs_next)
+                vecdot(pair, w_next, zs_next)
                 # sqrt is monotone: a row to project or a non-finite row fails;
                 # argmax returns the first NaN, which fails any comparison.
-                if not math.sqrt(sq[sq.argmax()]) <= limit:
+                if not sqrt(sq[sq.argmax()]) <= limit:
                     norm = np.sqrt(sq)
                     first_bad[(first_bad == 0) & ~np.isfinite(norm)] = t
                     over = norm > radius

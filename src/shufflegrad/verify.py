@@ -142,7 +142,11 @@ class LinearBallClass:
 def _split_sizes(split, length: int, mc_samples) -> tuple[int, int, int]:
     """(s, u, mc_samples) as ints: a split of ``length`` coordinates into
     two integer sizes >= 1, and an integer sample count >= 2."""
-    s, u = (_integer(n, "both split sizes must be integers >= 1", 1) for n in split)
+    try:
+        s, u = split
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"split must be a pair of sizes (s, u), got {split!r}") from None
+    s, u = (_integer(n, "both split sizes must be integers >= 1", 1) for n in (s, u))
     if s + u != length:
         raise InvalidParameter(f"split {s}+{u} must cover the class coordinate length {length}")
     return s, u, _integer(mc_samples, "mc_samples must be an integer >= 2", 2)

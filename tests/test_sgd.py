@@ -90,14 +90,14 @@ def reference_sgd(problem, config, indices, reference=None):
 
 
 @pytest.mark.parametrize("T", [1, 37, EVAL_BLOCK, 2 * EVAL_BLOCK + 37])
-@pytest.mark.parametrize("kind", ["ridge", "absolute"])
+@pytest.mark.parametrize("kind", ["ridge", "absolute", "hinge"])
 def test_run_matches_per_step_oracle(T, kind):
     data = random_dataset(120, 3, seed=T)
     if kind == "ridge":
         problem, reference = RidgeProblem(data, alpha=0.1), None
         rule = StronglyConvexStep(0.1)
-    else:  # the comparator is given: no reference solve for the kinked loss
-        problem = LipschitzLinearProblem(data, "absolute", radius=2.0, alpha=0.05)
+    else:  # the comparator is given: no reference solve for the kinked losses
+        problem = LipschitzLinearProblem(data, kind, radius=2.0, alpha=0.05)
         reference, rule = np.full(3, 0.1), InverseSqrtStep(0.5)
     cfg = SGDConfig(n_steps=T, step_rule=rule, radius=2.0)
     sigma = Rng(T, 1).below(np.full(T, problem.m, dtype=np.uint64))

@@ -19,6 +19,7 @@ from shufflegrad import (
     sqrt_sum_bound_scan,
 )
 from shufflegrad.errors import DimensionMismatch, InvalidParameter, SingularCurvature
+from shufflegrad import verify as verify_module
 from shufflegrad.verify import normalized_outer_products, spectral_norms, ternary_signs
 from conftest import random_ridge
 
@@ -218,6 +219,23 @@ def test_paired_checks_stay_below_one_sign_matrix():
     for name, (cmp, lhs, rhs, gap) in pinned.items():
         got = (cmp.lhs.value, cmp.rhs.value, cmp.gap)
         assert got == pytest.approx((lhs, rhs, gap), rel=1e-12, abs=0), name
+
+
+@pytest.mark.parametrize("split", [(1, 1, 1), (3,), 3], ids=["triple", "single", "bare"])
+@pytest.mark.parametrize("oracle", ["rademacher", "contraction", "product"])
+def test_a_split_that_is_not_a_pair_is_rejected_before_any_draw(monkeypatch, oracle, split):
+    def no_stream(*args):
+        raise AssertionError("a sign stream was opened")
+
+    monkeypatch.setattr(verify_module, "Rng", no_stream)
+    cls = FiniteVectorClass(np.eye(3))
+    calls = {
+        "rademacher": lambda: rademacher_estimate(cls, split, 10),
+        "contraction": lambda: contraction_check(cls, [abs] * 3, 1.0, split, 10),
+        "product": lambda: product_class_check(cls, cls, split, 10),
+    }
+    with pytest.raises(InvalidParameter, match="pair of sizes"):
+        calls[oracle]()
 
 
 class TestMatrixConcentration:
