@@ -16,15 +16,18 @@ bools or floats, a subset 1-D (an empty one reads no rows).
 
 Mean reduction order
 --------------------
-``full_objective``, and ``full_gradient`` of the Lipschitz losses,
-reduce per-point terms with an index-ascending balanced pairwise tree
-(:func:`pairwise_sum`): level 0 pairs elements (0,1), (2,3), ...; an odd
-trailing element passes to the next level unchanged; levels repeat until
-one value remains.  ``full_objective`` reduces the data losses alone and
-adds the regularizer (alpha/2)||w||^2 to their mean, F(w) =
-pairwise_mean(loss_i) + (alpha/2)||w||^2, one rounding of the
-regularizer per point w rather than one per loss.  The ridge gradient
-needs no reduction over points:
+``full_objective`` sums each row's data losses with ``np.add.reduce``
+along the row, numpy's pairwise summation: the sum starts from +0.0; a
+row of fewer than 8 terms is added in sequence; a row of up to 128 terms
+runs eight accumulators r_j over the elements j, j+8, ..., combined as
+((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the remainder past the last
+multiple of 8 is then added in sequence; a longer row is split at n//2,
+rounded down to a multiple of 8, and the halves' sums are added.  The
+order holds for a row with contiguous elements only; an F-ordered block
+is reduced in another order.  ``full_objective`` divides the sum by m
+and adds the regularizer (alpha/2)||w||^2 after, F(w) = sum(loss_i)/m +
+(alpha/2)||w||^2, one rounding of the regularizer per point w rather
+than one per loss.  The ridge gradient needs no reduction over points:
 it is exactly ``hessian @ w - b`` with the cached Hessian and right-hand
 side b = (1/m) X^T y, an O(d^2) evaluation.  The distributed simulation's
 reduced anchor, the shard-weighted sum of local Gram forms, equals it by
@@ -58,8 +61,8 @@ On the SkylakeX and Sandybridge OpenBLAS kernels, full GEMM tiles keep
 each row's bits independent of the block's size and of the row's place
 in it, and the folded -y term rounds as the separate subtraction does.
 So every row has the bits of its one-point call, whose predictions at m
-a multiple of 8 are ``(np.stack([w, w]) @ X.T)[0]``, and goes through the
-same pairwise tree.  The ridge curvature form uses stacked products,
+a multiple of 8 are ``(np.stack([w, w]) @ X.T)[0]``, and is summed in the
+same order.  The ridge curvature form uses stacked products,
 ``H @ D[:, :, None]`` and ``D[:, None, :] @ Q``, one gemv and one dot per
 row, as the one-point ``H @ dw`` and ``dw @ q`` do.  Both rest on how numpy and OpenBLAS
 dispatch products, not on IEEE arithmetic, so the tests check them row
@@ -113,25 +116,6 @@ def _check_features(X: np.ndarray, y: np.ndarray | None = None) -> None:
     nmax = max_row_norm(X)
     if nmax > 1.0 + NORM_SLACK:
         raise InvalidParameter(f"feature norms must be <= 1 (max is {nmax:.6g})")
-
-
-def pairwise_sum(values: np.ndarray) -> np.ndarray:
-    """Sum along axis 0 with the documented index-ascending pairwise tree."""
-    s = np.asarray(values, dtype=np.float64)
-    if s.shape[0] == 0:
-        return np.zeros(s.shape[1:])
-    while s.shape[0] > 1:
-        half = s.shape[0] // 2
-        paired = s[0 : 2 * half : 2] + s[1 : 2 * half : 2]
-        if s.shape[0] % 2:
-            paired = np.concatenate([paired, s[-1:]], axis=0)
-        s = paired
-    return s[0]
-
-
-def pairwise_mean(values: np.ndarray) -> np.ndarray:
-    n = np.asarray(values).shape[0]
-    return pairwise_sum(values) / n
 
 
 @dataclass(frozen=True)
@@ -211,7 +195,7 @@ def _gram_form(X: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, 
 
 
 class _LinearPredictionProblem:
-    """Shared machinery: per-point losses/gradients and the pairwise objective."""
+    """Shared machinery: per-point losses/gradients and the mean objective."""
 
     kind: str
 
@@ -275,13 +259,14 @@ class _LinearPredictionProblem:
         return np.take(self.data.X, idx, axis=0), np.take(self.data.y, idx)
 
     def full_objective(self, w):
-        """F(w): pairwise mean of the data losses, ascending index order,
-        plus the regularizer (alpha/2)||w||^2.
+        """F(w): the data losses summed in numpy's pairwise order (see
+        "Mean reduction order") and divided by m, plus the regularizer
+        (alpha/2)||w||^2.
 
         A block of rows gives one value per row (see "Blocks of points").
         The predictions come from a matrix product and the regularizer is
-        added once, after the tree, so F(w) may differ from
-        ``pairwise_mean(point_losses(w))`` in its last bits.
+        added once, after the sum, so F(w) may differ from
+        ``np.add.reduce(point_losses(w)) / m`` in its last bits.
         """
         W, single = self._check_block(w)
         n, d = W.shape
@@ -310,7 +295,7 @@ class _LinearPredictionProblem:
                 losses = _residual_loss(self.kind, z, out=z)
             else:
                 losses = _scalar_loss(self.kind, z, y, out=z)
-            out[lo : lo + rows] = pairwise_mean(losses.T)
+            out[lo : lo + rows] = np.add.reduce(losses, axis=1) / m
         out += 0.5 * self.alpha * np.vecdot(W, W)
         return float(out[0]) if single else out
 
@@ -451,10 +436,6 @@ class LipschitzLinearProblem(_LinearPredictionProblem):
         """Duality gap F(wstar) - D(a), a proven bound on F(wstar) - F*
         over the ball; at most 1e-13 max(1, |fstar|) for the kinked kinds."""
         return self._reference[2]
-
-    def full_gradient(self, w) -> np.ndarray:
-        """A subgradient of F: pairwise mean of point gradients, ascending order."""
-        return pairwise_mean(self.point_gradient_rows(w))
 
 
 def _certified_minimizer(problem, tol, max_iter):

@@ -139,14 +139,19 @@ class LinearBallClass:
         return self.radius * np.linalg.norm(r @ self.X, axis=1)
 
 
-def _split_sizes(split, length: int, mc_samples) -> tuple[int, int, int]:
-    """(s, u, mc_samples) as ints: a split of ``length`` coordinates into
-    two integer sizes >= 1, and an integer sample count >= 2."""
+def _split_pair(split) -> tuple[int, int]:
+    """(s, u) as ints: a pair of integer split sizes, each >= 1."""
     try:
         s, u = split
     except (TypeError, ValueError):
         raise InvalidParameter(f"split must be a pair of sizes (s, u), got {split!r}") from None
-    s, u = (_integer(n, "both split sizes must be integers >= 1", 1) for n in (s, u))
+    return tuple(_integer(n, "both split sizes must be integers >= 1", 1) for n in (s, u))
+
+
+def _split_sizes(split, length: int, mc_samples) -> tuple[int, int, int]:
+    """(s, u, mc_samples) as ints: a split of ``length`` coordinates into
+    two integer sizes >= 1, and an integer sample count >= 2."""
+    s, u = _split_pair(split)
     if s + u != length:
         raise InvalidParameter(f"split {s}+{u} must cover the class coordinate length {length}")
     return s, u, _integer(mc_samples, "mc_samples must be an integer >= 2", 2)
@@ -212,8 +217,11 @@ def rademacher_estimate(
 
 
 def linear_ball_bound(radius: float, split: tuple[int, int]) -> float:
-    """Closed-form complexity bound sqrt(2) * radius * (1/sqrt(s) + 1/sqrt(u))."""
-    s, u = split
+    """Closed-form complexity bound sqrt(2) * radius * (1/sqrt(s) + 1/sqrt(u))
+    for a radius > 0 and a pair of integer split sizes >= 1."""
+    if not radius > 0:
+        raise InvalidParameter(f"radius must be > 0, got {radius!r}")
+    s, u = _split_pair(split)
     return math.sqrt(2.0) * radius * (1.0 / math.sqrt(s) + 1.0 / math.sqrt(u))
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shufflegrad import Dataset, RidgeProblem, Rng, pairwise_mean
+from shufflegrad import Dataset, RidgeProblem, Rng
 from shufflegrad.errors import DataFormatError
 
 
@@ -36,11 +36,53 @@ POINT_LOSSES = {
 
 
 def straight_objective(problem, w):
-    """F(w) as the pairwise-tree mean of the data losses plus the regularizer;
-    the predictions are the first row of the two-row product [w, w] @ X^T."""
+    """F(w) as the sum of the data losses over m plus the regularizer; the
+    predictions are the first row of the two-row product [w, w] @ X^T, and
+    the contiguous loss vector is summed by ``np.add.reduce``."""
     z = (np.stack([w, w]) @ problem.data.X.T)[0]
     losses = POINT_LOSSES[problem.kind](z, problem.data.y)
-    return float(pairwise_mean(losses)) + 0.5 * problem.alpha * float(w @ w)
+    return float(np.add.reduce(losses) / problem.m) + 0.5 * problem.alpha * float(w @ w)
+
+
+def straight_row_sum(row):
+    """The sum of one contiguous row in numpy's documented pairwise order
+    (README, "Mean objectives"): one float addition at a time."""
+    def pairwise(a):
+        n = len(a)
+        if n < 8:
+            total = 0.0
+            for t in a:
+                total += t
+            return total
+        if n <= 128:
+            r = a[:8]
+            tail = n - n % 8
+            for i in range(8, tail, 8):
+                r = [r[j] + a[i + j] for j in range(8)]
+            total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            for t in a[tail:]:
+                total += t
+            return total
+        half = n // 2 - n // 2 % 8
+        return pairwise(a[:half]) + pairwise(a[half:])
+
+    return 0.0 + pairwise([float(t) for t in row])
+
+
+def numpy_sum_depth(n):
+    """The most additions any term of an n-term row passes through in
+    ``straight_row_sum``'s order: Higham's tree depth for that order."""
+    if n < 8:
+        return max(n - 1, 0)
+    if n <= 128:
+        return n // 8 - 1 + 3 + n % 8
+    half = n // 2 - n // 2 % 8
+    return 1 + max(numpy_sum_depth(half), numpy_sum_depth(n - half))
+
+
+def fsum_row_mean(rows):
+    """The mean over axis 0 of a 2-D array, each column summed by ``math.fsum``."""
+    return np.array([math.fsum(column) for column in rows.T]) / rows.shape[0]
 
 
 def straight_suboptimality(problem, w):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,10 @@ from shufflegrad import (
 )
 from shufflegrad import distributed
 from shufflegrad.distributed import BROADCAST, REDUCE
-from shufflegrad.problem import _gram_form, pairwise_mean, pairwise_sum
+from shufflegrad.problem import _gram_form
 from shufflegrad.errors import BatchesExhausted, DivergenceError, InvalidParameter
 from shufflegrad.svrg import AUX_STREAM_BIT
-from conftest import random_dataset, random_ridge
+from conftest import fsum_row_mean, random_dataset, random_ridge
 
 
 class TestPartition:
@@ -154,7 +156,7 @@ class TestDivergence:
 
 class TestLocalOperators:
     """Each machine's local mean gradient in Gram form, H_j w - b_j,
-    against the pairwise mean of its local gradient rows, and their
+    against the mean of its local gradient rows, and their
     shard-weighted combine against the full gradient, to rounding: the
     identity by which the reduce round's anchor is ``full_gradient``."""
 
@@ -167,7 +169,7 @@ class TestLocalOperators:
                 local = np.sort(shard)
                 H, b = _gram_form(*p._rows(local), p.alpha)
                 w = (1.0 + trial) * rng.normal(p.d)
-                rows = pairwise_mean(p.point_gradient_rows(w, local))
+                rows = fsum_row_mean(p.point_gradient_rows(w, local))
                 tol = 1e-14 * (1.0 + np.linalg.norm(w))
                 assert np.abs((H @ w - b) - rows).max() <= tol
 
@@ -182,7 +184,7 @@ class TestLocalOperators:
             for shard in shards:
                 H, b = _gram_form(*p._rows(np.sort(shard)), p.alpha)
                 parts.append(len(shard) / p.m * (H @ w - b))
-            combined = pairwise_sum(np.stack(parts))
+            combined = np.array([math.fsum(column) for column in zip(*parts)])
             tol = 1e-14 * (1.0 + np.linalg.norm(w))
             assert np.abs(combined - p.full_gradient(w)).max() <= tol
 

@@ -27,8 +27,6 @@ from shufflegrad import (
     generate,
     log_suboptimality_bound,
     matrix_concentration_check,
-    pairwise_mean,
-    pairwise_sum,
     permutation_identity_check,
     rademacher_estimate,
     run_distributed_svrg,
@@ -44,7 +42,15 @@ from shufflegrad.errors import (
 )
 from shufflegrad import problem as problem_module
 from shufflegrad.problem import LOSS_CHUNK, _admm, _certified_minimizer, _dual_objective
-from conftest import random_dataset, random_ridge, straight_objective, straight_suboptimality
+from conftest import (
+    fsum_row_mean,
+    numpy_sum_depth,
+    random_dataset,
+    random_ridge,
+    straight_objective,
+    straight_row_sum,
+    straight_suboptimality,
+)
 
 
 class TestHandValues:
@@ -363,8 +369,8 @@ class TestGradientOracle:
 
 
 class TestGramGradient:
-    """The ridge gradient H w - b agrees with the pairwise mean of the
-    per-point gradient rows to rounding."""
+    """The ridge gradient H w - b agrees with the mean of the per-point
+    gradient rows to rounding."""
 
     def test_matches_pairwise_row_mean(self):
         rng = Rng(79, 0)
@@ -372,7 +378,7 @@ class TestGramGradient:
             m, d = 20 + 37 * trial, 1 + trial % 9
             p = random_ridge(m, d, seed=100 + trial, alpha=0.05 + 0.1 * (trial % 4))
             w = (1.0 + trial) * rng.normal(d)
-            rows = pairwise_mean(p.point_gradient_rows(w))
+            rows = fsum_row_mean(p.point_gradient_rows(w))
             gram = p.full_gradient(w)
             tol = 1e-14 * (1.0 + np.linalg.norm(w))
             assert np.abs(gram - rows).max() <= tol
@@ -415,31 +421,39 @@ class TestQuadraticStructure:
             assert gap <= mu / 2 * dist2 + 1e-10
 
 
-class TestPairwiseReduction:
-    def test_matches_fsum(self):
-        rng = Rng(8, 0)
-        for n in [1, 2, 3, 5, 8, 13, 100, 1001]:
-            v = rng.normal(n)
-            assert pairwise_sum(v) == pytest.approx(math.fsum(v), rel=1e-14, abs=1e-14)
+SUM_ORDER_LENGTHS = [*range(1, 10), 127, 128, 129, 255, 256, 1999, 2000, 8193, 100_003]
 
-    def test_documented_tree_small(self):
-        # ((a+b) + (c+d)) for four elements; ((a+b) + c) for three.
-        a, b, c, d = 0.1, 0.2, 0.3, 0.4
-        assert pairwise_sum(np.array([a, b, c, d])) == (a + b) + (c + d)
-        assert pairwise_sum(np.array([a, b, c])) == (a + b) + c
 
-    def test_axis0_on_matrices(self):
-        rng = Rng(9, 0)
-        rows = rng.normal(12).reshape(6, 2)
-        out = pairwise_mean(rows)
-        assert out.shape == (2,)
-        assert np.allclose(out, rows.mean(axis=0), rtol=1e-14)
+class TestNumpySumOrder:
+    """``np.add.reduce`` along a contiguous row sums in the order that
+    README documents and ``straight_row_sum`` ports, bit for bit; a numpy
+    release that moves the order fails here instead of moving F."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=64))
-    def test_close_to_numpy_sum(self, values):
-        v = np.array(values)
-        assert pairwise_sum(v) == pytest.approx(float(np.sum(v)), rel=1e-12, abs=1e-9)
+    @pytest.mark.parametrize("n", SUM_ORDER_LENGTHS)
+    def test_rows_match_the_port(self, n):
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
+        assert np.add.reduce(v).tobytes() == np.float64(straight_row_sum(v)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 129])
+    def test_signed_zeros(self, n):
+        rng = np.random.default_rng(n)
+        for v in (np.full(n, -0.0), rng.choice([0.0, -0.0], size=n),
+                  np.where(rng.random(n) < 0.5, -0.0, rng.standard_normal(n))):
+            assert np.add.reduce(v).tobytes() == np.float64(straight_row_sum(v)).tobytes()
+
+    @pytest.mark.parametrize("m", [5, 8, 127, 129, 2000, 8193])
+    def test_padded_block_rows(self, m):
+        """The rows of a (rows, m + 8)[:, :m] view, as ``full_objective``
+        reduces its padded products."""
+        rng = np.random.default_rng(m)
+        block = np.abs(rng.standard_normal((5, m + 8)))[:, :m]
+        sums = np.add.reduce(block, axis=1)
+        for k in range(5):
+            assert sums[k].tobytes() == np.float64(straight_row_sum(block[k])).tobytes()
+
+    def test_depths(self):
+        assert [numpy_sum_depth(m) for m in (1, 5, 61, 400, 2000)] == [0, 4, 14, 17, 22]
 
 
 class TestLipschitzProblem:
@@ -721,18 +735,18 @@ def objective_rounding_bound(p, w):
       s_i = sum_k |x_ik w_k|, so the loss moves by at most L_i gamma_d s_i,
       L_i its Lipschitz constant between z^_i and z_i.
     * Loss, the standard model (2.4), one rounding per operation: e_i below.
-    * The pairwise tree of the losses then the division by m, §4.2 (4.6)
-      and Lemma 3.3: gamma_{h+1} times the mean loss, h = ceil(log2 m) the
-      tree's depth.
+    * numpy's pairwise sum of the losses then the division by m, §4.2
+      (4.6) and Lemma 3.3: gamma_{D+1} times the mean loss, D =
+      ``numpy_sum_depth(m)`` the most additions any loss passes through.
     * The regularizer rho = (alpha/2)||w||^2, gamma_{d+1} rho, and its sum
       with the mean, u.  The same terms bound the sum of loss and
-      regularizer per point before the tree, as ``point_losses`` adds them.
+      regularizer per point before the sum, as ``point_losses`` adds them.
 
     Two evaluations that differ only in how they sum the dot products are
     each within this bound of F(w), so they are within twice it of each
     other.  The prediction term alone is not a bound on their difference:
     rounding is not Lipschitz, so predictions a few ulps apart may round a
-    loss, or a partial sum of the tree, to neighbouring floats.
+    loss, or a partial sum, to neighbouring floats.
     """
     X, y = p.data.X, p.data.y
     d, m = p.d, p.m
@@ -750,9 +764,9 @@ def objective_rounding_bound(p, w):
         lip, loss, e = r, 0.5 * r * r, gamma(3) * 0.5 * r * r
     rho = 0.5 * p.alpha * float(w @ w)
     upper = (loss + e + (1 + gamma(d + 1)) * rho) * (1 + UNIT_ROUNDOFF)  # >= each computed loss
-    h = math.ceil(math.log2(m)) if m > 1 else 0
+    depth = numpy_sum_depth(m)
     per_point = lip * gamma(d) * s + e + gamma(d + 1) * rho + gamma(1) * upper
-    return 2 * (np.mean(per_point) + gamma(h + 1) * np.mean(upper))
+    return 2 * (np.mean(per_point) + gamma(depth + 1) * np.mean(upper))
 
 
 @settings(max_examples=60, deadline=None)
@@ -770,5 +784,5 @@ def test_objective_differs_from_point_losses_only_by_rounding(kind, m, d, seed):
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((8, d)) * 10.0 ** rng.integers(-6, 4, size=(8, 1))
     for w, value in zip(W, p.full_objective(W)):
-        gemv_value = float(pairwise_mean(p.point_losses(w)))
+        gemv_value = float(np.add.reduce(p.point_losses(w)) / m)
         assert abs(value - gemv_value) <= objective_rounding_bound(p, w)

@@ -238,6 +238,19 @@ def test_a_split_that_is_not_a_pair_is_rejected_before_any_draw(monkeypatch, ora
         calls[oracle]()
 
 
+@pytest.mark.parametrize("split", [(0, 3), (-1, 4), (1, 1, 1), 3, (2.0, 2)],
+                         ids=["zero", "negative", "triple", "bare", "float"])
+def test_linear_ball_bound_rejects_a_bad_split(split):
+    with pytest.raises(InvalidParameter, match="split"):
+        linear_ball_bound(1.0, split)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+def test_linear_ball_bound_rejects_a_radius_not_above_zero(radius):
+    with pytest.raises(InvalidParameter, match="radius"):
+        linear_ball_bound(radius, (2, 2))
+
+
 class TestMatrixConcentration:
     def test_identical_summands_never_deviate(self):
         # One-dimensional points all equal: every normalized matrix is the
