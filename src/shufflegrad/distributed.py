@@ -115,19 +115,35 @@ def _batches(order: np.ndarray, starts: list[int], epoch_len: int) -> np.ndarray
     return order[rows].astype(np.int64, copy=False)
 
 
+def _shard_order(shards, m: int | None = None) -> tuple[np.ndarray, list[int]]:
+    """The concatenated int64 shards and their sizes, once every shard
+    passes :func:`.sampling.explicit_indices` and together they hold each
+    of the m points exactly once (m defaults to their total length): the
+    one check of explicit shards."""
+    if m is None:
+        m = sum(np.size(shard) for shard in shards)
+    shards = [explicit_indices(shard, m, name=f"shard {j}") for j, shard in enumerate(shards)]
+    order = np.concatenate(shards) if shards else np.empty(0, dtype=np.int64)
+    if not (shards and is_permutation(order, m)):
+        raise InvalidParameter(f"shards must hold each of the {m} points exactly once")
+    return order, [len(shard) for shard in shards]
+
+
 def batch_schedule(shards: list[np.ndarray], epoch_len: int, n_epochs: int) -> np.ndarray:
     """The (n_epochs, epoch_len) int64 index schedule: row s is the batch
     consumed at epoch s, machines in order, each machine's consecutive
     full batches of ``epoch_len`` local indices in local order (see
-    :func:`_batch_starts`)."""
-    starts = _batch_starts([len(shard) for shard in shards], epoch_len, n_epochs)
-    order = np.concatenate(shards) if shards else np.empty(0, dtype=np.int64)
-    return _batches(order, starts, epoch_len)
+    :func:`_batch_starts`).  Shards that do not hold each of their points
+    exactly once raise ``InvalidParameter`` (``IndexOutOfRange`` for an
+    index outside the points), as in :func:`run_distributed_svrg`."""
+    order, sizes = _shard_order(shards)
+    return _batches(order, _batch_starts(sizes, epoch_len, n_epochs), epoch_len)
 
 
 def matched_permutation(shards: list[np.ndarray], epoch_len: int, n_epochs: int) -> np.ndarray:
     """Single-machine index order that replays a distributed run exactly:
-    the consumed batches in consumption order, then everything else."""
+    the consumed batches in consumption order, then everything else.  The
+    shards are checked as in :func:`batch_schedule`."""
     consumed = batch_schedule(shards, epoch_len, n_epochs).ravel()
     rest_mask = np.ones(sum(len(shard) for shard in shards), dtype=bool)
     rest_mask[consumed] = False
@@ -159,17 +175,13 @@ def run_distributed_svrg(
     if shards is None:
         starts = _batch_starts(_block_sizes(problem.m, n_machines), T, S)
         rng = Rng(config.seed, config.stream ^ AUX_STREAM_BIT)
-        prefix = SingleShuffleSampler(problem.m, rng).take(starts[-1] + T)
-        indices = _batches(prefix, starts, T)
+        order = SingleShuffleSampler(problem.m, rng).take(starts[-1] + T)
     else:
-        shards = [explicit_indices(shard, problem.m, name=f"shard {j}")
-                  for j, shard in enumerate(shards)]
-        if not (shards and is_permutation(np.concatenate(shards), problem.m)):
-            raise InvalidParameter(f"shards must hold each of the {problem.m} points exactly once")
-        if len(shards) != _integer(n_machines, "the machine count must be an integer", None):
-            raise InvalidParameter(f"expected {n_machines} shards, got {len(shards)}")
-        indices = batch_schedule(shards, T, S)
-    trace = _drive(problem, config, indices)
+        order, sizes = _shard_order(shards, problem.m)
+        if len(sizes) != _integer(n_machines, "the machine count must be an integer", None):
+            raise InvalidParameter(f"expected {n_machines} shards, got {len(sizes)}")
+        starts = _batch_starts(sizes, T, S)
+    trace = _drive(problem, config, _batches(order, starts, T))
     messages = n_machines * S  # of each kind: one per machine and epoch
     return trace, CommLog(rounds=2 * S, payload_floats=2 * messages * problem.d,
                           messages_by_kind={REDUCE: messages, BROADCAST: messages})

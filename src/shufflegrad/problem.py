@@ -6,9 +6,10 @@ per-point losses.  Two concrete problem types are provided:
 * :class:`RidgeProblem` for the regularized squared loss
   f_i(w) = (1/2)(<w, x_i> - y_i)^2 + (alpha/2)||w||^2, with its exact
   minimizer, curvature constants and a fast suboptimality evaluation.
-* :class:`LipschitzLinearProblem` for convex Lipschitz losses of the
-  prediction <w, x_i> (absolute, hinge, or squared), restricted to a
-  Euclidean ball of given radius.
+* :class:`LipschitzLinearProblem` for the convex Lipschitz losses of the
+  prediction <w, x_i>, absolute and hinge, restricted to a Euclidean
+  ball of given radius, with a reference minimizer that ADMM certifies
+  by a duality gap.  The squared loss is :class:`RidgeProblem`'s alone.
 
 A point index ``i`` and an ``indices`` row subset pass the package's one
 index check, :func:`.sampling.explicit_indices`: integers in [0, m), no
@@ -175,16 +176,12 @@ def _hinge_slope(z: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+# Per kind, a subgradient of the scalar loss in z, written into ``out``
+# when given; at kinks the value 0 is used.  The SGD engine reads a kind's
+# writer once per batch.
 _SLOPES = {"squared": np.subtract,
            "absolute": lambda z, y, out=None: np.sign(np.subtract(z, y, out), out),
            "hinge": _hinge_slope}
-
-
-def _scalar_slope(kind: str, z: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
-    """A subgradient of the scalar loss in z, written into ``out`` when
-    given.  At kinks the value 0 is used.  Each kind's writer sits in
-    ``_SLOPES``, which the SGD engine reads once per batch."""
-    return _SLOPES[kind](z, y, out)
 
 
 def _gram_form(X: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -250,7 +247,7 @@ class _LinearPredictionProblem:
         w = self._check_w(w)
         X, y = self._rows(indices)
         z = X @ w
-        return _scalar_slope(self.kind, z, y)[:, None] * X + self.alpha * w
+        return _SLOPES[self.kind](z, y)[:, None] * X + self.alpha * w
 
     def _rows(self, indices):
         if indices is None:
@@ -380,27 +377,25 @@ class LipschitzLinearProblem(_LinearPredictionProblem):
     """Convex Lipschitz loss of a linear prediction on a Euclidean ball.
 
     f_i(w) = loss(<w, x_i>; y_i) + (alpha/2)||w||^2 with
-    loss in {absolute, hinge, squared}, iterates restricted to
-    ||w|| <= radius.
+    loss in {absolute, hinge}, iterates restricted to ||w|| <= radius.
+    The regularized squared loss is :class:`RidgeProblem`, which has an
+    exact minimizer; a ``kind`` of "squared" raises ``InvalidParameter``.
 
     Derived constants:
 
     * ``lipschitz``: bound on |loss'(z)| over the reachable predictions
-      z in [-radius, radius] (absolute: 1; hinge: max|y|; squared:
-      radius + max|y|).
+      z in [-radius, radius] (absolute: 1; hinge: max|y|).
     * ``grad_bound``: sup of ||grad f_i(w)|| over the ball,
       lipschitz + alpha * radius.
     * ``loss_bound``: sup of |f_i(w)| over the ball (the value-range
       constant; distinct from the ball radius, which some analyses also
       call B).
-    * ``smoothness``: second-derivative bound of the scalar loss plus
-      alpha; only the squared kind is smooth (1 + alpha), the kinked
-      kinds report None.
     """
 
     def __init__(self, data: Dataset, kind: str, radius: float, alpha: float = 0.0):
-        if kind not in LOSS_KINDS:
-            raise InvalidParameter(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+        if kind not in ("absolute", "hinge"):
+            raise InvalidParameter(f"unknown loss kind {kind!r}; expected 'absolute' or 'hinge' "
+                                   "(the squared loss is RidgeProblem)")
         if not radius > 0:
             raise InvalidParameter("radius must be positive")
         super().__init__(data, alpha)
@@ -409,13 +404,10 @@ class LipschitzLinearProblem(_LinearPredictionProblem):
         ymax = float(np.abs(data.y).max())
         if kind == "absolute":
             self.lipschitz, raw = 1.0, R + ymax
-        elif kind == "hinge":
-            self.lipschitz, raw = ymax, 1.0 + ymax * R
         else:
-            self.lipschitz, raw = R + ymax, 0.5 * (R + ymax) ** 2
+            self.lipschitz, raw = ymax, 1.0 + ymax * R
         self.grad_bound = self.lipschitz + self.alpha * R
         self.loss_bound = raw + 0.5 * self.alpha * R**2
-        self.smoothness = 1.0 + self.alpha if kind == "squared" else None
 
     @cached_property
     def _reference(self):
@@ -423,8 +415,8 @@ class LipschitzLinearProblem(_LinearPredictionProblem):
 
     @property
     def wstar(self) -> np.ndarray:
-        """Reference minimizer (exact for squared; certified ADMM for the
-        kinked losses, see :func:`_certified_minimizer`)."""
+        """Reference minimizer, certified by a duality gap (see
+        :func:`_certified_minimizer`)."""
         return self._reference[0]
 
     @property
@@ -434,7 +426,7 @@ class LipschitzLinearProblem(_LinearPredictionProblem):
     @property
     def reference_gap(self) -> float:
         """Duality gap F(wstar) - D(a), a proven bound on F(wstar) - F*
-        over the ball; at most 1e-13 max(1, |fstar|) for the kinked kinds."""
+        over the ball; at most 1e-13 max(1, |fstar|)."""
         return self._reference[2]
 
 
@@ -442,11 +434,10 @@ def _certified_minimizer(problem, tol, max_iter):
     """(w, F(w), gap): the minimizer of a Lipschitz linear-loss objective,
     its value, and a duality gap F(w) - D(a) >= F(w) - F* that certifies it.
 
-    The squared kind is solved exactly through :class:`RidgeProblem`.
-    The kinked kinds run scaled ADMM (Boyd et al. 2011, *Distributed
-    Optimization and Statistical Learning via the Alternating Direction
-    Method of Multipliers*, §3.1) on the split  minimize (1/m) sum
-    loss(z_i) + (alpha/2)||w||^2  subject to  Xw = z, whose z-update is a
+    It runs scaled ADMM (Boyd et al. 2011, *Distributed Optimization and
+    Statistical Learning via the Alternating Direction Method of
+    Multipliers*, §3.1) on the split  minimize (1/m) sum loss(z_i) +
+    (alpha/2)||w||^2  subject to  Xw = z, whose z-update is a
     closed-form proximal step and whose w-update is one product with the
     inverse of (alpha/rho) I + X^T X, formed once per value of rho.
 
@@ -486,17 +477,6 @@ def _certified_minimizer(problem, tol, max_iter):
     returned; if its F lies below D(a), it beats every point of the ball,
     which proves the minimizer outside, and the solve raises at once.
     """
-    if problem.kind != "squared":
-        return _admm(problem, tol, max_iter)
-    w = RidgeProblem(problem.data, problem.alpha).wstar
-    _require_interior(w, problem.radius)
-    fw = problem.full_objective(w)
-    # minus the loss slope at the exact solution: the dual optimum
-    return w, fw, fw - _dual_objective(problem, problem.data.y - problem.data.X @ w)
-
-
-def _admm(problem, tol, max_iter):
-    """The ADMM loop of :func:`_certified_minimizer`; returns (w, F(w), gap)."""
     X, y = problem.data.X, problem.data.y
     m, d = problem.data.m, problem.data.d
     alpha = problem.alpha
@@ -559,14 +539,11 @@ def _dual_objective(problem, a) -> float:
         # phi*(s) = s y on |s| <= 1
         a = np.clip(a, -1.0, 1.0)
         conj = a * y
-    elif problem.kind == "hinge":
+    else:
         # phi*(-b y) = -b on b in [0, 1]; a zero label has phi = 1, phi*(0) = -1
         b = np.clip(np.divide(a, y, out=np.ones_like(a), where=y != 0.0), 0.0, 1.0)
         a = b * y
         conj = b
-    else:
-        # phi*(s) = s^2/2 + s y
-        conj = a * y - 0.5 * a * a
     v = np.linalg.norm(X.T @ a) / problem.data.m
     R, alpha = problem.radius, problem.alpha
     ball = v * v / (2.0 * alpha) if v < alpha * R else R * v - 0.5 * alpha * R * R
@@ -578,27 +555,15 @@ def _in_ball(w: np.ndarray, radius: float) -> bool:
     return np.linalg.norm(w) <= radius * (1.0 + 1e-9)
 
 
-def _require_interior(w: np.ndarray, radius: float):
-    if not _in_ball(w, radius):
-        raise InvalidParameter(
-            f"unconstrained minimizer (norm {np.linalg.norm(w):.4g}) lies outside "
-            f"the ball of radius {radius:g}; enlarge the radius"
-        )
-
-
 def _prox(kind: str, v: np.ndarray, y: np.ndarray, step: float) -> np.ndarray:
-    """prox_{step * loss(. ; y)}(v)."""
+    """prox_{step * loss(. ; y)}(v) for the absolute or the hinge loss."""
     if kind == "absolute":
         shifted = v - y
         return y + np.sign(shifted) * np.maximum(np.abs(shifted) - step, 0.0)
-    if kind == "hinge":
-        out = v.copy()
-        yv = y * v
-        active = yv < 1.0 - step * y**2
-        out[active] = v[active] + step * y[active]
-        middle = (~active) & (yv < 1.0) & (y != 0.0)
-        out[middle] = 1.0 / y[middle]
-        return out
-    if kind == "squared":  # only for checking the ADMM core against the exact ridge solve
-        return (v + step * y) / (1.0 + step)
-    raise InvalidParameter(f"no proximal step for kind {kind!r}")
+    out = v.copy()
+    yv = y * v
+    active = yv < 1.0 - step * y**2
+    out[active] = v[active] + step * y[active]
+    middle = (~active) & (yv < 1.0) & (y != 0.0)
+    out[middle] = 1.0 / y[middle]
+    return out

@@ -52,7 +52,8 @@ with probability (2**64 mod bound) / 2**64, below bound / 2**64).  A
 count that is not a non-negative integer, or a bound that is not a
 positive integer below 2**64, raises ``InvalidParameter`` and consumes
 nothing.  A seed or stream may be any integer (taken modulo 2**64); any
-other value, a float or a string among them, raises ``InvalidParameter``.
+other value, a bool, a float or a string among them, raises
+``InvalidParameter``.
 
 Note on drawing from two streams of one seed: both walk the same
 2**64-cycle of SplitMix64 at offsets mixed from the stream id, so the
@@ -97,8 +98,10 @@ def _integer(n, message: str, least: int | None = 0) -> int:
     """``n`` as an int if it is an ``int`` or ``np.integer`` of at least
     ``least`` (of any value when ``least`` is None), else
     ``InvalidParameter(message)``: the package's one check of counts,
-    sizes and seeds, so a float or a string is refused, never truncated."""
-    if not (isinstance(n, (int, np.integer)) and (least is None or n >= least)):
+    sizes and seeds, so a bool, a float or a string is refused, never
+    truncated or read as 0 or 1."""
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+            and (least is None or n >= least)):
         raise InvalidParameter(message)
     return int(n)
 

@@ -20,7 +20,7 @@ from shufflegrad import (
 from shufflegrad import distributed
 from shufflegrad.distributed import BROADCAST, REDUCE
 from shufflegrad.problem import _gram_form
-from shufflegrad.errors import BatchesExhausted, DivergenceError, InvalidParameter
+from shufflegrad.errors import BatchesExhausted, DivergenceError, IndexOutOfRange, InvalidParameter
 from shufflegrad.svrg import AUX_STREAM_BIT
 from conftest import fsum_row_mean, random_dataset, random_ridge
 
@@ -332,6 +332,26 @@ class TestExplicitShards:
     def test_invalid_cover_rejected(self, parts):
         with pytest.raises(InvalidParameter):
             self.run(parts)
+
+
+BAD_SHARDS = {
+    "float": ([[0.5, 1.7], [2.2, 3.9]], InvalidParameter),
+    "negative": ([[-1, 5], [2, 3]], IndexOutOfRange),
+    "out_of_range": ([[0, 7], [1, 2]], IndexOutOfRange),
+    "bool": ([[True, False], [2, 3]], InvalidParameter),
+    "2d": ([np.arange(4).reshape(2, 2)], InvalidParameter),
+    "repeat": ([[0, 0], [1, 2]], InvalidParameter),
+    "none": ([], InvalidParameter),
+}
+
+
+@pytest.mark.parametrize("build", [batch_schedule, matched_permutation])
+@pytest.mark.parametrize("shards, error", BAD_SHARDS.values(), ids=BAD_SHARDS.keys())
+def test_schedules_check_their_shards(build, shards, error):
+    """The schedule builders check explicit shards as the driver does:
+    nothing is truncated, wrapped, repeated or reshaped."""
+    with pytest.raises(error):
+        build(shards, 1, 2)
 
 
 class TestScheduling:

@@ -41,7 +41,7 @@ from shufflegrad.errors import (
     SingularCurvature,
 )
 from shufflegrad import problem as problem_module
-from shufflegrad.problem import LOSS_CHUNK, _admm, _certified_minimizer, _dual_objective
+from shufflegrad.problem import _SLOPES, LOSS_CHUNK, _certified_minimizer, _dual_objective
 from conftest import (
     fsum_row_mean,
     numpy_sum_depth,
@@ -237,6 +237,10 @@ NON_INTEGER_COUNTS = {
     "shuffle.m": lambda: shuffle(5.0, Rng(1)),
     "Rng.seed float": lambda: Rng(1.5),
     "Rng.seed str": lambda: Rng("7"),
+    "Rng.seed bool": lambda: Rng(True),
+    "GenSpec.m bool": lambda: GenSpec(m=True, d=2),
+    "shuffle.m bool": lambda: shuffle(True, Rng(1)),
+    "enumerate_permutations.m bool": lambda: enumerate_permutations(True),
     "enumerate_permutations.m": lambda: enumerate_permutations(3.0),
     "permutation_identity_check.t": lambda: permutation_identity_check(3, 1.5, zero_values),
     "sqrt_sum_bound_scan.m_max": lambda: sqrt_sum_bound_scan(20.5),
@@ -252,8 +256,9 @@ NON_INTEGER_COUNTS = {
 
 @pytest.mark.parametrize("make", NON_INTEGER_COUNTS.values(), ids=NON_INTEGER_COUNTS.keys())
 def test_non_integer_counts_and_seeds_raise(make):
-    """Counts and seeds pass one integer check: no float or string is
-    truncated or parsed, and none escapes as a raw numpy error."""
+    """Counts and seeds pass one integer check: no bool, float or string
+    is truncated, parsed or read as 0 or 1, and none escapes as a raw
+    numpy error."""
     with pytest.raises(InvalidParameter):
         make()
 
@@ -363,9 +368,9 @@ class TestGradientOracle:
         z = np.concatenate([rng.normal(40), [1.0, -1.0, 0.5, 0.0]])
         y = np.concatenate([np.clip(rng.normal(40), -1, 1), [1.0, -1.0, 0.5, 2.0]])
         out = np.full_like(z, np.nan)
-        got = problem_module._scalar_slope(kind, z, y, out=out)
+        got = _SLOPES[kind](z, y, out)
         assert got is out
-        assert out.tobytes() == problem_module._scalar_slope(kind, z, y).tobytes()
+        assert out.tobytes() == _SLOPES[kind](z, y).tobytes()
 
 
 class TestGramGradient:
@@ -463,17 +468,20 @@ class TestLipschitzProblem:
         p_abs = LipschitzLinearProblem(data, "absolute", radius=2.0, alpha=0.1)
         assert p_abs.lipschitz == 1.0
         assert p_abs.grad_bound == pytest.approx(1.0 + 0.1 * 2.0)
-        assert p_abs.smoothness is None
         p_h = LipschitzLinearProblem(data, "hinge", radius=2.0)
         assert p_h.lipschitz == pytest.approx(ymax)
-        p_sq = LipschitzLinearProblem(data, "squared", radius=2.0, alpha=0.3)
-        assert p_sq.lipschitz == pytest.approx(2.0 + ymax)
-        assert p_sq.smoothness == pytest.approx(1.3)
+
+    @pytest.mark.parametrize("kind", ["squared", "logistic"])
+    def test_only_the_kinked_kinds(self, kind):
+        """The squared loss is RidgeProblem's; the error names both kinds and it."""
+        data = random_dataset(10, 3, seed=4)
+        with pytest.raises(InvalidParameter, match="'absolute' or 'hinge'.*RidgeProblem"):
+            LipschitzLinearProblem(data, kind, radius=2.0)
 
     def test_loss_bound_holds_on_ball(self):
         data = random_dataset(12, 3, seed=6, label_scale=0.9)
         rng = Rng(10, 0)
-        for kind in ("absolute", "hinge", "squared"):
+        for kind in ("absolute", "hinge"):
             p = LipschitzLinearProblem(data, kind, radius=1.5, alpha=0.2)
             for _ in range(50):
                 w = rng.normal(3)
@@ -489,12 +497,6 @@ class TestLipschitzProblem:
         )
         w = p.wstar
         assert abs(p.full_objective(w) - p.full_objective([0.1])) < 1e-10
-
-    def test_reference_squared_equals_ridge(self):
-        data = random_dataset(20, 3, seed=11)
-        p = LipschitzLinearProblem(data, "squared", radius=10.0, alpha=0.2)
-        exact = RidgeProblem(data, alpha=0.2).wstar
-        assert np.allclose(p.wstar, exact, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["absolute", "hinge"])
     def test_reference_beats_random_probes(self, kind):
@@ -522,9 +524,6 @@ class TestLipschitzProblem:
             assert p.suboptimality(rng.normal(3)) >= -1e-12
 
 
-ROUNDING = 1e-15  # rounding of F(w) - D(a): two O(1) sums of m terms
-
-
 def certified(p):
     """The certificate's own promise: gap <= 1e-13 max(1, |F|)."""
     return p.reference_gap <= 1e-13 * max(1.0, abs(p.fstar))
@@ -548,21 +547,6 @@ class TestCertifiedReference:
         p = LipschitzLinearProblem(random_dataset(40, 3, seed=3, label_scale=0.9), "hinge",
                                    radius=8.0)
         assert certified(p)
-
-    def test_admm_core_on_squared_loss_matches_ridge(self):
-        # The squared loss has an exact path and an exact suboptimality (the
-        # curvature form): the certificate must bound it, which pins w to
-        # sqrt(2 gap / lambda) of the direct solve.  A gap of 1e-13 cannot
-        # pin w to 1e-10: F is flat to second order at its minimizer.
-        data = random_dataset(80, 4, seed=21)
-        ridge = RidgeProblem(data, alpha=0.1)
-        p = LipschitzLinearProblem(data, "squared", radius=10.0, alpha=0.1)
-        w, fw, gap = _admm(p, 1e-13, 200_000)
-        assert fw == p.full_objective(w) and gap <= 1e-13
-        bound = gap + ROUNDING
-        assert ridge.suboptimality(w) <= bound
-        assert np.linalg.norm(w - ridge.wstar) <= math.sqrt(2.0 * bound / ridge.strong_convexity)
-        assert -ROUNDING <= p.reference_gap <= 1e-13  # the direct path's certificate
 
     @pytest.mark.parametrize("kind, m, seed", [("absolute", 30, 12), ("hinge", 60, 32)])
     def test_certifies_within_budget(self, kind, m, seed):
@@ -638,7 +622,7 @@ def block_problem(kind, d, m=BLOCK_M):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["ridge", "squared", "absolute", "hinge"]),
+    kind=st.sampled_from(["ridge", "absolute", "hinge"]),
     d=st.sampled_from([1, 3, 9, 20]),
     n=st.integers(1, 300),
     seed=st.integers(0, 2**32),
@@ -651,7 +635,7 @@ def block_problem(kind, d, m=BLOCK_M):
 @example(kind="absolute", d=20, n=KINKED_ROWS + 1, seed=4, m=KINKED_M)
 @example(kind="absolute", d=20, n=2 * KINKED_ROWS + 1, seed=5, m=KINKED_M)
 # Folded labels (more rows than one chunk) and the hinge's zero column.
-@example(kind="squared", d=20, n=2 * KINKED_ROWS + 1, seed=6, m=KINKED_M)
+@example(kind="ridge", d=20, n=2 * KINKED_ROWS + 1, seed=6, m=KINKED_M)
 @example(kind="ridge", d=20, n=2 * KINKED_ROWS + 1, seed=7, m=KINKED_M)
 @example(kind="hinge", d=20, n=2 * KINKED_ROWS + 1, seed=8, m=KINKED_M)
 def test_block_rows_match_one_point_formulas(kind, d, n, seed, m):
@@ -673,14 +657,14 @@ def test_block_rows_match_one_point_formulas(kind, d, n, seed, m):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kind=st.sampled_from(["ridge", "squared", "absolute", "hinge"]),
+    kind=st.sampled_from(["ridge", "absolute", "hinge"]),
     d=st.sampled_from([1, 3, 9, 20]),
     n=st.integers(1, 300),
     seed=st.integers(0, 2**32),
     m=st.sampled_from([5, 61, 300, 1999]),
 )
 @example(kind="absolute", d=3, n=2 * (LOSS_CHUNK // 300) + 1, seed=0, m=300)
-@example(kind="squared", d=20, n=2 * (LOSS_CHUNK // 1999) + 1, seed=1, m=1999)
+@example(kind="ridge", d=20, n=2 * (LOSS_CHUNK // 1999) + 1, seed=1, m=1999)
 @example(kind="hinge", d=9, n=2 * (LOSS_CHUNK // 1999) + 1, seed=2, m=1999)
 def test_block_rows_match_one_point_calls_off_the_tile(kind, d, n, seed, m):
     """At an m that is not a multiple of 8 each row of a block has the bits
@@ -771,7 +755,7 @@ def objective_rounding_bound(p, w):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["squared", "absolute", "hinge"]),
+    kind=st.sampled_from(["ridge", "absolute", "hinge"]),
     m=st.sampled_from([1, 5, 61, 400, 2000]),
     d=st.sampled_from([1, 3, 9, 20]),
     seed=st.integers(0, 2**32),
@@ -779,8 +763,9 @@ def objective_rounding_bound(p, w):
 @example(kind="absolute", m=KINKED_M, d=20, seed=0)
 def test_objective_differs_from_point_losses_only_by_rounding(kind, m, d, seed):
     """The matrix-product objective and the matrix-vector one agree to
-    within the rounding bound; they need not agree bit for bit."""
-    p = LipschitzLinearProblem(random_dataset(m, d, seed=d), kind, radius=10.0, alpha=0.1)
+    within the rounding bound; they need not agree bit for bit.  The
+    squared loss runs on RidgeProblem."""
+    p = block_problem(kind, d, m)
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((8, d)) * 10.0 ** rng.integers(-6, 4, size=(8, 1))
     for w, value in zip(W, p.full_objective(W)):

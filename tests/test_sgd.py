@@ -398,7 +398,7 @@ def engine_problem(kind, d):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kind=st.sampled_from(["ridge", "squared", "absolute", "hinge"]),
+    kind=st.sampled_from(["ridge", "absolute", "hinge"]),
     sampler=st.sampled_from(["single_shuffle", "with_replacement", "reshuffle_each_epoch"]),
     d=st.integers(1, 5),
     T=st.integers(1, 2 * EVAL_BLOCK + 7),

@@ -202,12 +202,14 @@ def suboptimality_digest(sg):
     grid = [(p, n) for p in problems for n in (1, 2, 37, 300)]
     # The kinked benchmark's shape: 32 rows per loss chunk, so 33 and 65 rows end
     # on a one-row chunk.  n is fixed, not derived, so both trees run one grid.
-    # m = 1999 ends on a GEMM edge tile; the squared kind folds its labels too.
+    # m = 1999 ends on a GEMM edge tile; the ridge problem folds the squared
+    # residual's labels too.
     for m, kind, ns in ((2000, "absolute", (33, 65)), (1999, "absolute", (65,)),
-                        (2000, "squared", (65,))):
+                        (2000, "ridge", (65,))):
         data = sg.generate(sg.GenSpec(m=m, d=20, spectrum="geometric", decay=0.7, noise=0.2,
                                       signal_norm=0.8, seed=43))
-        p = sg.LipschitzLinearProblem(data, kind, radius=4.0, alpha=0.05)
+        p = (sg.RidgeProblem(data, alpha=0.05) if kind == "ridge"
+             else sg.LipschitzLinearProblem(data, kind, radius=4.0, alpha=0.05))
         grid += [(p, n) for n in ns]
     for p, n in grid:
         W = 0.3 * rng.normal(n * p.d).reshape(n, p.d)
@@ -341,7 +343,7 @@ def points_digest(sg):
             idx = rng.below(np.full(17, ds.m, dtype=np.uint64))
             problems = [sg.RidgeProblem(ds, alpha=0.1)]
             problems += [sg.LipschitzLinearProblem(ds, kind, radius=4.0, alpha=alpha)
-                         for kind in ("squared", "absolute", "hinge") for alpha in (0.0, 0.05)]
+                         for kind in ("absolute", "hinge") for alpha in (0.0, 0.05)]
             for p in problems:
                 for w in W:
                     dig.add(p.point_losses(w), p.point_gradient_rows(w),
