@@ -13,12 +13,11 @@ The package provides, for mean losses of linear predictions:
 * synthetic data generation and text serialization (:mod:`.datagen`).
 """
 
-__version__ = "0.28.0"
+__version__ = "0.29.0"
 
 from .datagen import GenSpec, generate, load, planted_weights, save
 from .distributed import (
     CommLog,
-    batch_schedule,
     matched_permutation,
     partition,
     run_distributed_svrg,

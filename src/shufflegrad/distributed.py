@@ -11,22 +11,24 @@ d-float vectors ever travel; data points stay put.  A broadcast round is
 modeled as one delivery per machine in the cluster, so every round
 moves exactly n_machines * d floats.
 
-Equivalence contract: the simulation only builds the run's
-(n_epochs, epoch_len) index schedule and runs it through the
-single-machine driver's epoch loop (``svrg._drive``), so the guard, the
-safety bound, the snapshot average and the trace are shared.  The
-reduce round's shard-weighted sum of the machines' local mean gradients
-is, by linearity, the full gradient, so the loop's anchor
-``RidgeProblem.full_gradient``, the cached Gram form ``hessian @ w - b``,
-is the reduced anchor whatever the partition.  A run on any number of
-machines therefore reproduces ``run_svrg`` on the matched permutation
-bit for bit.  Every epoch makes one reduce and one broadcast round, so
-the counts are known in advance and the :class:`CommLog` is filled in
-closed form after the loop.
+Equivalence contract: the machines consume their batches in turn, so a
+run is single-machine without-replacement SVRG on that consumption
+order, and the simulation is ``run_svrg`` on it: the guard, the safety
+bound, the snapshot average and the trace are the single-machine
+driver's.  The reduce round's shard-weighted sum of the machines' local
+mean gradients is, by linearity, the full gradient, so ``run_svrg``'s
+anchor ``RidgeProblem.full_gradient``, the cached Gram form
+``hessian @ w - b``, is the reduced anchor whatever the partition.  A
+run on any number of machines therefore is ``run_svrg`` on the matched
+permutation, bit for bit.  Every epoch makes one reduce and one
+broadcast round, so the counts are known in advance and the
+:class:`CommLog` is filled in closed form after the run.
 
-Without explicit shards only the permutation's prefix up to the last
-consumed position is drawn; it equals that prefix of the permutation
-:func:`partition` deals on the same stream lane.
+Without explicit shards the partition is drawn on the auxiliary lane
+``config.stream ^ AUX_STREAM_BIT`` of the config's seed, and only the
+permutation's prefix up to the last consumed position is drawn; it
+equals that prefix of the permutation :func:`partition` deals on the
+same lane.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from .problem import Dataset
 from .rng import Rng, _integer
 from .sampling import (SINGLE_SHUFFLE, SingleShuffleSampler, explicit_indices, is_permutation,
                        shuffle)
-from .svrg import AUX_STREAM_BIT, SVRGConfig, _drive
+from .svrg import SVRGConfig, run_svrg
 
+AUX_STREAM_BIT = 1 << 63  # the default partition draws on the high-bit stream lane
 REDUCE = "reduce"
 BROADCAST = "broadcast"
 
@@ -109,10 +112,10 @@ def partition(dataset: Dataset, n_machines: int, rng: Rng) -> list[np.ndarray]:
 
 
 def _batches(order: np.ndarray, starts: list[int], epoch_len: int) -> np.ndarray:
-    """The (len(starts), epoch_len) int64 index schedule whose row s is
-    ``order[starts[s] : starts[s] + epoch_len]``."""
+    """The consumed int64 indices in consumption order: the batches
+    ``order[start : start + epoch_len]`` for each start, back to back."""
     rows = np.asarray(starts, dtype=np.int64)[:, None] + np.arange(epoch_len)
-    return order[rows].astype(np.int64, copy=False)
+    return order[rows.ravel()].astype(np.int64, copy=False)
 
 
 def _shard_order(shards, m: int | None = None) -> tuple[np.ndarray, list[int]]:
@@ -129,23 +132,20 @@ def _shard_order(shards, m: int | None = None) -> tuple[np.ndarray, list[int]]:
     return order, [len(shard) for shard in shards]
 
 
-def batch_schedule(shards: list[np.ndarray], epoch_len: int, n_epochs: int) -> np.ndarray:
-    """The (n_epochs, epoch_len) int64 index schedule: row s is the batch
-    consumed at epoch s, machines in order, each machine's consecutive
-    full batches of ``epoch_len`` local indices in local order (see
+def matched_permutation(shards: list[np.ndarray], epoch_len: int, n_epochs: int) -> np.ndarray:
+    """Single-machine index order that replays a distributed run exactly:
+    the consumed batches in consumption order, then everything else.
+
+    Its first n_epochs * epoch_len entries, read as (n_epochs, epoch_len)
+    rows, are the run's batch schedule: row s is the batch consumed at
+    epoch s, machines in order, each machine's consecutive full batches
+    of ``epoch_len`` local indices in local order (see
     :func:`_batch_starts`).  Shards that do not hold each of their points
     exactly once raise ``InvalidParameter`` (``IndexOutOfRange`` for an
     index outside the points), as in :func:`run_distributed_svrg`."""
     order, sizes = _shard_order(shards)
-    return _batches(order, _batch_starts(sizes, epoch_len, n_epochs), epoch_len)
-
-
-def matched_permutation(shards: list[np.ndarray], epoch_len: int, n_epochs: int) -> np.ndarray:
-    """Single-machine index order that replays a distributed run exactly:
-    the consumed batches in consumption order, then everything else.  The
-    shards are checked as in :func:`batch_schedule`."""
-    consumed = batch_schedule(shards, epoch_len, n_epochs).ravel()
-    rest_mask = np.ones(sum(len(shard) for shard in shards), dtype=bool)
+    consumed = _batches(order, _batch_starts(sizes, epoch_len, n_epochs), epoch_len)
+    rest_mask = np.ones(order.size, dtype=bool)
     rest_mask[consumed] = False
     return np.concatenate([consumed, np.flatnonzero(rest_mask)])
 
@@ -162,8 +162,8 @@ def run_distributed_svrg(
     Rng(config.seed, config.stream ^ AUX_STREAM_BIT))``, of which only
     the consumed prefix is drawn; explicit shards are integer index
     sequences, one per machine, that together hold each point exactly
-    once.  The epochs run in the single-machine driver's loop on the
-    batch schedule; the log counts 2 * n_epochs rounds, n_machines *
+    once.  The run is ``run_svrg`` on the consumed batches in consumption
+    order; the log counts 2 * n_epochs rounds, n_machines *
     n_epochs messages of each kind and d floats per message.
     """
     if config.sampler != SINGLE_SHUFFLE:
@@ -181,7 +181,7 @@ def run_distributed_svrg(
         if len(sizes) != _integer(n_machines, "the machine count must be an integer", None):
             raise InvalidParameter(f"expected {n_machines} shards, got {len(sizes)}")
         starts = _batch_starts(sizes, T, S)
-    trace = _drive(problem, config, _batches(order, starts, T))
+    trace = run_svrg(problem, config, sigma=_batches(order, starts, T))
     messages = n_machines * S  # of each kind: one per machine and epoch
     return trace, CommLog(rounds=2 * S, payload_floats=2 * messages * problem.d,
                           messages_by_kind={REDUCE: messages, BROADCAST: messages})

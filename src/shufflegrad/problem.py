@@ -197,8 +197,8 @@ class _LinearPredictionProblem:
     kind: str
 
     def __init__(self, data: Dataset, alpha: float):
-        if not alpha >= 0:
-            raise InvalidParameter("alpha must be >= 0")
+        if not 0 <= alpha < np.inf:
+            raise InvalidParameter("alpha must be finite and >= 0")
         self.data = data
         self.alpha = float(alpha)
 
@@ -308,7 +308,7 @@ class RidgeProblem(_LinearPredictionProblem):
     ----------
     data : Dataset
     alpha : float
-        Regularization weight (>= 0).  The objective's strong convexity
+        Regularization weight (finite, >= 0).  The objective's strong convexity
         is the smallest eigenvalue of hessian = (1/m) X^T X + alpha*I,
         which is at least alpha; smoothness is 1 + alpha because feature
         norms are at most 1.

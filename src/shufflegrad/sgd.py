@@ -28,7 +28,7 @@ The update is rounded in the order of the SVRG inner step,
     w_{t+1} = (c_t * w_t) - x_i * (eta_t * s_t),   c_t = 1 - eta_t alpha,
 
 with s_t the loss slope at x_i . w_t; at alpha = 0, c_t is exactly 1, a
-no-op factor.  As in ``svrg._drive``, each step call is a local taking
+no-op factor.  As in ``svrg.run_svrg``, each step call is a local taking
 ``out`` positionally, on operands of one shape or a 0-d eta_t or c_t:
 x_i multiplies in place the column eta_t * s_t copied across a (B, d)
 buffer (IEEE products commute, so the bits are x_i * (eta_t * s_t)).
@@ -88,8 +88,8 @@ class StronglyConvexStep:
     strong_convexity: float
 
     def __post_init__(self):
-        if not self.strong_convexity > 0:
-            raise InvalidParameter("strong_convexity must be positive")
+        if not 0 < self.strong_convexity < math.inf:
+            raise InvalidParameter("strong_convexity must be finite and positive")
 
     def rate(self, t: int | np.ndarray) -> float | np.ndarray:
         return 2.0 / (self.strong_convexity * t)

@@ -48,9 +48,8 @@ exactly zero, so the first step of every epoch is exactly
 ws - eta * grad F(ws), whichever index was drawn; and no step subtracts
 two nearly equal gradients.
 
-Auxiliary draws of a run with stream s live on the high-bit lane
-``s ^ AUX_STREAM_BIT``, which the distributed driver's default partition
-uses.
+:func:`run_svrg` is the one SVRG driver: the distributed simulation is
+this driver on the order in which its machines consume their batches.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ from .errors import DivergenceError, InvalidParameter
 from .rng import Rng, _integer
 from .sampling import SINGLE_SHUFFLE, SAMPLER_KINDS, schedule
 
-AUX_STREAM_BIT = 1 << 63  # auxiliary draws live on the high-bit stream lane
 RATIO_FLOOR = 1e-14
 
 
@@ -131,15 +129,19 @@ def _strong_convexity(problem) -> float:
     return lam
 
 
-def _drive(problem, config: SVRGConfig, indices: np.ndarray) -> EpochTrace:
-    """The epoch loop behind both SVRG front ends.
+def run_svrg(problem, config: SVRGConfig, sigma=None) -> EpochTrace:
+    """Run ``n_epochs`` epochs on a ridge problem.
 
-    ``indices`` is the run's (n_epochs, epoch_len) int64 index schedule:
-    row s holds the inner-step indices of 0-based epoch s.  Every epoch
-    is anchored at ``problem.full_gradient`` of its snapshot.
+    :func:`sampling.schedule` builds the run's (n_epochs, epoch_len) index
+    schedule from ``sigma`` or the configured sampler: row s holds the
+    inner-step indices of 0-based epoch s.  Every epoch is anchored at
+    ``problem.full_gradient`` of its snapshot, the Gram form
+    ``hessian @ w - b``, which is the distributed reduce round's anchor
+    whatever the partition.
     """
-    lam = _strong_convexity(problem)
     T, S = config.epoch_len, config.n_epochs
+    indices = schedule(config.sampler, problem.m, S, T, Rng(config.seed, config.stream), sigma)
+    lam = _strong_convexity(problem)
     eta = config.step_size
 
     bound = log_suboptimality_bound(T, S, lam) if lam < 1.0 else None
@@ -209,21 +211,6 @@ def _drive(problem, config: SVRGConfig, indices: np.ndarray) -> EpochTrace:
         initial_suboptimality=float(chain[0]),
         final_snapshot=snapshot,
     )
-
-
-def run_svrg(problem, config: SVRGConfig, sigma=None) -> EpochTrace:
-    """Run ``n_epochs`` epochs on a ridge problem.
-
-    :func:`sampling.schedule` builds the run's (n_epochs, epoch_len) index
-    schedule from ``sigma`` or the configured sampler.  The anchor
-    is ``problem.full_gradient``, the Gram form ``hessian @ w - b``, so a
-    distributed run on any number of machines, which builds its schedule
-    from its shards, reproduces this one on the matched permutation bit
-    for bit.
-    """
-    T, S = config.epoch_len, config.n_epochs
-    indices = schedule(config.sampler, problem.m, S, T, Rng(config.seed, config.stream), sigma)
-    return _drive(problem, config, indices)
 
 
 def run_svrg_over_streams(problem, config: SVRGConfig, n_seeds: int):

@@ -262,8 +262,8 @@ def contraction_check(
     m = finite_class.length
     if len(maps) != m:
         raise DimensionMismatch(f"need {m} coordinate maps, got {len(maps)}")
-    if not lipschitz >= 0:
-        raise InvalidParameter("lipschitz must be >= 0")
+    if not 0 <= lipschitz < math.inf:
+        raise InvalidParameter("lipschitz must be finite and >= 0")
     W = np.array([[g(v) for g, v in zip(maps, row)] for row in V], dtype=np.float64)
     gaps = np.abs(W[:, None] - W[None])
     bad = np.any(gaps > lipschitz * np.abs(V[:, None] - V[None]) + 1e-9, axis=(0, 1))
@@ -370,8 +370,8 @@ def matrix_concentration_check(
     if X.shape[0] < 2:
         raise InvalidParameter("need at least two points")
     _check_features(X)
-    if not shift >= 0:
-        raise InvalidParameter("shift must be >= 0")
+    if not 0 <= shift < math.inf:
+        raise InvalidParameter("shift must be finite and >= 0")
     if not alpha >= 2:
         raise InvalidParameter("alpha must be >= 2")
     trials = _integer(trials, "trials must be an integer >= 1", 1)
@@ -413,6 +413,8 @@ def central_band_peak(profile: np.ndarray) -> float:
     where the root-m concentration scaling is visible.
     """
     m = profile.size + 1
+    if m < 2:
+        raise InvalidParameter("the profile needs at least one split")
     lo = max(m // 4, 1)
     hi = min(3 * m // 4, m - 1)
     return float(profile[lo - 1 : hi].max())

@@ -268,6 +268,19 @@ def test_sgd_nonpositive_radius_exit_code_1(dataset_file, tmp_path, capsys, radi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["sgd", "--T", "5"],
+    ["svrg", "--T", "5", "--S", "2", "--eta", "0.1"],
+    ["dist", "--T", "5", "--S", "2", "--k", "2", "--eta", "0.1"],
+], ids=["sgd", "svrg", "dist"])
+def test_infinite_reg_exit_code_1(dataset_file, tmp_path, capsys, command):
+    out = tmp_path / "r.csv"
+    args = [*command, "--data", str(dataset_file), "--reg", "inf", "--out", str(out)]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err == "error: alpha must be finite and >= 0\n"
+    assert not out.exists()
+
+
 def test_invariant_violation_exit_code_1(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("#dim 2\n2.0 1:0.5\n")

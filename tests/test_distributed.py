@@ -11,18 +11,23 @@ from shufflegrad import (
     RidgeProblem,
     Rng,
     SVRGConfig,
-    batch_schedule,
     matched_permutation,
     partition,
     run_distributed_svrg,
     run_svrg,
 )
 from shufflegrad import distributed
-from shufflegrad.distributed import BROADCAST, REDUCE
+from shufflegrad.distributed import AUX_STREAM_BIT, BROADCAST, REDUCE
 from shufflegrad.problem import _gram_form
 from shufflegrad.errors import BatchesExhausted, DivergenceError, IndexOutOfRange, InvalidParameter
-from shufflegrad.svrg import AUX_STREAM_BIT
 from conftest import fsum_row_mean, random_dataset, random_ridge
+
+
+def batch_rows(shards, epoch_len, n_epochs):
+    """The run's (n_epochs, epoch_len) batch schedule: the leading rows of
+    the matched permutation."""
+    consumed = matched_permutation(shards, epoch_len, n_epochs)[: n_epochs * epoch_len]
+    return consumed.reshape(n_epochs, epoch_len)
 
 
 class TestPartition:
@@ -69,9 +74,9 @@ class TestPartition:
     def test_batches_drop_remainder(self):
         data = random_dataset(10, 2, seed=5)
         shards = partition(data, 1, Rng(5, 0))
-        assert [len(b) for b in batch_schedule(shards, 4, 2)] == [4, 4]
+        assert [len(b) for b in batch_rows(shards, 4, 2)] == [4, 4]
         with pytest.raises(BatchesExhausted):
-            batch_schedule(shards, 4, 3)
+            batch_rows(shards, 4, 3)
 
 
 class TestEquivalence:
@@ -345,10 +350,17 @@ BAD_SHARDS = {
 }
 
 
-@pytest.mark.parametrize("build", [batch_schedule, matched_permutation])
+def run_distributed_svrg_on(shards, epoch_len, n_epochs):
+    """The driver on explicit shards of a 4-point problem."""
+    cfg = SVRGConfig(step_size=0.1, epoch_len=epoch_len, n_epochs=n_epochs)
+    return run_distributed_svrg(random_ridge(4, 2, seed=1), len(shards), cfg, shards=shards)
+
+
+@pytest.mark.parametrize("build", [run_distributed_svrg_on, matched_permutation],
+                         ids=["run_distributed_svrg", "matched_permutation"])
 @pytest.mark.parametrize("shards, error", BAD_SHARDS.values(), ids=BAD_SHARDS.keys())
 def test_schedules_check_their_shards(build, shards, error):
-    """The schedule builders check explicit shards as the driver does:
+    """The matched permutation and the driver check explicit shards alike:
     nothing is truncated, wrapped, repeated or reshaped."""
     with pytest.raises(error):
         build(shards, 1, 2)
@@ -366,7 +378,7 @@ class TestScheduling:
     def test_machine_advancement_order(self):
         p = random_ridge(60, 2, seed=11, alpha=0.3)
         shards = partition(p.data, 2, Rng(13, 0))
-        schedule = batch_schedule(shards, 10, 6)
+        schedule = batch_rows(shards, 10, 6)
         owners = []
         for batch in schedule:
             for machine, shard in enumerate(shards):
@@ -379,7 +391,7 @@ class TestScheduling:
         p = random_ridge(25, 2, seed=12, alpha=0.3)
         cfg = SVRGConfig(step_size=0.1, epoch_len=10, n_epochs=2, seed=14)
         shards = partition(p.data, 1, Rng(14, 0))
-        schedule = batch_schedule(shards, 10, 2)
+        schedule = batch_rows(shards, 10, 2)
         consumed = set(np.concatenate(schedule).tolist())
         assert len(consumed) == 20  # 5 leftover points take no inner steps
         trace, _ = run_distributed_svrg(p, 1, cfg, shards=shards)
@@ -393,7 +405,7 @@ class TestScheduling:
         shards = partition(p.data, k, Rng(m, 1))
         every = [shard[b * T : (b + 1) * T] for shard in shards for b in range(len(shard) // T)]
         for S in range(len(every) + 1):
-            schedule = batch_schedule(shards, T, S)
+            schedule = batch_rows(shards, T, S)
             assert len(schedule) == S
             assert schedule.dtype == np.int64 and schedule.shape == (S, T)
             assert all(np.array_equal(a, b) for a, b in zip(schedule, every))
@@ -401,10 +413,9 @@ class TestScheduling:
             rest = np.setdiff1d(np.arange(m), consumed)
             assert np.array_equal(matched_permutation(shards, T, S),
                                   np.concatenate([consumed, rest]))
-            assert np.array_equal(matched_permutation(shards, T, S)[: S * T], schedule.ravel())
         S = len(every) + 1
         with pytest.raises(BatchesExhausted) as info:
-            batch_schedule(shards, T, S)
+            matched_permutation(shards, T, S)
         assert str(info.value) == (
             f"cluster holds {len(every)} batches of size {T} but the run needs {S}; "
             f"the total batch count must be at least the epoch count"

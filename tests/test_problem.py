@@ -21,11 +21,12 @@ from shufflegrad import (
     StronglyConvexStep,
     SVRGConfig,
     average_suboptimality_over_seeds,
-    batch_schedule,
+    central_band_peak,
     contraction_check,
     enumerate_permutations,
     generate,
     log_suboptimality_bound,
+    matched_permutation,
     matrix_concentration_check,
     permutation_identity_check,
     rademacher_estimate,
@@ -214,6 +215,30 @@ def test_nan_parameters_raise(make):
         make()
 
 
+INF = math.inf
+INF_PARAMETERS = {  # radius = inf stays legal (test_infinite_radius_stays_legal)
+    "StronglyConvexStep": lambda: StronglyConvexStep(INF),
+    "RidgeProblem.alpha": lambda: RidgeProblem(random_dataset(4, 2, seed=1), alpha=INF),
+    "LipschitzLinearProblem.alpha": lambda: LipschitzLinearProblem(
+        random_dataset(4, 2, seed=1), "absolute", radius=1.0, alpha=INF),
+    "GenSpec.noise": lambda: GenSpec(m=4, d=2, noise=INF),
+    "matrix_concentration_check.shift":
+        lambda: matrix_concentration_check(np.eye(2), INF, 12.0, 1),
+    "contraction_check.lipschitz": lambda: contraction_check(
+        FiniteVectorClass(np.eye(2)), [abs, abs], INF, (1, 1), 10),
+    "central_band_peak.empty": lambda: central_band_peak(np.zeros(0)),
+}
+
+
+@pytest.mark.parametrize("make", INF_PARAMETERS.values(), ids=INF_PARAMETERS.keys())
+def test_infinite_parameters_raise(make):
+    """An infinite weight, step constant, noise level, shift or Lipschitz
+    constant (and an empty profile) is rejected up front, not met later
+    as a LinAlgError, a NaN gap, a zero step or clipped labels."""
+    with pytest.raises(InvalidParameter):
+        make()
+
+
 SGD_1 = SGDConfig(n_steps=1, step_rule=FixedStep(0.1), radius=5.0)
 SVRG_1 = SVRGConfig(step_size=0.1, epoch_len=1, n_epochs=1)
 EYE_4 = FiniteVectorClass(np.eye(4))
@@ -244,7 +269,7 @@ NON_INTEGER_COUNTS = {
     "enumerate_permutations.m": lambda: enumerate_permutations(3.0),
     "permutation_identity_check.t": lambda: permutation_identity_check(3, 1.5, zero_values),
     "sqrt_sum_bound_scan.m_max": lambda: sqrt_sum_bound_scan(20.5),
-    "batch_schedule.epoch_len": lambda: batch_schedule([np.arange(4)], 2.0, 1),
+    "matched_permutation.epoch_len": lambda: matched_permutation([np.arange(4)], 2.0, 1),
     "log_suboptimality_bound.epoch_len": lambda: log_suboptimality_bound(2.5, 2, 0.1),
     "rademacher_estimate.split": lambda: rademacher_estimate(EYE_4, (2.0, 2), 10),
     "contraction_check.mc_samples":
@@ -277,7 +302,7 @@ def test_numpy_integer_counts_stay_legal():
     assert len(list(enumerate_permutations(three))) == 6
     assert permutation_identity_check(three, two, zero_values) == (0.0, 0.0)
     assert sqrt_sum_bound_scan(np.int64(5)) <= 1.0
-    assert batch_schedule([np.arange(4)], two, one).tolist() == [[0, 1]]
+    assert matched_permutation([np.arange(4)], two, one).tolist() == [0, 1, 2, 3]
     assert log_suboptimality_bound(two, two, 0.1) == log_suboptimality_bound(2, 2, 0.1)
     assert rademacher_estimate(EYE_4, (two, two), np.int64(10)).n_samples == 10
     eye_2 = FiniteVectorClass(np.eye(2))

@@ -130,7 +130,7 @@ def distributed_digest(sg):
                           (5, 1200, 4, 100, 8), (20, 2003, 4, 41, 6)):
         p = _ridge(sg, m, d, seed=20 + d, alpha=0.05)
         cfg = sg.SVRGConfig(step_size=0.1, epoch_len=T, n_epochs=S, seed=k)
-        lane = cfg.stream ^ sg.svrg.AUX_STREAM_BIT
+        lane = cfg.stream ^ sg.distributed.AUX_STREAM_BIT
         shards = sg.partition(p.data, k, sg.Rng(cfg.seed, lane))
         for run_shards in (None, shards):
             trace, log = sg.run_distributed_svrg(p, k, cfg, shards=run_shards)
