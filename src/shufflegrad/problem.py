@@ -8,8 +8,9 @@ per-point losses.  Two concrete problem types are provided:
   minimizer, curvature constants and a fast suboptimality evaluation.
 * :class:`LipschitzLinearProblem` for the convex Lipschitz losses of the
   prediction <w, x_i>, absolute and hinge, restricted to a Euclidean
-  ball of given radius, with a reference minimizer that ADMM certifies
-  by a duality gap.  The squared loss is :class:`RidgeProblem`'s alone.
+  ball of given radius, with a reference minimizer that ADMM and an
+  active-set polish find and a duality gap certifies.  The squared loss
+  is :class:`RidgeProblem`'s alone.
 
 A point index ``i`` and an ``indices`` row subset pass the package's one
 index check, :func:`.sampling.explicit_indices`: integers in [0, m), no
@@ -426,7 +427,9 @@ class LipschitzLinearProblem(_LinearPredictionProblem):
     @property
     def reference_gap(self) -> float:
         """Duality gap F(wstar) - D(a), a proven bound on F(wstar) - F*
-        over the ball; at most 1e-13 max(1, |fstar|)."""
+        over the ball; at most 1e-13 max(1, |fstar|).  At a polished
+        point (see :func:`_polish`) F and D agree to rounding, so the
+        computed gap can read a few ulps below 0; it is not clamped."""
         return self._reference[2]
 
 
@@ -468,8 +471,18 @@ def _certified_minimizer(problem, tol, max_iter):
     domain (a in [-1, 1] for the absolute loss, a = b y with b in [0, 1]
     for the hinge; see :func:`_dual_objective`).  Weak duality makes the
     gap a proven bound on F(w) - F*, which the problem exposes as
-    ``reference_gap``.  A solve that does not certify within ``max_iter``
-    iterations raises :class:`InvalidParameter`.
+    ``reference_gap``.
+
+    Polish.  At a check where that certificate fails, the solve polishes
+    onto the active set that ADMM's split variable z guesses, as OSQP does
+    (Stellato et al. 2020, *OSQP: an operator splitting solver for
+    quadratic programs*, §5.2): :func:`_polish` fixes the slopes off the
+    kinks and solves one small KKT system for w and the slopes on them.
+    The polished point is returned only if the same gap test, with the
+    same ``tol`` and ball test, certifies it; otherwise ADMM carries on
+    from its own iterates, which the polish only reads.  A solve that does
+    not certify within ``max_iter`` iterations raises
+    :class:`InvalidParameter`.
 
     The result must lie inside the problem's ball; otherwise the
     constrained optimum is not characterized here and an error is raised.
@@ -514,6 +527,13 @@ def _certified_minimizer(problem, tol, max_iter):
                 f"the minimizer lies outside the ball of radius {problem.radius:g}: a point "
                 f"of norm {np.linalg.norm(w):.4g} beats every point in it; enlarge the radius"
             )
+        polished = _polish(problem, z)
+        if polished is not None and _in_ball(polished[0], problem.radius):
+            pw, pa = polished
+            pf = problem.full_objective(pw)
+            pgap = pf - _dual_objective(problem, pa)
+            if pgap <= tol * max(1.0, abs(pf)):
+                return pw, pf, pgap
         if it >= ADMM_RHO_FREEZE:
             continue
         primal = np.linalg.norm(xw - z)
@@ -529,6 +549,44 @@ def _certified_minimizer(problem, tol, max_iter):
         f"reference solve did not reach tol={tol:g} in {max_iter} iterations "
         f"(duality gap {gap:.3g})"
     )
+
+
+def _polish(problem, z):
+    """(w, a): the stationary point of F with the active set that ADMM's
+    split variable z guesses, and its multiplier, or None.
+
+    The active set K holds the points whose z sits exactly on the kink,
+    z = y (absolute) or z = 1/y with y != 0 (hinge), the values ``_prox``
+    writes there.  Off K each slope s_i is the loss's derivative at z_i
+    (``_SLOPES``); on K the slopes g_K and w solve the KKT system
+
+        [[alpha I, X_K^T / m], [X_K, 0]] [w; g_K] = [-X^T s / m; kink_K],
+
+    zero gradient with the active predictions on their kinks.  The
+    multiplier is a = -s with -g_K on K.  None when |K| > d, when
+    alpha = 0 and |K| != d, or when the system is singular.
+    """
+    X, y = problem.data.X, problem.data.y
+    m, d = problem.data.m, problem.data.d
+    alpha = problem.alpha
+    if problem.kind == "absolute":
+        kink = y
+    else:  # a zero label has no kink: NaN matches no z
+        kink = np.divide(1.0, y, out=np.full_like(y, np.nan), where=y != 0.0)
+    on = z == kink
+    slope = _SLOPES[problem.kind](z, y)
+    k = int(on.sum())
+    if k > d or (alpha == 0.0 and k != d):
+        return None
+    slope[on] = 0.0
+    XK = X[on]
+    kkt = np.block([[alpha * np.eye(d), XK.T / m], [XK, np.zeros((k, k))]])
+    try:
+        sol = np.linalg.solve(kkt, np.concatenate([-(X.T @ slope) / m, kink[on]]))
+    except np.linalg.LinAlgError:
+        return None
+    slope[on] = sol[d:]
+    return sol[:d], -slope
 
 
 def _dual_objective(problem, a) -> float:

@@ -100,8 +100,8 @@ class FixedStep:
     eta: float
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise InvalidParameter("step size must be positive")
+        if not 0 < self.eta < math.inf:
+            raise InvalidParameter("step size must be finite and positive")
 
     def rate(self, t: int | np.ndarray) -> float | np.ndarray:
         return self.eta
@@ -115,8 +115,8 @@ class InverseSqrtStep:
     eta0: float
 
     def __post_init__(self):
-        if not self.eta0 > 0:
-            raise InvalidParameter("step size must be positive")
+        if not 0 < self.eta0 < math.inf:
+            raise InvalidParameter("step size must be finite and positive")
 
     def rate(self, t: int | np.ndarray) -> float | np.ndarray:
         return self.eta0 / np.sqrt(t)

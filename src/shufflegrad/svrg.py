@@ -76,8 +76,8 @@ class SVRGConfig:
     stream: int = 0
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise InvalidParameter("step_size must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise InvalidParameter("step_size must be finite and positive")
         for n in (self.epoch_len, self.n_epochs):
             _integer(n, "epoch_len and n_epochs must be integers >= 1", 1)
         if self.sampler not in SAMPLER_KINDS:

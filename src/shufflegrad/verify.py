@@ -372,8 +372,8 @@ def matrix_concentration_check(
     _check_features(X)
     if not 0 <= shift < math.inf:
         raise InvalidParameter("shift must be finite and >= 0")
-    if not alpha >= 2:
-        raise InvalidParameter("alpha must be >= 2")
+    if not 2 <= alpha < math.inf:
+        raise InvalidParameter("alpha must be finite and >= 2")
     trials = _integer(trials, "trials must be an integer >= 1", 1)
 
     mats, gamma, mean_matrix = normalized_outer_products(X, shift)

@@ -281,6 +281,21 @@ def test_infinite_reg_exit_code_1(dataset_file, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, message", [
+    (["sgd", "--T", "5", "--steps", "fixed"], "step size must be finite and positive"),
+    (["sgd", "--T", "5", "--steps", "inverse-sqrt"], "step size must be finite and positive"),
+    (["svrg", "--T", "5", "--S", "2"], "step_size must be finite and positive"),
+    (["dist", "--T", "5", "--S", "2", "--k", "2"], "step_size must be finite and positive"),
+], ids=["sgd-fixed", "sgd-inverse-sqrt", "svrg", "dist"])
+def test_infinite_eta_exit_code_1(dataset_file, tmp_path, capsys, command, message):
+    # Rejected as a parameter, not met at the first step as a divergence.
+    out = tmp_path / "r.csv"
+    args = [*command, "--data", str(dataset_file), "--eta", "inf", "--out", str(out)]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_invariant_violation_exit_code_1(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("#dim 2\n2.0 1:0.5\n")

@@ -217,6 +217,9 @@ def test_nan_parameters_raise(make):
 
 INF = math.inf
 INF_PARAMETERS = {  # radius = inf stays legal (test_infinite_radius_stays_legal)
+    "SVRGConfig.step_size": lambda: SVRGConfig(step_size=INF, epoch_len=1, n_epochs=1),
+    "FixedStep": lambda: FixedStep(INF),
+    "InverseSqrtStep": lambda: InverseSqrtStep(INF),
     "StronglyConvexStep": lambda: StronglyConvexStep(INF),
     "RidgeProblem.alpha": lambda: RidgeProblem(random_dataset(4, 2, seed=1), alpha=INF),
     "LipschitzLinearProblem.alpha": lambda: LipschitzLinearProblem(
@@ -224,6 +227,8 @@ INF_PARAMETERS = {  # radius = inf stays legal (test_infinite_radius_stays_legal
     "GenSpec.noise": lambda: GenSpec(m=4, d=2, noise=INF),
     "matrix_concentration_check.shift":
         lambda: matrix_concentration_check(np.eye(2), INF, 12.0, 1),
+    "matrix_concentration_check.alpha":
+        lambda: matrix_concentration_check(np.eye(2), 0.0, INF, 1),
     "contraction_check.lipschitz": lambda: contraction_check(
         FiniteVectorClass(np.eye(2)), [abs, abs], INF, (1, 1), 10),
     "central_band_peak.empty": lambda: central_band_peak(np.zeros(0)),
@@ -232,9 +237,10 @@ INF_PARAMETERS = {  # radius = inf stays legal (test_infinite_radius_stays_legal
 
 @pytest.mark.parametrize("make", INF_PARAMETERS.values(), ids=INF_PARAMETERS.keys())
 def test_infinite_parameters_raise(make):
-    """An infinite weight, step constant, noise level, shift or Lipschitz
-    constant (and an empty profile) is rejected up front, not met later
-    as a LinAlgError, a NaN gap, a zero step or clipped labels."""
+    """An infinite weight, step constant, noise level, shift, threshold
+    scale or Lipschitz constant (and an empty profile) is rejected up
+    front, not met later as a LinAlgError, a NaN gap, a zero step, a
+    DivergenceError, clipped labels or a check that cannot fail."""
     with pytest.raises(InvalidParameter):
         make()
 
@@ -575,22 +581,44 @@ class TestCertifiedReference:
 
     @pytest.mark.parametrize("kind, m, seed", [("absolute", 30, 12), ("hinge", 60, 32)])
     def test_certifies_within_budget(self, kind, m, seed):
-        # 430 and 200 iterations.  Balancing keeps ADMM's multiplier rho*u;
-        # rescaling rho alone restarts the dual, and these solves then need
-        # over 2,000 iterations.
+        # 20 and 10 iterations with the active-set polish; ADMM's own
+        # multiplier certifies after 430 and 200.  Balancing keeps ADMM's
+        # multiplier rho*u; rescaling rho alone restarts the dual, and ADMM
+        # alone then needs over 2,000 iterations.
         data = random_dataset(m, 3, seed=seed, label_scale=0.9)
         p = LipschitzLinearProblem(data, kind, radius=8.0, alpha=0.05)
         _, fw, gap = _certified_minimizer(p, 1e-13, 1_000)
         assert gap <= 1e-13 * max(1.0, abs(fw))
 
     def test_uncertified_solve_raises(self):
+        # A budget short of the first gap check certifies nothing.
         p = LipschitzLinearProblem(random_dataset(30, 3, seed=12, label_scale=0.9), "absolute",
                                    radius=8.0, alpha=0.05)
         with pytest.raises(InvalidParameter, match="did not reach"):
-            _certified_minimizer(p, problem_module.REFERENCE_TOL, 20)
+            _certified_minimizer(p, problem_module.REFERENCE_TOL,
+                                 problem_module.ADMM_CHECK_EVERY - 1)
+
+    def test_unpolishable_solve_raises(self):
+        # The alpha = 0 hinge instance whose active set the split variable
+        # does not guess: its checks and polishes run and fail, and it stays
+        # uncertified even at 50,000 iterations.
+        p = LipschitzLinearProblem(random_dataset(195, 3, seed=423181, label_scale=0.9),
+                                   "hinge", radius=15.0)
+        with pytest.raises(InvalidParameter, match="did not reach"):
+            _certified_minimizer(p, problem_module.REFERENCE_TOL, 200)
+
+    @pytest.mark.parametrize("seed", [7, 42, 2024])
+    def test_kinked_benchmark_shape_certifies_in_500(self, seed):
+        # The sgd_kinked workload's problem: plain ADMM needs about 1,100
+        # iterations, the active-set polish certifies within 500.
+        spec = GenSpec(m=2000, d=20, spectrum="geometric", decay=0.7, noise=0.2,
+                       signal_norm=0.8, seed=seed)
+        p = LipschitzLinearProblem(generate(spec), "absolute", radius=4.0, alpha=0.05)
+        _, fw, gap = _certified_minimizer(p, problem_module.REFERENCE_TOL, 500)
+        assert gap <= problem_module.REFERENCE_TOL * max(1.0, abs(fw))
 
 
-CERTIFY_BUDGET = 50_000  # iterations; alpha >= 0.01 draws took at most ~15k
+CERTIFY_BUDGET = 50_000  # iterations; of 450 draws, alpha >= 0.01 took at most 470, alpha = 0 ~20k
 
 
 @settings(max_examples=30, deadline=None)
@@ -619,7 +647,7 @@ def test_certificate_bounds_the_objective_on_the_ball(kind, alpha, d, m, seed):
         assert alpha == 0.0, err
     else:
         assert gap <= 1e-13 * max(1.0, abs(fw))
-        lower = fw - gap  # D(a) at ADMM's projected multiplier
+        lower = fw - gap  # D(a) at the certifying projected multiplier
         assert np.all(lower <= F)
     # Multipliers far outside the conjugate's domain along the null space of
     # X^T: unprojected, one sign makes D grow without bound.

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -192,7 +193,7 @@ class TestSingleRun:
 
     def test_non_finite_iterate_reports_its_step(self):
         p = random_ridge(30, 3, seed=4)
-        cfg = config_for(p, 10, rule=FixedStep(float("inf")))
+        cfg = config_for(p, 10, rule=FixedStep(sys.float_info.max))  # ||w_1||^2 overflows
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
             run_sgd(p, cfg)
         assert info.value.step == 1

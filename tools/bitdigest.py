@@ -246,7 +246,7 @@ def divergence_digest(sg):
                 dig.error(err)
             else:
                 dig.add("ok")
-    for eta in (10.0, 1e150, 1e300, np.inf):
+    for eta in (10.0, 1e150, 1e300, sys.float_info.max):
         for radius in (1.0, 1e300, np.inf):
             cfg = sg.SGDConfig(n_steps=300, step_rule=sg.FixedStep(eta), radius=radius,
                                sampler=sg.WITH_REPLACEMENT, seed=6)
