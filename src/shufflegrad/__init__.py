@@ -13,7 +13,7 @@ The package provides, for mean losses of linear predictions:
 * synthetic data generation and text serialization (:mod:`.datagen`).
 """
 
-__version__ = "0.30.0"
+__version__ = "0.31.0"
 
 from .datagen import GenSpec, generate, load, planted_weights, save
 from .distributed import (

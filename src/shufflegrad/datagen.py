@@ -76,8 +76,8 @@ class GenSpec:
             raise InvalidParameter(f"spectrum must be one of {SPECTRA}")
         if self.spectrum == "geometric" and not 0.0 < self.decay <= 1.0:
             raise InvalidParameter("geometric decay must lie in (0, 1]")
-        if not (0 <= self.noise < math.inf and self.signal_norm >= 0):
-            raise InvalidParameter("noise must be finite and >= 0, signal_norm >= 0")
+        if not (0 <= self.noise < math.inf and 0 <= self.signal_norm < math.inf):
+            raise InvalidParameter("noise and signal_norm must be finite and >= 0")
 
 
 def _draw_planted(spec: GenSpec, rng: Rng) -> np.ndarray:

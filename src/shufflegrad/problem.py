@@ -387,10 +387,10 @@ class LipschitzLinearProblem(_LinearPredictionProblem):
     * ``lipschitz``: bound on |loss'(z)| over the reachable predictions
       z in [-radius, radius] (absolute: 1; hinge: max|y|).
     * ``grad_bound``: sup of ||grad f_i(w)|| over the ball,
-      lipschitz + alpha * radius.
+      lipschitz + alpha * radius (lipschitz at alpha = 0).
     * ``loss_bound``: sup of |f_i(w)| over the ball (the value-range
       constant; distinct from the ball radius, which some analyses also
-      call B).
+      call B); infinite on an infinite ball unless every label is 0.
     """
 
     def __init__(self, data: Dataset, kind: str, radius: float, alpha: float = 0.0):
@@ -405,10 +405,11 @@ class LipschitzLinearProblem(_LinearPredictionProblem):
         ymax = float(np.abs(data.y).max())
         if kind == "absolute":
             self.lipschitz, raw = 1.0, R + ymax
-        else:
-            self.lipschitz, raw = ymax, 1.0 + ymax * R
-        self.grad_bound = self.lipschitz + self.alpha * R
-        self.loss_bound = raw + 0.5 * self.alpha * R**2
+        else:  # zero labels: every loss is 1, also on an infinite ball
+            self.lipschitz, raw = ymax, 1.0 + ymax * R if ymax else 1.0
+        # alpha = 0 adds no regularizer term: no 0 * inf on an infinite ball
+        self.grad_bound = self.lipschitz + self.alpha * R if self.alpha else self.lipschitz
+        self.loss_bound = raw + 0.5 * self.alpha * R**2 if self.alpha else raw
 
     @cached_property
     def _reference(self):
@@ -489,10 +490,14 @@ def _certified_minimizer(problem, tol, max_iter):
     ADMM itself ignores the ball, so an iterate outside it is never
     returned; if its F lies below D(a), it beats every point of the ball,
     which proves the minimizer outside, and the solve raises at once.
+    With alpha = 0 and an infinite radius, g* is infinite off X^T a = 0,
+    so no gap can certify: that solve raises before its first iteration.
     """
     X, y = problem.data.X, problem.data.y
     m, d = problem.data.m, problem.data.d
     alpha = problem.alpha
+    if alpha == 0.0 and np.isinf(problem.radius):  # then D(a) = -inf unless X^T a = 0
+        raise InvalidParameter("reference solve needs alpha > 0 or a finite radius")
 
     gram = X.T @ X
     eye = np.eye(d)

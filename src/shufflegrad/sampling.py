@@ -52,26 +52,34 @@ def is_permutation(order: np.ndarray, m: int) -> bool:
     return bool(seen.all())
 
 
-def explicit_indices(seq, m: int, need: int | None = None, name: str = "sigma") -> np.ndarray:
+def explicit_indices(seq, m: int, need: int | None = None, name: str = "sigma",
+                     batch: bool = False) -> np.ndarray:
     """The first ``need`` entries (all by default) of the 1-D sequence
     ``seq`` of integer indices in [0, m), as int64; ``name`` words the errors.
 
     The package's one check of outside indices.  Bools and floats are
     rejected; an empty sequence of any dtype is an empty index list.  A
     range error is an :class:`IndexOutOfRange`, the others its base class
-    :class:`InvalidParameter`.
+    :class:`InvalidParameter`.  With ``batch``, a 2-D ``seq`` of at least
+    one row is read too, the first ``need`` entries of every row; it is
+    checked as one array, and a range error names the row.
     """
     idx = np.asarray(seq)
-    if idx.ndim != 1:
-        raise InvalidParameter(f"{name} must be a 1-D index sequence, got shape {idx.shape}")
-    if need is not None and idx.size < need:
-        raise InvalidParameter(f"{name} provides {idx.size} indices, need {need}")
+    rows = batch and idx.ndim == 2
+    if not (idx.ndim == 1 or rows and len(idx)):
+        dims = "1-D or nonempty 2-D" if batch else "1-D"
+        raise InvalidParameter(f"{name} must be a {dims} index sequence, got shape {idx.shape}")
+    if need is not None and idx.shape[-1] < need:
+        each = "rows provide" if rows else "provides"
+        raise InvalidParameter(f"{name} {each} {idx.shape[-1]} indices, need {need}")
     if idx.size and idx.dtype.kind not in "iu":
         raise InvalidParameter(f"{name} must hold integer indices, got dtype {idx.dtype}")
     if idx.size and (idx.min() < 0 or idx.max() >= m):
-        pos = int(np.flatnonzero((idx < 0) | (idx >= m))[0])
-        raise IndexOutOfRange(f"{name} holds index {idx[pos]} at position {pos}, outside [0, {m})")
-    return idx[:need].astype(np.int64, copy=False)
+        *row, pos = np.argwhere((idx < 0) | (idx >= m))[0]
+        where = f" row {row[0]}" if rows else ""
+        raise IndexOutOfRange(f"{name}{where} holds index {idx[(*row, pos)]} at position {pos}, "
+                              f"outside [0, {m})")
+    return idx[..., :need].astype(np.int64, copy=False)
 
 
 def schedule(kind: str, m: int, rows: int, cols: int, rng: Rng, sigma=None) -> np.ndarray:

@@ -13,12 +13,15 @@ problem's minimizer, and the gradient count.
 One engine runs B independent streams
 -------------------------------------
 Monte-Carlo streams share nothing but the data, so one private engine
-runs B of them as the rows of a (B, d) iterate matrix, each with its own
-index row (one row of ``sampling.schedule``, or an explicit sequence).
-``run_sgd`` is its B = 1 call; ``average_suboptimality_over_seeds`` and
-``suboptimality_decomposition_check`` run their streams through it in
-consecutive chunks, each chunk sized to one fixed working-memory budget
-(``STREAM_CHUNK_BYTES``), and reduce the rows in stream order.
+runs B of them as the rows of a (B, d) iterate matrix.  Its one input is
+the caller's int64 (n, T) array of index rows, row k stream k's indices:
+``run_sgd`` passes its drawn row, its 1-D ``sigma``, or the n rows of a
+2-D ``sigma``; ``average_suboptimality_over_seeds`` draws stream k's row
+on ``Rng(seed, k)``; ``suboptimality_decomposition_check`` is one
+``run_sgd`` call over every permutation.  The engine runs the rows in
+consecutive chunks sliced from the array, each sized to one fixed
+working-memory budget (``STREAM_CHUNK_BYTES``), and returns the traces
+in row order.
 
 Every row keeps the bits of its one-stream run.  The row dots,
 ``np.vecdot`` for x_i . w and for ||w||^2, have the bits of the 1-D
@@ -51,7 +54,7 @@ cumulative sum along the step axis.
 A stream whose iterate norm becomes non-finite keeps running as NaNs
 until its chunk ends.  Then the lowest such stream's first non-finite
 step is raised as ``DivergenceError``: the error a sequential loop over
-the streams would raise first, even when a higher stream diverged at an
+the rows would raise first, even when a higher row diverged at an
 earlier step.
 
 ``suboptimality_decomposition_check`` reruns the algorithm under every
@@ -153,8 +156,9 @@ class Trace:
 
 
 def _stream_bytes(config: SGDConfig, d: int, collect_iterates: bool) -> int:
-    """Bytes one stream adds to a chunk: its index row (drawn, then
-    stacked), its trace and the previous chunk's; per row of the block
+    """Bytes one stream adds to a chunk: its trace and the previous
+    chunk's (its index row is a slice of the caller's array, which is held
+    for the whole call and lies outside the budget); per row of the block
     buffer, 4 vectors of d (the two planes, gathered points and iterates,
     and the block evaluation's two temporaries, the ridge curvature
     form's offsets and their Hessian products; the copy of the gathered
@@ -164,14 +168,16 @@ def _stream_bytes(config: SGDConfig, d: int, collect_iterates: bool) -> int:
     held while the next one runs)."""
     T = config.n_steps
     rows = 2 * collect_iterates * (T + 1)
-    return 8 * (4 * T + (min(T, EVAL_BLOCK) + 2) * (4 * d + 10) + rows * d)
+    return 8 * (2 * T + (min(T, EVAL_BLOCK) + 2) * (4 * d + 10) + rows * d)
 
 
-def _traces(problem, config: SGDConfig, rows, n: int, collect_iterates=False, reference=None):
-    """Yield the Trace of streams 0..n-1 in order; ``rows(k)`` draws stream k's indices.
+def _traces(problem, config: SGDConfig, indices, collect_iterates=False, reference=None):
+    """Yield, in order, the Trace of the stream of each row of the (n, T)
+    int64 ``indices``, n >= 1.
 
-    The streams run through :func:`_run_batch` in near-equal consecutive
-    chunks, as many per chunk as ``STREAM_CHUNK_BYTES`` allows.
+    The rows run through :func:`_run_batch` in the fewest near-equal
+    consecutive chunks (``np.array_split``) of at most as many rows as
+    ``STREAM_CHUNK_BYTES`` allows.
     """
     wstar = problem.wstar if reference is None else np.asarray(reference, dtype=np.float64)
     if not _in_ball(wstar, config.radius):
@@ -180,13 +186,10 @@ def _traces(problem, config: SGDConfig, rows, n: int, collect_iterates=False, re
             f"(norm {np.linalg.norm(wstar):.6g})"
         )
     cap = max(1, STREAM_CHUNK_BYTES // _stream_bytes(config, problem.d, collect_iterates))
-    n_chunks = -(-n // cap)
-    size = -(-n // n_chunks)
-    for lo in range(0, n, size):
-        indices = np.stack([rows(k) for k in range(lo, min(lo + size, n))])
-        subopt, avg, regret, kept = _run_batch(problem, config, indices, wstar,
+    for chunk in np.array_split(indices, -(-len(indices) // cap)):
+        subopt, avg, regret, kept = _run_batch(problem, config, chunk, wstar,
                                                reference is not None, collect_iterates)
-        for b in range(indices.shape[0]):
+        for b in range(len(subopt)):
             yield Trace(
                 suboptimality=subopt[b],
                 average_iterate=avg[b],
@@ -302,21 +305,26 @@ def run_sgd(
     sigma=None,
     collect_iterates: bool = False,
     reference=None,
-) -> Trace:
+) -> Trace | list[Trace]:
     """One SGD run; deterministic in (seed, stream).
 
-    ``sigma`` overrides the sampler with an explicit index sequence (used
-    by the exact permutation oracles).  Suboptimality and regret are
+    ``sigma`` overrides the sampler with an explicit index sequence, whose
+    first ``n_steps`` entries the run reads.  A 2-D ``sigma`` of n rows
+    runs n streams through the one engine and returns their n Traces, row
+    k's bitwise ``run_sgd(sigma=sigma[k])``; if a row diverges, the lowest
+    diverging row's ``DivergenceError`` is raised, the one a loop over the
+    rows would raise first.  Suboptimality and regret are
     measured against the problem's minimizer, or against ``reference``
     when given (any fixed point works for the regret identity; required
     for problems without a well-defined minimizer).  The comparator must
     lie inside the projection ball, otherwise projection excludes it.
     """
-    def rows(k):
-        return schedule(config.sampler, problem.m, 1, config.n_steps,
-                        Rng(config.seed, config.stream), sigma)[0]
-
-    return next(_traces(problem, config, rows, 1, collect_iterates, reference))
+    if sigma is None:
+        sigma = schedule(config.sampler, problem.m, 1, config.n_steps,
+                         Rng(config.seed, config.stream))[0]
+    indices = explicit_indices(sigma, problem.m, config.n_steps, batch=True)
+    traces = list(_traces(problem, config, np.atleast_2d(indices), collect_iterates, reference))
+    return traces if indices.ndim == 2 else traces[0]
 
 
 @dataclass
@@ -337,11 +345,9 @@ def average_suboptimality_over_seeds(problem, config: SGDConfig, n_seeds: int) -
     _integer(n_seeds, "n_seeds must be an integer >= 1", 1)
     mean = np.zeros(config.n_steps)
     m2 = np.zeros(config.n_steps)
-
-    def rows(k):
-        return schedule(config.sampler, problem.m, 1, config.n_steps, Rng(config.seed, k))[0]
-
-    for k, trace in enumerate(_traces(problem, config, rows, n_seeds)):
+    rows = np.concatenate([schedule(config.sampler, problem.m, 1, config.n_steps,
+                                    Rng(config.seed, k)) for k in range(n_seeds)])
+    for k, trace in enumerate(_traces(problem, config, rows)):
         delta = trace.suboptimality - mean
         mean += delta / (k + 1)
         m2 += delta * (trace.suboptimality - mean)
@@ -377,7 +383,7 @@ def suboptimality_decomposition_check(
     with the empty-prefix convention that the t=1 contribution is zero.
     The identity lhs = regret_term + prefix_suffix_term is exact; any
     fixed reference point may stand in for w* (pass ``wstar``).  All m!
-    runs go through the SGD engine as one batch of explicit index rows.
+    runs are one ``run_sgd`` call on the 2-D ``sigma`` of every order.
     The regret term is the engine's own ``Trace.regret / T``, so the
     identity checks it too; the other two terms are means over the
     (m!, T, m) point losses of the engine's (m!, T, d) iterates.
@@ -393,8 +399,7 @@ def suboptimality_decomposition_check(
     ref = problem.wstar if wstar is None else np.asarray(wstar, dtype=np.float64)
 
     sigmas = np.array(list(enumerate_permutations(m)))
-    runs = list(_traces(problem, config, lambda k: explicit_indices(sigmas[k], m, T),
-                        len(sigmas), collect_iterates=True, reference=wstar))
+    runs = run_sgd(problem, config, sigmas, collect_iterates=True, reference=wstar)
     W = np.stack([run.iterates for run in runs])  # (m!, T, d)
     losses = _scalar_loss(problem.kind, W @ problem.data.X.T, problem.data.y)
     losses += 0.5 * problem.alpha * np.vecdot(W, W)[..., None]

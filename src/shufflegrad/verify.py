@@ -127,8 +127,8 @@ class LinearBallClass:
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=np.float64))
-        if not self.radius > 0:
-            raise InvalidParameter("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise InvalidParameter("radius must be finite and positive")
         object.__setattr__(self, "X", X)
 
     @property
@@ -218,9 +218,9 @@ def rademacher_estimate(
 
 def linear_ball_bound(radius: float, split: tuple[int, int]) -> float:
     """Closed-form complexity bound sqrt(2) * radius * (1/sqrt(s) + 1/sqrt(u))
-    for a radius > 0 and a pair of integer split sizes >= 1."""
-    if not radius > 0:
-        raise InvalidParameter(f"radius must be > 0, got {radius!r}")
+    for a finite radius > 0 and a pair of integer split sizes >= 1."""
+    if not 0 < radius < math.inf:
+        raise InvalidParameter(f"radius must be finite and > 0, got {radius!r}")
     s, u = _split_pair(split)
     return math.sqrt(2.0) * radius * (1.0 / math.sqrt(s) + 1.0 / math.sqrt(u))
 

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from shufflegrad import (
     contraction_check,
     enumerate_permutations,
     generate,
+    linear_ball_bound,
     log_suboptimality_bound,
     matched_permutation,
     matrix_concentration_check,
@@ -232,6 +234,9 @@ INF_PARAMETERS = {  # radius = inf stays legal (test_infinite_radius_stays_legal
     "contraction_check.lipschitz": lambda: contraction_check(
         FiniteVectorClass(np.eye(2)), [abs, abs], INF, (1, 1), 10),
     "central_band_peak.empty": lambda: central_band_peak(np.zeros(0)),
+    "linear_ball_bound.radius": lambda: linear_ball_bound(INF, (2, 2)),
+    "LinearBallClass.radius": lambda: LinearBallClass(np.eye(2), INF),
+    "GenSpec.signal_norm": lambda: GenSpec(m=4, d=1, signal_norm=INF),
 }
 
 
@@ -320,6 +325,26 @@ def test_infinite_radius_stays_legal():
     assert SGDConfig(n_steps=1, step_rule=FixedStep(0.1), radius=math.inf).radius == math.inf
     assert LipschitzLinearProblem(random_dataset(4, 2, seed=1), "absolute",
                                   radius=math.inf).radius == math.inf
+
+
+@pytest.mark.parametrize("kind", ["absolute", "hinge"])
+def test_infinite_ball_without_regularizer_fails_fast(kind):
+    """At alpha = 0 on an infinite ball the bounds drop the regularizer
+    instead of reading 0 * inf = NaN, and the reference solve raises before
+    its first ADMM iteration: no duality gap can certify there."""
+    data = random_dataset(40, 3, seed=5, label_scale=0.9)
+    p = LipschitzLinearProblem(data, kind, radius=math.inf)
+    assert p.grad_bound == p.lipschitz > 0
+    assert p.loss_bound == math.inf
+    with mock.patch.object(problem_module, "_prox") as prox:
+        with pytest.raises(InvalidParameter, match="alpha > 0 or a finite radius"):
+            p.wstar
+    prox.assert_not_called()
+    # all-zero labels: every hinge loss is 1
+    zero = LipschitzLinearProblem(Dataset(X=data.X, y=np.zeros(40)), "hinge", radius=math.inf)
+    assert (zero.grad_bound, zero.loss_bound) == (0.0, 1.0)
+    regularized = LipschitzLinearProblem(data, kind, radius=math.inf, alpha=0.1)
+    assert regularized.grad_bound == regularized.loss_bound == math.inf
 
 
 def test_dataset_checks_hold_no_full_size_temporary():
@@ -581,13 +606,18 @@ class TestCertifiedReference:
 
     @pytest.mark.parametrize("kind, m, seed", [("absolute", 30, 12), ("hinge", 60, 32)])
     def test_certifies_within_budget(self, kind, m, seed):
-        # 20 and 10 iterations with the active-set polish; ADMM's own
-        # multiplier certifies after 430 and 200.  Balancing keeps ADMM's
-        # multiplier rho*u; rescaling rho alone restarts the dual, and ADMM
-        # alone then needs over 2,000 iterations.
+        # Two cases in one budget.  With the active-set polish the solve
+        # certifies after 20 and 10 iterations.  With the polish patched
+        # out, ADMM's own multiplier must certify, after 430 and 200:
+        # balancing keeps the multiplier rho*u, whereas rescaling rho alone
+        # restarts the dual, and ADMM then needs over 2,000 iterations.
         data = random_dataset(m, 3, seed=seed, label_scale=0.9)
         p = LipschitzLinearProblem(data, kind, radius=8.0, alpha=0.05)
         _, fw, gap = _certified_minimizer(p, 1e-13, 1_000)
+        assert gap <= 1e-13 * max(1.0, abs(fw))
+        with mock.patch.object(problem_module, "_polish", return_value=None) as polish:
+            _, fw, gap = _certified_minimizer(p, 1e-13, 1_000)
+        assert polish.called
         assert gap <= 1e-13 * max(1.0, abs(fw))
 
     def test_uncertified_solve_raises(self):

@@ -19,7 +19,7 @@ from shufflegrad import (
     run_svrg,
     shuffle,
 )
-from shufflegrad.errors import InvalidParameter
+from shufflegrad.errors import IndexOutOfRange, InvalidParameter
 from shufflegrad.sampling import SingleShuffleSampler, schedule
 from conftest import random_ridge
 
@@ -337,11 +337,33 @@ def test_single_shuffle_schedule_cost_does_not_grow_with_m():
 def test_explicit_sequences_are_checked_alike_by_both_drivers(unit_axes_problem, sigma, message):
     sgd = SGDConfig(n_steps=4, step_rule=FixedStep(0.1), radius=5.0)
     svrg = SVRGConfig(step_size=0.1, epoch_len=2, n_epochs=2)
-    for run in (lambda: run_sgd(unit_axes_problem, sgd, sigma=sigma),
-                lambda: run_svrg(unit_axes_problem, svrg, sigma=sigma)):
+    # run_sgd reads a 2-D sigma as one stream per row, each too short here;
+    # run_svrg reads a 1-D sigma only.
+    sgd_message = message if np.ndim(sigma) == 1 else "sigma rows provide 2 indices, need 4"
+    for run, want in ((lambda: run_sgd(unit_axes_problem, sgd, sigma=sigma), sgd_message),
+                      (lambda: run_svrg(unit_axes_problem, svrg, sigma=sigma), message)):
         with pytest.raises(InvalidParameter) as err:
             run()
-        assert str(err.value) == message
+        assert str(err.value) == want
+
+
+@pytest.mark.parametrize("sigma, message", [
+    (np.zeros((0, 4), dtype=np.int64),
+     "sigma must be a 1-D or nonempty 2-D index sequence, got shape (0, 4)"),
+    ([[0, 1, 0, 1], [1, 0, 2, 0]], "sigma row 1 holds index 2 at position 2, outside [0, 2)"),
+    # the first bad entry in row order, also past the n_steps read
+    ([[0, 1, 0, 1, 5], [1, -1, 0, 1, 0]],
+     "sigma row 0 holds index 5 at position 4, outside [0, 2)"),
+    ([[0.0, 1.0, 0.0, 1.0]], "sigma must hold integer indices, got dtype float64"),
+    ([[[0, 1, 0, 1]]],
+     "sigma must be a 1-D or nonempty 2-D index sequence, got shape (1, 1, 4)"),
+])
+def test_two_dimensional_sigma_is_checked_as_one_array(unit_axes_problem, sigma, message):
+    sgd = SGDConfig(n_steps=4, step_rule=FixedStep(0.1), radius=5.0)
+    with pytest.raises(InvalidParameter) as err:
+        run_sgd(unit_axes_problem, sgd, sigma=sigma)
+    assert str(err.value) == message
+    assert isinstance(err.value, IndexOutOfRange) == ("outside" in message)
 
 
 def test_permutation_tuples_run_like_arrays(unit_axes_problem):

@@ -28,7 +28,7 @@ from shufflegrad import (
 )
 from shufflegrad.errors import DivergenceError, InvalidParameter
 from shufflegrad.rng import Rng
-from shufflegrad.sampling import schedule
+from shufflegrad.sampling import SAMPLER_KINDS, schedule
 from shufflegrad import sgd as sgd_module
 from shufflegrad.sgd import EVAL_BLOCK
 from conftest import (
@@ -293,8 +293,7 @@ def exact_expectation_setup(sampler):
         rows = np.array(list(itertools.permutations(range(6))))  # 720 orders
     else:
         rows = np.array(list(itertools.product(range(6), repeat=EXACT_T)))  # 46,656 sequences
-    traces = sgd_module._traces(problem, cfg, lambda k: rows[k], len(rows))
-    exact = np.mean([trace.suboptimality for trace in traces], axis=0)
+    exact = np.mean([trace.suboptimality for trace in run_sgd(problem, cfg, rows)], axis=0)
     return problem, cfg, exact
 
 
@@ -389,6 +388,13 @@ def tiny_budget(config, d, collect_iterates, streams):
     return streams * sgd_module._stream_bytes(config, d, collect_iterates)
 
 
+def stream_rows(config, m, n, width=None):
+    """The (n, width) index rows of streams 0..n-1 of ``config``, each drawn
+    on its own stream, width ``n_steps`` by default."""
+    return np.concatenate([schedule(config.sampler, m, 1, width or config.n_steps,
+                                    Rng(config.seed, k)) for k in range(n)])
+
+
 @functools.lru_cache(maxsize=None)
 def engine_problem(kind, d):
     data = random_dataset(300, d, seed=40 + d, label_scale=0.8)
@@ -426,13 +432,10 @@ def test_batch_rows_match_one_stream_runs(kind, sampler, d, T, B, cap, collect,
     radius = 0.3 if reference is not None else 1.05 * float(np.linalg.norm(p.wstar)) + 1e-3
     rule = FixedStep(eta) if seed % 2 else InverseSqrtStep(eta)
     cfg = SGDConfig(n_steps=T, step_rule=rule, radius=radius, sampler=sampler, seed=seed)
-
-    def rows(k):
-        return schedule(cfg.sampler, p.m, 1, cfg.n_steps, Rng(cfg.seed, k))[0]
-
+    rows = stream_rows(cfg, p.m, B)
     budget = tiny_budget(cfg, d, collect, cap)
     with mock.patch.object(sgd_module, "STREAM_CHUNK_BYTES", budget):
-        batch = list(sgd_module._traces(p, cfg, rows, B, collect, reference))
+        batch = run_sgd(p, cfg, rows, collect_iterates=collect, reference=reference)
     assert len(batch) == B
     for k, got in enumerate(batch):
         solo = run_sgd(p, replace(cfg, stream=k), collect_iterates=collect, reference=reference)
@@ -473,12 +476,69 @@ def first_sequential_error(problem, cfg, sigmas, reference):
     return None
 
 
-def batch_error(problem, cfg, rows, n, reference):
+def batch_error(problem, cfg, sigmas, reference, collect_iterates=False):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError) as info:
-            list(sgd_module._traces(problem, cfg, rows, n, reference=reference))
+            run_sgd(problem, cfg, np.array(sigmas), collect_iterates, reference)
     return info.value
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["ridge", "absolute", "hinge", "blow_up"]),
+    sampler=st.sampled_from(SAMPLER_KINDS),
+    T=st.integers(1, 2 * EVAL_BLOCK + 7),
+    extra=st.integers(0, 2),
+    n=st.integers(1, 7),
+    cap=st.integers(1, 3),
+    collect=st.booleans(),
+    given_reference=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+# rows 3, 4 and 5 of 7 diverge, at steps 18, 17 and 9; chunks of 2 rows
+@example(kind="blow_up", sampler="with_replacement", T=20, extra=1, n=7, cap=2,
+         collect=True, given_reference=True, seed=212)
+def test_two_dimensional_sigma_runs_each_row_alone(kind, sampler, T, extra, n, cap, collect,
+                                                   given_reference, seed):
+    """Row k of a 2-D sigma has the bytes of run_sgd on row k alone, its
+    entries past n_steps unread; if rows diverge, the call raises the
+    error a loop over the rows raises first."""
+    if kind == "blow_up":
+        p, cfg, reference = blow_up_problem()
+    else:
+        p = engine_problem(kind, 3)
+        reference = np.full(3, 0.02) if given_reference or kind != "ridge" else None
+        radius = 0.3 if reference is not None else 1.05 * float(np.linalg.norm(p.wstar)) + 1e-3
+        cfg = SGDConfig(n_steps=1, step_rule=InverseSqrtStep(1.0), radius=radius)
+    width = T + extra if sampler != "single_shuffle" else min(T + extra, p.m)
+    cfg = replace(cfg, n_steps=min(T, width), sampler=sampler, seed=seed)
+    rows = stream_rows(cfg, p.m, n, width)
+    solo, expected = [], None
+    with np.errstate(all="ignore"):
+        for row in rows:
+            try:
+                solo.append(run_sgd(p, cfg, row, collect, reference))
+            except DivergenceError as err:
+                expected = err
+                break
+    with mock.patch.object(sgd_module, "STREAM_CHUNK_BYTES",
+                           tiny_budget(cfg, p.d, collect, cap)):
+        if expected is not None:
+            got = batch_error(p, cfg, rows, reference, collect)
+            assert (str(got), got.step) == (str(expected), expected.step)
+            return
+        batch = run_sgd(p, cfg, rows, collect, reference)
+    assert len(batch) == n
+    for got, want in zip(batch, solo, strict=True):
+        assert got.suboptimality.tobytes() == want.suboptimality.tobytes()
+        assert got.average_iterate.tobytes() == want.average_iterate.tobytes()
+        assert np.float64(got.regret).tobytes() == np.float64(want.regret).tobytes()
+        assert got.gradient_evals == want.gradient_evals == cfg.n_steps
+        if collect:
+            assert got.iterates.tobytes() == want.iterates.tobytes()
+        else:
+            assert got.iterates is None and want.iterates is None
 
 
 @pytest.mark.parametrize("cap", [1, 2, 4])
@@ -498,7 +558,7 @@ def test_batch_raises_lowest_diverging_stream(cap):
         assert expected is not None and expected.step > 30
         budget = tiny_budget(cfg, 2, False, streams)
         with mock.patch.object(sgd_module, "STREAM_CHUNK_BYTES", budget):
-            got = batch_error(p, cfg, lambda k: sigmas[k], len(sigmas), ref)
+            got = batch_error(p, cfg, sigmas, ref)
         assert str(got) == str(expected)
         assert got.step == expected.step
         assert (got.epoch, got.value, got.bound) == (None, None, None)
@@ -567,14 +627,11 @@ def test_block_size_keeps_every_bit(kind):
     radius = 0.3 if reference is not None else 1.05 * float(np.linalg.norm(p.wstar)) + 1e-3
     cfg = SGDConfig(n_steps=300, step_rule=InverseSqrtStep(1.0), radius=radius,
                     sampler="with_replacement", seed=3)
-
-    def rows(k):
-        return schedule(cfg.sampler, p.m, 1, cfg.n_steps, Rng(cfg.seed, k))[0]
-
+    rows = stream_rows(cfg, p.m, 3)
     runs = []
     for block in BLOCK_SIZES:
         with mock.patch.object(sgd_module, "EVAL_BLOCK", block):
-            runs.append(list(sgd_module._traces(p, cfg, rows, 3, True, reference)))
+            runs.append(run_sgd(p, cfg, rows, collect_iterates=True, reference=reference))
     for run in runs[1:]:
         for got, want in zip(run, runs[0], strict=True):
             assert np.array_equal(got.suboptimality, want.suboptimality)
