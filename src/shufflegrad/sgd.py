@@ -35,16 +35,23 @@ no-op factor.  As in ``svrg.run_svrg``, each step call is a local taking
 ``out`` positionally, on operands of one shape or a 0-d eta_t or c_t:
 x_i multiplies in place the column eta_t * s_t copied across a (B, d)
 buffer (IEEE products commute, so the bits are x_i * (eta_t * s_t)).
-Projection scales only the rows whose norm exceeds the radius; one test
-per step, at every B, compares the largest norm (the row ``argmax``
-picks, the first NaN if any) with the radius, so a NaN or overflowed
-row fails it like a row outside the ball.  Step t reads x_i and w_t
+Projection scales only the rows whose norm exceeds the radius.  The ball
+test compares the largest norm (the row ``argmax`` picks, the first NaN
+if any) with the radius, so a NaN or overflowed row fails it like a row
+outside the ball.  It runs at every step of a tested block: the first
+block, and each block after one that projected.  Another block runs
+untested; then one array test over its squared norms, rows already
+non-finite excluded, finds its first failing step, which is projected,
+and the steps after it in the block are replayed, tested.  So every
+projection falls on the step and rows the per-step test gives, and a
+block that fails wastes at most the rest of itself, once.  Step t reads x_i and w_t
 from a row of one block buffer, plane 0 the gathered points and plane 1
 the iterates, and writes w_{t+1} into the next row, whose two dots,
 x_{i'} . w_{t+1} for the next step and ||w_{t+1}||^2 for the projection
 test, come from one ``np.vecdot`` call (a projected row recomputes its
 pair).  The rate table eta_1..eta_T and the c_t come from one array
-call of the step rule, with the bits of calls at each t.  After each
+call of the step rule, with the bits of calls at each t; each block
+copies its rows into one buffer read through 0-d views made once.  After each
 ``EVAL_BLOCK`` steps, one ``cumsum`` over the carried sum and the
 block's iterates gives S_t = w_1 + ... + w_t, added in step order like
 a running accumulator; the average iterate is S_t / t, and the averages
@@ -199,6 +206,17 @@ def _traces(problem, config: SGDConfig, indices, collect_iterates=False, referen
             )
 
 
+def _project(t, sq, w_next, pair, zs_next, radius, first_bad):
+    """Step t's ball test failed: flag the rows whose norm ``sqrt(sq)`` is
+    non-finite, scale the rows outside the ball onto it and recompute
+    their two dots (``pair`` the step's plane pair, ``zs_next`` its dots)."""
+    norm = np.sqrt(sq)
+    first_bad[(first_bad == 0) & ~np.isfinite(norm)] = t
+    over = norm > radius
+    w_next[over] *= (radius / norm[over])[:, None]
+    zs_next[:, over] = np.vecdot(pair[:, over], w_next[over])
+
+
 def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, collect_iterates):
     """Run the streams whose index rows are ``indices`` (B, T) as one batch.
 
@@ -232,18 +250,22 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
     buf = np.zeros((2, K + 2, B, d))
     P, W = buf
     ZS = np.zeros((2, K + 2, B))
+    coef = np.empty((2, K))  # the block's eta_t and c_t
     G = np.empty((B, d))
     slope = np.empty(B)
     slope_col = slope[:, None]
-    slope_of, sqrt = _SLOPES[kind], math.sqrt
+    slope_of, sqrt, project = _SLOPES[kind], math.sqrt, _project
     multiply, subtract, vecdot = np.multiply, np.subtract, np.vecdot
-    # views made once: buf[:, j], ZS[:, j] and the rows of each plane
+    # views made once: buf[:, j], ZS[:, j], the rows of each plane and the
+    # 0-d entries of coef, so that no call converts a scalar
     pairs, zs_pairs = list(buf.transpose(1, 0, 2, 3)), list(ZS.transpose(1, 0, 2))
     x_rows, w_rows, z_rows, sq_rows = list(P), list(W), list(ZS[0]), list(ZS[1])
+    rate_rows, shrink_rows = ([c[j, ...] for j in range(K)] for c in coef)
     kept = np.empty((B, T, d)) if collect_iterates else None
     subopt = np.empty((B, T))
     regret = np.zeros(B)
     first_bad = np.zeros(B, dtype=np.int64)  # first non-finite step per row, 0: none
+    tested = True  # the first block tests every step
 
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, T, K):
@@ -253,30 +275,42 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
             block = indices[:, lo : lo + n].T
             P[1 : n + 1] = X[block]
             yb = y[block]
+            coef[0, :n] = rates[lo : lo + n]
+            coef[1, :n] = shrinks[lo : lo + n]
             # The block's first pair of dots; the last step's x dot reads no point and is unused.
             np.vecdot(pairs[1], W[1], out=zs_pairs[1])
-            # 0-d views of eta_t and c_t: no scalar conversion in every call
-            steps = zip(range(lo + 1, lo + n + 1), x_rows[1:], w_rows[1:], w_rows[2:],
-                        pairs[2:], zs_pairs[2:], z_rows[1:], sq_rows[2:], yb,
-                        [rates[t, ...] for t in range(lo, lo + n)],
-                        [shrinks[t, ...] for t in range(lo, lo + n)])
-            for t, x, w, w_next, pair, zs_next, z, sq, yc, rate, shrink in steps:
-                slope_of(z, yc, slope)
-                multiply(slope, rate, slope)
-                G[...] = slope_col  # so that x * G has operands of one shape
-                multiply(x, G, G)
-                multiply(w, shrink, w_next)
-                subtract(w_next, G, w_next)
-                # x_{t+1} . w_{t+1} and ||w_{t+1}||^2 in one call
-                vecdot(pair, w_next, zs_next)
-                # sqrt is monotone: a row to project or a non-finite row fails;
-                # argmax returns the first NaN, which fails any comparison.
-                if not sqrt(sq[sq.argmax()]) <= limit:
-                    norm = np.sqrt(sq)
-                    first_bad[(first_bad == 0) & ~np.isfinite(norm)] = t
-                    over = norm > radius
-                    w_next[over] *= (radius / norm[over])[:, None]
-                    zs_next[:, over] = np.vecdot(pair[:, over], w_next[over])
+            projected, a = False, 0  # steps lo+a+1 .. lo+n run next
+            while True:
+                steps = zip(range(lo + a + 1, lo + n + 1), x_rows[a + 1 :], w_rows[a + 1 :],
+                            w_rows[a + 2 :], pairs[a + 2 :], zs_pairs[a + 2 :], z_rows[a + 1 :],
+                            sq_rows[a + 2 :], yb[a:], rate_rows[a:], shrink_rows[a:])
+                for t, x, w, w_next, pair, zs_next, z, sq, yc, rate, shrink in steps:
+                    slope_of(z, yc, slope)
+                    multiply(slope, rate, slope)
+                    G[...] = slope_col  # so that x * G has operands of one shape
+                    multiply(x, G, G)
+                    multiply(w, shrink, w_next)
+                    subtract(w_next, G, w_next)
+                    # x_{t+1} . w_{t+1} and ||w_{t+1}||^2 in one call
+                    vecdot(pair, w_next, zs_next)
+                    # sqrt is monotone: a row to project or a non-finite row fails;
+                    # argmax returns the first NaN, which fails any comparison.
+                    if tested and not sqrt(sq[sq.argmax()]) <= limit:
+                        project(t, sq, w_next, pair, zs_next, radius, first_bad)
+                        projected = True
+                if tested:
+                    break
+                # An untested block: its first step where a row not yet flagged
+                # fails is projected, and the steps after it rerun, tested.
+                fails = ~(np.sqrt(ZS[1, 2 : n + 2]) <= limit) & (first_bad == 0)
+                if not fails.any():
+                    break
+                a = int(fails.any(axis=1).argmax())  # step lo+a+1 wrote row a+2
+                project(lo + a + 1, sq_rows[a + 2], w_rows[a + 2], pairs[a + 2],
+                        zs_pairs[a + 2], radius, first_bad)
+                projected = tested = True
+                a += 1
+            tested = projected
 
             iterates = W[1 : n + 1]  # w_{lo+1} .. w_{lo+n}
             if kept is not None:

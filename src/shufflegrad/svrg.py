@@ -154,7 +154,8 @@ def run_svrg(problem, config: SVRGConfig, sigma=None) -> EpochTrace:
     # Row j holds the offset v_{j+1} during the steps, then the iterate
     # w_{j+1}; row T the post-step one.
     W = np.empty((T + 1, problem.d))
-    w_rows = list(W)
+    Xb = np.empty((T, problem.d))  # the epoch's gathered points
+    w_rows, x_rows = list(W), list(Xb)  # row views made once
     g = np.empty(problem.d)
     add, subtract, multiply = np.add, np.subtract, np.multiply
     # A 0-d operand: the same float64 products, without a scalar conversion
@@ -163,13 +164,13 @@ def run_svrg(problem, config: SVRGConfig, sigma=None) -> EpochTrace:
     step = np.empty(())
     for s in range(S):
         q = -eta * problem.full_gradient(snapshot)
-        Xb = np.take(X, indices[s], axis=0)
+        np.take(X, indices[s], axis=0, out=Xb)
 
         # A diverging epoch runs to its end before the guard below sees it,
         # so overflow on the way is expected, not an error.
         with np.errstate(over="ignore", invalid="ignore"):
             W[0] = 0.0
-            for v, xi, v_next in zip(w_rows, list(Xb), w_rows[1:]):
+            for v, xi, v_next in zip(w_rows, x_rows, w_rows[1:]):
                 step[()] = eta * xi.dot(v)
                 multiply(v, c, v_next)
                 add(v_next, q, v_next)

@@ -89,25 +89,74 @@ def reference_sgd(problem, config, indices, reference=None):
     return np.array(subopt), avg, float(regret)
 
 
-@pytest.mark.parametrize("T", [1, 37, EVAL_BLOCK, 2 * EVAL_BLOCK + 37])
-@pytest.mark.parametrize("kind", ["ridge", "absolute", "hinge"])
-def test_run_matches_per_step_oracle(T, kind):
+def loud_case(kind, T, loud):
+    """A run that projects at step ``loud`` and at no other step.
+
+    The ball has radius 0.01.  The 120 quiet points have norm at most
+    1e-4, so with eta_t = 0.5 / sqrt(t) the quiet steps keep the iterate
+    within sqrt(T) * 1e-4 < 0.003 of the origin, and, since alpha * 0.01
+    exceeds 1e-4 times any slope, strictly inside the ball once it is on
+    the sphere.  From within 0.003 of the origin, the loud point e_1 with
+    label 1 has a slope within 0.003 of -1 at every kind, so its step
+    leaves the ball: 0.997 * 0.5 / sqrt(T) > 0.02 for T < 600.
+    """
     data = random_dataset(120, 3, seed=T)
-    if kind == "ridge":
-        problem, reference = RidgeProblem(data, alpha=0.1), None
-        rule = StronglyConvexStep(0.1)
-    else:  # the comparator is given: no reference solve for the kinked losses
-        problem = LipschitzLinearProblem(data, kind, radius=2.0, alpha=0.05)
-        reference, rule = np.full(3, 0.1), InverseSqrtStep(0.5)
-    cfg = SGDConfig(n_steps=T, step_rule=rule, radius=2.0)
-    sigma = Rng(T, 1).below(np.full(T, problem.m, dtype=np.uint64))
-    trace = run_sgd(problem, cfg, sigma=sigma, reference=reference)
+    data = Dataset(X=np.vstack([1e-4 * data.X, [1.0, 0.0, 0.0]]), y=np.append(data.y, 1.0))
+    problem = (RidgeProblem(data, alpha=0.1) if kind == "ridge"
+               else LipschitzLinearProblem(data, kind, radius=2.0, alpha=0.05))
+    cfg = SGDConfig(n_steps=T, step_rule=InverseSqrtStep(0.5), radius=0.01)
+    sigma = Rng(T, 1).below(np.full(T, 120, dtype=np.uint64))
+    sigma[loud - 1] = 120
+    return problem, cfg, sigma, np.full(3, 0.001)
+
+
+# Past the plain runs, each case drives one path of the engine's ball test:
+# the first projection in a block after a clean one, which the block test
+# finds and the rest of the block replays from; a projection at a block's
+# last step, whose replay is empty; and a radius of 1.0001 times the
+# comparator's norm, where nearly every block projects.
+ORACLE_CASES = [pytest.param(T, None, id=str(T)) for T in (1, 37, EVAL_BLOCK, 2 * EVAL_BLOCK + 37)]
+ORACLE_CASES += [pytest.param(2 * EVAL_BLOCK + 37, EVAL_BLOCK + 44, id="replay"),
+                 pytest.param(2 * EVAL_BLOCK + 37, 2 * EVAL_BLOCK, id="empty_replay"),
+                 pytest.param(6 * EVAL_BLOCK + 37, "tight", id="tight")]
+
+
+@pytest.mark.parametrize("T, path", ORACLE_CASES)
+@pytest.mark.parametrize("kind", ["ridge", "absolute", "hinge"])
+def test_run_matches_per_step_oracle(kind, T, path):
+    if isinstance(path, int):
+        problem, cfg, sigma, reference = loud_case(kind, T, path)
+    else:
+        data = random_dataset(120, 3, seed=T)
+        if kind == "ridge":
+            problem, reference = RidgeProblem(data, alpha=0.1), None
+            rule = StronglyConvexStep(0.1)
+        else:  # the comparator is given: no reference solve for the kinked losses
+            problem = LipschitzLinearProblem(data, kind, radius=2.0, alpha=0.05)
+            reference, rule = np.full(3, 0.1), InverseSqrtStep(0.5)
+        comparator = problem.wstar if reference is None else reference
+        radius = 1.0001 * float(np.linalg.norm(comparator)) if path == "tight" else 2.0
+        cfg = SGDConfig(n_steps=T, step_rule=rule, radius=radius)
+        sigma = Rng(T, 1).below(np.full(T, problem.m, dtype=np.uint64))
+    # The slope writer runs once per step run, replayed steps included.
+    slope_of = mock.Mock(wraps=sgd_module._SLOPES[problem.kind])
+    with mock.patch.object(sgd_module, "_project", wraps=sgd_module._project) as project, \
+            mock.patch.dict(sgd_module._SLOPES, {problem.kind: slope_of}):
+        trace = run_sgd(problem, cfg, sigma=sigma, reference=reference)
     subopt, avg, regret = reference_sgd(problem, cfg, sigma, reference)
     assert np.array_equal(trace.suboptimality, subopt)
     assert np.array_equal(trace.average_iterate, avg)
     assert trace.regret == regret
-
-
+    # the steps the engine projected, each once, and their blocks
+    steps = [call.args[0] for call in project.call_args_list]
+    blocks = [(t - 1) // EVAL_BLOCK for t in steps]
+    if isinstance(path, int):
+        # The only projection, in a block after a clean one: the block test
+        # found it, and the steps after it in its block ran again.
+        assert steps == [path] and blocks[0] >= 1
+        assert slope_of.call_count == T + (blocks[0] + 1) * EVAL_BLOCK - path
+    elif path == "tight":
+        assert len(set(blocks)) >= 6  # of 7, so most blocks are tested per step
 def test_given_reference_is_valued_by_full_objective():
     """F(reference) has the formula of F(avg_t), full_objective, not the
     mean of point_losses, which may differ in its last bits."""
@@ -562,6 +611,41 @@ def test_batch_raises_lowest_diverging_stream(cap):
         assert str(got) == str(expected)
         assert got.step == expected.step
         assert (got.epoch, got.value, got.bound) == (None, None, None)
+
+
+@pytest.mark.parametrize("overflow, point", [(2 * EVAL_BLOCK + 20, 3), (2 * EVAL_BLOCK + 5, 3),
+                                             (2 * EVAL_BLOCK + 5, 4)])
+def test_overflow_in_an_untested_block_raises_the_sequential_error(overflow, point):
+    """In the third block, untested after a clean second one, row 1
+    projects at step 2 EVAL_BLOCK + 10 and row 2's norm becomes infinite or
+    NaN before or after it: the block test finds the first of the two, the
+    replay the other, and the call raises row 2's error, the one a loop
+    over the rows raises."""
+    # With eta = 1.5e308, point 0 never moves the iterate; from the origin,
+    # point 1 steps to (0, 1.5e108) and point 2 to (-1.5e108, 0), both
+    # projected; from (-1, 0), point 3 steps to (7.5e307, 0), whose squared
+    # norm overflows, and point 4 to (inf, nan), as eta_t s_t overflows.
+    data = Dataset(X=np.array([[0.0, 0.0], [0.0, 1e-200], [1e-200, 0.0], [0.5, 0.0], [1.0, 0.0]]),
+                   y=np.array([0.0, 1.0, -1.0, 0.5, 1.0]))
+    p = RidgeProblem(data, alpha=0.0)
+    cfg = SGDConfig(n_steps=3 * EVAL_BLOCK, step_rule=FixedStep(1.5e308), radius=1.0)
+    quiet = np.zeros(3 * EVAL_BLOCK, dtype=np.int64)
+    projects, overflows = quiet.copy(), quiet.copy()
+    projects[2 * EVAL_BLOCK + 9] = 1
+    overflows[4] = 2
+    overflows[overflow - 1] = point
+    sigmas = [quiet, projects, overflows]
+    ref = np.zeros(2)
+    expected = first_sequential_error(p, cfg, sigmas, ref)
+    assert expected.step == overflow
+    with mock.patch.object(sgd_module, "_project", wraps=sgd_module._project) as project:
+        got = batch_error(p, cfg, sigmas, ref)
+    assert (str(got), got.step) == (str(expected), expected.step)
+    # block 1's projection, then the block test's find in block 3, then the
+    # replay's (a NaN row fails every later step's test)
+    steps = [call.args[0] for call in project.call_args_list]
+    assert steps[:2] == [5, min(overflow, 2 * EVAL_BLOCK + 10)]
+    assert {2 * EVAL_BLOCK + 10, overflow} <= set(steps)
 
 
 @pytest.mark.parametrize("seed", range(6))
