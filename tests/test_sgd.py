@@ -157,6 +157,8 @@ def test_run_matches_per_step_oracle(kind, T, path):
         assert slope_of.call_count == T + (blocks[0] + 1) * EVAL_BLOCK - path
     elif path == "tight":
         assert len(set(blocks)) >= 6  # of 7, so most blocks are tested per step
+
+
 def test_given_reference_is_valued_by_full_objective():
     """F(reference) has the formula of F(avg_t), full_objective, not the
     mean of point_losses, which may differ in its last bits."""
