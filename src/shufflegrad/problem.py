@@ -41,18 +41,20 @@ Blocks of points
 ``full_objective`` and ``suboptimality`` take one point w of shape (d,)
 and return a float, or a block W of shape (n, d) and return n values.
 ``full_objective`` forms the predictions of each chunk of rows (two, or
-as many as fit in ``LOSS_CHUNK`` losses, 512 KiB, so memory does not
-grow with n) as one matrix product, and the regularizers of the whole
-block as one ``np.vecdot(W, W)``, a dot per row like the one-point
-``w @ w``.  numpy sends a one-row product to gemv, so a lone row is
-evaluated as the first row of ``[w, w]``.
+as many as fit in ``LOSS_CHUNK`` losses, 256 KiB, so memory does not
+grow with n) as one matrix product, written into one product buffer the
+call allocates once, and the regularizers of the whole block as one
+``np.vecdot(W, W)``, a dot per row like the one-point ``w @ w``.  numpy
+sends a one-row product to gemv, so a lone row is evaluated as the
+first row of ``[w, w]``.
 
 A call whose block spans more than one chunk folds the labels into the
-product: it builds one (d+1, m) operand [X^T; y] and multiplies each
-chunk's [A, -1] by it, so the last term of every product is -y and the
-product is the residual z - y, from which the absolute and squared
-losses follow in place.  The hinge takes [A, 0] instead, which gives z
-exactly.  A call of one chunk at an m that is a multiple of
+product: it multiplies each chunk's [A, -1] by the (d+1, m) operand
+[X^T; y], so the last term of every product is -y and the product is
+the residual z - y, from which the absolute and squared losses follow
+in place.  The hinge takes [A, 0] instead, which gives z exactly.  The
+problem builds the operand once, on the first call that folds, and
+keeps it.  A call of one chunk at an m that is a multiple of
 ``GEMM_TILE`` (8) takes ``A @ X.T`` and subtracts the labels after, which
 spares the one-point calls at large m the copy of X.  At other m every
 call takes the operand, padded with zero columns to a multiple of 8, so
@@ -83,7 +85,7 @@ from .sampling import explicit_indices
 
 NORM_SLACK = 1e-12
 SINGULAR_CUTOFF = 1e-12
-LOSS_CHUNK = 1 << 16  # point losses a block evaluation holds at once (two rows at least)
+LOSS_CHUNK = 1 << 15  # point losses a block evaluation holds at once (two rows at least)
 GEMM_TILE = 8  # product columns per GEMM kernel tile; edge tiles round differently
 CHECK_ROWS = 2048  # rows of X a feature check or norm scan holds at once
 
@@ -256,6 +258,16 @@ class _LinearPredictionProblem:
         idx = explicit_indices(indices, self.data.m, name="indices")
         return np.take(self.data.X, idx, axis=0), np.take(self.data.y, idx)
 
+    @cached_property
+    def _folded(self) -> np.ndarray:
+        """The operand [X^T; y] padded with zero columns to whole GEMM
+        tiles, (d+1, m rounded up to a multiple of ``GEMM_TILE``); built
+        by the first ``full_objective`` call that folds and kept."""
+        X, y = self.data.X, self.data.y
+        B = np.zeros((self.d + 1, self.m + -self.m % GEMM_TILE))
+        B[:-1, : self.m], B[-1, : self.m] = X.T, y
+        return B
+
     def full_objective(self, w):
         """F(w): the data losses summed in numpy's pairwise order (see
         "Mean reduction order") and divided by m, plus the regularizer
@@ -272,28 +284,28 @@ class _LinearPredictionProblem:
         rows = max(2, LOSS_CHUNK // m)
         hinge = self.kind == "hinge"
         # A call of more than one chunk, or any call at an m off the GEMM
-        # tile, multiplies [A, c] by [X^T; y] padded with zero columns to
-        # whole tiles: with c = -1 each product ends on z - y, the residual;
-        # with c = 0 (hinge) it is z.  Aligned one-chunk calls skip the copy.
+        # tile, multiplies [A, c] by the problem's folded operand: with
+        # c = -1 each product ends on z - y, the residual; with c = 0
+        # (hinge) it is z.  Aligned one-chunk calls skip the copy of X.
         fold = n > rows or m % GEMM_TILE
-        B = X.T
+        B = self._folded if fold else X.T
         if fold:
-            B = np.zeros((d + 1, m + -m % GEMM_TILE))
-            B[:d, :m], B[d, :m] = X.T, y
             A1 = np.full((min(n, rows), d + 1), 0.0 if hinge else -1.0)
+        Z = np.empty((max(2, min(n, rows)), B.shape[1]))  # every chunk's product
         out = np.empty(n)
         for lo in range(0, n, rows):
             A = W[lo : lo + rows]
+            k = len(A)
             if fold:
-                A1[: len(A), :d] = A
-                A = A1[: len(A)]
-            z = (A if len(A) > 1 else A[[0, 0]]) @ B
-            z = z[: len(A), :m]
+                A1[:k, :d] = A
+                A = A1[:k]
+            z = np.matmul(A if k > 1 else A[[0, 0]], B, out=Z[: max(2, k)])[:k, :m]
             if fold and not hinge:
                 losses = _residual_loss(self.kind, z, out=z)
             else:
                 losses = _scalar_loss(self.kind, z, y, out=z)
-            out[lo : lo + rows] = np.add.reduce(losses, axis=1) / m
+            np.add.reduce(losses, axis=1, out=out[lo : lo + k])
+        out /= m
         out += 0.5 * self.alpha * np.vecdot(W, W)
         return float(out[0]) if single else out
 

@@ -58,11 +58,14 @@ a running accumulator; the average iterate is S_t / t, and the averages
 are evaluated as one block, as are the losses; the regret is a
 cumulative sum along the step axis.
 
-A stream whose iterate norm becomes non-finite keeps running as NaNs
-until its chunk ends.  Then the lowest such stream's first non-finite
-step is raised as ``DivergenceError``: the error a sequential loop over
-the rows would raise first, even when a higher row diverged at an
-earlier step.
+A stream whose iterate norm becomes non-finite is flagged at that step
+and runs on until its chunk ends: a NaN row stays NaN, and a row whose
+squared norm overflowed is scaled by radius / inf = 0, to the origin
+when its entries are finite, so it runs on finite (an infinite entry
+turns NaN; at an infinite radius the row is left as it is).  Then the
+lowest flagged stream's first non-finite step is raised as
+``DivergenceError``: the error a sequential loop over the rows would
+raise first, even when a higher row diverged at an earlier step.
 
 ``suboptimality_decomposition_check`` reruns the algorithm under every
 permutation of a small dataset and averages three exact quantities whose

@@ -785,6 +785,45 @@ def test_block_objective_holds_chunks_not_the_block():
     assert peak < 3 * 8 * LOSS_CHUNK + 3 * 8 * n
 
 
+# 1 is the two-row minimum; 1 << 16, the former LOSS_CHUNK, holds 32 rows at KINKED_M.
+CHUNK_SIZES = sorted({1, 1 << 14, LOSS_CHUNK, 1 << 16})
+
+
+@pytest.mark.parametrize("kind", ["absolute", "hinge", "ridge"])
+def test_loss_chunk_keeps_every_bit(kind):
+    """Each row of a block keeps the bits of its one-point call whatever
+    the chunk height, the block spanning several chunks and ending on a
+    one-row tail at each."""
+    p = block_problem(kind, 20, KINKED_M)
+    n = 3 * (max(CHUNK_SIZES) // KINKED_M) + 1
+    W = 0.3 * np.random.default_rng(9).standard_normal((n, 20))
+    want = [p.full_objective(w) for w in W]
+    for chunk in CHUNK_SIZES:
+        rows = max(2, chunk // KINKED_M)
+        assert n % rows == 1 and n > 2 * rows
+        with mock.patch.object(problem_module, "LOSS_CHUNK", chunk):
+            got = p.full_objective(W)
+        assert got.tolist() == want
+
+
+def test_one_point_calls_off_the_tile_fold_once():
+    """At an m off the GEMM tile every call folds the labels into the
+    product, a one-point call too; the problem builds that (d+1, m8)
+    operand once, so a second call copies no X."""
+    p = LipschitzLinearProblem(random_dataset(1999, 20, seed=5), "absolute", radius=10.0)
+    w = np.full(20, 0.1)
+    operand_bytes = 8 * 21 * 2000  # (d+1, m8) float64
+    first = p.full_objective(w)
+    tracemalloc.start()
+    try:
+        second = p.full_objective(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert second == first
+    assert peak < operand_bytes // 4
+
+
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 

@@ -200,11 +200,12 @@ def suboptimality_digest(sg):
     problems = [_ridge(sg, 500, d, seed=40 + d, alpha=0.1) for d in (1, 4, 20)]
     problems += [p for p, _ in _sgd_problems(sg)][1:]
     grid = [(p, n) for p in problems for n in (1, 2, 37, 300)]
-    # The kinked benchmark's shape: 32 rows per loss chunk, so 33 and 65 rows end
-    # on a one-row chunk.  n is fixed, not derived, so both trees run one grid.
-    # m = 1999 ends on a GEMM edge tile; the ridge problem folds the squared
-    # residual's labels too.
-    for m, kind, ns in ((2000, "absolute", (33, 65)), (1999, "absolute", (65,)),
+    # The kinked benchmark's shape: 16 rows per loss chunk, so 17, 33 and 65 rows
+    # end on a one-row chunk; at the former 32 rows, 17 rows are one unfolded
+    # chunk.  n is fixed, not derived, so both trees run one grid.  m = 1999
+    # ends on a GEMM edge tile; the ridge problem folds the squared residual's
+    # labels too.
+    for m, kind, ns in ((2000, "absolute", (17, 33, 65)), (1999, "absolute", (65,)),
                         (2000, "ridge", (65,))):
         data = sg.generate(sg.GenSpec(m=m, d=20, spectrum="geometric", decay=0.7, noise=0.2,
                                       signal_norm=0.8, seed=43))
