@@ -219,16 +219,17 @@ def test_readme_names_every_subcommand():
     assert sorted(listed) == sorted(sub.choices)
 
 
-def test_readme_command_lines_parse():
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    """README's CLI block runs as written, line by line, in one directory."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
     commands = [shlex.split(line, comments=True)
                 for block in blocks for line in block.replace("\\\n", " ").splitlines()
                 if line.startswith("shufflegrad ")]
     assert {argv[1] for argv in commands} == {"gen", "sgd", "svrg", "dist"}
-    parser = build_parser()
+    monkeypatch.chdir(tmp_path)
     for argv in commands:
-        parser.parse_args(argv[1:])
+        assert run_cli(argv[1:]) == 0, argv
 
 
 def test_readme_python_example_runs(tmp_path, monkeypatch):

@@ -1,35 +1,31 @@
 """Bitwise digests of shufflegrad's drivers over a fixed grid of runs.
 
-    python tools/bitdigest.py SRC_DIR
+    python tools/bitdigest.py
 
-imports ``shufflegrad`` from ``SRC_DIR`` (a checkout's ``src``) and
-prints a first line ``openblas_core <name>``, the OpenBLAS kernel
-numpy's bundled library runs (``unknown`` where it cannot be asked; the
-kernel decides the last bits of BLAS products), then one line
-``<driver> <sha256>`` per driver.  Each digest covers
-the raw bytes of every float the driver returns on the grid, its counts,
-and the type, message and fields of every error it raises, so two trees
-print the same lines exactly when their outputs agree bit for bit.  The
-``DivergenceError`` line hashes only the errors of its grid (a run that
-finishes adds a marker, not its trace), so it moves only when an error
-does:
+imports ``shufflegrad`` from the ``src`` of the checkout this file sits
+in and prints a first line
 
-    python tools/bitdigest.py /path/to/parent/src > before.txt
-    python tools/bitdigest.py src > after.txt && diff before.txt after.txt
+    machine openblas=<core> simd=<targets> numpy=<version>
 
-or, in one call,
+naming what decides the last bits of an output: the OpenBLAS kernel
+numpy's bundled library runs (``unknown`` where it cannot be asked),
+numpy's enabled SIMD dispatch targets (the list ``np.show_runtime()``
+prints as found) and numpy's version.  Then one line ``<driver>
+<sha256>`` per driver.  Each digest covers the raw bytes of every float
+the driver returns on the grid, its counts, and the type, message and
+fields of every error it raises, so two trees print the same lines
+exactly when their outputs agree bit for bit.  The ``DivergenceError``
+line hashes only the errors of its grid (a run that finishes adds a
+marker, not its trace), so it moves only when an error does.
 
-    python tools/bitdigest.py src --against /path/to/parent/src
+Its output is checked in as ``tests/digests.txt``, whose first line
+names the machine it was read on; ``tests/test_digests.py`` compares a
+fresh run with it.  A change that moves bits on purpose rewrites the file with
 
-which runs the grid once per tree, each in its own process, prints the
-lines that differ (``-`` the other tree's, ``+`` this one's) and exits 1
-if any does, else 0.
+    python tools/bitdigest.py > tests/digests.txt
 
-The grid is small (a few seconds on one core) and fixed; extending it
-changes every later digest, so compare two trees with the same tool.
-When a public signature the grid calls changes, the one tool cannot run
-both trees: run each tree's own ``tools/bitdigest.py`` on its ``src``
-and ``diff`` the outputs.
+The grid is small (about a second on one core) and fixed; extending it
+changes every later digest, so rewrite the file in the same change.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ import ctypes
 import glob
 import hashlib
 import os
-import subprocess
 import sys
 import tempfile
 import warnings
@@ -62,6 +57,14 @@ def openblas_core() -> str:
         corename.restype = ctypes.c_char_p
         return corename().decode()
     return "unknown"
+
+
+def machine() -> str:
+    """The machine line: OpenBLAS core, enabled SIMD dispatch targets, numpy version."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    simd = ",".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+    return f"machine openblas={openblas_core()} simd={simd} numpy={np.__version__}"
 
 
 class Digest:
@@ -202,9 +205,9 @@ def suboptimality_digest(sg):
     grid = [(p, n) for p in problems for n in (1, 2, 37, 300)]
     # The kinked benchmark's shape: 16 rows per loss chunk, so 17, 33 and 65 rows
     # end on a one-row chunk; at the former 32 rows, 17 rows are one unfolded
-    # chunk.  n is fixed, not derived, so both trees run one grid.  m = 1999
-    # ends on a GEMM edge tile; the ridge problem folds the squared residual's
-    # labels too.
+    # chunk.  n is fixed, not derived from LOSS_CHUNK, so the grid stays put
+    # when the chunk height moves.  m = 1999 ends on a GEMM edge tile; the
+    # ridge problem folds the squared residual's labels too.
     for m, kind, ns in ((2000, "absolute", (17, 33, 65)), (1999, "absolute", (65,)),
                         (2000, "ridge", (65,))):
         data = sg.generate(sg.GenSpec(m=m, d=20, spectrum="geometric", decay=0.7, noise=0.2,
@@ -426,31 +429,11 @@ DRIVERS = {
 }
 
 
-def compare(src, other):
-    """Digest both trees in fresh processes; print the differing lines."""
-    outputs = []
-    for tree in (other, src):
-        proc = subprocess.run([sys.executable, os.path.abspath(__file__), tree],
-                              capture_output=True, text=True)
-        if proc.returncode:
-            sys.stderr.write(proc.stderr)
-            return proc.returncode
-        outputs.append(proc.stdout.splitlines())
-    differ = [(a, b) for a, b in zip(*outputs) if a != b]
-    for before, after in differ:
-        print("-", before)
-        print("+", after)
-    return 1 if differ else 0
-
-
 def main(argv):
-    if len(argv) == 4 and argv[2] == "--against":
-        return compare(argv[1], argv[3])
-    if len(argv) != 2:
-        print("usage: python tools/bitdigest.py SRC_DIR [--against OTHER_SRC_DIR]",
-              file=sys.stderr)
+    if len(argv) != 1:
+        print("usage: python tools/bitdigest.py", file=sys.stderr)
         return 2
-    src = os.path.abspath(argv[1])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     sys.path.insert(0, src)
     import shufflegrad as sg
 
@@ -459,7 +442,7 @@ def main(argv):
         return 1
 
     warnings.simplefilter("ignore")
-    print("openblas_core", openblas_core())
+    print(machine())
     with np.errstate(all="ignore"):
         for name, digest in DRIVERS.items():
             print(name, digest(sg))
