@@ -38,34 +38,33 @@ buffer (IEEE products commute, so the bits are x_i * (eta_t * s_t)).
 Projection scales only the rows whose norm exceeds the radius.  The ball
 test compares the largest norm (the row ``argmax`` picks, the first NaN
 if any) with the radius, so a NaN or overflowed row fails it like a row
-outside the ball.  It runs at every step of a tested block: the first
-block, and each block after one that projected.  Another block runs
-untested; then one array test over its squared norms, rows already
-non-finite excluded, finds its first failing step, which is projected,
-and the steps after it in the block are replayed, tested.  So every
-projection falls on the step and rows the per-step test gives, and a
-block that fails wastes at most the rest of itself, once.  Step t reads x_i and w_t
-from a row of one block buffer, plane 0 the gathered points and plane 1
-the iterates, and writes w_{t+1} into the next row, whose two dots,
-x_{i'} . w_{t+1} for the next step and ||w_{t+1}||^2 for the projection
-test, come from one ``np.vecdot`` call (a projected row recomputes its
-pair).  The rate table eta_1..eta_T and the c_t come from one array
-call of the step rule, with the bits of calls at each t; each block
-copies its rows into one buffer read through 0-d views made once.  After each
+outside the ball.  It runs at every step of the first block.  Every
+later block runs once untested; then one array test over all its rows'
+squared norms finds its first failing step, and the block reruns from
+that step on with the per-step test.  So every projection falls on the
+step and rows the per-step test gives, and a block that fails runs at
+most the rest of itself twice.  Step t reads x_i and w_t from a row of
+one block buffer, plane 0 the gathered points and plane 1 the iterates,
+and writes w_{t+1} into the next row, whose two dots, x_{i'} . w_{t+1}
+for the next step and ||w_{t+1}||^2 for the projection test, come from
+one ``np.vecdot`` call (a projected row recomputes its pair).  The rate
+table eta_1..eta_T and the c_t come from one array call of the step
+rule, with the bits of calls at each t; each block copies its rows into
+one buffer read through 0-d views made once.  After each
 ``EVAL_BLOCK`` steps, one ``cumsum`` over the carried sum and the
 block's iterates gives S_t = w_1 + ... + w_t, added in step order like
 a running accumulator; the average iterate is S_t / t, and the averages
 are evaluated as one block, as are the losses; the regret is a
 cumulative sum along the step axis.
 
-A stream whose iterate norm becomes non-finite is flagged at that step
-and runs on until its chunk ends: a NaN row stays NaN, and a row whose
-squared norm overflowed is scaled by radius / inf = 0, to the origin
-when its entries are finite, so it runs on finite (an infinite entry
-turns NaN; at an infinite radius the row is left as it is).  Then the
-lowest flagged stream's first non-finite step is raised as
-``DivergenceError``: the error a sequential loop over the rows would
-raise first, even when a higher row diverged at an earlier step.
+A stream whose iterate norm becomes non-finite (NaN, or a squared norm
+that overflowed) is flagged at its first such step and restarts at the
+origin with both of its dots zero, so it runs on finite and fails no
+later test for what it already did.  When its chunk ends, the lowest
+flagged stream's first non-finite step is raised as ``DivergenceError``:
+the error a sequential loop over the rows would raise first, even when a
+higher row diverged at an earlier step; no flagged stream's values reach
+a caller.
 
 ``suboptimality_decomposition_check`` reruns the algorithm under every
 permutation of a small dataset and averages three exact quantities whose
@@ -210,14 +209,19 @@ def _traces(problem, config: SGDConfig, indices, collect_iterates=False, referen
 
 
 def _project(t, sq, w_next, pair, zs_next, radius, first_bad):
-    """Step t's ball test failed: flag the rows whose norm ``sqrt(sq)`` is
-    non-finite, scale the rows outside the ball onto it and recompute
-    their two dots (``pair`` the step's plane pair, ``zs_next`` its dots)."""
+    """Step t's ball test failed: scale the rows outside the ball onto it
+    and recompute their two dots (``pair`` the step's plane pair,
+    ``zs_next`` its dots); a row whose norm ``sqrt(sq)`` is non-finite is
+    flagged (its first such step kept) and restarts at the origin, both
+    dots zero."""
     norm = np.sqrt(sq)
-    first_bad[(first_bad == 0) & ~np.isfinite(norm)] = t
+    bad = ~np.isfinite(norm)
+    first_bad[(first_bad == 0) & bad] = t
     over = norm > radius
     w_next[over] *= (radius / norm[over])[:, None]
     zs_next[:, over] = np.vecdot(pair[:, over], w_next[over])
+    w_next[bad] = 0.0
+    zs_next[:, bad] = 0.0
 
 
 def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, collect_iterates):
@@ -268,7 +272,6 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
     subopt = np.empty((B, T))
     regret = np.zeros(B)
     first_bad = np.zeros(B, dtype=np.int64)  # first non-finite step per row, 0: none
-    tested = True  # the first block tests every step
 
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, T, K):
@@ -282,7 +285,7 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
             coef[1, :n] = shrinks[lo : lo + n]
             # The block's first pair of dots; the last step's x dot reads no point and is unused.
             np.vecdot(pairs[1], W[1], out=zs_pairs[1])
-            projected, a = False, 0  # steps lo+a+1 .. lo+n run next
+            tested, a = not lo, 0  # steps lo+a+1 .. lo+n run next; the first block tests each
             while True:
                 steps = zip(range(lo + a + 1, lo + n + 1), x_rows[a + 1 :], w_rows[a + 1 :],
                             w_rows[a + 2 :], pairs[a + 2 :], zs_pairs[a + 2 :], z_rows[a + 1 :],
@@ -300,20 +303,13 @@ def _run_batch(problem, config: SGDConfig, indices, wstar, given_reference, coll
                     # argmax returns the first NaN, which fails any comparison.
                     if tested and not sqrt(sq[sq.argmax()]) <= limit:
                         project(t, sq, w_next, pair, zs_next, radius, first_bad)
-                        projected = True
                 if tested:
                     break
-                # An untested block: its first step where a row not yet flagged
-                # fails is projected, and the steps after it rerun, tested.
-                fails = ~(np.sqrt(ZS[1, 2 : n + 2]) <= limit) & (first_bad == 0)
+                # A later block ran untested: it reruns, tested, from its first failing step.
+                fails = ~(np.sqrt(ZS[1, 2 : n + 2]) <= limit).all(axis=1)
                 if not fails.any():
                     break
-                a = int(fails.any(axis=1).argmax())  # step lo+a+1 wrote row a+2
-                project(lo + a + 1, sq_rows[a + 2], w_rows[a + 2], pairs[a + 2],
-                        zs_pairs[a + 2], radius, first_bad)
-                projected = tested = True
-                a += 1
-            tested = projected
+                tested, a = True, int(fails.argmax())  # step lo+a+1 wrote row a+2
 
             iterates = W[1 : n + 1]  # w_{lo+1} .. w_{lo+n}
             if kept is not None:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from shufflegrad import (
+    Dataset,
     GenSpec,
     InverseSqrtStep,
     LinearBallClass,
@@ -62,21 +63,21 @@ def sgd_benchmark():
     return problem
 
 
-@pytest.fixture(scope="session")
-def sgd_rate_runs(sgd_benchmark):
-    problem = sgd_benchmark
+def rate_runs(problem):
+    """Criterion 4's two arms on ``problem``: 100 streams of one pass each."""
     radius = 2.0 * max(1.0, float(np.linalg.norm(problem.wstar)))
     rule = StronglyConvexStep(problem.strong_convexity)
+    out = {}
+    for sampler in ("single_shuffle", "with_replacement"):
+        config = SGDConfig(n_steps=10_000, step_rule=rule, radius=radius,
+                           sampler=sampler, seed=11)
+        out[sampler] = average_suboptimality_over_seeds(problem, config, n_seeds=100)
+    return out
 
-    def experiment():
-        out = {}
-        for sampler in ("single_shuffle", "with_replacement"):
-            config = SGDConfig(n_steps=10_000, step_rule=rule, radius=radius,
-                               sampler=sampler, seed=11)
-            out[sampler] = average_suboptimality_over_seeds(problem, config, n_seeds=100)
-        return out
 
-    return timed(experiment)
+@pytest.fixture(scope="session")
+def sgd_rate_runs(sgd_benchmark):
+    return timed(lambda: rate_runs(sgd_benchmark))
 
 
 @pytest.fixture(scope="session")
@@ -175,12 +176,15 @@ def test_criterion_03_linear_class_complexity_bound():
     report(3, f"estimate {est.value:.4f} +- {est.stderr:.4f} <= 0.4 ({elapsed:.1f}s)")
 
 
-def test_criterion_04_strongly_convex_rate(sgd_rate_runs):
-    runs, elapsed = sgd_rate_runs
-    grid = np.array([100, 316, 1000, 3162, 10_000])
+RATE_GRID = np.array([100, 316, 1000, 3162, 10_000])
+
+
+def check_rate_gates(runs):
+    """Assert criterion 4's two gates on ``runs``; return the slope and the
+    final ratio."""
     wor = runs["single_shuffle"]
-    means = wor.mean[grid - 1]
-    slope = float(np.polyfit(np.log10(grid), np.log10(means), 1)[0])
+    means = wor.mean[RATE_GRID - 1]
+    slope = float(np.polyfit(np.log10(RATE_GRID), np.log10(means), 1)[0])
     assert slope <= -0.8
 
     final_wor = wor.mean[-1]
@@ -189,9 +193,42 @@ def test_criterion_04_strongly_convex_rate(sgd_rate_runs):
     # pass is not significantly worse than independent draws (here it is
     # in fact better at T = m, see the decisions ledger).
     assert final_wor <= 3.0 * final_wr
+    return slope, final_wor / final_wr
+
+
+def test_criterion_04_strongly_convex_rate(sgd_rate_runs):
+    runs, elapsed = sgd_rate_runs
+    slope, ratio = check_rate_gates(runs)
     assert elapsed < 300.0
     report(4, f"slope {slope:.2f} <= -0.8; final ratio wor/wr = "
-               f"{final_wor / final_wr:.2f} <= 3 over 100 seeds ({elapsed:.0f}s)")
+               f"{ratio:.2f} <= 3 over 100 seeds ({elapsed:.0f}s)")
+
+
+ORDER_Z = 4.0  # fixed before the first run
+
+
+def test_criterion_16_storage_order_invariance(sgd_benchmark, sgd_rate_runs):
+    """Both samplers draw positions uniformly, so the order the rows are
+    stored in cannot matter: criterion 4's arms on a copy of its data
+    sorted by x . w* agree with the as-drawn runs' means within ORDER_Z
+    combined standard errors at each grid step, and criterion 4's gates
+    hold on the copy.  An order read off the storage fails it."""
+    problem = sgd_benchmark
+    order = np.argsort(problem.data.X @ problem.wstar, kind="stable")
+    data = Dataset(X=problem.data.X[order], y=problem.data.y[order])
+    (drawn, _), (stored, elapsed) = sgd_rate_runs, timed(
+        lambda: rate_runs(RidgeProblem(data, alpha=problem.alpha)))
+    worst = 0.0
+    for sampler, a in drawn.items():
+        b = stored[sampler]
+        gap = np.abs(a.mean - b.mean)[RATE_GRID - 1]
+        combined = np.hypot(a.stderr, b.stderr)[RATE_GRID - 1]
+        assert np.all(gap <= ORDER_Z * combined), sampler
+        worst = max(worst, float((gap / combined).max()))
+    slope, ratio = check_rate_gates(stored)
+    assert elapsed < 300.0
+    report(16, f"sorted by x.w*: worst mean gap {worst:.2f} <= {ORDER_Z:g} combined SE; "
+                f"slope {slope:.2f}, final ratio {ratio:.2f} ({elapsed:.1f}s)")
 
 
 def test_criterion_05_geometric_convergence(svrg_traces):
